@@ -12,9 +12,10 @@ largest absolute function value involved in that trial.
 
 Determinism: all draws derive from Philox streams keyed by
 ``(config.seed, fixed stream ids)``, so identical configurations produce
-byte-identical reports.  Violating trials are re-evaluated through the same
-scalar expression path used by witness re-evaluation, which makes stored
-witness margins reproducible exactly.
+byte-identical reports.  Each inequality is one vectorized form, evaluated
+on every trial, on one row to re-evaluate a witness, and on every candidate
+of a shrinking sweep; stored witness margins come from the one-row path,
+so they reproduce exactly.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import cones
 from .catalog import PropertyLabel, resolve_handle
-from .cones import MATRIX, VECTOR, ConeSpec, Point, Rng
-from .diffops import FunctionHandle, kth_diff, second_diff
+from .cones import VECTOR, ConeSpec, Point, Rng
+from .diffops import FunctionHandle
 from .errors import (
     CapabilityError,
     DomainError,
@@ -144,137 +146,182 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# expression registry: the scalar evaluation path shared by witness
-# re-evaluation and shrinking
+# inequality forms
+#
+# Each inequality is written once, as a form: a function of a handle and
+# named role arrays of R rows (``x``, ``y``, ``z``, ``base``, ``x1..xk``,
+# ``zero``) that returns ``(slack, scale)``, two arrays of R values, with
+# ``scale`` the largest absolute value the tolerance is relative to.  The
+# trials call a form on every sampled row, witness re-evaluation on one row,
+# and shrinking on every candidate of a sweep.
 # ---------------------------------------------------------------------------
 
 
-def _vals(handle: FunctionHandle, pts: list[Point]) -> np.ndarray:
-    rows = np.stack([handle._point_data(p) for p in pts])
-    out = handle.batch(rows)
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"{handle.label!r} undefined on a witness point")
+def _abs_max(*arrays: np.ndarray) -> np.ndarray:
+    out = np.abs(arrays[0])
+    for a in arrays[1:]:
+        out = np.maximum(out, np.abs(a))
     return out
 
 
-def _expr_subadd(handle, pts, sign: float):
-    v = _vals(handle, [pts["x"], pts["y"], pts["x"] + pts["y"]])
-    slack = sign * (v[0] + v[1] - v[2])
-    return slack, float(np.max(np.abs(v)))
+def _second_diff(handle, r):
+    """``f(x+y+z) + f(z) - f(x+z) - f(y+z)``, grouped as (positives) -
+    (negatives), and the largest |f| of the four."""
+    x, y, z = r["x"], r["y"], r["z"]
+    # each sum is formed for its own call only, which bounds peak memory on
+    # large trial batches
+    vz, vxz, vyz = handle.batch(z), handle.batch(x + z), handle.batch(y + z)
+    vxyz = handle.batch(x + y + z)
+    return (vxyz + vz) - (vxz + vyz), _abs_max(vz, vxz, vyz, vxyz)
 
 
-def _expr_second_diff(handle, pts, sign: float):
-    x, y, z = pts["x"], pts["y"], pts["z"]
-    v = _vals(handle, [x + y + z, z, x + z, y + z])
-    slack = sign * ((v[0] + v[1]) - (v[2] + v[3]))
-    return slack, float(np.max(np.abs(v)))
+def _signed_second_diff(sign: float, handle, r):
+    sd, scale = _second_diff(handle, r)
+    return sign * sd, scale
 
 
-def _expr_modular(handle, pts, sign: float):
-    x, y = pts["x"], pts["y"]
-    lo, hi = cones.meet_join(handle.domain, x, y)
-    v = _vals(handle, [x, y, hi, lo])
-    slack = sign * ((v[0] + v[1]) - (v[2] + v[3]))
-    return slack, float(np.max(np.abs(v)))
+def _additivity(sign: float, handle, r):
+    vx, vy, vxy = handle.batch(r["x"]), handle.batch(r["y"]), handle.batch(r["x"] + r["y"])
+    return sign * (vx + vy - vxy), _abs_max(vx, vy, vxy)
 
 
-def _expr_cm(handle, pts, k: int):
-    if k == 0:
-        v = _vals(handle, [pts["base"]])
-        return float(v[0]), float(abs(v[0]))
-    xs = [pts[f"x{i + 1}"] for i in range(k)]
-    val = kth_diff(handle, xs, pts["base"])
-    slack = val if k % 2 == 0 else -val
-    scale = max(abs(float(handle(p))) for p in [pts["base"], pts["base"] + sum(xs[1:], xs[0])])
-    return slack, scale
+def _modular(sign: float, handle, r):
+    x, y = r["x"], r["y"]
+    vx, vy = handle.batch(x), handle.batch(y)
+    vhi, vlo = handle.batch(np.maximum(x, y)), handle.batch(np.minimum(x, y))
+    return sign * ((vx + vy) - (vhi + vlo)), _abs_max(vx, vy, vhi, vlo)
 
 
-def _expr_origin(handle, pts, sign: float):
-    v = float(_vals(handle, [pts["zero"]])[0])
-    return sign * v, abs(v)
+def _origin(sign: float, handle, r):
+    v = handle.batch(r["zero"])
+    return sign * v, np.abs(v)
 
 
-def _expr_alpha_strong(handle, pts, alpha: float):
-    sd = second_diff(handle, pts["x"], pts["y"], pts["z"])
-    prod = alpha * float(pts["x"].data[0]) * float(pts["y"].data[0])
-    return sd - prod, max(abs(sd), abs(prod))
+def _completely_monotone(k: int, handle, r):
+    """Order-k alternating difference at ``base`` with steps ``x1..xk``,
+    signed so that complete monotonicity means ``slack >= 0``; the scale is
+    the largest |f| over all 2^k subset points."""
+    base = r["base"]
+    sums = [base]
+    for s in range(1, 1 << k):
+        low = (s & -s).bit_length() - 1
+        sums.append(sums[s & (s - 1)] + r[f"x{low + 1}"])
+    vals = handle.batch(np.concatenate(sums)).reshape(1 << k, base.shape[0])
+    odd = np.array([bin(s).count("1") % 2 == 1 for s in range(1 << k)])
+    return np.sum(vals[~odd], axis=0) - np.sum(vals[odd], axis=0), np.max(np.abs(vals), axis=0)
 
 
-def _expr_lipschitz(handle, pts, lip: float):
-    sd = second_diff(handle, pts["x"], pts["y"], pts["z"])
-    prod = lip * float(pts["x"].data[0]) * float(pts["y"].data[0])
-    return prod - abs(sd), max(abs(sd), abs(prod))
+def _alpha_strong(alpha: float, handle, r):
+    sd, _ = _second_diff(handle, r)
+    prod = alpha * r["x"][:, 0] * r["y"][:, 0]
+    return sd - prod, _abs_max(sd, prod)
 
 
-def _log_ratio(x: float, y: float, z: float) -> float:
-    return (np.log1p(x + y + z) + np.log1p(z)) - (np.log1p(x + z) + np.log1p(y + z))
+def _lipschitz_box(lip: float, handle, r):
+    sd, _ = _second_diff(handle, r)
+    prod = lip * r["x"][:, 0] * r["y"][:, 0]
+    return prod - np.abs(sd), _abs_max(sd, prod)
 
 
-def _expr_double_bound(handle, pts, upper: bool):
-    x, y, z = (float(pts[k].data[0]) for k in ("x", "y", "z"))
-    d = _log_ratio(x, y, z)
-    slack = (x * y - d) if upper else (x * y + d)
-    return slack, max(abs(x * y), abs(d))
+# the log of (1+z)(1+x+y+z) / ((1+x+z)(1+y+z)) is the second difference of log1p
+_LOG1P = FunctionHandle("log1p", cones.nonneg_orthant(1), lambda rows: np.log1p(rows[:, 0]))
 
 
-_EXPR_PARAM = re.compile(r"^(?P<name>[a-z0-9-]+)(\[(?P<arg>[^\]]*)\])?$")
+def _double_bound(upper: bool, handle, r):
+    d, _ = _second_diff(_LOG1P, r)
+    prod = r["x"][:, 0] * r["y"][:, 0]
+    return (prod - d) if upper else (prod + d), _abs_max(prod, d)
 
 
-def evaluate_expression(handle: FunctionHandle | None, expression: str, points: dict):
-    """Evaluate a witness expression at named points: returns ``(slack, s)``.
+def _popoviciu(symmetrized: bool, f: ScalarFunction, sign: float, handle, r):
+    """Three-point inequality for ``f`` composed with the handle (its second
+    difference), or its symmetrized form; ``sign`` -1 reverses both."""
 
-    This is the authoritative scalar path: check() re-evaluates every found
-    violation through it, so stored witness margins reproduce exactly.
+    def composed(rows):
+        v = handle.batch(rows)
+        inside = (v >= f.lo) & (v <= f.hi)
+        return np.where(inside, f.fn(np.clip(v, f.lo, f.hi)), np.nan)
+
+    g = FunctionHandle(handle.label, handle.domain, composed)
+    if not symmetrized:
+        return _signed_second_diff(sign, g, r)
+    x, y, z = r["x"], r["y"], r["z"]
+    fx, fy, fz, fxyz = g.batch(x), g.batch(y), g.batch(z), g.batch(x + y + z)
+    fxy, fyz, fxz = g.batch(x + y), g.batch(y + z), g.batch(x + z)
+    vals = (fx, fy, fz, fxyz, fxy, fyz, fxz)
+    slack = (fx + fy + fz) / 3.0 + fxyz - (2.0 / 3.0) * (fxy + fyz + fxz)
+    return sign * slack, _abs_max(*vals)
+
+
+# expression name -> (form, the argument bound to it)
+_FORMS = {
+    "subadd": (_additivity, 1.0),
+    "superadd": (_additivity, -1.0),
+    "second-diff-nonpos": (_signed_second_diff, -1.0),
+    "second-diff-nonneg": (_signed_second_diff, 1.0),
+    "comonotone-strong-superadd": (_signed_second_diff, 1.0),
+    "submodular": (_modular, 1.0),
+    "supermodular": (_modular, -1.0),
+    "origin-nonneg": (_origin, 1.0),
+    "origin-nonpos": (_origin, -1.0),
+    "double-bound-upper": (_double_bound, True),
+    "double-bound-lower": (_double_bound, False),
+}
+# expression name -> (form, the parser of its bracketed argument)
+_PARAMETRIZED_FORMS = {
+    "completely-monotone": (_completely_monotone, int),
+    "alpha-strong": (_alpha_strong, float),
+    "lipschitz-box": (_lipschitz_box, float),
+}
+_EXPR_PARAM = re.compile(r"^(?P<name>[a-z0-9-]+)(\[(?P<arg>[^\]=]*=[^\]]*)\])?$")
+
+
+def _form(expression: str, scalar_fn: ScalarFunction | None = None, reverse: bool = False):
+    """The form of a witness expression, with its parameters bound.
+
+    Three-point (Popoviciu-style) expressions need the composed scalar
+    function and its direction.
     """
+    if expression.startswith("popoviciu"):
+        if scalar_fn is None:
+            raise ParameterError("re-evaluating a three-point witness needs scalar_fn")
+        symmetrized = expression.startswith("popoviciu-symmetrized")
+        return partial(_popoviciu, symmetrized, scalar_fn, -1.0 if reverse else 1.0)
     m = _EXPR_PARAM.match(expression)
     if not m:
         raise ParameterError(f"malformed expression {expression!r}")
     name, arg = m.group("name"), m.group("arg")
-    if name == "subadd":
-        return _expr_subadd(handle, points, 1.0)
-    if name == "superadd":
-        return _expr_subadd(handle, points, -1.0)
-    if name == "second-diff-nonpos":
-        return _expr_second_diff(handle, points, -1.0)
-    if name in ("second-diff-nonneg", "comonotone-strong-superadd"):
-        return _expr_second_diff(handle, points, 1.0)
-    if name == "submodular":
-        return _expr_modular(handle, points, 1.0)
-    if name == "supermodular":
-        return _expr_modular(handle, points, -1.0)
-    if name == "completely-monotone":
-        return _expr_cm(handle, points, int(arg.split("=")[1]))
-    if name == "origin-nonneg":
-        return _expr_origin(handle, points, 1.0)
-    if name == "origin-nonpos":
-        return _expr_origin(handle, points, -1.0)
-    if name == "alpha-strong":
-        return _expr_alpha_strong(handle, points, float(arg.split("=")[1]))
-    if name == "lipschitz-box":
-        return _expr_lipschitz(handle, points, float(arg.split("=")[1]))
-    if name == "double-bound-upper":
-        return _expr_double_bound(handle, points, True)
-    if name == "double-bound-lower":
-        return _expr_double_bound(handle, points, False)
+    if arg is None and name in _FORMS:
+        fn, param = _FORMS[name]
+        return partial(fn, param)
+    if arg is not None and name in _PARAMETRIZED_FORMS:
+        fn, parse = _PARAMETRIZED_FORMS[name]
+        return partial(fn, parse(arg.split("=")[1]))
     raise ParameterError(f"unknown expression {expression!r}")
 
 
-def _popoviciu_evaluator(handle: FunctionHandle, f: ScalarFunction, reverse: bool):
-    sign = -1.0 if reverse else 1.0
+def evaluate_expression(
+    handle: FunctionHandle | None,
+    expression: str,
+    points: dict,
+    scalar_fn: ScalarFunction | None = None,
+    reverse: bool = False,
+):
+    """Evaluate a witness expression at named points: returns ``(slack, s)``.
 
-    def ev(expression: str, pts: dict):
-        x, y, z = pts["x"], pts["y"], pts["z"]
-        if expression.startswith("popoviciu-three-point"):
-            fv = f(_vals(handle, [x + y + z, z, x + z, y + z]))
-            slack = sign * ((fv[0] + fv[1]) - (fv[2] + fv[3]))
-        elif expression.startswith("popoviciu-symmetrized"):
-            fv = f(_vals(handle, [x, y, z, x + y + z, x + y, y + z, x + z]))
-            slack = sign * ((fv[0] + fv[1] + fv[2]) / 3.0 + fv[3] - (2.0 / 3.0) * (fv[4] + fv[5] + fv[6]))
-        else:
-            return evaluate_expression(handle, expression, pts)
-        return float(slack), float(np.max(np.abs(fv)))
-
-    return ev
+    This is the one-row case of the expression's form and the authoritative
+    witness path: check() re-evaluates every found violation through it, so
+    stored witness margins reproduce exactly.
+    """
+    rows = {
+        name: (p.data if handle is None else handle._point_data(p))[None]
+        for name, p in points.items()
+    }
+    slack, scale = _form(expression, scalar_fn, reverse)(handle, rows)
+    if not (np.isfinite(slack[0]) and np.isfinite(scale[0])):
+        label = expression if handle is None else handle.label
+        raise DomainError(f"{label!r} undefined on a witness point")
+    return float(slack[0]), float(scale[0])
 
 
 def reevaluate_witness(
@@ -289,14 +336,8 @@ def reevaluate_witness(
     function passed back in; everything else re-evaluates from the handle
     alone.
     """
-    if witness.expression.startswith("popoviciu"):
-        if scalar_fn is None:
-            raise ParameterError("re-evaluating a three-point witness needs scalar_fn")
-        ev = _popoviciu_evaluator(handle, scalar_fn, reverse)
-        slack, _ = ev(witness.expression, witness.points)
-        return float(slack)
-    slack, _ = evaluate_expression(handle, witness.expression, witness.points)
-    return float(slack)
+    slack, _ = evaluate_expression(handle, witness.expression, witness.points, scalar_fn, reverse)
+    return slack
 
 
 # ---------------------------------------------------------------------------
@@ -304,60 +345,88 @@ def reevaluate_witness(
 # ---------------------------------------------------------------------------
 
 
-def _shrink(handle, expression: str, points: dict, init_margin: float, evaluator=None):
-    """Halve coordinates of the witness points greedily.
+def _shrink_candidates(current: dict, names: list, floor: np.ndarray):
+    """The candidates of one sweep, in order: for each role and each nonzero
+    coordinate (upper-triangle pairs, set symmetrically, for matrices), the
+    coordinate set to 0, then halved; none below ``floor``.  Returns the
+    index into ``names`` of the role each candidate changes, and its
+    changed point."""
+    owners, changed = [], []
+    for k, name in enumerate(names):
+        data = current[name]
+        idx = np.triu_indices(data.shape[0]) if data.ndim == 2 else (np.arange(data.shape[0]),)
+        vals = data[idx]
+        nz = np.flatnonzero(vals)
+        new = np.column_stack([np.zeros(nz.size), 0.5 * vals[nz]]).ravel()
+        coord = np.repeat(nz, 2)
+        allowed = new >= floor[idx][coord]
+        new, coord = new[allowed], coord[allowed]
+        cand = np.repeat(data[None], new.size, axis=0)
+        at = np.arange(new.size)
+        cand[(at,) + tuple(i[coord] for i in idx)] = new
+        cand[(at,) + tuple(i[coord] for i in reversed(idx))] = new
+        owners.append(np.full(new.size, k))
+        changed.append(cand)
+    return np.concatenate(owners), np.concatenate(changed)
 
-    A step is accepted only when the re-evaluated slack stays at or below
-    the initially found margin, so shrinking never weakens the violation
-    (homogeneous functions would otherwise shrink the witness all the way to
-    the detection threshold).  Capped at 200 accepted steps.
+
+def _shrink(handle, expression: str, points: dict, margin: float, scale: float,
+            scalar_fn=None, reverse=False):
+    """Greedy on-cone reduction of a witness, one batched form call per sweep.
+
+    A sweep builds every candidate of :func:`_shrink_candidates`, drops those
+    whose changed point leaves the cone (or, for comonotone witnesses, breaks
+    the comonotone pair), evaluates the rest with one form call, and accepts
+    the first whose slack is finite and at most the ceiling.  The ceiling is
+    the found margin plus a one-ulp-scale wobble, so flat directions still
+    collapse toward the origin but shrinking never weakens the violation.
+    No coordinate goes below the open orthant's sampling floor at ``scale``,
+    so a violation that grows without bound near the boundary cannot spend
+    the step budget on the float range.  Capped at 200 accepted steps.
+
+    The shrunk witness is kept only when its one-row re-evaluation stays
+    under the ceiling, so the returned margin is what
+    :func:`reevaluate_witness` gives.
     """
-    if evaluator is None:
-        evaluator = lambda expr, pts: evaluate_expression(handle, expr, pts)
-    current = dict(points)
-    margin = init_margin
-    # allow one-ulp-scale wobble so flat directions (margin independent of a
-    # point) still collapse toward the origin
-    ceiling = init_margin + 1e-12 * max(1.0, abs(init_margin))
-    accepted = 0
-    while accepted < _SHRINK_CAP:
-        any_accept = False
-        for name in sorted(current):
-            pt = current[name]
-            data = pt.data
-            if pt.kind == MATRIX:
-                idxs = [(i, j) for i in range(pt.dim) for j in range(i, pt.dim)]
-            else:
-                idxs = list(np.ndindex(data.shape))
-            for idx in idxs:
-                if accepted >= _SHRINK_CAP:
-                    break
-                trial = np.array(data, copy=True)
-                if pt.kind == MATRIX:
-                    i, j = idx
-                    if trial[i, j] == 0.0:
-                        continue
-                    trial[i, j] *= 0.5
-                    trial[j, i] = trial[i, j]
-                else:
-                    if trial[idx] == 0.0:
-                        continue
-                    trial[idx] *= 0.5
-                cand = dict(current)
-                cand[name] = Point(pt.kind, trial, _validated=True)
-                try:
-                    m2, _ = evaluator(expression, cand)
-                except DomainError:
-                    continue
-                if np.isfinite(m2) and m2 <= ceiling:
-                    current = cand
-                    margin = float(m2)
-                    data = trial
-                    accepted += 1
-                    any_accept = True
-        if not any_accept:
+    cone = handle.domain
+    form = _form(expression, scalar_fn, reverse)
+    floor = cones.coordinate_floor(cone, scale)
+    ceiling = margin + 1e-12 * max(1.0, abs(margin))
+    names = sorted(points)
+    current = {name: points[name].data for name in names}
+    steps = 0
+    while steps < _SHRINK_CAP:
+        owner, changed = _shrink_candidates(current, names, floor)
+        if owner.size == 0:
             break
-    return current, margin
+        roles = {}
+        for k, name in enumerate(names):
+            roles[name] = np.repeat(current[name][None], owner.size, axis=0)
+            roles[name][owner == k] = changed[owner == k]
+        keep = cones.member_batch(cone, changed)
+        if expression == "comonotone-strong-superadd":
+            keep &= np.array([cones.comonotonic(x, y) for x, y in zip(roles["x"], roles["y"])],
+                             dtype=bool)
+        rows = np.flatnonzero(keep)
+        if rows.size == 0:
+            break
+        slack, s = form(handle, {name: arr[rows] for name, arr in roles.items()})
+        ok = np.isfinite(slack) & np.isfinite(s) & (slack <= ceiling)
+        if not ok.any():
+            break
+        best = rows[np.argmax(ok)]
+        current = {name: roles[name][best] for name in names}
+        steps += 1
+    if steps == 0:
+        return points, margin
+    shrunk = {name: Point(points[name].kind, current[name], _validated=True) for name in names}
+    try:
+        shrunk_margin, _ = evaluate_expression(handle, expression, shrunk, scalar_fn, reverse)
+    except DomainError:
+        return points, margin
+    if shrunk_margin <= ceiling:
+        return shrunk, shrunk_margin
+    return points, margin
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +439,9 @@ def _draw(cone: ConeSpec, cfg: CheckConfig, stream: int, count: int) -> np.ndarr
     return cones.sample_batch(cone, rng, count, cfg.scale, cfg.boundary_prob)
 
 
-def _point_of(cone: ConeSpec, row: np.ndarray) -> Point:
-    return Point(cone.point_kind, row, _validated=True)
+def _draw_xyz(cone: ConeSpec, cfg: CheckConfig, base: int, count: int, names: str = "xyz"):
+    streams = {"x": _STREAM_X, "y": _STREAM_Y, "z": _STREAM_Z}
+    return {n: _draw(cone, cfg, base + streams[n], count) for n in names}
 
 
 @dataclass
@@ -379,159 +449,12 @@ class _Component:
     expression: str
     slack: np.ndarray  # (T,)
     scale: np.ndarray  # (T,)
-    roles: tuple[str, ...]
+    roles: dict  # role name -> (T, ...) point data
 
 
-def _batch(handle: FunctionHandle, arr: np.ndarray) -> np.ndarray:
-    return handle.batch(arr)
-
-
-def _abs_max(*arrays: np.ndarray) -> np.ndarray:
-    out = np.abs(arrays[0])
-    for a in arrays[1:]:
-        out = np.maximum(out, np.abs(a))
-    return out
-
-
-def _additivity_components(handle, cfg, base, strong: bool, sign: float):
-    cone = handle.domain
-    t = cfg.trials - (1 if _origin_expression(handle, _sign_name(sign, strong)) else 0)
-    t = max(t, 1)
-    x = _draw(cone, cfg, base + _STREAM_X, t)
-    y = _draw(cone, cfg, base + _STREAM_Y, t)
-    vx, vy, vxy = _batch(handle, x), _batch(handle, y), _batch(handle, x + y)
-    comps = [
-        _Component(
-            "subadd" if sign > 0 else "superadd",
-            sign * (vx + vy - vxy),
-            _abs_max(vx, vy, vxy),
-            ("x", "y"),
-        )
-    ]
-    points = {"x": x, "y": y}
-    if strong:
-        z = _draw(cone, cfg, base + _STREAM_Z, t)
-        vz, vxz, vyz, vxyz = (
-            _batch(handle, z),
-            _batch(handle, x + z),
-            _batch(handle, y + z),
-            _batch(handle, x + y + z),
-        )
-        comps.append(
-            _Component(
-                "second-diff-nonpos" if sign > 0 else "second-diff-nonneg",
-                -sign * ((vxyz + vz) - (vxz + vyz)),
-                _abs_max(vz, vxz, vyz, vxyz),
-                ("x", "y", "z"),
-            )
-        )
-        points["z"] = z
-    return comps, points, t
-
-
-def _second_diff_components(handle, cfg, base, sign: float, expression: str, origin: bool):
-    cone = handle.domain
-    t = cfg.trials - (1 if origin else 0)
-    t = max(t, 1)
-    x = _draw(cone, cfg, base + _STREAM_X, t)
-    y = _draw(cone, cfg, base + _STREAM_Y, t)
-    z = _draw(cone, cfg, base + _STREAM_Z, t)
-    vz, vxz, vyz, vxyz = (
-        _batch(handle, z),
-        _batch(handle, x + z),
-        _batch(handle, y + z),
-        _batch(handle, x + y + z),
-    )
-    comp = _Component(
-        expression, sign * ((vxyz + vz) - (vxz + vyz)), _abs_max(vz, vxz, vyz, vxyz), ("x", "y", "z")
-    )
-    return [comp], {"x": x, "y": y, "z": z}, t
-
-
-def _modular_components(handle, cfg, base, sign: float):
-    cone = handle.domain
-    if not cone.supports_lattice:
-        raise CapabilityError(
-            f"{cone.family!r} has no lattice operations; submodularity checks need them"
-        )
-    t = max(cfg.trials, 1)
-    x = _draw(cone, cfg, base + _STREAM_X, t)
-    y = _draw(cone, cfg, base + _STREAM_Y, t)
-    lo, hi = np.minimum(x, y), np.maximum(x, y)
-    vx, vy, vhi, vlo = _batch(handle, x), _batch(handle, y), _batch(handle, hi), _batch(handle, lo)
-    comp = _Component(
-        "submodular" if sign > 0 else "supermodular",
-        sign * ((vx + vy) - (vhi + vlo)),
-        _abs_max(vx, vy, vhi, vlo),
-        ("x", "y"),
-    )
-    return [comp], {"x": x, "y": y}, t
-
-
-def _comonotone_components(handle, cfg, base):
-    cone = handle.domain
-    if cone.point_kind != VECTOR:
-        raise CapabilityError("comonotone checks need a vector-kind cone")
-    t = cfg.trials - (1 if handle.domain.contains_origin else 0)
-    t = max(t, 1)
-    n = cone.dim
-    x, y = cones.comonotone_pair_batch(n, Rng(cfg.seed, base + _STREAM_PAIR), t, cfg.scale)
-    z = cones.sample_batch(
-        cones.nonneg_orthant(n), Rng(cfg.seed, base + _STREAM_Z), t, cfg.scale, cfg.boundary_prob
-    )
-    vz, vxz, vyz, vxyz = (
-        _batch(handle, z),
-        _batch(handle, x + z),
-        _batch(handle, y + z),
-        _batch(handle, x + y + z),
-    )
-    comp = _Component(
-        "comonotone-strong-superadd",
-        (vxyz + vz) - (vxz + vyz),
-        _abs_max(vz, vxz, vyz, vxyz),
-        ("x", "y", "z"),
-    )
-    return [comp], {"x": x, "y": y, "z": z}, t
-
-
-def _cm_components(handle, cfg, base):
-    cone = handle.domain
-    t = max(cfg.trials, 1)
-    comps = []
-    points = {}
-    b = _draw(cone, cfg, base + _STREAM_BASE, t)
-    points["base"] = b
-    v0 = _batch(handle, b)
-    comps.append(_Component("completely-monotone[k=0]", v0.copy(), np.abs(v0), ("base",)))
-    for k in range(1, cfg.order_cap + 1):
-        steps = [
-            _draw(cone, cfg, base + _STREAM_STEPS + 16 * k + i, t) for i in range(k)
-        ]
-        for i, s in enumerate(steps):
-            points[f"x{i + 1}@k={k}"] = s
-        subset_sums = [b]
-        for s_idx in range(1, 1 << k):
-            low = (s_idx & -s_idx).bit_length() - 1
-            subset_sums.append(subset_sums[s_idx & (s_idx - 1)] + steps[low])
-        stacked = np.stack(subset_sums)  # (2^k, T, ...)
-        vals = _batch(handle, stacked.reshape((-1,) + stacked.shape[2:])).reshape(1 << k, t)
-        parity = np.array([bin(s).count("1") % 2 for s in range(1 << k)])
-        slack = np.sum(vals[parity == 0], axis=0) - np.sum(vals[parity == 1], axis=0)
-        comps.append(
-            _Component(
-                f"completely-monotone[k={k}]",
-                slack,
-                np.max(np.abs(vals), axis=0),
-                ("base",) + tuple(f"x{i + 1}@k={k}" for i in range(k)),
-            )
-        )
-    return comps, points, t
-
-
-def _sign_name(sign: float, strong: bool) -> str:
-    if sign > 0:
-        return PropertyLabel.STRONG_SUBADD.value if strong else PropertyLabel.SUBADD.value
-    return PropertyLabel.STRONG_SUPERADD.value if strong else PropertyLabel.SUPERADD.value
+def _component(handle, expression: str, roles: dict, scalar_fn=None, reverse=False) -> _Component:
+    slack, scale = _form(expression, scalar_fn, reverse)(handle, roles)
+    return _Component(expression, slack, scale, roles)
 
 
 def _origin_expression(handle: FunctionHandle, prop: str) -> str | None:
@@ -553,93 +476,71 @@ def _reduce_trials(
     handle: FunctionHandle,
     prop_name: str,
     comps: list[_Component],
-    points: dict,
     t: int,
     cfg: CheckConfig,
     origin_expr: str | None,
-    stream_base: int,
-    mode: str = "check",
-    evaluator=None,
+    scalar_fn: ScalarFunction | None = None,
+    reverse: bool = False,
 ) -> CheckReport:
     """Shared tail of every randomized check: thresholds, skip accounting,
     witness extraction, shrinking, report assembly."""
-    if evaluator is None:
-        evaluator = lambda expr, pts: evaluate_expression(handle, expr, pts)
     cone = handle.domain
     finite = np.ones(t, dtype=bool)
     for c in comps:
         finite &= np.isfinite(c.slack) & np.isfinite(c.scale)
     skipped = int(t - finite.sum())
 
-    origin_slack = None
-    origin_scale = 0.0
+    worst = np.inf
+    best = None  # (slack, expression, witness points)
     if origin_expr is not None:
-        zero = cone.zero()
+        zero = {"zero": cone.zero()}
         try:
-            origin_slack, origin_scale = evaluator(origin_expr, {"zero": zero})
+            origin_slack, origin_scale = evaluate_expression(handle, origin_expr, zero)
         except DomainError:
             skipped += 1
-
+        else:
+            worst = origin_slack
+            if origin_slack < -(cfg.tol_abs + cfg.tol_rel * origin_scale):
+                best = (origin_slack, origin_expr, zero)
     total = t + (1 if origin_expr is not None else 0)
-    if skipped > _SKIP_BUDGET * total:
+
+    for c in comps:
+        sl = np.where(finite, c.slack, np.inf)
+        worst = min(worst, float(sl.min()))
+        viol = sl < -(cfg.tol_abs + cfg.tol_rel * c.scale)
+        if viol.any():
+            idx = int(np.argmin(np.where(viol, sl, np.inf)))
+            if best is None or sl[idx] < best[0]:
+                pts = {role: Point(cone.point_kind, arr[idx], _validated=True)
+                       for role, arr in c.roles.items()}
+                best = (float(sl[idx]), c.expression, pts)
+
+    witness = None
+    if best is not None:
+        # a re-evaluated witness is sound whatever the skip count
+        _, expression, pts = best
+        margin, _ = evaluate_expression(handle, expression, pts, scalar_fn, reverse)
+        if cfg.shrink:
+            pts, margin = _shrink(handle, expression, pts, margin, cfg.scale, scalar_fn, reverse)
+        witness = Witness(points=pts, margin=margin, expression=expression)
+        worst = margin
+    elif skipped > _SKIP_BUDGET * total:
         raise NumericFailure(
             f"{skipped}/{total} trials skipped on domain errors for {handle.label!r}; "
             f"budget is {_SKIP_BUDGET:.0%}"
         )
-
-    worst = np.inf
-    best_candidate = None  # (slack, expression, trial_index or -1 for origin)
-    if origin_slack is not None:
-        thr = cfg.tol_abs + cfg.tol_rel * origin_scale
-        worst = min(worst, float(origin_slack))
-        if origin_slack < -thr:
-            best_candidate = (float(origin_slack), origin_expr, -1)
-
-    for c in comps:
-        sl = np.where(finite, c.slack, np.inf)
-        if sl.size == 0:
-            continue
-        worst = min(worst, float(sl.min()))
-        thr = cfg.tol_abs + cfg.tol_rel * c.scale
-        viol = sl < -thr
-        if viol.any():
-            idx = int(np.argmin(np.where(viol, sl, np.inf)))
-            cand = (float(sl[idx]), c.expression, idx)
-            if best_candidate is None or cand[0] < best_candidate[0]:
-                best_candidate = cand
-
-    witness = None
-    verdict = NO_VIOLATION
-    if best_candidate is not None:
-        verdict = VIOLATION
-        _, expression, idx = best_candidate
-        if idx == -1:
-            pts = {"zero": cone.zero()}
-        else:
-            comp = next(c for c in comps if c.expression == expression)
-            pts = {}
-            for role in comp.roles:
-                arr = points[role]
-                pts[role.split("@")[0]] = _point_of(cone, arr[idx])
-        margin, _ = evaluator(expression, pts)
-        margin = float(margin)
-        if cfg.shrink:
-            pts, margin = _shrink(handle, expression, pts, margin, evaluator)
-        witness = Witness(points=pts, margin=margin, expression=expression)
-        worst = margin
 
     if not np.isfinite(worst):
         worst = float("inf") if skipped == 0 else float("nan")
 
     return CheckReport(
         property=prop_name,
-        verdict=verdict,
+        verdict=VIOLATION if witness is not None else NO_VIOLATION,
         trials_run=total,
         worst_margin=float(worst),
         witness=witness,
         skipped=skipped,
         config=cfg,
-        mode=mode,
     )
 
 
@@ -661,34 +562,46 @@ def check(
     cfg = cfg or CheckConfig()
     handle = resolve_handle(target, params, dim)
     prop = PropertyLabel(property)
+    cone = handle.domain
     base = _stream_base
+    origin = _origin_expression(handle, prop.value)
+    t = max(cfg.trials - (1 if origin else 0), 1)
+    L = PropertyLabel
 
-    if prop in (PropertyLabel.SUBADD, PropertyLabel.SUPERADD):
-        sign = 1.0 if prop == PropertyLabel.SUBADD else -1.0
-        origin = _origin_expression(handle, prop.value)
-        comps, points, t = _additivity_components(handle, cfg, base, strong=False, sign=sign)
-    elif prop in (PropertyLabel.STRONG_SUBADD, PropertyLabel.STRONG_SUPERADD):
-        sign = 1.0 if prop == PropertyLabel.STRONG_SUBADD else -1.0
-        origin = _origin_expression(handle, prop.value)
-        comps, points, t = _additivity_components(handle, cfg, base, strong=True, sign=sign)
-    elif prop in (PropertyLabel.SECOND_DIFF_NONPOS, PropertyLabel.SECOND_DIFF_NONNEG):
-        sign = -1.0 if prop == PropertyLabel.SECOND_DIFF_NONPOS else 1.0
-        origin = None
-        comps, points, t = _second_diff_components(handle, cfg, base, sign, prop.value, False)
-    elif prop in (PropertyLabel.SUBMODULAR, PropertyLabel.SUPERMODULAR):
-        sign = 1.0 if prop == PropertyLabel.SUBMODULAR else -1.0
-        origin = None
-        comps, points, t = _modular_components(handle, cfg, base, sign)
-    elif prop == PropertyLabel.COMONOTONE_STRONG_SUPERADD:
-        origin = _origin_expression(handle, prop.value)
-        comps, points, t = _comonotone_components(handle, cfg, base)
-    elif prop == PropertyLabel.COMPLETELY_MONOTONE:
-        origin = None
-        comps, points, t = _cm_components(handle, cfg, base)
+    if prop in (L.SUBADD, L.SUPERADD, L.STRONG_SUBADD, L.STRONG_SUPERADD):
+        sub = prop in (L.SUBADD, L.STRONG_SUBADD)
+        xy = _draw_xyz(cone, cfg, base, t, "xy")
+        comps = [_component(handle, "subadd" if sub else "superadd", xy)]
+        if prop in (L.STRONG_SUBADD, L.STRONG_SUPERADD):
+            xyz = {**xy, **_draw_xyz(cone, cfg, base, t, "z")}
+            expr = "second-diff-nonpos" if sub else "second-diff-nonneg"
+            comps.append(_component(handle, expr, xyz))
+    elif prop in (L.SECOND_DIFF_NONPOS, L.SECOND_DIFF_NONNEG):
+        comps = [_component(handle, prop.value, _draw_xyz(cone, cfg, base, t))]
+    elif prop in (L.SUBMODULAR, L.SUPERMODULAR):
+        if not cone.supports_lattice:
+            raise CapabilityError(
+                f"{cone.family!r} has no lattice operations; submodularity checks need them"
+            )
+        comps = [_component(handle, prop.value, _draw_xyz(cone, cfg, base, t, "xy"))]
+    elif prop == L.COMONOTONE_STRONG_SUPERADD:
+        if cone.point_kind != VECTOR:
+            raise CapabilityError("comonotone checks need a vector-kind cone")
+        rng = Rng(cfg.seed, base + _STREAM_PAIR)
+        x, y = cones.comonotone_pair_batch(cone.dim, rng, t, cfg.scale)
+        z = _draw(cones.nonneg_orthant(cone.dim), cfg, base + _STREAM_Z, t)
+        comps = [_component(handle, prop.value, {"x": x, "y": y, "z": z})]
+    elif prop == L.COMPLETELY_MONOTONE:
+        b = _draw(cone, cfg, base + _STREAM_BASE, t)
+        comps = [_component(handle, "completely-monotone[k=0]", {"base": b})]
+        for k in range(1, cfg.order_cap + 1):
+            steps = {f"x{i + 1}": _draw(cone, cfg, base + _STREAM_STEPS + 16 * k + i, t)
+                     for i in range(k)}
+            comps.append(_component(handle, f"completely-monotone[k={k}]", {"base": b, **steps}))
     else:  # pragma: no cover - exhaustive over the enum
         raise CapabilityError(f"no randomized check for {prop!r}")
 
-    return _reduce_trials(handle, prop.value, comps, points, t, cfg, origin, base)
+    return _reduce_trials(handle, prop.value, comps, t, cfg, origin)
 
 
 def refute(
@@ -745,28 +658,9 @@ def check_alpha_strong(target, alpha: float, cfg: CheckConfig | None = None) -> 
     ``alpha * x * y``."""
     if not alpha > 0:
         raise ParameterError("alpha must be positive")
-    cfg = cfg or CheckConfig()
     handle = resolve_handle(target)
     _require_scalar_domain(handle)
-    cone = handle.domain
-    t = max(cfg.trials, 1)
-    x = _draw(cone, cfg, _STREAM_X, t)
-    y = _draw(cone, cfg, _STREAM_Y, t)
-    z = _draw(cone, cfg, _STREAM_Z, t)
-    vz, vxz, vyz, vxyz = (
-        _batch(handle, z),
-        _batch(handle, x + z),
-        _batch(handle, y + z),
-        _batch(handle, x + y + z),
-    )
-    sd = (vxyz + vz) - (vxz + vyz)
-    prod = alpha * x[:, 0] * y[:, 0]
-    comp = _Component(
-        f"alpha-strong[alpha={alpha!r}]", sd - prod, _abs_max(sd, prod), ("x", "y", "z")
-    )
-    return _reduce_trials(
-        handle, f"alpha-strong[alpha={alpha!r}]", [comp], {"x": x, "y": y, "z": z}, t, cfg, None, 0
-    )
+    return _check_xyz(handle, f"alpha-strong[alpha={alpha!r}]", cfg or CheckConfig())
 
 
 def check_lipschitz_box(target, lip: float, cfg: CheckConfig | None = None) -> CheckReport:
@@ -774,49 +668,25 @@ def check_lipschitz_box(target, lip: float, cfg: CheckConfig | None = None) -> C
     L-Lipschitz."""
     if not lip > 0:
         raise ParameterError("L must be positive")
-    cfg = cfg or CheckConfig()
     handle = resolve_handle(target)
     _require_scalar_domain(handle)
-    cone = handle.domain
+    return _check_xyz(handle, f"lipschitz-box[L={lip!r}]", cfg or CheckConfig())
+
+
+def _check_xyz(handle: FunctionHandle, expression: str, cfg: CheckConfig) -> CheckReport:
     t = max(cfg.trials, 1)
-    x = _draw(cone, cfg, _STREAM_X, t)
-    y = _draw(cone, cfg, _STREAM_Y, t)
-    z = _draw(cone, cfg, _STREAM_Z, t)
-    vz, vxz, vyz, vxyz = (
-        _batch(handle, z),
-        _batch(handle, x + z),
-        _batch(handle, y + z),
-        _batch(handle, x + y + z),
-    )
-    sd = (vxyz + vz) - (vxz + vyz)
-    prod = lip * x[:, 0] * y[:, 0]
-    comp = _Component(
-        f"lipschitz-box[L={lip!r}]", prod - np.abs(sd), _abs_max(sd, prod), ("x", "y", "z")
-    )
-    return _reduce_trials(
-        handle, f"lipschitz-box[L={lip!r}]", [comp], {"x": x, "y": y, "z": z}, t, cfg, None, 0
-    )
+    comp = _component(handle, expression, _draw_xyz(handle.domain, cfg, 0, t))
+    return _reduce_trials(handle, expression, [comp], t, cfg, None)
 
 
 def check_remark_double_inequality(cfg: CheckConfig | None = None) -> CheckReport:
     """``exp(xy) >= (1+z)(1+x+y+z) / ((1+x+z)(1+y+z)) >= exp(-xy)`` on
     nonnegative triples, tested in the log domain."""
     cfg = cfg or CheckConfig()
-    cone = cones.nonneg_orthant(1)
-    handle = FunctionHandle("log1p", cone, lambda rows: np.log1p(rows[:, 0]))
     t = max(cfg.trials, 1)
-    x = _draw(cone, cfg, _STREAM_X, t)[:, 0]
-    y = _draw(cone, cfg, _STREAM_Y, t)[:, 0]
-    z = _draw(cone, cfg, _STREAM_Z, t)[:, 0]
-    d = (np.log1p(x + y + z) + np.log1p(z)) - (np.log1p(x + z) + np.log1p(y + z))
-    prod = x * y
-    scale = _abs_max(prod, d)
-    comps = [
-        _Component("double-bound-upper", prod - d, scale, ("x", "y", "z")),
-        _Component("double-bound-lower", prod + d, scale, ("x", "y", "z")),
-    ]
-    pts = {"x": x[:, None], "y": y[:, None], "z": z[:, None]}
-    return _reduce_trials(handle, "exp-poly-double-bound", comps, pts, t, cfg, None, 0)
+    xyz = _draw_xyz(_LOG1P.domain, cfg, 0, t)
+    comps = [_component(_LOG1P, e, xyz) for e in ("double-bound-upper", "double-bound-lower")]
+    return _reduce_trials(_LOG1P, "exp-poly-double-bound", comps, t, cfg, None)
 
 
 def check_chebyshev(u, v, p, tol: float = 1e-9) -> CheckReport:
@@ -978,7 +848,7 @@ def check_popoviciu(
     spot = 100
     u = cones.sample_batch(cone, Rng(cfg.seed, _STREAM_SPOT_U), spot, cfg.scale, 0.0)
     v = cones.sample_batch(cone, Rng(cfg.seed, _STREAM_SPOT_V), spot, cfg.scale, 0.0)
-    fu, fuv = _batch(handle, u), _batch(handle, u + v)
+    fu, fuv = handle.batch(u), handle.batch(u + v)
     ok = np.isfinite(fu) & np.isfinite(fuv)
     thr = cfg.tol_abs + cfg.tol_rel * np.maximum(np.abs(fu), np.abs(fuv))
     bad = ok & ((fu > fuv + thr) | (fu < -thr))
@@ -992,28 +862,11 @@ def check_popoviciu(
     _spot_check_shape(f, lo_f, hi_f, nondecreasing=not reverse, convex=not reverse)
 
     t = max(cfg.trials, 1)
-    x = _draw(cone, cfg, _STREAM_X, t)
-    y = _draw(cone, cfg, _STREAM_Y, t)
-    z = _draw(cone, cfg, _STREAM_Z, t)
-    combos = [x, y, z, x + y, x + z, y + z, x + y + z]
-    vals = [_batch(handle, c) for c in combos]
-
-    def apply_f(arr):
-        with np.errstate(all="ignore"):
-            inside = (arr >= f.lo) & (arr <= f.hi)
-            return np.where(inside, f.fn(np.clip(arr, f.lo, f.hi)), np.nan)
-
-    fx, fy, fz, fxy, fxz, fyz, fxyz = (apply_f(a) for a in vals)
-    sign = -1.0 if reverse else 1.0
-    slack13 = sign * ((fxyz + fz) - (fxz + fyz))
-    slack_sym = sign * ((fx + fy + fz) / 3.0 + fxyz - (2.0 / 3.0) * (fxy + fyz + fxz))
-    scale = _abs_max(fx, fy, fz, fxy, fxz, fyz, fxyz)
+    xyz = _draw_xyz(cone, cfg, 0, t)
     suffix = "reversed" if reverse else "forward"
     comps = [
-        _Component(f"popoviciu-three-point[{f.label};{suffix}]", slack13, scale, ("x", "y", "z")),
-        _Component(f"popoviciu-symmetrized[{f.label};{suffix}]", slack_sym, scale, ("x", "y", "z")),
+        _component(handle, f"popoviciu-{form}[{f.label};{suffix}]", xyz, f, reverse)
+        for form in ("three-point", "symmetrized")
     ]
-    pts = {"x": x, "y": y, "z": z}
     prop = f"popoviciu[{handle.label};f={f.label}]"
-    evaluator = _popoviciu_evaluator(handle, f, reverse)
-    return _reduce_trials(handle, prop, comps, pts, t, cfg, None, 0, evaluator=evaluator)
+    return _reduce_trials(handle, prop, comps, t, cfg, None, f, reverse)

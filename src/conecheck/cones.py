@@ -265,29 +265,54 @@ def _require_point(cone: ConeSpec, x: Point) -> None:
         )
 
 
-def member(cone: ConeSpec, x: Point, tol: float = 0.0) -> bool:
-    """Whether ``x`` lies in the (closed, or open for the positive orthant)
-    cone within tolerance."""
-    _require_point(cone, x)
-    d = x.data
-    if cone.family in (NONNEG_ORTHANT, GRID_LP_POSITIVE):
-        return bool(np.all(d >= -tol))
-    if cone.family == POSITIVE_ORTHANT:
-        return bool(np.all(d > tol))
-    if cone.family == FULL_SPACE:
-        return True
-    if cone.family == PSD_CONE:
-        lam_min = float(np.linalg.eigvalsh(d)[0])
-        fro = float(np.linalg.norm(d))
-        return lam_min >= -tol * max(1.0, fro)
-    if cone.family == PRODUCT:
+def member_batch(cone: ConeSpec, rows: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """Row-wise membership of stacked point data ``(R, ...)`` in the (closed,
+    or open for the positive orthant) cone within tolerance: R booleans.
+
+    A PSD row is a member when its smallest eigenvalue is at least
+    ``-tol * max(1, |A|_F)``.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.shape[1:] != cone.zero().data.shape:
+        raise ShapeError(
+            f"rows of shape {rows.shape[1:]} incompatible with cone {cone.family}({cone.dim})"
+        )
+    fam = cone.family
+    if fam in (NONNEG_ORTHANT, GRID_LP_POSITIVE):
+        return np.all(rows >= -tol, axis=1)
+    if fam == POSITIVE_ORTHANT:
+        return np.all(rows > tol, axis=1)
+    if fam == FULL_SPACE:
+        return np.ones(rows.shape[0], dtype=bool)
+    if fam == PSD_CONE:
+        lam_min = np.linalg.eigvalsh(rows)[:, 0]
+        return lam_min >= -tol * np.maximum(1.0, np.linalg.norm(rows, axis=(1, 2)))
+    if fam == PRODUCT:
+        out = np.ones(rows.shape[0], dtype=bool)
         off = 0
         for f in cone.factors:
-            if not member(f, Point(VECTOR, d[off : off + f.dim], _validated=True), tol):
-                return False
+            out &= member_batch(f, rows[:, off : off + f.dim], tol)
             off += f.dim
-        return True
-    raise CapabilityError(f"membership not implemented for {cone.family}")
+        return out
+    raise CapabilityError(f"membership not implemented for {fam}")
+
+
+def member(cone: ConeSpec, x: Point, tol: float = 0.0) -> bool:
+    """Whether ``x`` lies in the cone within tolerance: the one-row case of
+    :func:`member_batch`."""
+    _require_point(cone, x)
+    return bool(member_batch(cone, x.data[None], tol)[0])
+
+
+def coordinate_floor(cone: ConeSpec, scale: float = 1.0) -> np.ndarray:
+    """Per-coordinate lower bound, shaped like a point, that points derived
+    from :func:`sample_batch` draws at ``scale`` must keep: the open
+    orthant's sampling floor, and ``-inf`` where membership alone decides."""
+    if cone.family == POSITIVE_ORTHANT:
+        return np.full(cone.dim, _OPEN_ORTHANT_FLOOR * scale)
+    if cone.family == PRODUCT:
+        return np.concatenate([coordinate_floor(f, scale) for f in cone.factors])
+    return np.full(cone.zero().data.shape, -np.inf)
 
 
 def leq(cone: ConeSpec, x: Point, y: Point, tol: float = 0.0) -> bool:

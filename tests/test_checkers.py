@@ -45,6 +45,10 @@ def test_reports_are_deterministic():
     c = refute("geomean2", "strong-subadd", _cfg(trials=600)).json_line()
     d = refute("geomean2", "strong-subadd", _cfg(trials=600)).json_line()
     assert c == d
+    # a shrunk matrix witness replays byte for byte too
+    f = refute("det", "strong-subadd", _cfg(trials=600), dim=3).json_line()
+    g = refute("det", "strong-subadd", _cfg(trials=600), dim=3).json_line()
+    assert f == g and '"verdict": "VIOLATION_FOUND"' in f
     e = check("log1p", "strong-subadd", _cfg(seed=1)).json_line()
     assert a != e
 

@@ -43,6 +43,29 @@ def test_member_shape_mismatch():
         cones.member(cones.psd_cone(2), Point.vector([1.0, 2.0]))
 
 
+def test_member_batch_is_member_row_by_row():
+    psd = cones.psd_cone(2)
+    mats = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0]]])
+    assert cones.member_batch(psd, mats).tolist() == [True, False, True, True]
+    mixed = cones.product(cones.positive_orthant(1), cones.nonneg_orthant(2))
+    vecs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1e-8, -1.0, 0.0]])
+    assert cones.member_batch(mixed, vecs).tolist() == [True, False, False]
+    for cone, rows in ((psd, mats), (mixed, vecs)):
+        expected = [cones.member(cone, Point(cone.point_kind, r)) for r in rows]
+        assert cones.member_batch(cone, rows).tolist() == expected
+    with pytest.raises(ShapeError):
+        cones.member_batch(psd, vecs)
+
+
+def test_coordinate_floor_is_the_open_orthant_sampling_floor():
+    mixed = cones.product(cones.positive_orthant(2), cones.nonneg_orthant(1))
+    floor = cones.coordinate_floor(mixed, scale=10.0)
+    assert floor[:2].tolist() == pytest.approx([1e-5, 1e-5], rel=1e-15) and floor[2] == -np.inf
+    draws = cones.sample_batch(mixed, Rng(3, 0), 500, scale=10.0, boundary_prob=0.5)
+    assert np.all(draws >= floor) and np.any(draws[:, :2] == floor[:2])
+    assert np.all(cones.coordinate_floor(cones.psd_cone(3)) == -np.inf)
+
+
 def test_leq_orthant_and_loewner():
     orth = cones.nonneg_orthant(2)
     assert cones.leq(orth, Point.vector([1, 2]), Point.vector([1, 3]))
