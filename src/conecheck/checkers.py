@@ -589,7 +589,10 @@ def check(
             raise CapabilityError("comonotone checks need a vector-kind cone")
         rng = Rng(cfg.seed, base + _STREAM_PAIR)
         x, y = cones.comonotone_pair_batch(cone.dim, rng, t, cfg.scale)
-        z = _draw(cones.nonneg_orthant(cone.dim), cfg, base + _STREAM_Z, t)
+        # raising both to one floor keeps the pair comonotone
+        floor = cones.coordinate_floor(cone, cfg.scale)
+        x, y = np.maximum(x, floor), np.maximum(y, floor)
+        z = _draw(cone, cfg, base + _STREAM_Z, t)
         comps = [_component(handle, prop.value, {"x": x, "y": y, "z": z})]
     elif prop == L.COMPLETELY_MONOTONE:
         b = _draw(cone, cfg, base + _STREAM_BASE, t)

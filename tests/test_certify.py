@@ -2,11 +2,15 @@
 monotonicity, Laplace atoms, and the determinant quadrature identity."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conecheck import cones
+import conecheck
+from conecheck import certify, cones
 from conecheck.certify import (
     CERTIFIED,
     REFUSED,
@@ -22,9 +26,9 @@ from conecheck.certify import (
     laplace_eval,
 )
 from conecheck.checkers import CheckConfig, check
-from conecheck.cones import Point, nonneg_orthant, psd_cone
+from conecheck.cones import Point, Rng, nonneg_orthant, psd_cone
 from conecheck.diffops import FunctionHandle, shift_and_center
-from conecheck.errors import CapabilityError, CertificateError
+from conecheck.errors import CapabilityError, CertificateError, NumericFailure
 
 
 def _cfg(**kw):
@@ -170,6 +174,73 @@ def test_gaussian_detcert_check_passes():
     assert rep.worst_margin > 0
     with pytest.raises(CapabilityError):
         gaussian_detcert_check(5, _cfg(trials=1))
+
+
+def _random_psd(rng, n):
+    g = rng.normal(size=(n, n))
+    a = g @ g.T
+    return a * (1.5 / np.linalg.eigvalsh(a)[-1])
+
+
+def test_gaussian_representation_stack_matches_single_calls():
+    """The blocked monomial product agrees with one call per matrix and with
+    the direct quadratic form over all nodes, to a few ulps of the mean."""
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        mats = np.stack([_random_psd(rng, n) for _ in range(4)])
+        est, exact, rel = gaussian_representation_margin(mats)
+        assert est.shape == exact.shape == rel.shape == (4,)
+        z = certify._gaussian_nodes(n)
+        for k, a in enumerate(mats):
+            one = gaussian_representation_margin(a)
+            assert all(isinstance(v, float) for v in one)
+            assert abs(est[k] - one[0]) <= 1e-13 * one[0]
+            assert exact[k] == one[1]
+            direct = float(np.mean(np.exp(-np.einsum("it,ij,jt->t", z, a, z))))
+            assert abs(est[k] - direct) <= 1e-13 * direct
+    bad = np.stack([np.eye(2), -2.0 * np.eye(2)])
+    with pytest.raises(NumericFailure), np.errstate(invalid="ignore"):
+        gaussian_representation_margin(bad)
+
+
+def test_gaussian_detcert_check_draws_documented_sequence():
+    """Every matrix is drawn as normal(n, n), eigvalsh, uniform, in order,
+    and the worst margin is the tolerance minus the largest relative error."""
+    for n, seed in ((1, 0), (2, 3)):
+        rep = gaussian_detcert_check(n, _cfg(trials=6, seed=seed))
+        g = Rng(seed, certify._STREAM_MATS).generator
+        mats = []
+        for _ in range(6):
+            gm = g.normal(size=(n, n))
+            a = gm @ gm.T
+            lam_max = float(np.linalg.eigvalsh(a)[-1])
+            a *= 2.0 * g.uniform(0.05, 1.0) / lam_max
+            mats.append(a)
+        _, _, rel = gaussian_representation_margin(np.stack(mats))
+        assert rep.worst_margin == 1e-3 - rel.max()
+        assert rep.trials_run == 6 and rep.witness is None
+
+
+def test_qmc_nodes_are_fixed_halton_nodes():
+    u = certify._halton(3, 2)
+    assert u.shape == (2, 3)
+    np.testing.assert_allclose(u.T, [[1 / 2, 1 / 3], [1 / 4, 2 / 3], [3 / 4, 1 / 9]],
+                               rtol=1e-15, atol=0.0)
+    z = certify._gaussian_nodes(4)
+    assert z.shape == (4, certify._QMC_NODES)
+    assert np.isfinite(z).all()
+
+
+def test_import_keeps_scipy_stats_out():
+    """Importing scipy.stats costs about 0.8 s and 43 MiB; conecheck needs
+    none of it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conecheck.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, conecheck, conecheck.cli, conecheck.suite; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_det_trace_inverse_monotone():

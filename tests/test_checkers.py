@@ -385,6 +385,23 @@ def test_supermodular_paths():
     _assert_sound(prod, rep)
 
 
+def test_comonotone_check_draws_from_the_handle_domain():
+    """On the open orthant every role, the comonotone pair included, stays at
+    or above the sampling floor, so no trial falls off the domain."""
+    for seed in (0, 1, 2):
+        rep = check("inv-power-product", "comonotone-strong-superadd", _cfg(seed=seed))
+        assert not rep.found_violation and rep.skipped == 0, seed
+    seen = []
+
+    def batch(rows):
+        seen.append(rows.min())
+        return np.sum(np.log(rows), axis=1)
+
+    handle = FunctionHandle("sum-log", cones.positive_orthant(3), batch)
+    check(handle, "comonotone-strong-superadd", _cfg(trials=500, scale=2.0))
+    assert min(seen) >= cones.coordinate_floor(handle.domain, 2.0)[0]
+
+
 def test_comonotone_violation_is_sound():
     """The negated log-sum-exp flips the comonotone second-difference sign,
     so the check finds a witness that re-evaluates exactly."""
