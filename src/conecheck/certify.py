@@ -406,12 +406,11 @@ _GAUSS_NODE_CACHE: dict[int, np.ndarray] = {}
 def _halton(count: int, dims: int) -> np.ndarray:
     """Radical-inverse Halton sequence (bases 2,3,5,7), indices from 1, one
     row per coordinate: shape ``(dims, count)``."""
-    out = np.empty((dims, count))
+    out = np.zeros((dims, count))
     idx = np.arange(1, count + 1, dtype=np.int64)
     for d in range(dims):
         b = _PRIMES[d]
         x = out[d]
-        x[:] = 0.0
         f = 1.0
         i = idx.copy()
         while i.max() > 0:
@@ -431,7 +430,7 @@ def _gaussian_nodes(dims: int) -> np.ndarray:
     return _GAUSS_NODE_CACHE[dims]
 
 
-def gaussian_representation_margin(a: np.ndarray):
+def gaussian_representation_margin(a: np.ndarray) -> tuple:
     """(estimate, exact, relative error) for the Gaussian-integral identity
     giving ``det(I + A) ** (-1/2)``: three floats for one ``(n, n)`` matrix,
     three arrays for a ``(m, n, n)`` stack.
