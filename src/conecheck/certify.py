@@ -396,9 +396,10 @@ def laplace_as_handle(cert: LaplaceCertificate, cone: ConeSpec) -> FunctionHandl
 # ---------------------------------------------------------------------------
 
 _QMC_NODES = 10 ** 6
-# nodes per block of the quadrature; bounds its temporaries to a few MiB
-# whatever the number of matrices
+# nodes per block and matrices per product of the quadrature: together they
+# bound its temporaries to a few MiB whatever the number of matrices
 _QMC_BLOCK = 2 ** 15
+_QMC_STACK = 16
 _PRIMES = (2, 3, 5, 7)
 _GAUSS_NODE_CACHE: dict[int, np.ndarray] = {}
 
@@ -437,7 +438,7 @@ def gaussian_representation_margin(a: np.ndarray) -> tuple:
 
     Each quadratic form ``z^T A z`` is a linear map on the monomials
     ``z_i z_j`` (``i <= j``), so one matrix product per block of nodes
-    evaluates every form of the stack.
+    evaluates the forms of up to ``_QMC_STACK`` matrices.
     """
     mats = np.asarray(a, dtype=np.float64)
     single = mats.ndim == 2
@@ -452,10 +453,12 @@ def gaussian_representation_margin(a: np.ndarray) -> tuple:
     total = np.zeros(len(mats))
     for s in range(0, _QMC_NODES, _QMC_BLOCK):
         zb = z[:, s : s + _QMC_BLOCK]
-        q = coef @ (zb[iu] * zb[ju])
-        np.negative(q, out=q)
-        np.exp(q, out=q)
-        total += q.sum(axis=1)
+        monomials = zb[iu] * zb[ju]
+        for lo in range(0, len(mats), _QMC_STACK):
+            q = coef[lo : lo + _QMC_STACK] @ monomials
+            np.negative(q, out=q)
+            np.exp(q, out=q)
+            total[lo : lo + _QMC_STACK] += q.sum(axis=1)
     est = total / _QMC_NODES
     lam = np.linalg.eigvalsh(mats)
     exact = np.exp(-0.5 * np.sum(np.log1p(lam), axis=1))
