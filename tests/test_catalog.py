@@ -186,3 +186,44 @@ def test_trace_hansen_closed_form_p_one():
     a = Point.matrix(np.diag([0.5, 2.0]))
     expected = sum(t + t * t / 2.0 for t in (0.5, 2.0))
     assert handle(Point.matrix(np.diag([0.5, 2.0]))) == pytest.approx(expected, rel=1e-13)
+
+
+# The spectral domain rules, pinned at their boundaries.  Eigenvalue-based
+# PSD handles see the smallest eigenvalue of a diagonal matrix exactly.
+SPECTRAL_LAMBDA_MIN = (2e-12, 1e-12, 0.0, -1e-13, -2e-12, -0.5, -0.51)
+# logdet and det-recip-pow need lambda_min > 1e-12
+_OPEN_WINDOW = {2e-12}
+# the trace functionals clamp [-1e-12, 0) to 0; anything lower is off the domain
+_CLAMP_WINDOW = {2e-12, 1e-12, 0.0, -1e-13}
+SPECTRAL_HANDLES = [
+    ("trace-pow", {"p": 0.0}, _CLAMP_WINDOW),
+    ("trace-pow", {"p": 0.5}, _CLAMP_WINDOW),
+    ("trace-pow", {"p": 1.5}, _CLAMP_WINDOW),
+    ("trace-hansen", {"p": 0.5}, _CLAMP_WINDOW),
+    ("trace-hansen", {"p": 1.0}, _CLAMP_WINDOW),
+    ("vn-entropy", {}, _CLAMP_WINDOW),
+    ("logdet", {}, _OPEN_WINDOW),
+    ("det-recip-pow", {"beta": 0.5}, _OPEN_WINDOW),
+    ("det-recip-pow", {"beta": 1.0}, _OPEN_WINDOW),
+    # I + A must stay positive definite: lambda_min >= -0.5
+    ("det-shift-recip", {"beta": 0.5}, set(SPECTRAL_LAMBDA_MIN) - {-0.51}),
+    ("det-shift-recip", {"beta": 1.0}, set(SPECTRAL_LAMBDA_MIN) - {-0.51}),
+]
+
+
+@pytest.mark.parametrize(
+    "entry_id,params,finite", SPECTRAL_HANDLES,
+    ids=[f"{e}-{'-'.join(f'{k}={v}' for k, v in p.items())}" for e, p, _ in SPECTRAL_HANDLES],
+)
+def test_spectral_domain_rules(entry_id, params, finite):
+    handle = instantiate(entry_id, params=params, dim=3)
+    rows = np.stack([np.diag([lam, 1.0, 2.5]) for lam in SPECTRAL_LAMBDA_MIN])
+    vals = handle.batch(rows)
+    for lam, v in zip(SPECTRAL_LAMBDA_MIN, vals):
+        assert np.isfinite(v) == (lam in finite), (lam, v)
+    if entry_id.startswith(("trace-", "vn-")):
+        # the clamp sends -1e-13 to exactly 0
+        zero = SPECTRAL_LAMBDA_MIN.index(0.0)
+        assert vals[SPECTRAL_LAMBDA_MIN.index(-1e-13)] == vals[zero]
+    one_by_one = np.array([handle.batch(r[None])[0] for r in rows])
+    np.testing.assert_array_equal(vals, one_by_one)
