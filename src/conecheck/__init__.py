@@ -52,22 +52,7 @@ from .cones import (
     sample_comonotone_pair,
 )
 from .diffops import FunctionHandle, delta, kth_diff, second_diff, shift_and_center
-from .numkernel import (
-    EigenDecomposition,
-    ScalarFunction,
-    det,
-    fd_directional,
-    fd_gradient,
-    fd_hessian,
-    gamma,
-    log_det,
-    matrix_function,
-    schatten_norm,
-    sym_eig,
-    trace_pow,
-    vn_entropy,
-    weyl_check,
-)
+from .numkernel import ScalarFunction, gamma
 
 __version__ = "0.1.0"
 

@@ -24,7 +24,7 @@ from . import cones
 from .cones import ConeSpec, Rng
 from .diffops import FunctionHandle
 from .errors import ParameterError, UnknownEntryError
-from .numkernel import CLAMP_WINDOW, gamma
+from .numkernel import CLAMP_WINDOW, gamma, spectral
 
 __all__ = [
     "PropertyLabel",
@@ -432,12 +432,8 @@ def _make_trace_pow(p: dict, n: int) -> FunctionHandle:
         raise _param_error("trace-pow", f"exponent must lie in [0, 2], got {pw}")
 
     def batch(rows):
-        w = np.linalg.eigvalsh(rows)
-        bad = np.any(w < -CLAMP_WINDOW, axis=1)
-        wc = np.maximum(w, 0.0)
-        with np.errstate(all="ignore"):
-            powed = np.where(wc > 0.0, wc ** pw, 0.0)
-        return np.where(bad, np.nan, np.sum(powed, axis=1))
+        # 0 ** p := 0, so p = 0 counts the strictly positive eigenvalues
+        return spectral(rows, lambda w: np.where(w > 0.0, w ** pw, 0.0), lo=-CLAMP_WINDOW)
 
     return FunctionHandle(f"trace-pow[p={pw!r}]", cones.psd_cone(n), batch)
 
@@ -456,34 +452,31 @@ def _make_trace_hansen(p: dict, n: int) -> FunctionHandle:
     wsub = _GL_X ** (1.0 / pw)
     jac = (1.0 / pw) * _GL_X ** ((1.0 - pw) / pw)
 
+    def hansen(w):
+        lam = w[..., None]
+        return ((1.0 + (lam * wsub) ** pw) ** (1.0 / pw) * lam * jac) @ _GL_W
+
     def batch(rows):
-        w = np.linalg.eigvalsh(rows)
-        bad = np.any(w < -CLAMP_WINDOW, axis=1)
-        lam = np.maximum(w, 0.0)[..., None]
-        s = lam * wsub
-        integrand = (1.0 + s ** pw) ** (1.0 / pw) * lam * jac
-        f_vals = integrand @ _GL_W
-        return np.where(bad, np.nan, np.sum(f_vals, axis=1))
+        return spectral(rows, hansen, lo=-CLAMP_WINDOW)
 
     return FunctionHandle(f"trace-hansen[p={pw!r}]", cones.psd_cone(n), batch)
 
 
+def _xlogx(w):
+    # 0 log 0 := 0
+    return np.where(w > 0.0, w * np.log(np.maximum(w, 1e-300)), 0.0)
+
+
 def _make_vn_entropy(p: dict, n: int) -> FunctionHandle:
     def batch(rows):
-        w = np.linalg.eigvalsh(rows)
-        bad = np.any(w < -CLAMP_WINDOW, axis=1)
-        wc = np.maximum(w, 0.0)
-        t = np.where(wc > 0.0, wc * np.log(np.maximum(wc, 1e-300)), 0.0)
-        return np.where(bad, np.nan, -np.sum(t, axis=1))
+        return -spectral(rows, _xlogx, lo=-CLAMP_WINDOW)
 
     return FunctionHandle("vn-entropy", cones.psd_cone(n), batch)
 
 
 def _make_logdet(p: dict, n: int) -> FunctionHandle:
     def batch(rows):
-        w = np.linalg.eigvalsh(rows)
-        ok = w[:, 0] > CLAMP_WINDOW
-        return np.where(ok, np.sum(np.log(np.maximum(w, 1e-300)), axis=1), np.nan)
+        return spectral(rows, np.log, lo=CLAMP_WINDOW, open=True)
 
     return FunctionHandle("logdet", cones.psd_cone(n), batch)
 
@@ -494,9 +487,7 @@ def _make_det_recip_pow(p: dict, n: int) -> FunctionHandle:
         raise _param_error("det-recip-pow", f"beta must be nonnegative, got {beta}")
 
     def batch(rows):
-        w = np.linalg.eigvalsh(rows)
-        ok = w[:, 0] > CLAMP_WINDOW
-        return np.where(ok, np.exp(-beta * np.sum(np.log(np.maximum(w, 1e-300)), axis=1)), np.nan)
+        return np.exp(-beta * spectral(rows, np.log, lo=CLAMP_WINDOW, open=True))
 
     return FunctionHandle(f"det-recip-pow[beta={beta!r}]", cones.psd_cone(n), batch)
 
@@ -507,9 +498,8 @@ def _make_det_shift_recip(p: dict, n: int) -> FunctionHandle:
         raise _param_error("det-shift-recip", f"beta must be nonnegative, got {beta}")
 
     def batch(rows):
-        w = np.linalg.eigvalsh(rows)
-        bad = np.any(w < -0.5, axis=1)  # I + A must stay PD; PSD inputs are fine
-        return np.where(bad, np.nan, np.expm1(-beta * np.sum(np.log1p(np.maximum(w, -0.5)), axis=1)))
+        # I + A must stay PD; PSD inputs are fine
+        return np.expm1(-beta * spectral(rows, np.log1p, lo=-0.5, clamp=-0.5))
 
     return FunctionHandle(f"det-shift-recip[beta={beta!r}]", cones.psd_cone(n), batch)
 

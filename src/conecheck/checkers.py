@@ -30,7 +30,7 @@ import numpy as np
 from . import cones
 from .catalog import PropertyLabel, resolve_handle
 from .cones import VECTOR, ConeSpec, Point, Rng
-from .diffops import FunctionHandle
+from .diffops import FunctionHandle, _abs_max, _completely_monotone, _second_diff
 from .errors import (
     CapabilityError,
     DomainError,
@@ -153,26 +153,9 @@ class CheckReport:
 # ``zero``) that returns ``(slack, scale)``, two arrays of R values, with
 # ``scale`` the largest absolute value the tolerance is relative to.  The
 # trials call a form on every sampled row, witness re-evaluation on one row,
-# and shrinking on every candidate of a sweep.
+# and shrinking on every candidate of a sweep.  The two difference forms,
+# ``_second_diff`` and ``_completely_monotone``, live in :mod:`.diffops`.
 # ---------------------------------------------------------------------------
-
-
-def _abs_max(*arrays: np.ndarray) -> np.ndarray:
-    out = np.abs(arrays[0])
-    for a in arrays[1:]:
-        out = np.maximum(out, np.abs(a))
-    return out
-
-
-def _second_diff(handle, r):
-    """``f(x+y+z) + f(z) - f(x+z) - f(y+z)``, grouped as (positives) -
-    (negatives), and the largest |f| of the four."""
-    x, y, z = r["x"], r["y"], r["z"]
-    # each sum is formed for its own call only, which bounds peak memory on
-    # large trial batches
-    vz, vxz, vyz = handle.batch(z), handle.batch(x + z), handle.batch(y + z)
-    vxyz = handle.batch(x + y + z)
-    return (vxyz + vz) - (vxz + vyz), _abs_max(vz, vxz, vyz, vxyz)
 
 
 def _signed_second_diff(sign: float, handle, r):
@@ -195,20 +178,6 @@ def _modular(sign: float, handle, r):
 def _origin(sign: float, handle, r):
     v = handle.batch(r["zero"])
     return sign * v, np.abs(v)
-
-
-def _completely_monotone(k: int, handle, r):
-    """Order-k alternating difference at ``base`` with steps ``x1..xk``,
-    signed so that complete monotonicity means ``slack >= 0``; the scale is
-    the largest |f| over all 2^k subset points."""
-    base = r["base"]
-    sums = [base]
-    for s in range(1, 1 << k):
-        low = (s & -s).bit_length() - 1
-        sums.append(sums[s & (s - 1)] + r[f"x{low + 1}"])
-    vals = handle.batch(np.concatenate(sums)).reshape(1 << k, base.shape[0])
-    odd = np.array([bin(s).count("1") % 2 == 1 for s in range(1 << k)])
-    return np.sum(vals[~odd], axis=0) - np.sum(vals[odd], axis=0), np.max(np.abs(vals), axis=0)
 
 
 def _alpha_strong(alpha: float, handle, r):

@@ -3,10 +3,14 @@
 ``delta`` is the first difference ``f(x + z) - f(z)``; ``second_diff`` is
 the alternating four-term combination whose sign separates the strongly
 subadditive functions from the strongly superadditive ones; ``kth_diff``
-generalizes to order k via inclusion-exclusion.
+generalizes to order k via inclusion-exclusion.  These two are the one-row
+cases of the vectorized forms ``_second_diff`` and ``_completely_monotone``,
+which the randomized checks evaluate on every trial.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -93,34 +97,69 @@ def delta(f: FunctionHandle, x: Point, z: Point) -> float:
     return float(vals[0] - vals[1])
 
 
+def _abs_max(*arrays: np.ndarray) -> np.ndarray:
+    out = np.abs(arrays[0])
+    for a in arrays[1:]:
+        out = np.maximum(out, np.abs(a))
+    return out
+
+
+# The checker forms of the two difference operators (see the form convention
+# in :mod:`.checkers`); ``second_diff`` and ``kth_diff`` are their one-row
+# cases.
+
+
+def _second_diff(handle, r):
+    """``f(x+y+z) + f(z) - f(x+z) - f(y+z)``, grouped as (positives) -
+    (negatives), and the largest |f| of the four."""
+    x, y, z = r["x"], r["y"], r["z"]
+    # each sum is formed for its own call only, which bounds peak memory on
+    # large trial batches
+    vz, vxz, vyz = handle.batch(z), handle.batch(x + z), handle.batch(y + z)
+    vxyz = handle.batch(x + y + z)
+    return (vxyz + vz) - (vxz + vyz), _abs_max(vz, vxz, vyz, vxyz)
+
+
+def _completely_monotone(k: int, handle, r):
+    """Order-k alternating difference at ``base`` with steps ``x1..xk``,
+    signed so that complete monotonicity means ``slack >= 0``; the scale is
+    the largest |f| over all 2^k subset points."""
+    base = r["base"]
+    sums = [base]
+    for s in range(1, 1 << k):
+        low = (s & -s).bit_length() - 1
+        sums.append(sums[s & (s - 1)] + r[f"x{low + 1}"])
+    vals = handle.batch(np.concatenate(sums)).reshape(1 << k, base.shape[0])
+    odd = np.array([bin(s).count("1") % 2 == 1 for s in range(1 << k)])
+    return np.sum(vals[~odd], axis=0) - np.sum(vals[odd], axis=0), np.max(np.abs(vals), axis=0)
+
+
+def _one_row(f: FunctionHandle, form, points: dict) -> float:
+    """A form on the single row of the named points; a non-finite value
+    raises :class:`DomainError`."""
+    slack, scale = form(f, {name: f._point_data(p)[None] for name, p in points.items()})
+    if not np.isfinite(scale[0]):
+        raise DomainError(f"{f.label!r} is undefined at one of {points!r}")
+    return float(slack[0])
+
+
 def second_diff(f: FunctionHandle, x: Point, y: Point, z: Point) -> float:
     """``f(x+y+z) + f(z) - f(x+z) - f(y+z)``, grouped as (positives) -
     (negatives) to limit cancellation; exactly symmetric in x and y."""
-    vals = _stack_eval(f, [x + y + z, z, x + z, y + z])
-    return float((vals[0] + vals[1]) - (vals[2] + vals[3]))
+    return _one_row(f, _second_diff, {"x": x, "y": y, "z": z})
 
 
 def kth_diff(f: FunctionHandle, xs: list[Point], base: Point) -> float:
-    """Order-k alternating difference via inclusion-exclusion.
-
-    Positive-parity and negative-parity subset evaluations are accumulated
-    separately and subtracted once.
-    """
+    """Order-k alternating difference ``sum_S (-1)^(k-|S|) f(base + sum_S
+    xs)``: ``(-1)^k`` times the completely-monotone form."""
     k = len(xs)
     if k < 1:
         raise ShapeError("kth_diff needs at least one increment")
     if k > MAX_DIFF_ORDER:
         raise CapabilityError(f"difference order {k} exceeds the cap {MAX_DIFF_ORDER}")
-    # subset_sum[s] = base + sum of xs[i] for bits i of s, built incrementally
-    sums: list[Point] = [base]
-    for s in range(1, 1 << k):
-        low = (s & -s).bit_length() - 1
-        sums.append(sums[s & (s - 1)] + xs[low])
-    vals = _stack_eval(f, sums)
-    parity = np.array([(k - bin(s).count("1")) % 2 for s in range(1 << k)])
-    pos = float(np.sum(vals[parity == 0]))
-    neg = float(np.sum(vals[parity == 1]))
-    return pos - neg
+    points = {"base": base, **{f"x{i + 1}": x for i, x in enumerate(xs)}}
+    slack = _one_row(f, partial(_completely_monotone, k), points)
+    return -slack if k % 2 else slack
 
 
 def shift_and_center(f: FunctionHandle, t: Point) -> FunctionHandle:

@@ -1,13 +1,10 @@
-"""Dense symmetric linear algebra and numerical differentiation.
+"""The spectral core, scalar rules and the gamma function.
 
-Eigenvalue-based scalar functionals (determinant, log-determinant, trace
-powers, entropy, Schatten norms), spectral matrix functions, Weyl
-monotonicity checks, central-difference gradients/Hessians/directional
-derivatives, and the gamma function.
-
-All matrix routines accept either a :class:`~conecheck.cones.Point` of
-matrix kind or a raw ndarray; stacked arrays ``(T, N, N)`` are supported by
-the array-level helpers so callers can vectorize over trials.
+``spectral`` evaluates every eigenvalue-based functional of the catalog:
+one batched ``eigvalsh``, one domain rule on the smallest eigenvalue, a
+clamp, and a sum of per-eigenvalue terms.  ``ScalarFunction`` carries the
+scalar rules that the majorization and three-point checks compose with a
+handle, and ``gamma`` is the gamma function on the positive half-line.
 """
 
 from __future__ import annotations
@@ -17,146 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _scipy_gamma
 
-from .cones import MATRIX, VECTOR, Point
-from .errors import DomainError, NumericFailure, ShapeError
+from .errors import DomainError
 
 # Eigenvalues this far below zero (absolutely) are treated as rounding noise
 # and clamped for entropy and fractional powers.
 CLAMP_WINDOW = 1e-12
 
 
-def _as_sym_array(a) -> np.ndarray:
-    if isinstance(a, Point):
-        if a.kind != MATRIX:
-            raise ShapeError("expected a matrix-kind point")
-        return a.data
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise ShapeError(f"expected square matrices, got shape {arr.shape}")
-    return arr
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral factorization with eigenvalues sorted nonincreasing and
-    eigenvector columns paired with them."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def sym_eig(a) -> EigenDecomposition:
-    """Symmetric eigendecomposition, eigenvalues in descending order.
-
-    Deterministic for a fixed input; raises :class:`NumericFailure` if the
-    underlying solver does not converge (never silent).
-    """
-    arr = _as_sym_array(a)
-    if arr.ndim != 2:
-        raise ShapeError("sym_eig takes a single matrix")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("sym_eig requires finite entries")
-    try:
-        w, q = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericFailure(f"eigendecomposition failed: {exc}") from exc
-    return EigenDecomposition(w[::-1].copy(), q[:, ::-1].copy())
-
-
-def eigvals_desc(a) -> np.ndarray:
-    """Eigenvalues only, descending; supports stacked input ``(T, N, N)``."""
-    arr = _as_sym_array(a)
-    w = np.linalg.eigvalsh(arr)
-    return w[..., ::-1]
-
-
-def det(a) -> float | np.ndarray:
-    """Determinant (equals the product of eigenvalues); stacked input ok."""
-    arr = _as_sym_array(a)
-    out = np.linalg.det(arr)
-    return float(out) if out.ndim == 0 else out
-
-
-def log_det(a) -> float | np.ndarray:
-    """``sum(log eigenvalues)``; requires the smallest eigenvalue > 1e-12."""
-    arr = _as_sym_array(a)
-    w = np.linalg.eigvalsh(arr)
-    single = arr.ndim == 2
-    if single:
-        if w[0] <= CLAMP_WINDOW:
-            raise DomainError(f"log_det needs eigenvalues > {CLAMP_WINDOW}, got {w[0]!r}")
-        return float(np.sum(np.log(w)))
-    with np.errstate(all="ignore"):
-        out = np.where(w[..., 0] > CLAMP_WINDOW, np.sum(np.log(np.maximum(w, 1e-300)), axis=-1), np.nan)
-    return out
-
-
-def _clamped_pow_sum(w: np.ndarray, p: float) -> np.ndarray:
-    """``sum(w_k ** p)`` with the clamping policy: small negatives snap to 0,
-    ``0 ** p := 0`` (so p = 0 counts the strictly positive eigenvalues), and
-    eigenvalues below the clamp window poison the row with NaN."""
-    bad = np.any(w < -CLAMP_WINDOW, axis=-1)
-    wc = np.maximum(w, 0.0)
-    with np.errstate(all="ignore"):
-        powed = np.where(wc > 0.0, wc ** p, 0.0)
-    out = np.sum(powed, axis=-1)
-    return np.where(bad, np.nan, out)
-
-
-def trace_pow(a, p: float) -> float | np.ndarray:
-    """``trace(A ** p)`` through the spectrum; ``p < 1`` needs a PSD input."""
-    arr = _as_sym_array(a)
-    w = np.linalg.eigvalsh(arr)
-    if arr.ndim == 2:
-        if p < 1.0 and w[0] < -CLAMP_WINDOW:
-            raise DomainError(f"trace_pow with p={p} needs a PSD matrix, min eigenvalue {w[0]!r}")
-        out = _clamped_pow_sum(w[None, :], float(p))[0]
-        if not np.isfinite(out):
-            raise DomainError(f"trace_pow(p={p}) undefined for eigenvalues {w!r}")
-        return float(out)
-    return _clamped_pow_sum(w, float(p))
-
-
-def vn_entropy(a) -> float | np.ndarray:
-    """``-trace(A log A)`` with ``0 log 0 := 0``; eigenvalues in
-    ``[-1e-12, 0)`` are clamped to zero, anything lower is a domain error."""
-    arr = _as_sym_array(a)
-    w = np.linalg.eigvalsh(arr)
-    bad = np.any(w < -CLAMP_WINDOW, axis=-1)
-    wc = np.maximum(w, 0.0)
-    with np.errstate(all="ignore"):
-        terms = np.where(wc > 0.0, wc * np.log(np.maximum(wc, 1e-300)), 0.0)
-    out = np.where(bad, np.nan, -np.sum(terms, axis=-1))
-    if arr.ndim == 2:
-        if not np.isfinite(out):
-            raise DomainError(f"vn_entropy needs eigenvalues >= -{CLAMP_WINDOW}, got {w!r}")
-        return float(out)
-    return out
-
-
-def schatten_norm(a, p: float) -> float:
-    """Schatten p-norm: the l^p norm of the eigenvalue list (p = inf gives
-    the operator norm)."""
-    arr = _as_sym_array(a)
-    if arr.ndim != 2:
-        raise ShapeError("schatten_norm takes a single matrix")
-    w = np.abs(np.linalg.eigvalsh(arr))
-    if p == np.inf or p == float("inf"):
-        return float(w.max())
-    if not p >= 1.0:
-        raise DomainError(f"Schatten norm needs p >= 1 or inf, got {p}")
-    return float(np.sum(w ** p) ** (1.0 / p))
-
-
-def weyl_check(a, b, tol: float = 0.0) -> bool:
-    """Weyl's monotonicity: every descending eigenvalue of ``a`` is at most
-    the matching eigenvalue of ``b`` plus ``tol``.  The caller is expected to
-    feed an ordered pair; nothing is enforced."""
-    wa = eigvals_desc(a)
-    wb = eigvals_desc(b)
-    if wa.shape != wb.shape:
-        raise ShapeError("weyl_check needs matrices of the same order")
-    return bool(np.all(wa <= wb + tol))
+def spectral(rows: np.ndarray, term, lo: float, open: bool = False, clamp: float = 0.0) -> np.ndarray:
+    """``sum(term(max(lambda_k, clamp)))`` over the eigenvalues of each
+    symmetric matrix of ``rows`` ``(T, N, N)``; NaN where the smallest
+    eigenvalue is below ``lo`` (at or below it when ``open``).  ``term`` maps
+    the ``(T, N)`` clamped eigenvalues to per-eigenvalue values."""
+    w = np.linalg.eigvalsh(rows)
+    bad = w[:, 0] <= lo if open else w[:, 0] < lo
+    return np.where(bad, np.nan, np.sum(term(np.maximum(w, clamp)), axis=1))
 
 
 @dataclass(frozen=True)
@@ -201,27 +73,6 @@ def power_fn(p: float) -> ScalarFunction:
     )
 
 
-def matrix_function(f: ScalarFunction, a) -> Point | np.ndarray:
-    """Spectral calculus ``Q f(Lambda) Q^T``; every eigenvalue must lie in
-    the function's domain, and the offending eigenvalue is named otherwise."""
-    eig = sym_eig(a)
-    w = eig.eigenvalues
-    slack = CLAMP_WINDOW * max(1.0, float(np.abs(w).max()))
-    wc = np.clip(w, f.lo if f.lo > -np.inf else None, f.hi if f.hi < np.inf else None)
-    for lam in w:
-        if lam < f.lo - slack or lam > f.hi + slack:
-            raise DomainError(
-                f"eigenvalue {lam!r} outside the domain [{f.lo}, {f.hi}] of {f.label}"
-            )
-    vals = np.asarray(f.fn(wc), dtype=np.float64)
-    q = eig.eigenvectors
-    out = (q * vals) @ q.T
-    out = 0.5 * (out + out.T)
-    if isinstance(a, Point):
-        return Point(MATRIX, out, _validated=True)
-    return out
-
-
 def gamma(x):
     """Gamma function on the positive half-line (vectorized), accurate to
     better than 1e-12 relative on [0.1, 30]."""
@@ -230,71 +81,3 @@ def gamma(x):
         raise DomainError("gamma requires x > 0")
     out = _scipy_gamma(arr)
     return float(out) if out.ndim == 0 else out
-
-
-def _default_h(x: Point, order: int) -> float:
-    base = 1e-5 if order == 1 else 1e-4
-    return base * max(1.0, x.norm_inf())
-
-
-def _eval_rows(f, rows: np.ndarray) -> np.ndarray:
-    """Evaluate a handle (or plain callable on Points) on stacked raw rows."""
-    batch = getattr(f, "batch", None)
-    if batch is not None:
-        vals = np.asarray(batch(rows), dtype=np.float64)
-    else:
-        kind = MATRIX if rows.ndim == 3 else VECTOR
-        vals = np.array([f(Point(kind, r, _validated=True)) for r in rows], dtype=np.float64)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("finite-difference stencil left the function's domain")
-    return vals
-
-
-def fd_gradient(f, x: Point, h: float | None = None) -> Point:
-    """Central-difference gradient (vector-domain functions)."""
-    if x.kind != VECTOR:
-        raise ShapeError("fd_gradient needs a vector point")
-    hh = _default_h(x, 1) if h is None else float(h)
-    n = x.dim
-    eye = np.eye(n)
-    rows = np.concatenate([x.data + hh * eye, x.data - hh * eye], axis=0)
-    vals = _eval_rows(f, rows)
-    grad = (vals[:n] - vals[n:]) / (2.0 * hh)
-    return Point(VECTOR, grad, _validated=True)
-
-
-def fd_hessian(f, x: Point, h: float | None = None) -> np.ndarray:
-    """Central-difference Hessian; symmetric by construction."""
-    if x.kind != VECTOR:
-        raise ShapeError("fd_hessian needs a vector point")
-    hh = _default_h(x, 2) if h is None else float(h)
-    n = x.dim
-    eye = np.eye(n)
-    rows = [x.data[None, :]]
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    for i, j in pairs:
-        ei, ej = eye[i], eye[j]
-        rows.append(x.data + hh * ei + hh * ej)
-        rows.append(x.data + hh * ei - hh * ej)
-        rows.append(x.data - hh * ei + hh * ej)
-        rows.append(x.data - hh * ei - hh * ej)
-    stacked = np.vstack([np.atleast_2d(r) for r in rows])
-    vals = _eval_rows(f, stacked)
-    hess = np.empty((n, n))
-    idx = 1
-    for i, j in pairs:
-        vpp, vpm, vmp, vmm = vals[idx : idx + 4]
-        idx += 4
-        hij = (vpp - vpm - vmp + vmm) / (4.0 * hh * hh)
-        hess[i, j] = hij
-        hess[j, i] = hij
-    return hess
-
-
-def fd_directional(f, x: Point, w: Point, h: float | None = None) -> float:
-    """Central-difference directional derivative along ``w`` (any kind)."""
-    x._require_compatible(w)
-    hh = _default_h(x, 1) if h is None else float(h)
-    rows = np.stack([x.data + hh * w.data, x.data - hh * w.data])
-    vals = _eval_rows(f, rows)
-    return float((vals[0] - vals[1]) / (2.0 * hh))

@@ -1,4 +1,5 @@
-"""Eigendecomposition, spectral functionals, finite differences, gamma."""
+"""The spectral core through the catalog's eigenvalue handles, certify's
+finite-difference stencils, and gamma."""
 
 import math
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from conecheck import catalog, numkernel as nk
-from conecheck.cones import Point, Rng, psd_cone, sample_batch
+from conecheck.certify import _batched_hessians, _directional_derivatives
+from conecheck.cones import Point, full_space
+from conecheck.diffops import FunctionHandle
 from conecheck.errors import DomainError
 
 
@@ -15,63 +18,19 @@ def _rand_sym(rng, n):
     return a + a.T
 
 
-def test_sym_eig_identity_and_diag():
-    eig = nk.sym_eig(np.eye(3))
-    assert np.allclose(eig.eigenvalues, [1, 1, 1])
-    eig = nk.sym_eig(np.diag([3.0, 1.0]))
-    assert np.allclose(eig.eigenvalues, [3.0, 1.0])
-    # eigenvector columns are signed permutations of identity columns
-    assert np.allclose(np.abs(eig.eigenvectors), np.eye(2))
-
-
-def test_sym_eig_invariants_random():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = int(rng.integers(2, 9))
-        a = _rand_sym(rng, n)
-        eig = nk.sym_eig(a)
-        q, lam = eig.eigenvectors, eig.eigenvalues
-        assert np.all(lam[:-1] >= lam[1:])
-        assert np.linalg.norm(q.T @ q - np.eye(n)) <= 1e-10 * n
-        recon = (q * lam) @ q.T
-        assert np.linalg.norm(recon - a) <= 1e-10 * max(1.0, np.linalg.norm(a))
-
-
-def test_sym_eig_rejects_nonfinite():
-    with pytest.raises(DomainError):
-        nk.sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_matrix_function_identity_and_square():
-    rng = np.random.default_rng(1)
-    a = _rand_sym(rng, 4)
-    out = nk.matrix_function(nk.identity_fn, a)
-    assert np.linalg.norm(out - a) <= 1e-10 * max(1.0, np.linalg.norm(a))
-    out = nk.matrix_function(nk.square_fn, np.diag([2.0, 3.0]))
-    assert np.allclose(out, np.diag([4.0, 9.0]))
-
-
-def test_matrix_function_sqrt_squares_back():
-    rng = np.random.default_rng(2)
-    g = rng.normal(size=(4, 4))
-    a = g @ g.T
-    root = nk.matrix_function(nk.sqrt_fn, a)
-    assert np.linalg.norm(root @ root - a) <= 1e-8 * max(1.0, np.linalg.norm(a))
-
-
-def test_matrix_function_domain_error_names_eigenvalue():
-    with pytest.raises(DomainError, match="eigenvalue"):
-        nk.matrix_function(nk.log_fn, np.diag([1.0, -2.0]))
+def _handle(entry_id, **kw):
+    return catalog.instantiate(entry_id, **kw)
 
 
 def test_det_examples_and_cross_checks():
-    assert nk.det(np.diag([2.0, 3.0])) == pytest.approx(6.0)
+    det2, det3 = _handle("det", dim=2), _handle("det", dim=3)
+    assert det2(Point.matrix(np.diag([2.0, 3.0]))) == pytest.approx(6.0)
     rng = np.random.default_rng(3)
-    for n in (2, 3):
+    for n, det in ((2, det2), (3, det3)):
+        logdet = _handle("logdet", dim=n)
         for _ in range(50):
+            # det has no domain rule in batch: symmetric indefinite rows are fine
             a = _rand_sym(rng, n)
-            by_eig = float(np.prod(nk.sym_eig(a).eigenvalues))
-            assert nk.det(a) == pytest.approx(by_eig, rel=1e-9, abs=1e-12)
             if n == 2:
                 cof = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
             else:
@@ -80,78 +39,50 @@ def test_det_examples_and_cross_checks():
                     - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
                     + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
                 )
-            assert nk.det(a) == pytest.approx(cof, rel=1e-9, abs=1e-9)
+            assert det.batch(a[None])[0] == pytest.approx(cof, rel=1e-9, abs=1e-9)
+            pd = Point.matrix(a @ a.T + 0.1 * np.eye(n))
+            assert det(pd) == pytest.approx(math.exp(logdet(pd)), rel=1e-9)
 
 
 def test_log_det_and_entropy():
-    assert nk.log_det(np.diag([2.0, 3.0])) == pytest.approx(math.log(6.0))
+    logdet = _handle("logdet", dim=2)
+    assert logdet(Point.matrix(np.diag([2.0, 3.0]))) == pytest.approx(math.log(6.0))
     with pytest.raises(DomainError):
-        nk.log_det(np.diag([1.0, 0.0]))
-    assert nk.vn_entropy(np.diag([0.5, 0.5])) == pytest.approx(math.log(2.0))
-    assert nk.vn_entropy(np.diag([1.0, 0.0])) == pytest.approx(0.0)
+        logdet(Point.matrix(np.diag([1.0, 0.0])))
+    vn = _handle("vn-entropy", dim=2)
+    assert vn(Point.matrix(np.diag([0.5, 0.5]))) == pytest.approx(math.log(2.0))
+    assert vn(Point.matrix(np.diag([1.0, 0.0]))) == pytest.approx(0.0)
     with pytest.raises(DomainError):
-        nk.vn_entropy(np.diag([1.0, -1e-6]))
+        vn(Point.matrix(np.diag([1.0, -1e-6])))
 
 
 def test_trace_pow():
-    assert nk.trace_pow(np.diag([4.0, 9.0]), 0.5) == pytest.approx(5.0)
-    assert nk.trace_pow(np.diag([2.0, 3.0]), 1.0) == pytest.approx(5.0)
+    def trace_pow(a, p):
+        return _handle("trace-pow", params={"p": p}, dim=2)(Point.matrix(a))
+
+    assert trace_pow(np.diag([4.0, 9.0]), 0.5) == pytest.approx(5.0)
+    assert trace_pow(np.diag([2.0, 3.0]), 1.0) == pytest.approx(5.0)
     # 0^p := 0, so p = 0 counts strictly positive eigenvalues
-    assert nk.trace_pow(np.diag([2.0, 0.0]), 0.0) == pytest.approx(1.0)
+    assert trace_pow(np.diag([2.0, 0.0]), 0.0) == pytest.approx(1.0)
     with pytest.raises(DomainError):
-        nk.trace_pow(np.diag([1.0, -0.5]), 0.5)
-
-
-def test_schatten_norms():
-    a = np.diag([3.0, -4.0])
-    assert nk.schatten_norm(a, np.inf) == pytest.approx(4.0)
-    assert nk.schatten_norm(a, 1.0) == pytest.approx(7.0)
-    assert nk.schatten_norm(a, 2.0) == pytest.approx(5.0)
-    with pytest.raises(DomainError):
-        nk.schatten_norm(a, 0.5)
-
-
-def test_schatten_monotone_on_ordered_pairs():
-    cone = psd_cone(3)
-    a = sample_batch(cone, Rng(4, 0), 500, 1.0, 0.0)
-    step = sample_batch(cone, Rng(4, 1), 500, 1.0, 0.0)
-    b = a + step
-    for p in (1.0, 2.0, np.inf):
-        for k in range(500):
-            assert nk.schatten_norm(a[k], p) <= nk.schatten_norm(b[k], p) + 1e-9
-
-
-def test_weyl_check():
-    assert nk.weyl_check(np.eye(2), 2 * np.eye(2))
-    assert not nk.weyl_check(np.diag([2.0, 0.0]), np.diag([0.0, 1.0]))
-    rng = np.random.default_rng(5)
-    for _ in range(1000):
-        g = rng.normal(size=(3, 3))
-        a = g @ g.T
-        h = rng.normal(size=(3, 3))
-        assert nk.weyl_check(a, a + h @ h.T, tol=1e-9)
-
-
-def _handle(entry_id, **kw):
-    return catalog.instantiate(entry_id, **kw)
+        trace_pow(np.diag([1.0, -0.5]), 0.5)
 
 
 def test_fd_gradient_exact_for_linear():
+    # the directional stencil along the unit vectors is the gradient
     a = np.array([2.0, -1.0, 0.5])
-    from conecheck.cones import full_space
-    from conecheck.diffops import FunctionHandle
-
     h = FunctionHandle("linear", full_space(3), lambda rows: rows @ a)
-    g = nk.fd_gradient(h, Point.vector([0.3, 0.7, 1.1]))
-    assert np.allclose(g.data, a, atol=1e-9)
+    x = np.array([0.3, 0.7, 1.1])
+    g = _directional_derivatives(h, np.tile(x, (3, 1)), np.eye(3))
+    assert np.allclose(g, a, atol=1e-9)
 
 
 def test_fd_hessian_quadratic_and_entropy():
     h = _handle("sq-norm", dim=3)
-    hess = nk.fd_hessian(h, Point.vector([0.5, 1.0, 2.0]))
+    hess = _batched_hessians(h, np.array([[0.5, 1.0, 2.0]]))[0]
     assert np.allclose(hess, 2 * np.eye(3), atol=1e-6)
     sh = _handle("shannon-entropy", dim=2)
-    hess = nk.fd_hessian(sh, Point.vector([1.0, 1.0]))
+    hess = _batched_hessians(sh, np.array([[1.0, 1.0]]))[0]
     assert np.allclose(hess, np.diag([-1.0, -1.0]), atol=1e-5)
 
 
@@ -159,26 +90,28 @@ def test_fd_hessian_quadratic_and_entropy():
 def test_fd_hessian_matches_analytic(entry_id):
     handle = _handle(entry_id, dim=3)
     rng = np.random.default_rng(6)
-    for _ in range(100):
-        x = Point.vector(rng.uniform(0.25, 2.0, size=3))
-        fd = nk.fd_hessian(handle, x)
-        exact = handle.hessian(x)
-        assert np.max(np.abs(fd - exact)) <= 1e-5
+    pts = rng.uniform(0.25, 2.0, size=(100, 3))
+    fd = _batched_hessians(handle, pts)
+    for x, h in zip(pts, fd):
+        exact = handle.hessian(Point.vector(x))
+        assert np.max(np.abs(h - exact)) <= 1e-5
 
 
 def test_fd_directional_matrix_direction():
     h = _handle("det", dim=2)
-    x = Point.matrix(np.diag([2.0, 3.0]))
-    w = Point.matrix(np.eye(2))
+    x = np.diag([2.0, 3.0])[None]
+    w = np.eye(2)[None]
     # d/dt det(X + tI) = det(X) trace(X^-1) at t=0
     expected = 6.0 * (1 / 2 + 1 / 3)
-    assert nk.fd_directional(h, x, w) == pytest.approx(expected, rel=1e-6)
+    assert _directional_derivatives(h, x, w)[0] == pytest.approx(expected, rel=1e-6)
 
 
 def test_fd_stencil_domain_error():
+    # the 1e-4 step leaves the open half-line at 1e-7: the row comes back NaN
     h = _handle("reciprocal")
-    with pytest.raises(DomainError):
-        nk.fd_gradient(h, Point.vector([1e-7]))
+    hess = _batched_hessians(h, np.array([[1e-7], [1.0]]))
+    assert np.all(np.isnan(hess[0]))
+    assert hess[1, 0, 0] == pytest.approx(2.0, rel=1e-6)
 
 
 def test_gamma_values():
