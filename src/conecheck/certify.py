@@ -416,11 +416,12 @@ def _halton(count: int, dims: int) -> np.ndarray:
         b = _PRIMES[d]
         x = out[d]
         f = 1.0
-        i = idx.copy()
-        while i.max() > 0:
+        i = idx
+        # idx is increasing, so its last entry has the most digits
+        while i[-1] > 0:
             f /= b
-            x += f * (i % b)
-            i //= b
+            i, r = np.divmod(i, b)
+            x += f * r
     return out
 
 

@@ -253,6 +253,22 @@ def test_qmc_nodes_are_fixed_halton_nodes():
     assert np.isfinite(z).all()
 
 
+def _radical_inverse(i: int, b: int) -> float:
+    x, f = 0.0, 1.0
+    while i > 0:
+        f /= b
+        x += f * (i % b)
+        i //= b
+    return x
+
+
+def test_halton_matches_pure_python_radical_inverse():
+    u = certify._halton(10 ** 6, 4)
+    for d, b in enumerate((2, 3, 5, 7)):
+        for i in [*range(1, 2001), 10 ** 6]:
+            assert u[d, i - 1] == _radical_inverse(i, b), (b, i)
+
+
 def test_import_keeps_scipy_stats_out():
     """Importing scipy.stats costs about 0.8 s and 43 MiB; conecheck needs
     none of it."""
