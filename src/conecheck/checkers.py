@@ -30,7 +30,7 @@ import numpy as np
 from . import cones
 from .catalog import PropertyLabel, resolve_handle
 from .cones import VECTOR, ConeSpec, Point, Rng
-from .diffops import FunctionHandle, _abs_max, _completely_monotone, _second_diff
+from .diffops import MAX_DIFF_ORDER, FunctionHandle, _abs_max, _completely_monotone, _second_diff
 from .errors import (
     CapabilityError,
     DomainError,
@@ -73,8 +73,8 @@ class CheckConfig:
             raise ParameterError("scale must be positive")
         if self.tol_abs < 0 or self.tol_rel < 0:
             raise ParameterError("tolerances must be nonnegative")
-        if not 1 <= self.order_cap <= 12:
-            raise ParameterError("order_cap must lie in 1..12")
+        if not 1 <= self.order_cap <= MAX_DIFF_ORDER:
+            raise ParameterError(f"order_cap must lie in 1..{MAX_DIFF_ORDER}")
         if not 0.0 <= self.boundary_prob < 1.0:
             raise ParameterError("boundary_prob must lie in [0, 1)")
 
