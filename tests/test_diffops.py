@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from conecheck import catalog
-from conecheck.cones import Point, nonneg_orthant, psd_cone
+from conecheck.checkers import evaluate_expression
+from conecheck.cones import Point, Rng, nonneg_orthant, psd_cone, sample_batch
 from conecheck.diffops import FunctionHandle, delta, kth_diff, second_diff, shift_and_center
-from conecheck.errors import CapabilityError, DomainError
+from conecheck.errors import CapabilityError, DomainError, ShapeError
 
 
 def _scalar(label, fn, cone=None):
@@ -115,6 +116,32 @@ def test_kth_diff_order_cap():
     f = _scalar("id", lambda x: x)
     with pytest.raises(CapabilityError):
         kth_diff(f, [p(0.1)] * 13, p(0.0))
+    with pytest.raises(ShapeError):
+        kth_diff(f, [], p(0.0))
+
+
+@pytest.mark.parametrize("entry_id,dim", [("exp-neg-linear", 3), ("det-recip-pow", 2)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_library_operators_are_one_row_check_forms(entry_id, dim, k):
+    """second_diff and kth_diff are the one-row cases of the forms the checks
+    evaluate, bit for bit."""
+    h = catalog.instantiate(entry_id, dim=dim)
+    rows = sample_batch(h.domain, Rng(21, k), k + 1, 1.0, boundary_prob=0.0)
+    pts = [Point(h.domain.point_kind, r) for r in rows]
+    xyz = {"x": pts[0], "y": pts[-1], "z": pts[1 % (k + 1)]}
+    slack, _ = evaluate_expression(h, "second-diff-nonneg", xyz)
+    assert second_diff(h, xyz["x"], xyz["y"], xyz["z"]) == slack
+    steps = {f"x{i + 1}": x for i, x in enumerate(pts[1:])}
+    slack, _ = evaluate_expression(h, f"completely-monotone[k={k}]", {"base": pts[0], **steps})
+    assert kth_diff(h, pts[1:], pts[0]) == (-1.0) ** k * slack
+
+
+def test_library_operators_raise_off_the_domain():
+    f = catalog.instantiate("reciprocal")
+    with pytest.raises(DomainError):
+        second_diff(f, p(1.0), p(1.0), p(0.0))
+    with pytest.raises(DomainError):
+        kth_diff(f, [p(1.0), p(1.0)], p(0.0))
 
 
 def test_shift_and_center_exponential():
