@@ -21,7 +21,9 @@ from .errors import DomainError
 CLAMP_WINDOW = 1e-12
 
 
-def spectral(rows: np.ndarray, term, lo: float, open: bool = False, clamp: float = 0.0) -> np.ndarray:
+def spectral(
+    rows: np.ndarray, term, lo: float, open: bool = False, clamp: float = 0.0
+) -> np.ndarray:
     """``sum(term(max(lambda_k, clamp)))`` over the eigenvalues of each
     symmetric matrix of ``rows`` ``(T, N, N)``; NaN where the smallest
     eigenvalue is below ``lo`` (at or below it when ``open``).  ``term`` maps
