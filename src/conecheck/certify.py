@@ -412,15 +412,18 @@ def _halton(count: int, dims: int) -> np.ndarray:
     row per coordinate: shape ``(dims, count)``."""
     out = np.zeros((dims, count))
     idx = np.arange(1, count + 1, dtype=np.int64)
+    r = np.empty_like(idx)
     for d in range(dims):
         b = _PRIMES[d]
         x = out[d]
         f = 1.0
-        i = idx
-        # idx is increasing, so its last entry has the most digits
+        i = idx.copy()
+        # idx is increasing, so its last entry has the most digits; divmod
+        # works in place, since two fresh arrays per digit raise the peak
+        # memory of the suite
         while i[-1] > 0:
             f /= b
-            i, r = np.divmod(i, b)
+            np.divmod(i, b, out=(i, r))
             x += f * r
     return out
 
