@@ -403,7 +403,7 @@ def sample_batch(
         return g.normal(0.0, scale, size=(count, n))
     if fam == PSD_CONE:
         gmat = g.normal(0.0, 1.0, size=(count, n, n))
-        out = np.einsum("tij,tkj->tik", gmat, gmat) * (scale / n)
+        out = (gmat @ gmat.transpose(0, 2, 1)) * (scale / n)
         return 0.5 * (out + np.swapaxes(out, 1, 2))
     if fam == PRODUCT:
         parts = [sample_batch(f, rng, count, scale, boundary_prob) for f in cone.factors]

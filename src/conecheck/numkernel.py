@@ -1,10 +1,18 @@
 """The spectral core, scalar rules and the gamma function.
 
 ``spectral`` evaluates every eigenvalue-based functional of the catalog:
-one batched ``eigvalsh``, one domain rule on the smallest eigenvalue, a
-clamp, and a sum of per-eigenvalue terms.  ``ScalarFunction`` carries the
-scalar rules that the majorization and three-point checks compose with a
-handle, and ``gamma`` is the gamma function on the positive half-line.
+batched eigenvalues, one domain rule on the smallest eigenvalue, a clamp,
+and a sum of per-eigenvalue terms.  Orders 2 and 3 take their eigenvalues in
+closed form (mean and ``hypot``; the trigonometric method of Smith, CACM
+1961) on the rows where that form is accurate, and ``eigvalsh`` on the
+others: non-finite rows, rows whose smallest eigenvalue is not clearly above
+both zero and the domain bound, and order-3 rows with near-repeated
+eigenvalues.  So ``eigvalsh`` still decides every domain rule and clamp near
+its boundary.  Other orders use ``eigvalsh`` for every row.
+
+``ScalarFunction`` carries the scalar rules that the majorization and
+three-point checks compose with a handle, and ``gamma`` is the gamma
+function on the positive half-line.
 """
 
 from __future__ import annotations
@@ -21,16 +29,66 @@ from .errors import DomainError
 CLAMP_WINDOW = 1e-12
 
 
+# The closed form is kept on a row only when its smallest eigenvalue exceeds
+# max(lo, _CLOSED_FLOOR) by more than _CLOSED_GAP times its largest.  Its
+# absolute error stays below about 1e-13 of the largest eigenvalue, so the
+# domain rule and the clamp are then clear of their boundaries.  The floor,
+# far above the square root of the smallest normal double, keeps the squared
+# entries of order 3 out of the subnormal range.  Order 3 also gives up rows
+# whose arccos argument lies within _CLOSED_ACOS of +-1 (near-repeated
+# eigenvalues, c*I and 0), where the arccos amplifies rounding.
+_CLOSED_GAP = 1e-3
+_CLOSED_FLOOR = 1e-100
+_CLOSED_ACOS = 1e-6
+
+
 def spectral(
     rows: np.ndarray, term, lo: float, open: bool = False, clamp: float = 0.0
 ) -> np.ndarray:
     """``sum(term(max(lambda_k, clamp)))`` over the eigenvalues of each
     symmetric matrix of ``rows`` ``(T, N, N)``; NaN where the smallest
     eigenvalue is below ``lo`` (at or below it when ``open``).  ``term`` maps
-    the ``(T, N)`` clamped eigenvalues to per-eigenvalue values."""
-    w = np.linalg.eigvalsh(rows)
+    the ``(T, N)`` clamped eigenvalues to per-eigenvalue values.  Like
+    ``eigvalsh``, reads the lower triangles."""
+    if rows.shape[-1] in (2, 3):
+        w = _closed_form_eigvals(rows)
+        redo = ~(
+            np.isfinite(w).all(axis=1)
+            & (w[:, 0] > max(lo, _CLOSED_FLOOR) + _CLOSED_GAP * w[:, -1])
+        )
+        if redo.any():
+            w[redo] = np.linalg.eigvalsh(rows[redo])
+    else:
+        w = np.linalg.eigvalsh(rows)
     bad = w[:, 0] <= lo if open else w[:, 0] < lo
     return np.where(bad, np.nan, np.sum(term(np.maximum(w, clamp)), axis=1))
+
+
+def _closed_form_eigvals(rows: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues ``(T, N)`` of a stack of symmetric 2x2 or 3x3
+    matrices, from their lower triangles, in closed form; NaN on order-3 rows
+    whose arccos argument lies within ``_CLOSED_ACOS`` of +-1."""
+    with np.errstate(all="ignore"):
+        if rows.shape[-1] == 2:
+            a, b, d = rows[:, 0, 0], rows[:, 1, 0], rows[:, 1, 1]
+            mean, rad = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
+            return np.stack([mean - rad, mean + rad], axis=1)
+        # A = q I + p B with trace(B) = 0 and |B|_F^2 = 6; the eigenvalues
+        # of B are 2 cos(phi + 2 pi k / 3) with cos(3 phi) = det(B) / 2
+        q = (rows[:, 0, 0] + rows[:, 1, 1] + rows[:, 2, 2]) / 3.0
+        d0, d1, d2 = rows[:, 0, 0] - q, rows[:, 1, 1] - q, rows[:, 2, 2] - q
+        e10, e20, e21 = rows[:, 1, 0], rows[:, 2, 0], rows[:, 2, 1]
+        p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2
+                     + 2.0 * (e10 * e10 + e20 * e20 + e21 * e21)) / 6.0)
+        inv = 1.0 / p
+        b0, b1, b2 = d0 * inv, d1 * inv, d2 * inv
+        c10, c20, c21 = e10 * inv, e20 * inv, e21 * inv
+        r = 0.5 * (b0 * (b1 * b2 - c21 * c21) - c10 * (c10 * b2 - c21 * c20)
+                   + c20 * (c10 * c21 - b1 * c20))
+        phi = np.arccos(np.where(np.abs(r) < 1.0 - _CLOSED_ACOS, r, np.nan)) / 3.0
+        top = q + 2.0 * p * np.cos(phi)
+        bottom = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+        return np.stack([bottom, 3.0 * q - top - bottom, top], axis=1)
 
 
 @dataclass(frozen=True)
@@ -57,9 +115,7 @@ class ScalarFunction:
 
 identity_fn = ScalarFunction("identity", lambda t: t, nondecreasing=True, convex=True)
 square_fn = ScalarFunction("square", lambda t: t * t, d1=lambda t: 2 * t, d2=lambda t: 2.0 + 0 * t)
-sqrt_fn = ScalarFunction("sqrt", np.sqrt, lo=0.0)
 exp_fn = ScalarFunction("exp", np.exp, nondecreasing=True, convex=True)
-log_fn = ScalarFunction("log", np.log, lo=CLAMP_WINDOW)
 exp_neg_fn = ScalarFunction("exp-neg", lambda t: np.exp(-t), nondecreasing=False, convex=True)
 
 

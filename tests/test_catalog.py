@@ -4,7 +4,7 @@ parameter validation, and evaluation smoke tests."""
 import numpy as np
 import pytest
 
-from conecheck import cones
+from conecheck import catalog, cones
 from conecheck.catalog import (
     PropertyLabel as L,
     SourceStatus as S,
@@ -188,6 +188,30 @@ def test_trace_hansen_closed_form_p_one():
     assert handle(Point.matrix(np.diag([0.5, 2.0]))) == pytest.approx(expected, rel=1e-13)
 
 
+def _eigvalsh_spectral(rows, term, lo, open=False, clamp=0.0):
+    # reference spectral core: one eigvalsh for every order and every row
+    w = np.linalg.eigvalsh(rows)
+    bad = w[:, 0] <= lo if open else w[:, 0] < lo
+    return np.where(bad, np.nan, np.sum(term(np.maximum(w, clamp)), axis=1))
+
+
+def _reference_batch(monkeypatch, handle, rows):
+    """``handle.batch(rows)`` with the catalog's spectral core replaced by
+    the eigvalsh reference."""
+    with monkeypatch.context() as m:
+        m.setattr(catalog, "spectral", _eigvalsh_spectral)
+        return handle.batch(rows)
+
+
+def _rotation(n, seed):
+    return np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0]
+
+
+def _spectral_rows(q, eigenvalues):
+    rows = q @ (np.asarray(eigenvalues)[..., None] * np.swapaxes(q, -1, -2))
+    return 0.5 * (rows + np.swapaxes(rows, -1, -2))
+
+
 # The spectral domain rules, pinned at their boundaries.  Eigenvalue-based
 # PSD handles see the smallest eigenvalue of a diagonal matrix exactly.
 SPECTRAL_LAMBDA_MIN = (2e-12, 1e-12, 0.0, -1e-13, -2e-12, -0.5, -0.51)
@@ -195,6 +219,8 @@ SPECTRAL_LAMBDA_MIN = (2e-12, 1e-12, 0.0, -1e-13, -2e-12, -0.5, -0.51)
 _OPEN_WINDOW = {2e-12}
 # the trace functionals clamp [-1e-12, 0) to 0; anything lower is off the domain
 _CLAMP_WINDOW = {2e-12, 1e-12, 0.0, -1e-13}
+# domain bounds in SPECTRAL_LAMBDA_MIN: a rotation rounds them to either side
+_BOUNDS = {1e-12, -0.5}
 SPECTRAL_HANDLES = [
     ("trace-pow", {"p": 0.0}, _CLAMP_WINDOW),
     ("trace-pow", {"p": 0.5}, _CLAMP_WINDOW),
@@ -209,21 +235,83 @@ SPECTRAL_HANDLES = [
     ("det-shift-recip", {"beta": 0.5}, set(SPECTRAL_LAMBDA_MIN) - {-0.51}),
     ("det-shift-recip", {"beta": 1.0}, set(SPECTRAL_LAMBDA_MIN) - {-0.51}),
 ]
+SPECTRAL_IDS = [f"{e}-{'-'.join(f'{k}={v}' for k, v in p.items())}" for e, p, _ in SPECTRAL_HANDLES]
+
+
+@pytest.mark.parametrize("entry_id,params,finite", SPECTRAL_HANDLES, ids=SPECTRAL_IDS)
+def test_spectral_domain_rules(entry_id, params, finite, monkeypatch):
+    # orders 2 and 3 have closed-form eigenvalues: diagonal and rotated rows
+    # of both orders check that eigvalsh still decides near the boundaries
+    for dim in (2, 3):
+        handle = instantiate(entry_id, params=params, dim=dim)
+        for rotated in (False, True):
+            q = _rotation(dim, dim) if rotated else np.eye(dim)
+            rows = _spectral_rows(q, [[lam, 1.0, 2.5][:dim] for lam in SPECTRAL_LAMBDA_MIN])
+            vals = handle.batch(rows)
+            np.testing.assert_array_equal(vals, _reference_batch(monkeypatch, handle, rows))
+            for lam, v in zip(SPECTRAL_LAMBDA_MIN, vals):
+                if not (rotated and lam in _BOUNDS):
+                    assert np.isfinite(v) == (lam in finite), (dim, rotated, lam, v)
+            if finite is _CLAMP_WINDOW and not rotated:
+                # the clamp sends -1e-13 to exactly 0
+                zero = SPECTRAL_LAMBDA_MIN.index(0.0)
+                assert vals[SPECTRAL_LAMBDA_MIN.index(-1e-13)] == vals[zero]
+            one_by_one = np.array([handle.batch(r[None])[0] for r in rows])
+            np.testing.assert_array_equal(vals, one_by_one)
+
+
+def _spectral_corpus(n, seed):
+    """Symmetric n x n rows around every accuracy limit of the closed-form
+    eigenvalues: Wishart samples, their sums and ill-conditioned sums,
+    rotated spectra with near-repeated pairs and with lambda_min / lambda_max
+    from 1e-14 to 1e-2 of both signs, scalings 1e-3 to 1e3, 0, c*I, and rows
+    holding NaN or inf."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(60, n, n))
+    x = g @ np.swapaxes(g, 1, 2) / n
+    y = np.roll(x, 1, axis=0)
+    parts = [x, x + y, 1e-4 * x + y]
+    spectra = []
+    for gap in (0.0, 1e-12, 1e-9, 1e-7):
+        for lower in (0, n - 2):
+            lam = np.sort(rng.uniform(0.1, 1.0, size=(20, n)), axis=1)
+            lam[:, lower + 1] = lam[:, lower] * (1.0 + gap)
+            spectra.append(lam)
+    for ratio in 10.0 ** np.arange(-14.0, -1.9, 0.5):
+        for sign in (1.0, -1.0):
+            lam = np.sort(rng.uniform(0.1, 1.0, size=(20, n)), axis=1)
+            lam[:, 0] = sign * ratio * lam[:, -1]
+            spectra.append(lam)
+    q = np.stack([_rotation(n, s) for s in rng.integers(1 << 30, size=20)])
+    parts += [_spectral_rows(q, s) for s in spectra]
+    rows = np.concatenate(parts)
+    scales = 10.0 ** rng.uniform(-3, 3, size=(len(rows), 1, 1))
+    special = np.stack([np.zeros((n, n)), 0.7 * np.eye(n), -0.2 * np.eye(n),
+                        np.eye(n), np.eye(n), np.eye(n), np.eye(n)])
+    # eigvalsh raises on a NaN or inf in some other places of orders >= 3
+    special[3, 0, 0] = np.nan
+    special[4, n - 1, n - 1] = np.nan
+    special[5, 0, 0] = np.inf
+    special[6, n - 1, n - 1] = -np.inf
+    return np.concatenate([rows, rows * scales, special])
 
 
 @pytest.mark.parametrize(
-    "entry_id,params,finite", SPECTRAL_HANDLES,
-    ids=[f"{e}-{'-'.join(f'{k}={v}' for k, v in p.items())}" for e, p, _ in SPECTRAL_HANDLES],
+    "entry_id,params", [(e, p) for e, p, _ in SPECTRAL_HANDLES], ids=SPECTRAL_IDS
 )
-def test_spectral_domain_rules(entry_id, params, finite):
-    handle = instantiate(entry_id, params=params, dim=3)
-    rows = np.stack([np.diag([lam, 1.0, 2.5]) for lam in SPECTRAL_LAMBDA_MIN])
-    vals = handle.batch(rows)
-    for lam, v in zip(SPECTRAL_LAMBDA_MIN, vals):
-        assert np.isfinite(v) == (lam in finite), (lam, v)
-    if finite is _CLAMP_WINDOW:
-        # the clamp sends -1e-13 to exactly 0
-        zero = SPECTRAL_LAMBDA_MIN.index(0.0)
-        assert vals[SPECTRAL_LAMBDA_MIN.index(-1e-13)] == vals[zero]
-    one_by_one = np.array([handle.batch(r[None])[0] for r in rows])
-    np.testing.assert_array_equal(vals, one_by_one)
+def test_spectral_closed_form_matches_eigvalsh(entry_id, params, monkeypatch):
+    for n in (2, 3, 4):
+        handle = instantiate(entry_id, params=params, dim=n)
+        rows = _spectral_corpus(n, seed=n)
+        vals = handle.batch(rows)
+        ref = _reference_batch(monkeypatch, handle, rows)
+        if n == 4:
+            # orders other than 2 and 3 keep eigvalsh for every row
+            np.testing.assert_array_equal(vals, ref)
+            continue
+        np.testing.assert_array_equal(np.isfinite(vals), np.isfinite(ref))
+        ok = np.isfinite(ref)
+        err = np.abs(vals[ok] - ref[ok]) / np.maximum(1.0, np.abs(ref[ok]))
+        assert err.max() <= 1e-11, (n, err.max())
+        one_by_one = np.array([handle.batch(r[None])[0] for r in rows])
+        np.testing.assert_array_equal(vals, one_by_one)

@@ -68,6 +68,21 @@ def test_trace_pow():
         trace_pow(np.diag([1.0, -0.5]), 0.5)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_eigenvalues(n):
+    rng = np.random.default_rng(n)
+    g = rng.normal(size=(500, n, n))
+    rows = g @ np.swapaxes(g, 1, 2) + 0.1 * np.eye(n)
+    w, ref = nk._closed_form_eigvals(rows), np.linalg.eigvalsh(rows)
+    assert np.all(np.abs(w - ref) <= 1e-12 * ref[:, -1:])
+    if n == 3:
+        # near-repeated eigenvalues, c*I and 0 are left to eigvalsh
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        near = q @ np.diag([1.0, 2.0, 2.0 + 1e-9]) @ q.T
+        rows = np.stack([0.5 * (near + near.T), 3.0 * np.eye(3), np.zeros((3, 3))])
+        assert np.all(np.isnan(nk._closed_form_eigvals(rows)))
+
+
 def test_fd_gradient_exact_for_linear():
     # the directional stencil along the unit vectors is the gradient
     a = np.array([2.0, -1.0, 0.5])
