@@ -541,15 +541,8 @@ def _make_logistic_pow(p: dict, n: int) -> FunctionHandle:
         raise _param_error("logistic-pow", f"a must be positive, got {a}")
     if beta < 0:
         raise _param_error("logistic-pow", f"beta must be nonnegative, got {beta}")
-
-    def batch(rows):
-        return (1.0 + a * np.exp(-rows[:, 0])) ** beta
-
-    return _scalar_handle_like(f"logistic-pow[a={a!r},beta={beta!r}]", batch)
-
-
-def _scalar_handle_like(label: str, batch) -> FunctionHandle:
-    return FunctionHandle(label, cones.nonneg_orthant(1), batch)
+    return _scalar_handle(f"logistic-pow[a={a!r},beta={beta!r}]",
+                          lambda x: (1.0 + a * np.exp(-x)) ** beta)
 
 
 def _elem_sym_2(rows: np.ndarray) -> np.ndarray:

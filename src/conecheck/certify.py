@@ -4,7 +4,8 @@ Unlike the randomized checks, these verify a *sufficient* condition (Hessian
 entry signs, cross partials only, monotonicity of the differential, or an
 explicit finite Laplace representation) on sampled interior points.  A
 ``CERTIFIED_NUMERIC`` verdict is sampled evidence, never a proof; the
-vocabulary deliberately has no stronger word.
+vocabulary deliberately has no stronger word.  A certificate's verdict is
+derived from its refusal witness: ``REFUSED`` exactly when there is one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy.special import ndtri
 
 from . import cones
 from .catalog import PropertyLabel, resolve_handle
-from .checkers import NO_VIOLATION, VIOLATION, CheckConfig, CheckReport, Witness
+from .checkers import CheckConfig, CheckReport, Witness, _component, _reduce_trials
 from .cones import MATRIX, VECTOR, ConeSpec, Point, Rng
 from .diffops import FunctionHandle
 from .errors import (
@@ -45,14 +46,17 @@ class Certificate:
 
     method: str
     property: str
-    verdict: str
     points: int
     seed: int
     refusal_witness: dict | None = None
 
     @property
+    def verdict(self) -> str:
+        return CERTIFIED if self.refusal_witness is None else REFUSED
+
+    @property
     def certified(self) -> bool:
-        return self.verdict == CERTIFIED
+        return self.refusal_witness is None
 
     def to_json(self) -> dict:
         rw = None
@@ -86,18 +90,33 @@ def _interior_batch(cone: ConeSpec, rng: Rng, count: int, scale: float) -> np.nd
     return out
 
 
-def _origin_ok(handle: FunctionHandle, want_nonneg: bool, cfg: CheckConfig):
-    """Sign of the value at the origin, when the origin is in the cone and
-    the handle is defined there.  Returns (ok, value or None)."""
+def _origin_refusal(handle: FunctionHandle, want_nonneg: bool, cfg: CheckConfig) -> dict | None:
+    """The refusal for a value of the wrong sign at the origin, when the
+    origin is in the cone and the handle is defined there; else None."""
     if not handle.domain.contains_origin:
-        return True, None
+        return None
+    zero = handle.domain.zero()
     try:
-        v0 = handle(handle.domain.zero())
+        v0 = handle(zero)
     except DomainError:
-        return True, None
+        return None
     thr = cfg.tol_abs + cfg.tol_rel * abs(v0)
-    ok = (v0 >= -thr) if want_nonneg else (v0 <= thr)
-    return ok, v0
+    if (v0 >= -thr) if want_nonneg else (v0 <= thr):
+        return None
+    return {"point": zero, "index": None, "value": float(v0), "reason": "origin sign condition"}
+
+
+def _resampled(good: np.ndarray, count: int, failed: str, wanted: str) -> np.ndarray:
+    """Indices of the first ``count`` good rows of a pool drawn twice as
+    large; fails when more of the first ``count`` rows are bad than the
+    resample budget allows, or when fewer than ``count`` rows are good."""
+    failures = int((~good[:count]).sum())
+    if failures > _RESAMPLE_BUDGET * count:
+        raise NumericFailure(f"{failures}/{count} {failed}")
+    keep = np.flatnonzero(good)[:count]
+    if keep.size < count:
+        raise NumericFailure(f"could not collect {count} {wanted}")
+    return keep
 
 
 def _batched_hessians(handle: FunctionHandle, pts: np.ndarray) -> np.ndarray:
@@ -137,17 +156,9 @@ def _sampled_hessians(handle: FunctionHandle, points: int, cfg: CheckConfig):
         )
     pool = _interior_batch(cone, Rng(cfg.seed, _STREAM_POINTS), 2 * points, cfg.scale)
     hess = _batched_hessians(handle, pool)
-    good = np.isfinite(hess).all(axis=(1, 2))
-    failures = int((~good[:points]).sum())
-    if failures > _RESAMPLE_BUDGET * points:
-        raise NumericFailure(
-            f"{failures}/{points} Hessian stencils failed for {handle.label!r}"
-        )
-    keep = np.flatnonzero(good)[:points]
-    if keep.size < points:
-        raise NumericFailure(
-            f"could not collect {points} interior Hessians for {handle.label!r}"
-        )
+    keep = _resampled(np.isfinite(hess).all(axis=(1, 2)), points,
+                      f"Hessian stencils failed for {handle.label!r}",
+                      f"interior Hessians for {handle.label!r}")
     return pool[keep], hess[keep]
 
 
@@ -156,42 +167,26 @@ def _hessian_sign_certificate(
     origin_nonneg: bool | None,
 ) -> Certificate:
     pts, hess = _sampled_hessians(handle, points, cfg)
-    refusal = None
-    if origin_nonneg is not None:
-        ok, v0 = _origin_ok(handle, origin_nonneg, cfg)
-        if not ok:
-            refusal = {"point": handle.domain.zero(), "index": None, "value": float(v0),
-                       "reason": "origin sign condition"}
+    refusal = None if origin_nonneg is None else _origin_refusal(handle, origin_nonneg, cfg)
     if refusal is None:
-        n = hess.shape[1]
         tol = _HESS_SIGN_TOL * np.maximum(1.0, np.abs(hess).reshape(len(hess), -1).max(axis=1))
-        for k in range(len(hess)):
-            for i in range(n):
-                for j in range(n):
-                    if off_diagonal_only and i == j:
-                        continue
-                    v = hess[k, i, j]
-                    bad = (v < -tol[k]) if nonneg else (v > tol[k])
-                    if bad:
-                        refusal = {
-                            "point": Point(VECTOR, pts[k], _validated=True),
-                            "index": [i, j],
-                            "value": float(v),
-                            "reason": "second partial derivative of the wrong sign",
-                        }
-                        break
-                if refusal:
-                    break
-            if refusal:
-                break
-    return Certificate(
-        method=method,
-        property=prop,
-        verdict=REFUSED if refusal else CERTIFIED,
-        points=points,
-        seed=cfg.seed,
-        refusal_witness=refusal,
-    )
+        tol = tol[:, None, None]
+        bad = (hess < -tol) if nonneg else (hess > tol)
+        if off_diagonal_only:
+            bad &= ~np.eye(hess.shape[1], dtype=bool)
+        # argwhere walks (k, i, j) in row-major order: the first bad entry
+        # of the first bad point
+        hits = np.argwhere(bad)
+        if hits.size:
+            k, i, j = (int(v) for v in hits[0])
+            refusal = {
+                "point": Point(VECTOR, pts[k], _validated=True),
+                "index": [i, j],
+                "value": float(hess[k, i, j]),
+                "reason": "second partial derivative of the wrong sign",
+            }
+    return Certificate(method=method, property=prop, points=points, seed=cfg.seed,
+                       refusal_witness=refusal)
 
 
 def certify_hessian_sign(
@@ -269,19 +264,10 @@ def certify_differential_monotone(
         handle, np.concatenate([u, u + v]), np.concatenate([w, w])
     ).reshape(2, count)
     slack = (g2 - g1) if increasing else (g1 - g2)
-    good = np.isfinite(slack)
-    failures = int((~good[:pairs]).sum())
-    if failures > _RESAMPLE_BUDGET * pairs:
-        raise NumericFailure(f"{failures}/{pairs} directional stencils failed")
-    keep = np.flatnonzero(good)[:pairs]
-    if keep.size < pairs:
-        raise NumericFailure(f"could not collect {pairs} directional comparisons")
+    keep = _resampled(np.isfinite(slack), pairs, "directional stencils failed",
+                      "directional comparisons")
 
-    refusal = None
-    ok0, v0 = _origin_ok(handle, want_nonneg=not increasing, cfg=cfg)
-    if not ok0:
-        refusal = {"point": cone.zero(), "index": None, "value": float(v0),
-                   "reason": "origin sign condition"}
+    refusal = _origin_refusal(handle, not increasing, cfg)
     if refusal is None:
         tol = _DIRECTIONAL_TOL * np.maximum(1.0, np.maximum(np.abs(g1[keep]), np.abs(g2[keep])))
         bad = slack[keep] < -tol
@@ -296,14 +282,8 @@ def certify_differential_monotone(
                 "value": float(slack[k]),
                 "reason": "directional derivative moved the wrong way along the order",
             }
-    return Certificate(
-        method="DIFFERENTIAL_MONOTONE",
-        property=prop,
-        verdict=REFUSED if refusal else CERTIFIED,
-        points=pairs,
-        seed=cfg.seed,
-        refusal_witness=refusal,
-    )
+    return Certificate(method="DIFFERENTIAL_MONOTONE", property=prop, points=pairs,
+                       seed=cfg.seed, refusal_witness=refusal)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +486,6 @@ def gaussian_detcert_check(n: int, cfg: CheckConfig | None = None) -> CheckRepor
         )
     return CheckReport(
         property="gaussian-det-representation",
-        verdict=VIOLATION if witness is not None else NO_VIOLATION,
         trials_run=cfg.trials,
         worst_margin=worst,
         witness=witness,
@@ -517,35 +496,20 @@ def gaussian_detcert_check(n: int, cfg: CheckConfig | None = None) -> CheckRepor
 
 def check_det_trace_monotone(n: int, cfg: CheckConfig | None = None) -> CheckReport:
     """``det(U) trace(U^-1) <= det(V) trace(V^-1)`` on random ordered pairs
-    U <= V of positive-definite matrices."""
+    U <= V = U + step of positive-definite matrices: the ``nondecreasing``
+    form over the roles ``U`` and ``step``, so a shrunk witness keeps its
+    order."""
     cfg = cfg or CheckConfig()
     cone = cones.psd_cone(n)
-    u = _interior_batch(cone, Rng(cfg.seed, _STREAM_POINTS), cfg.trials, cfg.scale)
-    step = cones.sample_batch(cone, Rng(cfg.seed, _STREAM_V), cfg.trials, cfg.scale, 0.0)
-    v = u + step
 
     def phi(mats):
         lam = np.linalg.eigvalsh(mats)
         return np.prod(lam, axis=1) * np.sum(1.0 / lam, axis=1)
 
-    fu, fv = phi(u), phi(v)
-    slack = fv - fu
-    thr = cfg.tol_abs + cfg.tol_rel * np.maximum(np.abs(fu), np.abs(fv))
-    viol = slack < -thr
-    witness = None
-    if viol.any():
-        k = int(np.argmin(np.where(viol, slack, np.inf)))
-        witness = Witness(
-            points={"U": Point(MATRIX, u[k]), "V": Point(MATRIX, v[k])},
-            margin=float(slack[k]),
-            expression="det-trace-inverse-monotone",
-        )
-    return CheckReport(
-        property="det-trace-inverse-monotone",
-        verdict=VIOLATION if witness is not None else NO_VIOLATION,
-        trials_run=cfg.trials,
-        worst_margin=float(slack.min()),
-        witness=witness,
-        skipped=0,
-        config=cfg,
-    )
+    handle = FunctionHandle("det-trace-inverse", cone, phi)
+    roles = {
+        "U": _interior_batch(cone, Rng(cfg.seed, _STREAM_POINTS), cfg.trials, cfg.scale),
+        "step": cones.sample_batch(cone, Rng(cfg.seed, _STREAM_V), cfg.trials, cfg.scale, 0.0),
+    }
+    comp = _component(handle, "nondecreasing", roles)
+    return _reduce_trials(handle, "det-trace-inverse-monotone", [comp], cfg.trials, cfg, None)

@@ -4,7 +4,8 @@ A check draws trial points from the target's domain cone, evaluates the
 inequality components of the requested property on every trial, and reports
 the worst slack seen.  A verdict is only ever ``NO_VIOLATION_FOUND`` or
 ``VIOLATION_FOUND``: sampling cannot prove a universally quantified
-inequality, so certified verdicts live in :mod:`conecheck.certify`.
+inequality, so certified verdicts live in :mod:`conecheck.certify`.  The
+verdict is derived from the report's witness, so the two cannot disagree.
 
 Slack convention: every inequality is normalized to ``slack >= 0``; a trial
 is a violation iff ``slack < -(tol_abs + tol_rel * s)`` where ``s`` is the
@@ -113,11 +114,11 @@ class CheckReport:
     """Outcome of a randomized check.
 
     ``worst_margin`` is the most negative slack seen; when a violation is
-    found it equals the witness margin (after shrinking).
+    found it equals the witness margin (after shrinking).  The verdict is
+    derived from the witness: ``VIOLATION_FOUND`` exactly when there is one.
     """
 
     property: str
-    verdict: str
     trials_run: int
     worst_margin: float
     witness: Witness | None
@@ -126,8 +127,12 @@ class CheckReport:
     mode: str = "check"
 
     @property
+    def verdict(self) -> str:
+        return NO_VIOLATION if self.witness is None else VIOLATION
+
+    @property
     def found_violation(self) -> bool:
-        return self.verdict == VIOLATION
+        return self.witness is not None
 
     def to_json(self) -> dict:
         return {
@@ -178,6 +183,11 @@ def _modular(sign: float, handle, r):
 def _origin(sign: float, handle, r):
     v = handle.batch(r["zero"])
     return sign * v, np.abs(v)
+
+
+def _increment(sign: float, handle, r):
+    vu, vv = handle.batch(r["U"]), handle.batch(r["U"] + r["step"])
+    return sign * (vv - vu), _abs_max(vu, vv)
 
 
 def _alpha_strong(alpha: float, handle, r):
@@ -233,6 +243,7 @@ _FORMS = {
     "supermodular": (_modular, -1.0),
     "origin-nonneg": (_origin, 1.0),
     "origin-nonpos": (_origin, -1.0),
+    "nondecreasing": (_increment, 1.0),
     "double-bound-upper": (_double_bound, True),
     "double-bound-lower": (_double_bound, False),
 }
@@ -241,6 +252,21 @@ _PARAMETRIZED_FORMS = {
     "completely-monotone": (_completely_monotone, int),
     "alpha-strong": (_alpha_strong, float),
     "lipschitz-box": (_lipschitz_box, float),
+}
+# property label -> its origin sign condition (checked when the cone holds the
+# origin), then each component's expression and the roles it reads; check()
+# draws the comonotone pair and the completely-monotone steps itself
+_LABELS = {
+    "subadd": ("origin-nonneg", ("subadd", "xy")),
+    "superadd": ("origin-nonpos", ("superadd", "xy")),
+    "strong-subadd": ("origin-nonneg", ("subadd", "xy"), ("second-diff-nonpos", "xyz")),
+    "strong-superadd": ("origin-nonpos", ("superadd", "xy"), ("second-diff-nonneg", "xyz")),
+    "second-diff-nonpos": (None, ("second-diff-nonpos", "xyz")),
+    "second-diff-nonneg": (None, ("second-diff-nonneg", "xyz")),
+    "submodular": (None, ("submodular", "xy")),
+    "supermodular": (None, ("supermodular", "xy")),
+    "comonotone-strong-superadd": ("origin-nonpos", ("comonotone-strong-superadd", "xyz")),
+    "completely-monotone": (None,),
 }
 _EXPR_PARAM = re.compile(r"^(?P<name>[a-z0-9-]+)(\[(?P<arg>[^\]=]*=[^\]]*)\])?$")
 
@@ -426,21 +452,6 @@ def _component(handle, expression: str, roles: dict, scalar_fn=None, reverse=Fal
     return _Component(expression, slack, scale, roles)
 
 
-def _origin_expression(handle: FunctionHandle, prop: str) -> str | None:
-    """Which origin sign condition (if any) applies to this property."""
-    if not handle.domain.contains_origin:
-        return None
-    if prop in (PropertyLabel.SUBADD.value, PropertyLabel.STRONG_SUBADD.value):
-        return "origin-nonneg"
-    if prop in (
-        PropertyLabel.SUPERADD.value,
-        PropertyLabel.STRONG_SUPERADD.value,
-        PropertyLabel.COMONOTONE_STRONG_SUPERADD.value,
-    ):
-        return "origin-nonpos"
-    return None
-
-
 def _reduce_trials(
     handle: FunctionHandle,
     prop_name: str,
@@ -504,7 +515,6 @@ def _reduce_trials(
 
     return CheckReport(
         property=prop_name,
-        verdict=VIOLATION if witness is not None else NO_VIOLATION,
         trials_run=total,
         worst_margin=float(worst),
         witness=witness,
@@ -532,47 +542,35 @@ def check(
     handle = resolve_handle(target, params, dim)
     prop = PropertyLabel(property)
     cone = handle.domain
-    base = _stream_base
-    origin = _origin_expression(handle, prop.value)
+    origin, *forms = _LABELS[prop.value]
+    if not cone.contains_origin:
+        origin = None
     t = max(cfg.trials - (1 if origin else 0), 1)
+    base = _stream_base
     L = PropertyLabel
 
-    if prop in (L.SUBADD, L.SUPERADD, L.STRONG_SUBADD, L.STRONG_SUPERADD):
-        sub = prop in (L.SUBADD, L.STRONG_SUBADD)
-        xy = _draw_xyz(cone, cfg, base, t, "xy")
-        comps = [_component(handle, "subadd" if sub else "superadd", xy)]
-        if prop in (L.STRONG_SUBADD, L.STRONG_SUPERADD):
-            xyz = {**xy, **_draw_xyz(cone, cfg, base, t, "z")}
-            expr = "second-diff-nonpos" if sub else "second-diff-nonneg"
-            comps.append(_component(handle, expr, xyz))
-    elif prop in (L.SECOND_DIFF_NONPOS, L.SECOND_DIFF_NONNEG):
-        comps = [_component(handle, prop.value, _draw_xyz(cone, cfg, base, t))]
-    elif prop in (L.SUBMODULAR, L.SUPERMODULAR):
-        if not cone.supports_lattice:
-            raise CapabilityError(
-                f"{cone.family!r} has no lattice operations; submodularity checks need them"
-            )
-        comps = [_component(handle, prop.value, _draw_xyz(cone, cfg, base, t, "xy"))]
-    elif prop == L.COMONOTONE_STRONG_SUPERADD:
+    if prop in (L.SUBMODULAR, L.SUPERMODULAR) and not cone.supports_lattice:
+        raise CapabilityError(
+            f"{cone.family!r} has no lattice operations; submodularity checks need them"
+        )
+    if prop == L.COMONOTONE_STRONG_SUPERADD:
         if cone.point_kind != VECTOR:
             raise CapabilityError("comonotone checks need a vector-kind cone")
         rng = Rng(cfg.seed, base + _STREAM_PAIR)
         x, y = cones.comonotone_pair_batch(cone.dim, rng, t, cfg.scale)
         # raising both to one floor keeps the pair comonotone
         floor = cones.coordinate_floor(cone, cfg.scale)
-        x, y = np.maximum(x, floor), np.maximum(y, floor)
-        z = _draw(cone, cfg, base + _STREAM_Z, t)
-        comps = [_component(handle, prop.value, {"x": x, "y": y, "z": z})]
-    elif prop == L.COMPLETELY_MONOTONE:
+        drawn = {"x": np.maximum(x, floor), "y": np.maximum(y, floor),
+                 **_draw_xyz(cone, cfg, base, t, "z")}
+    else:
+        drawn = _draw_xyz(cone, cfg, base, t, sorted({n for _, roles in forms for n in roles}))
+    comps = [_component(handle, expr, {n: drawn[n] for n in roles}) for expr, roles in forms]
+    if prop == L.COMPLETELY_MONOTONE:
         b = _draw(cone, cfg, base + _STREAM_BASE, t)
-        comps = [_component(handle, "completely-monotone[k=0]", {"base": b})]
-        for k in range(1, cfg.order_cap + 1):
+        for k in range(cfg.order_cap + 1):
             steps = {f"x{i + 1}": _draw(cone, cfg, base + _STREAM_STEPS + 16 * k + i, t)
                      for i in range(k)}
             comps.append(_component(handle, f"completely-monotone[k={k}]", {"base": b, **steps}))
-    else:  # pragma: no cover - exhaustive over the enum
-        raise CapabilityError(f"no randomized check for {prop!r}")
-
     return _reduce_trials(handle, prop.value, comps, t, cfg, origin)
 
 
@@ -602,17 +600,12 @@ def refute(
         )
         reports.append(check(handle, property, sub, _stream_base=1000 * (rung + 1)))
 
-    verdict = VIOLATION if any(r.found_violation for r in reports) else NO_VIOLATION
-    witness = None
-    worst = min(r.worst_margin for r in reports)
-    for r in reports:
-        if r.witness is not None and (witness is None or r.witness.margin < witness.margin):
-            witness = r.witness
+    witness = min((r.witness for r in reports if r.witness is not None),
+                  key=lambda w: w.margin, default=None)
     return CheckReport(
         property=PropertyLabel(property).value,
-        verdict=verdict,
         trials_run=sum(r.trials_run for r in reports),
-        worst_margin=witness.margin if witness is not None else worst,
+        worst_margin=min(r.worst_margin for r in reports) if witness is None else witness.margin,
         witness=witness,
         skipped=sum(r.skipped for r in reports),
         config=cfg,
@@ -646,19 +639,30 @@ def check_lipschitz_box(target, lip: float, cfg: CheckConfig | None = None) -> C
 
 
 def _check_xyz(handle: FunctionHandle, expression: str, cfg: CheckConfig) -> CheckReport:
-    t = max(cfg.trials, 1)
-    comp = _component(handle, expression, _draw_xyz(handle.domain, cfg, 0, t))
-    return _reduce_trials(handle, expression, [comp], t, cfg, None)
+    comp = _component(handle, expression, _draw_xyz(handle.domain, cfg, 0, cfg.trials))
+    return _reduce_trials(handle, expression, [comp], cfg.trials, cfg, None)
 
 
 def check_remark_double_inequality(cfg: CheckConfig | None = None) -> CheckReport:
     """``exp(xy) >= (1+z)(1+x+y+z) / ((1+x+z)(1+y+z)) >= exp(-xy)`` on
     nonnegative triples, tested in the log domain."""
     cfg = cfg or CheckConfig()
-    t = max(cfg.trials, 1)
-    xyz = _draw_xyz(_LOG1P.domain, cfg, 0, t)
+    xyz = _draw_xyz(_LOG1P.domain, cfg, 0, cfg.trials)
     comps = [_component(_LOG1P, e, xyz) for e in ("double-bound-upper", "double-bound-lower")]
-    return _reduce_trials(_LOG1P, "exp-poly-double-bound", comps, t, cfg, None)
+    return _reduce_trials(_LOG1P, "exp-poly-double-bound", comps, cfg.trials, cfg, None)
+
+
+def _one_trial(prop: str, vectors: dict, margin: float, s: float, cfg: CheckConfig) -> CheckReport:
+    """Report of a single deterministic trial: a violation, with the named
+    vectors as its witness, when ``margin`` is not at least
+    ``-(tol_abs + tol_rel * s)``."""
+    witness = None
+    if not margin >= -(cfg.tol_abs + cfg.tol_rel * s):
+        points = {name: Point.vector(v) for name, v in vectors.items()}
+        witness = Witness(points=points, margin=margin, expression=prop)
+    return CheckReport(
+        property=prop, trials_run=1, worst_margin=margin, witness=witness, skipped=0, config=cfg,
+    )
 
 
 def check_chebyshev(u, v, p, tol: float = 1e-9) -> CheckReport:
@@ -676,24 +680,9 @@ def check_chebyshev(u, v, p, tol: float = 1e-9) -> CheckReport:
     mean_uv = float((ua * va) @ pa)
     mean_u = float(ua @ pa)
     mean_v = float(va @ pa)
-    margin = mean_uv - mean_u * mean_v
-    s = max(abs(mean_uv), abs(mean_u * mean_v))
-    verdict = NO_VIOLATION if margin >= -(tol + 1e-12 * s) else VIOLATION
-    witness = None
-    if verdict == VIOLATION:
-        witness = Witness(
-            points={"u": Point.vector(ua), "v": Point.vector(va), "p": Point.vector(pa)},
-            margin=margin,
-            expression="chebyshev-product",
-        )
-    return CheckReport(
-        property="chebyshev-product",
-        verdict=verdict,
-        trials_run=1,
-        worst_margin=margin,
-        witness=witness,
-        skipped=0,
-        config=CheckConfig(trials=1, tol_abs=tol),
+    return _one_trial(
+        "chebyshev-product", {"u": ua, "v": va, "p": pa}, mean_uv - mean_u * mean_v,
+        max(abs(mean_uv), abs(mean_u * mean_v)), CheckConfig(trials=1, tol_abs=tol),
     )
 
 
@@ -773,25 +762,8 @@ def tomic_weyl(pair: MajorizationPair, f: ScalarFunction, direction: str) -> Che
     fa = float(np.sum(f(pair.a)))
     fb = float(np.sum(f(pair.b)))
     margin = (fb - fa) if forward else (fa - fb)
-    s = max(abs(fa), abs(fb))
-    thr = 1e-9 + 1e-12 * s
-    verdict = NO_VIOLATION if margin >= -thr else VIOLATION
-    witness = None
-    if verdict == VIOLATION:
-        witness = Witness(
-            points={"a": Point.vector(pair.a), "b": Point.vector(pair.b)},
-            margin=margin,
-            expression=f"tomic-weyl[{direction}]",
-        )
-    return CheckReport(
-        property=f"tomic-weyl[{direction}]",
-        verdict=verdict,
-        trials_run=1,
-        worst_margin=margin,
-        witness=witness,
-        skipped=0,
-        config=CheckConfig(trials=1),
-    )
+    return _one_trial(f"tomic-weyl[{direction}]", {"a": pair.a, "b": pair.b}, margin,
+                      max(abs(fa), abs(fb)), CheckConfig(trials=1))
 
 
 def check_popoviciu(
@@ -833,7 +805,7 @@ def check_popoviciu(
     lo_f, hi_f = float(np.nanmin(fu)), float(np.nanmax(fuv))
     _spot_check_shape(f, lo_f, hi_f, nondecreasing=not reverse, convex=not reverse)
 
-    t = max(cfg.trials, 1)
+    t = cfg.trials
     xyz = _draw_xyz(cone, cfg, 0, t)
     suffix = "reversed" if reverse else "forward"
     comps = [

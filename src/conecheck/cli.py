@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .catalog import builtin_entries, lookup
+from .catalog import PropertyLabel, builtin_entries, lookup
 from .certify import (
     certify_differential_monotone,
     certify_hessian_sign,
@@ -48,20 +48,6 @@ _USAGE_ERRORS = (
     DomainError,
 )
 
-_PROPERTIES = [
-    "subadd",
-    "superadd",
-    "strong-subadd",
-    "strong-superadd",
-    "second-diff-nonneg",
-    "second-diff-nonpos",
-    "submodular",
-    "supermodular",
-    "completely-monotone",
-    "comonotone-strong-superadd",
-]
-
-
 def _parse_param(text: str):
     if "=" not in text:
         raise ParameterError(f"--param expects key=value, got {text!r}")
@@ -77,17 +63,18 @@ def _parse_param(text: str):
         return key, raw
 
 
-def _emit(line: str, path: str | None):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-    else:
-        print(line)
-
-
-def _pretty_report(obj: dict) -> str:
-    rows = [f"{k:>14}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(obj.items())]
-    return "\n".join(rows)
+def _output(report, args):
+    """The report as one JSON line, to ``--json PATH`` or else stdout;
+    ``--pretty`` also prints one aligned row per key to stdout, in place of
+    the stdout line."""
+    if args.pretty:
+        for k, v in sorted(report.to_json().items()):
+            print(f"{k:>14}: {json.dumps(v, sort_keys=True)}")
+    if args.json_path:
+        with open(args.json_path, "w", encoding="utf-8") as fh:
+            fh.write(report.json_line() + "\n")
+    elif not args.pretty:
+        print(report.json_line())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -106,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def _common(p, with_property=True):
         if with_property:
             p.add_argument("entry", help="catalog entry id")
-            p.add_argument("--property", required=True, choices=_PROPERTIES)
+            p.add_argument("--property", required=True,
+                           choices=[label.value for label in PropertyLabel])
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--scale", type=float, default=None)
@@ -155,7 +143,7 @@ def _collect_params(args) -> dict | None:
     return dict(_parse_param(p) for p in args.param)
 
 
-def _apply_config_file(args, parser):
+def _apply_config_file(args):
     if not args.config:
         return
     try:
@@ -184,13 +172,7 @@ def _cmd_check(args, refuting: bool) -> int:
     cfg = _config_from_args(args)
     fn = refute if refuting else check
     report = fn(args.entry, args.property, cfg, params=_collect_params(args), dim=args.dim)
-    line = report.json_line()
-    if args.pretty:
-        print(_pretty_report(report.to_json()))
-        if args.json_path:
-            _emit(line, args.json_path)
-    else:
-        _emit(line, args.json_path)
+    _output(report, args)
     return EXIT_VIOLATION if report.found_violation else EXIT_OK
 
 
@@ -215,13 +197,7 @@ def _cmd_certify(args) -> int:
             )
         cert = certify_differential_monotone(args.entry, args.direction, args.points, cfg,
                                              params=params, dim=args.dim)
-    line = cert.json_line()
-    if args.pretty:
-        print(_pretty_report(cert.to_json()))
-        if args.json_path:
-            _emit(line, args.json_path)
-    else:
-        _emit(line, args.json_path)
+    _output(cert, args)
     return EXIT_OK if cert.certified else EXIT_VIOLATION
 
 
@@ -254,7 +230,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _apply_config_file(args, parser)
+        _apply_config_file(args)
         if args.command == "catalog":
             return _cmd_catalog(args)
         if args.command == "check":

@@ -269,8 +269,8 @@ def member_batch(cone: ConeSpec, rows: np.ndarray, tol: float = 0.0) -> np.ndarr
     """Row-wise membership of stacked point data ``(R, ...)`` in the (closed,
     or open for the positive orthant) cone within tolerance: R booleans.
 
-    A PSD row is a member when its smallest eigenvalue is at least
-    ``-tol * max(1, |A|_F)``.
+    A PSD row is a member when its entries are finite and its smallest
+    eigenvalue is at least ``-tol * max(1, |A|_F)``.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.shape[1:] != cone.zero().data.shape:
@@ -285,8 +285,12 @@ def member_batch(cone: ConeSpec, rows: np.ndarray, tol: float = 0.0) -> np.ndarr
     if fam == FULL_SPACE:
         return np.ones(rows.shape[0], dtype=bool)
     if fam == PSD_CONE:
-        lam_min = np.linalg.eigvalsh(rows)[:, 0]
-        return lam_min >= -tol * np.maximum(1.0, np.linalg.norm(rows, axis=(1, 2)))
+        finite = np.isfinite(rows).all(axis=(1, 2))
+        fin = rows[finite]
+        out = np.zeros(rows.shape[0], dtype=bool)
+        out[finite] = np.linalg.eigvalsh(fin)[:, 0] >= -tol * np.maximum(
+            1.0, np.linalg.norm(fin, axis=(1, 2)))
+        return out
     if fam == PRODUCT:
         out = np.ones(rows.shape[0], dtype=bool)
         off = 0

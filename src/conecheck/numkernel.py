@@ -47,9 +47,10 @@ def spectral(
 ) -> np.ndarray:
     """``sum(term(max(lambda_k, clamp)))`` over the eigenvalues of each
     symmetric matrix of ``rows`` ``(T, N, N)``; NaN where the smallest
-    eigenvalue is below ``lo`` (at or below it when ``open``).  ``term`` maps
-    the ``(T, N)`` clamped eigenvalues to per-eigenvalue values.  Like
-    ``eigvalsh``, reads the lower triangles."""
+    eigenvalue is below ``lo`` (at or below it when ``open``) and on rows
+    with a non-finite entry.  ``term`` maps the ``(T, N)`` clamped
+    eigenvalues to per-eigenvalue values.  Like ``eigvalsh``, reads the
+    lower triangles."""
     if rows.shape[-1] in (2, 3):
         w = _closed_form_eigvals(rows)
         redo = ~(
@@ -57,11 +58,25 @@ def spectral(
             & (w[:, 0] > max(lo, _CLOSED_FLOOR) + _CLOSED_GAP * w[:, -1])
         )
         if redo.any():
-            w[redo] = np.linalg.eigvalsh(rows[redo])
+            w[redo] = _finite_eigvalsh(rows[redo])
     else:
-        w = np.linalg.eigvalsh(rows)
-    bad = w[:, 0] <= lo if open else w[:, 0] < lo
-    return np.where(bad, np.nan, np.sum(term(np.maximum(w, clamp)), axis=1))
+        w = _finite_eigvalsh(rows)
+    # written so that a NaN eigenvalue fails the domain rule
+    inside = w[:, 0] > lo if open else w[:, 0] >= lo
+    return np.where(inside, np.sum(term(np.maximum(w, clamp)), axis=1), np.nan)
+
+
+def _finite_eigvalsh(rows: np.ndarray) -> np.ndarray:
+    """``eigvalsh`` of the rows whose lower triangle is finite, NaN
+    eigenvalues on the others (where ``eigvalsh`` would raise for the whole
+    stack or return finite values)."""
+    il, jl = np.tril_indices(rows.shape[-1])
+    finite = np.isfinite(rows[:, il, jl]).all(axis=1)
+    if finite.all():
+        return np.linalg.eigvalsh(rows)
+    w = np.full(rows.shape[:2], np.nan)
+    w[finite] = np.linalg.eigvalsh(rows[finite])
+    return w
 
 
 def _closed_form_eigvals(rows: np.ndarray) -> np.ndarray:

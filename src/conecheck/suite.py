@@ -40,7 +40,7 @@ from .checkers import (
     reevaluate_witness,
 )
 from .cones import Point, Rng
-from .diffops import second_diff
+from .diffops import _second_diff, second_diff
 from .numkernel import power_fn
 
 SCALAR_STRONG_SUBADD = (
@@ -96,21 +96,13 @@ class CriterionResult:
         }
 
 
-def _report_detail(rep: CheckReport | Certificate) -> dict:
-    return rep.to_json()
-
-
-def _value_detail(**kv) -> dict:
-    return dict(kv)
-
-
 def _from_report(name: str, rep: CheckReport, want_violation: bool = False) -> SubCheck:
     ok = rep.found_violation if want_violation else not rep.found_violation
-    return SubCheck(name, ok, _report_detail(rep))
+    return SubCheck(name, ok, rep.to_json())
 
 
 def _from_cert(name: str, cert: Certificate, want: str = "CERTIFIED_NUMERIC") -> SubCheck:
-    return SubCheck(name, cert.verdict == want, _report_detail(cert))
+    return SubCheck(name, cert.verdict == want, cert.to_json())
 
 
 def criterion_1(seed: int) -> CriterionResult:
@@ -126,7 +118,7 @@ def criterion_1(seed: int) -> CriterionResult:
     c1 = SubCheck(
         "geomean2 second difference at the printed witness",
         abs(val - GEOMEAN_SECOND_DIFF) <= 1e-9,
-        _value_detail(value=val, expected=GEOMEAN_SECOND_DIFF, tol=1e-9),
+        dict(value=val, expected=GEOMEAN_SECOND_DIFF, tol=1e-9),
     )
     rep = refute("geomean2", "strong-subadd", CheckConfig(trials=1000, seed=seed))
     c2 = _from_report("geomean2 strong-subadd refuted within 1000 trials", rep, want_violation=True)
@@ -144,12 +136,12 @@ def criterion_2(seed: int) -> CriterionResult:
     c1 = SubCheck(
         "lse witness value matches the closed form",
         abs(combo - closed) <= 1e-12,
-        _value_detail(value=combo, closed_form=closed, tol=1e-12),
+        dict(value=combo, closed_form=closed, tol=1e-12),
     )
     c2 = SubCheck(
         "lse witness value exceeds 0.379",
         combo > LSE_WITNESS_VALUE_FLOOR,
-        _value_detail(value=combo, floor=LSE_WITNESS_VALUE_FLOOR),
+        dict(value=combo, floor=LSE_WITNESS_VALUE_FLOOR),
     )
     return CriterionResult(2, "log-sum-exp counterexample value", (c1, c2))
 
@@ -165,15 +157,13 @@ def criterion_3(seed: int) -> CriterionResult:
         x = cones.sample_batch(cone, Rng(seed, 100 + n), 1000, cfg.scale, cfg.boundary_prob)
         y = cones.sample_batch(cone, Rng(seed, 200 + n), 1000, cfg.scale, cfg.boundary_prob)
         z = cones.sample_batch(cone, Rng(seed, 300 + n), 1000, cfg.scale, cfg.boundary_prob)
-        sd = (handle.batch(x + y + z) + handle.batch(z)) - (
-            handle.batch(x + z) + handle.batch(y + z)
-        )
+        sd, _ = _second_diff(handle, {"x": x, "y": y, "z": z})
         dev = float(np.max(np.abs(sd - 2.0 * np.sum(x * y, axis=1))))
         checks.append(
             SubCheck(
                 f"squared-norm second-difference identity, dim {n}",
                 dev <= 1e-9,
-                _value_detail(max_deviation=dev, tol=1e-9),
+                dict(max_deviation=dev, tol=1e-9),
             )
         )
     return CriterionResult(3, "squared-norm bilinear identity", tuple(checks))
@@ -195,19 +185,14 @@ def criterion_4(seed: int) -> CriterionResult:
             if rep.found_violation:
                 violated = rep
                 break
-        detail = (
-            _report_detail(violated)
-            if violated is not None
-            else _value_detail(worst_margin=worst, scales=list(SCALE_LADDER), trials=10000)
-        )
+        detail = violated.to_json() if violated is not None else dict(
+            worst_margin=worst, scales=list(SCALE_LADDER), trials=10000)
         checks.append(SubCheck(f"{eid} {prop} on the scale ladder", violated is None, detail))
     rep = check("reciprocal", "subadd", CheckConfig(trials=10000, seed=seed))
     checks.append(_from_report("reciprocal subadd holds", rep))
     rep = check("reciprocal", "strong-subadd", CheckConfig(trials=10000, seed=seed))
-    has_witness = rep.found_violation and rep.witness is not None
-    checks.append(
-        SubCheck("reciprocal strong-subadd refuted with a witness", has_witness, _report_detail(rep))
-    )
+    checks.append(_from_report("reciprocal strong-subadd refuted with a witness", rep,
+                               want_violation=True))
     return CriterionResult(4, "scalar catalog suite", tuple(checks))
 
 
@@ -252,7 +237,7 @@ def criterion_5(seed: int) -> CriterionResult:
         SubCheck(
             "Weyl monotonicity on 1000 constructed ordered pairs",
             ok,
-            _value_detail(pairs=1000, failing_pair=worst_pair),
+            dict(pairs=1000, failing_pair=worst_pair),
         )
     )
     return CriterionResult(5, "matrix suite", tuple(checks))
@@ -283,16 +268,9 @@ def criterion_7(seed: int) -> CriterionResult:
         "logistic-pow", "completely-monotone", CheckConfig(trials=10000, seed=seed),
         params={"a": 1.0, "beta": 0.5},
     )
-    order_ok = rep.found_violation and rep.witness is not None and (
-        rep.witness.expression.startswith("completely-monotone[k=")
-    )
-    checks.append(
-        SubCheck(
-            "logistic-pow beta=0.5 refuted at some order <= 5",
-            order_ok,
-            _report_detail(rep),
-        )
-    )
+    order_ok = rep.found_violation and rep.witness.expression.startswith("completely-monotone[k=")
+    checks.append(SubCheck("logistic-pow beta=0.5 refuted at some order <= 5", order_ok,
+                           rep.to_json()))
     for beta in (1.0, 2.0):
         rep = check(
             "elem-sym-4-shifted", "strong-superadd",
@@ -357,11 +335,11 @@ def criterion_10(seed: int) -> CriterionResult:
         rep = refute(eid, prop, CheckConfig(trials=10000, seed=seed), params=params, dim=dim)
         sound = False
         reeval = None
-        if rep.found_violation and rep.witness is not None:
+        if rep.found_violation:
             handle = instantiate(eid, params, dim)
             reeval = reevaluate_witness(handle, rep.witness)
             sound = abs(reeval - rep.witness.margin) <= 1e-12 * max(1.0, abs(rep.witness.margin))
-        detail = _report_detail(rep)
+        detail = rep.to_json()
         detail["reevaluated_margin"] = reeval
         checks.append(SubCheck(f"{eid} {prop} refuted with a sound witness", sound, detail))
         if eid == "jensen-gap":
@@ -370,7 +348,7 @@ def criterion_10(seed: int) -> CriterionResult:
                 SubCheck(
                     "jensen-gap witness magnitude at least 0.4",
                     ok,
-                    _value_detail(margin=rep.witness.margin if rep.witness else None, floor=0.4),
+                    dict(margin=rep.witness.margin if rep.witness else None, floor=0.4),
                 )
             )
     return CriterionResult(10, "refuted-candidate witnesses", tuple(checks))
@@ -389,7 +367,7 @@ def criterion_11(seed: int) -> CriterionResult:
             SubCheck(
                 "seeded replay reproduces the serialized report",
                 first == second,
-                _value_detail(bytes=len(first.encode())),
+                dict(bytes=len(first.encode())),
             ),
         ),
     )

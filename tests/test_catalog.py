@@ -189,9 +189,12 @@ def test_trace_hansen_closed_form_p_one():
 
 
 def _eigvalsh_spectral(rows, term, lo, open=False, clamp=0.0):
-    # reference spectral core: one eigvalsh for every order and every row
-    w = np.linalg.eigvalsh(rows)
-    bad = w[:, 0] <= lo if open else w[:, 0] < lo
+    # reference spectral core: one eigvalsh for every order and every finite
+    # row; rows with a non-finite entry give NaN
+    finite = np.isfinite(rows).all(axis=(1, 2))
+    w = np.full(rows.shape[:2], np.nan)
+    w[finite] = np.linalg.eigvalsh(rows[finite])
+    bad = ~(w[:, 0] > lo) if open else ~(w[:, 0] >= lo)
     return np.where(bad, np.nan, np.sum(term(np.maximum(w, clamp)), axis=1))
 
 
@@ -286,13 +289,16 @@ def _spectral_corpus(n, seed):
     parts += [_spectral_rows(q, s) for s in spectra]
     rows = np.concatenate(parts)
     scales = 10.0 ** rng.uniform(-3, 3, size=(len(rows), 1, 1))
-    special = np.stack([np.zeros((n, n)), 0.7 * np.eye(n), -0.2 * np.eye(n),
-                        np.eye(n), np.eye(n), np.eye(n), np.eye(n)])
-    # eigvalsh raises on a NaN or inf in some other places of orders >= 3
+    special = np.stack([np.zeros((n, n)), 0.7 * np.eye(n), -0.2 * np.eye(n)]
+                       + [np.eye(n)] * 7)
     special[3, 0, 0] = np.nan
     special[4, n - 1, n - 1] = np.nan
     special[5, 0, 0] = np.inf
     special[6, n - 1, n - 1] = -np.inf
+    # off the diagonal, where eigvalsh raises for the whole stack
+    special[7, n - 1, 0] = special[7, 0, n - 1] = np.nan
+    special[8, 1, 0] = special[8, 0, 1] = np.inf
+    special[9, n - 1, n - 2] = special[9, n - 2, n - 1] = -np.inf
     return np.concatenate([rows, rows * scales, special])
 
 

@@ -293,3 +293,62 @@ def test_certificate_json_shape():
     assert set(obj) == {"method", "property", "verdict", "points", "seed", "refusal_witness"}
     assert obj["method"] == "HESSIAN_SIGN"
     assert obj["verdict"] == CERTIFIED
+
+
+def test_certificate_verdict_is_derived_from_the_refusal_witness():
+    certs = [
+        certify_hessian_sign("shannon-entropy", "nonpos", 200, _cfg()),
+        certify_hessian_sign("half-sq-plus-cos", "nonneg", 200, _cfg()),
+        certify_differential_monotone("geomean2", "nonincreasing", 200, _cfg()),
+    ]
+    assert [c.certified for c in certs] == [True, False, False]
+    # half-sq-plus-cos is 1 at the origin, the wrong sign for superadditivity
+    assert certs[1].refusal_witness["reason"] == "origin sign condition"
+    for cert in certs:
+        unrefused = cert.refusal_witness is None
+        assert cert.certified == unrefused
+        assert cert.verdict == (CERTIFIED if unrefused else REFUSED)
+        assert cert.to_json()["verdict"] == cert.verdict
+
+
+def _first_wrong_sign(hess, nonneg, off_diagonal_only):
+    """The first wrong-signed Hessian entry, as ``(k, i, j)``, by a plain
+    scan over points, rows and columns."""
+    tol = certify._HESS_SIGN_TOL * np.maximum(1.0, np.abs(hess).reshape(len(hess), -1).max(axis=1))
+    n = hess.shape[1]
+    for k in range(len(hess)):
+        for i in range(n):
+            for j in range(n):
+                if off_diagonal_only and i == j:
+                    continue
+                v = hess[k, i, j]
+                if (v < -tol[k]) if nonneg else (v > tol[k]):
+                    return k, i, j
+    return None
+
+
+@pytest.mark.parametrize("entry_id,method,mode,index", [
+    ("lse", "hessian", "nonpos", [0, 0]),
+    ("lse", "topkis", "supermodular", [0, 1]),
+    # certified although every diagonal entry is +2
+    ("sq-norm", "topkis", "submodular", None),
+])
+def test_hessian_sign_scan_matches_the_plain_scan(entry_id, method, mode, index):
+    cfg = _cfg()
+    if method == "hessian":
+        cert = certify_hessian_sign(entry_id, mode, 200, cfg)
+        nonneg, off_diagonal_only = mode == "nonneg", False
+    else:
+        cert = certify_topkis(entry_id, mode, 200, cfg)
+        nonneg, off_diagonal_only = mode == "supermodular", True
+    pts, hess = certify._sampled_hessians(conecheck.instantiate(entry_id), 200, cfg)
+    first = _first_wrong_sign(hess, nonneg, off_diagonal_only)
+    if index is None:
+        assert first is None and cert.certified
+        assert np.all(np.diagonal(hess, axis1=1, axis2=2) > 1.0)
+        return
+    k, i, j = first
+    rw = cert.refusal_witness
+    assert rw["index"] == [i, j] == index
+    assert rw["value"] == hess[k, i, j]
+    np.testing.assert_array_equal(rw["point"].data, pts[k])

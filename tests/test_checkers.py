@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conecheck import catalog, cones
+from conecheck.certify import check_det_trace_monotone, gaussian_detcert_check
 from conecheck.checkers import (
     CheckConfig,
     MajorizationPair,
@@ -22,7 +23,14 @@ from conecheck.checkers import (
 from conecheck.cones import Point, Rng, nonneg_orthant
 from conecheck.diffops import FunctionHandle
 from conecheck.errors import CapabilityError, NumericFailure, PreconditionError
-from conecheck.numkernel import exp_fn, exp_neg_fn, identity_fn, power_fn, square_fn
+from conecheck.numkernel import (
+    ScalarFunction,
+    exp_fn,
+    exp_neg_fn,
+    identity_fn,
+    power_fn,
+    square_fn,
+)
 
 
 def _cfg(**kw):
@@ -419,6 +427,11 @@ def test_comonotone_violation_is_sound():
 def test_report_biconditional_invariant():
     """VIOLATION_FOUND, witness presence, and a worst margin below the
     violation threshold are all equivalent, across a battery of reports."""
+    # nondecreasing and convex on the shape spot check's grid, but not at
+    # 3.5, the largest entry of b, so the one-trial report finds a violation
+    dip = ScalarFunction("dip-at-3.5", lambda t: t - 100.0 * (t == 3.5),
+                         nondecreasing=True, convex=True)
+    majorized = MajorizationPair([3.0, 2.0, 1.0], [3.5, 2.0, 1.0])
     reports = [
         check("log1p", "strong-subadd", _cfg(trials=1000)),
         check("geomean2", "strong-subadd", _cfg(trials=1000)),
@@ -427,10 +440,18 @@ def test_report_biconditional_invariant():
         check("reciprocal", "strong-subadd", _cfg(trials=1000)),
         refute("half-sq-plus-cos", "superadd", _cfg(trials=600)),
         check("exp-neg-linear", "completely-monotone", _cfg(trials=200)),
+        check_chebyshev([1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [0.2, 0.3, 0.5]),
+        tomic_weyl(majorized, exp_fn, "a-nonincreasing"),
+        tomic_weyl(majorized, dip, "a-nonincreasing"),
+        check_det_trace_monotone(3, _cfg(trials=300)),
+        gaussian_detcert_check(2, _cfg(trials=3)),
     ]
+    assert [r.found_violation for r in reports[-5:]] == [False, False, True, False, False]
     for rep in reports:
         has_witness = rep.witness is not None
         assert rep.found_violation == has_witness
+        assert rep.verdict == ("VIOLATION_FOUND" if has_witness else "NO_VIOLATION_FOUND")
+        assert rep.to_json()["verdict"] == rep.verdict
         if has_witness:
             assert rep.worst_margin == rep.witness.margin
             assert rep.worst_margin < 0

@@ -57,6 +57,16 @@ def test_member_batch_is_member_row_by_row():
         cones.member_batch(psd, vecs)
 
 
+def test_psd_member_batch_is_false_on_non_finite_rows():
+    psd = cones.psd_cone(3)
+    rows = np.stack([np.eye(3), np.eye(3), -np.eye(3), np.eye(3), np.eye(3)])
+    rows[1, 2, 0] = rows[1, 0, 2] = np.nan
+    rows[3, 0, 0] = np.nan
+    rows[4, 1, 0] = rows[4, 0, 1] = np.inf
+    assert cones.member_batch(psd, rows).tolist() == [True, False, False, False, False]
+    assert cones.member_batch(psd, rows, tol=1e-9).tolist() == [True, False, False, False, False]
+
+
 def test_coordinate_floor_is_the_open_orthant_sampling_floor():
     mixed = cones.product(cones.positive_orthant(2), cones.nonneg_orthant(1))
     floor = cones.coordinate_floor(mixed, scale=10.0)

@@ -83,6 +83,16 @@ def test_closed_form_eigenvalues(n):
         assert np.all(np.isnan(nk._closed_form_eigvals(rows)))
 
 
+def test_non_finite_rows_give_domain_errors():
+    nan_below = np.eye(3)
+    nan_below[2, 0] = nan_below[0, 2] = np.nan
+    for a in (nan_below, np.diag([np.nan, 1.0, 2.0])):
+        with pytest.raises(DomainError):
+            _handle("vn-entropy", dim=3)(Point.matrix(a))
+    assert np.isnan(_handle("trace-pow", params={"p": 2.0}, dim=2).batch(
+        np.diag([np.nan, 1.0])[None]))[0]
+
+
 def test_fd_gradient_exact_for_linear():
     # the directional stencil along the unit vectors is the gradient
     a = np.array([2.0, -1.0, 0.5])
