@@ -86,9 +86,6 @@ class CatalogEntry:
     notes: str = ""
     _factory: object = field(default=None, repr=False, compare=False)
 
-    def handle(self, params: dict | None = None, dim: int | None = None) -> FunctionHandle:
-        return instantiate(self, params, dim)
-
     def to_json(self) -> dict:
         dom = instantiate(self, None, None).domain.to_json()
         return {

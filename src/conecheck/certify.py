@@ -512,4 +512,4 @@ def check_det_trace_monotone(n: int, cfg: CheckConfig | None = None) -> CheckRep
         "step": cones.sample_batch(cone, Rng(cfg.seed, _STREAM_V), cfg.trials, cfg.scale, 0.0),
     }
     comp = _component(handle, "nondecreasing", roles)
-    return _reduce_trials(handle, "det-trace-inverse-monotone", [comp], cfg.trials, cfg, None)
+    return _reduce_trials(handle, "det-trace-inverse-monotone", [(cfg.scale, [comp])], cfg, None)

@@ -53,6 +53,9 @@ _STREAM_SPOT_U, _STREAM_SPOT_V = 20, 21
 _SKIP_BUDGET = 0.10
 _SHRINK_CAP = 200
 
+# the sampling scales refute() runs, as multiples of CheckConfig.scale
+SCALE_LADDER = (0.1, 1.0, 10.0)
+
 
 @dataclass(frozen=True)
 class CheckConfig:
@@ -452,38 +455,15 @@ def _component(handle, expression: str, roles: dict, scalar_fn=None, reverse=Fal
     return _Component(expression, slack, scale, roles)
 
 
-def _reduce_trials(
-    handle: FunctionHandle,
-    prop_name: str,
-    comps: list[_Component],
-    t: int,
-    cfg: CheckConfig,
-    origin_expr: str | None,
-    scalar_fn: ScalarFunction | None = None,
-    reverse: bool = False,
-) -> CheckReport:
-    """Shared tail of every randomized check: thresholds, skip accounting,
-    witness extraction, shrinking, report assembly."""
-    cone = handle.domain
-    finite = np.ones(t, dtype=bool)
+def _fold_block(comps: list[_Component], cfg: CheckConfig, cone: ConeSpec, scale: float,
+                worst: float, best):
+    """Fold one block into the lowest finite slack and the lowest violating
+    candidate ``(slack, expression, points, scale)`` so far; returns the
+    block's trial count and skips with them.  A trial is skipped when any
+    component is non-finite on it; ties keep the earlier candidate."""
+    finite = np.ones(comps[0].slack.shape, dtype=bool)
     for c in comps:
         finite &= np.isfinite(c.slack) & np.isfinite(c.scale)
-    skipped = int(t - finite.sum())
-
-    worst = np.inf
-    best = None  # (slack, expression, witness points)
-    if origin_expr is not None:
-        zero = {"zero": cone.zero()}
-        try:
-            origin_slack, origin_scale = evaluate_expression(handle, origin_expr, zero)
-        except DomainError:
-            skipped += 1
-        else:
-            worst = origin_slack
-            if origin_slack < -(cfg.tol_abs + cfg.tol_rel * origin_scale):
-                best = (origin_slack, origin_expr, zero)
-    total = t + (1 if origin_expr is not None else 0)
-
     for c in comps:
         sl = np.where(finite, c.slack, np.inf)
         worst = min(worst, float(sl.min()))
@@ -493,15 +473,56 @@ def _reduce_trials(
             if best is None or sl[idx] < best[0]:
                 pts = {role: Point(cone.point_kind, arr[idx], _validated=True)
                        for role, arr in c.roles.items()}
-                best = (float(sl[idx]), c.expression, pts)
+                best = (float(sl[idx]), c.expression, pts, scale)
+    return finite.size, int(finite.size - finite.sum()), worst, best
+
+
+def _reduce_trials(
+    handle: FunctionHandle,
+    prop_name: str,
+    blocks,
+    cfg: CheckConfig,
+    origin_expr: str | None,
+    scalar_fn: ScalarFunction | None = None,
+    reverse: bool = False,
+) -> CheckReport:
+    """Shared tail of every randomized check: thresholds, skip accounting,
+    witness extraction, shrinking, report assembly.
+
+    ``blocks`` yields ``(sampling scale, components)``; a plain check is one
+    block, ``refute`` one per rung of :data:`SCALE_LADDER`.  After the
+    origin, blocks fold one at a time into one skip count, one worst margin
+    and one best candidate, which keeps its block's scale for the shrinking
+    floor.  One skip budget covers all trials.
+    """
+    cone = handle.domain
+    skipped, total, worst = 0, 0, np.inf
+    best = None  # (slack, expression, witness points, sampling scale)
+    if origin_expr is not None:
+        total = 1
+        zero = {"zero": cone.zero()}
+        try:
+            origin_slack, origin_scale = evaluate_expression(handle, origin_expr, zero)
+        except DomainError:
+            skipped = 1
+        else:
+            worst = origin_slack
+            if origin_slack < -(cfg.tol_abs + cfg.tol_rel * origin_scale):
+                best = (origin_slack, origin_expr, zero, cfg.scale)
+
+    for scale, comps in blocks:
+        count, block_skipped, worst, best = _fold_block(comps, cfg, cone, scale, worst, best)
+        del comps  # free this block before the next one is drawn
+        total += count
+        skipped += block_skipped
 
     witness = None
     if best is not None:
         # a re-evaluated witness is sound whatever the skip count
-        _, expression, pts = best
+        _, expression, pts, scale = best
         margin, _ = evaluate_expression(handle, expression, pts, scalar_fn, reverse)
         if cfg.shrink:
-            pts, margin = _shrink(handle, expression, pts, margin, cfg.scale, scalar_fn, reverse)
+            pts, margin = _shrink(handle, expression, pts, margin, scale, scalar_fn, reverse)
         witness = Witness(points=pts, margin=margin, expression=expression)
         worst = margin
     elif skipped > _SKIP_BUDGET * total:
@@ -528,6 +549,51 @@ def _reduce_trials(
 # ---------------------------------------------------------------------------
 
 
+def _label_block(handle, prop: PropertyLabel, forms, cfg: CheckConfig, base: int, count: int):
+    """The evaluated components of ``count`` trials of a property label,
+    drawn from the role streams offset by ``base``."""
+    cone = handle.domain
+    if prop == PropertyLabel.COMONOTONE_STRONG_SUPERADD:
+        rng = Rng(cfg.seed, base + _STREAM_PAIR)
+        x, y = cones.comonotone_pair_batch(cone.dim, rng, count, cfg.scale)
+        # raising both to one floor keeps the pair comonotone
+        floor = cones.coordinate_floor(cone, cfg.scale)
+        drawn = {"x": np.maximum(x, floor), "y": np.maximum(y, floor),
+                 **_draw_xyz(cone, cfg, base, count, "z")}
+    else:
+        drawn = _draw_xyz(cone, cfg, base, count, sorted({n for _, roles in forms for n in roles}))
+    comps = [_component(handle, expr, {n: drawn[n] for n in roles}) for expr, roles in forms]
+    if prop == PropertyLabel.COMPLETELY_MONOTONE:
+        b = _draw(cone, cfg, base + _STREAM_BASE, count)
+        for k in range(cfg.order_cap + 1):
+            steps = {f"x{i + 1}": _draw(cone, cfg, base + _STREAM_STEPS + 16 * k + i, count)
+                     for i in range(k)}
+            comps.append(_component(handle, f"completely-monotone[k={k}]", {"base": b, **steps}))
+    return comps
+
+
+def _check_label(target, property, cfg: CheckConfig, params, dim, rungs) -> CheckReport:
+    """The trial path of :func:`check` and :func:`refute`: ``rungs(t)``
+    splits the ``t`` sampled trials into ``(config, stream base, count)``
+    blocks, each drawn and reduced in turn."""
+    handle = resolve_handle(target, params, dim)
+    prop = PropertyLabel(property)
+    cone = handle.domain
+    origin, *forms = _LABELS[prop.value]
+    if not cone.contains_origin:
+        origin = None
+    if prop in (PropertyLabel.SUBMODULAR, PropertyLabel.SUPERMODULAR) and not cone.supports_lattice:
+        raise CapabilityError(
+            f"{cone.family!r} has no lattice operations; submodularity checks need them"
+        )
+    if prop == PropertyLabel.COMONOTONE_STRONG_SUPERADD and cone.point_kind != VECTOR:
+        raise CapabilityError("comonotone checks need a vector-kind cone")
+    t = max(cfg.trials - (1 if origin else 0), 1)
+    blocks = ((sub.scale, _label_block(handle, prop, forms, sub, base, count))
+              for sub, base, count in rungs(t))
+    return _reduce_trials(handle, prop.value, blocks, cfg, origin)
+
+
 def check(
     target,
     property: PropertyLabel | str,
@@ -535,43 +601,10 @@ def check(
     *,
     params: dict | None = None,
     dim: int | None = None,
-    _stream_base: int = 0,
 ) -> CheckReport:
     """Randomized check of a property label against a catalog entry or handle."""
     cfg = cfg or CheckConfig()
-    handle = resolve_handle(target, params, dim)
-    prop = PropertyLabel(property)
-    cone = handle.domain
-    origin, *forms = _LABELS[prop.value]
-    if not cone.contains_origin:
-        origin = None
-    t = max(cfg.trials - (1 if origin else 0), 1)
-    base = _stream_base
-    L = PropertyLabel
-
-    if prop in (L.SUBMODULAR, L.SUPERMODULAR) and not cone.supports_lattice:
-        raise CapabilityError(
-            f"{cone.family!r} has no lattice operations; submodularity checks need them"
-        )
-    if prop == L.COMONOTONE_STRONG_SUPERADD:
-        if cone.point_kind != VECTOR:
-            raise CapabilityError("comonotone checks need a vector-kind cone")
-        rng = Rng(cfg.seed, base + _STREAM_PAIR)
-        x, y = cones.comonotone_pair_batch(cone.dim, rng, t, cfg.scale)
-        # raising both to one floor keeps the pair comonotone
-        floor = cones.coordinate_floor(cone, cfg.scale)
-        drawn = {"x": np.maximum(x, floor), "y": np.maximum(y, floor),
-                 **_draw_xyz(cone, cfg, base, t, "z")}
-    else:
-        drawn = _draw_xyz(cone, cfg, base, t, sorted({n for _, roles in forms for n in roles}))
-    comps = [_component(handle, expr, {n: drawn[n] for n in roles}) for expr, roles in forms]
-    if prop == L.COMPLETELY_MONOTONE:
-        b = _draw(cone, cfg, base + _STREAM_BASE, t)
-        for k in range(cfg.order_cap + 1):
-            steps = {f"x{i + 1}": _draw(cone, cfg, base + _STREAM_STEPS + 16 * k + i, t)
-                     for i in range(k)}
-            comps.append(_component(handle, f"completely-monotone[k={k}]", {"base": b, **steps}))
-    return _reduce_trials(handle, prop.value, comps, t, cfg, origin)
+    return _check_label(target, property, cfg, params, dim, lambda t: [(cfg, 0, t)])
 
 
 def refute(
@@ -582,35 +615,20 @@ def refute(
     params: dict | None = None,
     dim: int | None = None,
 ) -> CheckReport:
-    """Counterexample search: the check run over the scale ladder
-    {0.1, 1, 10} with boundary-biased sampling, merged into one report."""
+    """Counterexample search: the check's trials split in thirds over the
+    scale ladder {0.1, 1, 10} with boundary-biased sampling, one block per
+    rung on its own streams, and one origin evaluation, skip budget and
+    shrink for the whole search."""
     cfg = cfg or CheckConfig()
-    handle = resolve_handle(target, params, dim)
-    third = cfg.trials // 3
-    counts = [third, third, cfg.trials - 2 * third]
-    reports = []
-    for rung, (mult, cnt) in enumerate(zip((0.1, 1.0, 10.0), counts)):
-        if cnt < 1:
-            continue
-        sub = replace(
-            cfg,
-            trials=cnt,
-            scale=cfg.scale * mult,
-            boundary_prob=max(cfg.boundary_prob, 0.5),
-        )
-        reports.append(check(handle, property, sub, _stream_base=1000 * (rung + 1)))
+    biased = replace(cfg, boundary_prob=max(cfg.boundary_prob, 0.5))
 
-    witness = min((r.witness for r in reports if r.witness is not None),
-                  key=lambda w: w.margin, default=None)
-    return CheckReport(
-        property=PropertyLabel(property).value,
-        trials_run=sum(r.trials_run for r in reports),
-        worst_margin=min(r.worst_margin for r in reports) if witness is None else witness.margin,
-        witness=witness,
-        skipped=sum(r.skipped for r in reports),
-        config=cfg,
-        mode="refute",
-    )
+    def rungs(t):
+        third = t // 3
+        for rung, (mult, count) in enumerate(zip(SCALE_LADDER, (third, third, t - 2 * third))):
+            if count > 0:
+                yield replace(biased, scale=cfg.scale * mult), 1000 * (rung + 1), count
+
+    return replace(_check_label(target, property, cfg, params, dim, rungs), mode="refute")
 
 
 def _require_scalar_domain(handle: FunctionHandle):
@@ -640,7 +658,7 @@ def check_lipschitz_box(target, lip: float, cfg: CheckConfig | None = None) -> C
 
 def _check_xyz(handle: FunctionHandle, expression: str, cfg: CheckConfig) -> CheckReport:
     comp = _component(handle, expression, _draw_xyz(handle.domain, cfg, 0, cfg.trials))
-    return _reduce_trials(handle, expression, [comp], cfg.trials, cfg, None)
+    return _reduce_trials(handle, expression, [(cfg.scale, [comp])], cfg, None)
 
 
 def check_remark_double_inequality(cfg: CheckConfig | None = None) -> CheckReport:
@@ -649,7 +667,7 @@ def check_remark_double_inequality(cfg: CheckConfig | None = None) -> CheckRepor
     cfg = cfg or CheckConfig()
     xyz = _draw_xyz(_LOG1P.domain, cfg, 0, cfg.trials)
     comps = [_component(_LOG1P, e, xyz) for e in ("double-bound-upper", "double-bound-lower")]
-    return _reduce_trials(_LOG1P, "exp-poly-double-bound", comps, cfg.trials, cfg, None)
+    return _reduce_trials(_LOG1P, "exp-poly-double-bound", [(cfg.scale, comps)], cfg, None)
 
 
 def _one_trial(prop: str, vectors: dict, margin: float, s: float, cfg: CheckConfig) -> CheckReport:
@@ -805,12 +823,11 @@ def check_popoviciu(
     lo_f, hi_f = float(np.nanmin(fu)), float(np.nanmax(fuv))
     _spot_check_shape(f, lo_f, hi_f, nondecreasing=not reverse, convex=not reverse)
 
-    t = cfg.trials
-    xyz = _draw_xyz(cone, cfg, 0, t)
+    xyz = _draw_xyz(cone, cfg, 0, cfg.trials)
     suffix = "reversed" if reverse else "forward"
     comps = [
         _component(handle, f"popoviciu-{form}[{f.label};{suffix}]", xyz, f, reverse)
         for form in ("three-point", "symmetrized")
     ]
     prop = f"popoviciu[{handle.label};f={f.label}]"
-    return _reduce_trials(handle, prop, comps, t, cfg, None, f, reverse)
+    return _reduce_trials(handle, prop, [(cfg.scale, comps)], cfg, None, f, reverse)

@@ -12,7 +12,6 @@ independent, so identical ``Rng`` values replay identical samples anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +49,10 @@ class Point:
                 raise ShapeError(f"matrix point needs a square array, got shape {data.shape}")
             dim = data.shape[0]
             if not _validated:
-                bound = _SYM_TOL * max(1.0, float(np.abs(data).max(initial=0.0)))
-                if float(np.abs(data - data.T).max(initial=0.0)) > bound:
+                bound = _SYM_TOL * max(1.0, float(np.abs(data[np.isfinite(data)]).max(initial=0.0)))
+                # non-finite entries must mirror exactly, NaN mirroring NaN
+                off = ~((data == data.T) | (np.isnan(data) & np.isnan(data.T)))
+                if not np.all(np.abs(data[off] - data.T[off]) <= bound):
                     raise ShapeError("matrix point is not symmetric within tolerance")
                 data = 0.5 * (data + data.T)
         else:
@@ -106,12 +107,6 @@ class Point:
         """Euclidean dot product; trace pairing for matrices."""
         self._require_compatible(other)
         return float(np.sum(self.data * other.data))
-
-    def norm(self) -> float:
-        return math.sqrt(self.inner(self))
-
-    def norm_inf(self) -> float:
-        return float(np.abs(self.data).max(initial=0.0))
 
     def to_json(self):
         """Vectors serialize as arrays, matrices as arrays of row arrays."""
@@ -360,9 +355,6 @@ class Rng:
     master_seed: int
     stream_index: int = 0
     _gen: list = field(default_factory=list, repr=False, compare=False)
-
-    def stream(self, index: int) -> "Rng":
-        return Rng(self.master_seed, int(index))
 
     @property
     def generator(self) -> np.random.Generator:

@@ -108,15 +108,13 @@ def _closed_form_eigvals(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """A scalar rule with a domain interval and optional derivative rules and
-    shape flags (used by majorization and three-point inequality checks)."""
+    """A scalar rule with a domain interval and optional shape flags (used by
+    majorization and three-point inequality checks)."""
 
     label: str
     fn: object  # vectorized callable ndarray -> ndarray
     lo: float = -np.inf
     hi: float = np.inf
-    d1: object = None
-    d2: object = None
     nondecreasing: bool | None = None
     convex: bool | None = None
 
@@ -129,7 +127,7 @@ class ScalarFunction:
 
 
 identity_fn = ScalarFunction("identity", lambda t: t, nondecreasing=True, convex=True)
-square_fn = ScalarFunction("square", lambda t: t * t, d1=lambda t: 2 * t, d2=lambda t: 2.0 + 0 * t)
+square_fn = ScalarFunction("square", lambda t: t * t)
 exp_fn = ScalarFunction("exp", np.exp, nondecreasing=True, convex=True)
 exp_neg_fn = ScalarFunction("exp-neg", lambda t: np.exp(-t), nondecreasing=False, convex=True)
 

@@ -1,11 +1,13 @@
 """Randomized checks: verdicts, witnesses, determinism, special inequalities."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conecheck import catalog, cones
+from conecheck import catalog, checkers, cones
 from conecheck.certify import check_det_trace_monotone, gaussian_detcert_check
 from conecheck.checkers import (
     CheckConfig,
@@ -294,6 +296,57 @@ def test_refuter_finds_pairwise_diff_witness():
     rep = refute("pairwise-diff-convex", "strong-subadd", _cfg(trials=10000))
     assert rep.found_violation
     _assert_sound("pairwise-diff-convex", rep)
+
+
+def test_refute_evaluates_the_origin_once_and_shrinks_one_witness(monkeypatch):
+    """Every rung of the ladder finds a violation here, and the one report
+    still costs one origin evaluation and one shrink."""
+    shrinks, origins, rung_lows = [], [], []
+    shrink, evaluate, label_block = (
+        checkers._shrink, checkers.evaluate_expression, checkers._label_block)
+
+    def counted_shrink(*args, **kwargs):
+        shrinks.append(args[1])
+        return shrink(*args, **kwargs)
+
+    def counted_evaluate(handle, expression, *args, **kwargs):
+        if expression.startswith("origin"):
+            origins.append(expression)
+        return evaluate(handle, expression, *args, **kwargs)
+
+    def recorded_block(*args):
+        comps = label_block(*args)
+        rung_lows.append(min(float(np.nanmin(c.slack)) for c in comps))
+        return comps
+
+    monkeypatch.setattr(checkers, "_shrink", counted_shrink)
+    monkeypatch.setattr(checkers, "evaluate_expression", counted_evaluate)
+    monkeypatch.setattr(checkers, "_label_block", recorded_block)
+    cfg = _cfg(trials=1000)
+    rep = refute("geomean2", "strong-subadd", cfg)
+    assert len(rung_lows) == 3 and max(rung_lows) < -1e-3
+    assert len(shrinks) == 1 and origins == ["origin-nonneg"]
+    assert rep.found_violation and rep.mode == "refute"
+    assert rep.trials_run == cfg.trials
+    _assert_sound("geomean2", rep)
+
+
+def test_refute_holds_one_rung_of_trials_at_a_time():
+    """Each rung's block is freed before the next is drawn, so a refute
+    peaks like a check of one rung, not of the whole ladder."""
+    def peak(run, trials):
+        cfg = CheckConfig(trials=trials, seed=1, boundary_prob=0.5)
+        run("det", "strong-subadd", replace(cfg, trials=30), dim=3)
+        tracemalloc.start()
+        try:
+            run("det", "strong-subadd", cfg, dim=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # about 1.0x; holding the previous rung while drawing the next gives
+    # about 1.6x, and holding all three about 2.1x
+    assert peak(refute, 3000) < 1.3 * peak(check, 1000)
 
 
 def test_jensen_gap_closed_form_oracle():

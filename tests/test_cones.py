@@ -223,6 +223,24 @@ def test_point_arithmetic_and_kind_checks():
         Point.matrix([[0.0, 1.0], [0.0, 0.0]])  # not symmetric
 
 
+@pytest.mark.parametrize("entries", [
+    [[np.nan, 1.0], [2.0, 1.0]],
+    [[np.inf, 1.0], [2.0, 1.0]],
+    [[1.0, np.nan], [2.0, 1.0]],
+    [[1.0, np.inf], [-np.inf, 1.0]],
+])
+def test_asymmetric_matrix_with_non_finite_entries_is_rejected(entries):
+    with pytest.raises(ShapeError):
+        Point.matrix(entries)
+
+
+def test_mirrored_non_finite_entries_are_accepted():
+    a = Point.matrix([[np.nan, np.inf], [np.inf, 1.0]])
+    assert np.isnan(a.data[0, 0]) and a.data[0, 1] == a.data[1, 0] == np.inf
+    b = Point.matrix([[1.0, np.nan], [np.nan, 1.0]])
+    assert np.isnan(b.data[0, 1]) and np.isnan(b.data[1, 0])
+
+
 def test_matrix_inner_is_trace_pairing():
     a = Point.matrix([[1.0, 2.0], [2.0, 5.0]])
     b = Point.matrix([[3.0, 0.0], [0.0, 4.0]])

@@ -80,6 +80,16 @@ def test_logdet_pencil_refuted_despite_skipped_trials(seed):
     _assert_sound_on_cone(handle, rep)
 
 
+def test_logdet_pencil_superadd_refuted_with_one_skip_budget():
+    """The 0.1 rung skips about a quarter of its trials and finds no
+    violation; the skip budget covers the whole ladder, so the witness the
+    other rungs find is reported."""
+    handle = catalog.instantiate("logdet-pencil")
+    rep = refute(handle, "superadd", CheckConfig(seed=0))
+    assert rep.trials_run == 10000
+    _assert_sound_on_cone(handle, rep)
+
+
 def test_completely_monotone_scale_covers_every_subset_point():
     """The tolerance scale of an order-3 difference is the largest |f| over
     all 8 subset points, not only the base and the full sum."""
