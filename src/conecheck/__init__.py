@@ -51,7 +51,7 @@ from .cones import (
     sample,
     sample_comonotone_pair,
 )
-from .diffops import FunctionHandle, delta, kth_diff, second_diff, shift_and_center
+from .diffops import FunctionHandle, compose, delta, kth_diff, second_diff, shift_and_center
 from .numkernel import ScalarFunction, gamma
 
 __version__ = "0.1.0"

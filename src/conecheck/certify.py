@@ -6,6 +6,9 @@ explicit finite Laplace representation) on sampled interior points.  A
 ``CERTIFIED_NUMERIC`` verdict is sampled evidence, never a proof; the
 vocabulary deliberately has no stronger word.  A certificate's verdict is
 derived from its refusal witness: ``REFUSED`` exactly when there is one.
+The finite-difference Hessians and directional derivatives are the
+difference forms of :mod:`.diffops`, and the origin sign condition is the
+checks' ``origin-nonneg``/``origin-nonpos`` form.
 """
 
 from __future__ import annotations
@@ -18,9 +21,16 @@ from scipy.special import ndtri
 
 from . import cones
 from .catalog import PropertyLabel, resolve_handle
-from .checkers import CheckConfig, CheckReport, Witness, _component, _reduce_trials
+from .checkers import (
+    CheckConfig,
+    CheckReport,
+    Witness,
+    _component,
+    _reduce_trials,
+    evaluate_expression,
+)
 from .cones import MATRIX, VECTOR, ConeSpec, Point, Rng
-from .diffops import FunctionHandle
+from .diffops import FunctionHandle, _first_diff, _second_diff
 from .errors import (
     CapabilityError,
     CertificateError,
@@ -97,13 +107,15 @@ def _origin_refusal(handle: FunctionHandle, want_nonneg: bool, cfg: CheckConfig)
         return None
     zero = handle.domain.zero()
     try:
-        v0 = handle(zero)
+        slack, scale = evaluate_expression(
+            handle, "origin-nonneg" if want_nonneg else "origin-nonpos", {"zero": zero})
     except DomainError:
         return None
-    thr = cfg.tol_abs + cfg.tol_rel * abs(v0)
-    if (v0 >= -thr) if want_nonneg else (v0 <= thr):
+    if slack >= -(cfg.tol_abs + cfg.tol_rel * scale):
         return None
-    return {"point": zero, "index": None, "value": float(v0), "reason": "origin sign condition"}
+    # the origin forms' slack is f(0) or -f(0)
+    value = slack if want_nonneg else -slack
+    return {"point": zero, "index": None, "value": value, "reason": "origin sign condition"}
 
 
 def _resampled(good: np.ndarray, count: int, failed: str, wanted: str) -> np.ndarray:
@@ -121,28 +133,21 @@ def _resampled(good: np.ndarray, count: int, failed: str, wanted: str) -> np.nda
 
 def _batched_hessians(handle: FunctionHandle, pts: np.ndarray) -> np.ndarray:
     """Central-difference Hessians for a stack of interior points; rows with
-    domain failures come back as NaN matrices."""
+    domain failures come back as NaN matrices.  Entry (i, j) is the second
+    difference at ``p - h e_i - h e_j`` with steps ``2h e_i`` and ``2h e_j``,
+    divided by ``4h^2``."""
     count, n = pts.shape
     hs = 1e-4 * np.maximum(1.0, np.abs(pts).max(axis=1))
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    rows = [pts]
-    for i, j in pairs:
-        ei = np.zeros(n)
-        ej = np.zeros(n)
-        ei[i] = 1.0
-        ej[j] = 1.0
-        step_i = hs[:, None] * ei
-        step_j = hs[:, None] * ej
-        rows.extend([pts + step_i + step_j, pts + step_i - step_j,
-                     pts - step_i + step_j, pts - step_i - step_j])
-    stacked = np.concatenate(rows, axis=0)
-    vals = handle.batch(stacked).reshape(len(rows), count)
-    hess = np.full((count, n, n), np.nan)
-    for k, (i, j) in enumerate(pairs):
-        vpp, vpm, vmp, vmm = vals[1 + 4 * k : 5 + 4 * k]
-        hij = (vpp - vpm - vmp + vmm) / (4.0 * hs * hs)
-        hess[:, i, j] = hij
-        hess[:, j, i] = hij
+    iu, ju = np.triu_indices(n)
+    # (pair, point, coordinate): the steps h e_i and h e_j of every pair i <= j
+    step_i = hs[:, None] * np.eye(n)[iu][:, None]
+    step_j = hs[:, None] * np.eye(n)[ju][:, None]
+    roles = {"x": 2.0 * step_i, "y": 2.0 * step_j, "z": pts - step_i - step_j}
+    sd, _ = _second_diff(handle, {k: v.reshape(-1, n) for k, v in roles.items()})
+    hij = (sd.reshape(iu.size, count) / (4.0 * hs * hs)).T
+    hess = np.empty((count, n, n))
+    hess[:, iu, ju] = hij
+    hess[:, ju, iu] = hij
     return hess
 
 
@@ -229,13 +234,14 @@ def certify_topkis(
 
 def _directional_derivatives(handle: FunctionHandle, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Central-difference derivatives at a stack of points along the matching
-    directions of ``w``, in one ``batch`` call; the step is 1e-5 times
-    ``max(1, |point|_inf)``, and rows that leave the domain come back NaN."""
+    directions of ``w``: the first difference from ``p - h w`` by the step
+    ``2h w``, divided by ``2h``.  The step is 1e-5 times ``max(1,
+    |point|_inf)``, and rows that leave the domain come back NaN."""
     count = pts.shape[0]
     h = 1e-5 * np.maximum(1.0, np.abs(pts.reshape(count, -1)).max(axis=1))
     step = h.reshape((count,) + (1,) * (pts.ndim - 1)) * w
-    vals = handle.batch(np.concatenate([pts + step, pts - step])).reshape(2, count)
-    return (vals[0] - vals[1]) / (2.0 * h)
+    d, _ = _first_diff(handle, {"U": pts - step, "step": 2.0 * step})
+    return d / (2.0 * h)
 
 
 def certify_differential_monotone(

@@ -31,7 +31,16 @@ import numpy as np
 from . import cones
 from .catalog import PropertyLabel, resolve_handle
 from .cones import VECTOR, ConeSpec, Point, Rng
-from .diffops import MAX_DIFF_ORDER, FunctionHandle, _abs_max, _completely_monotone, _second_diff
+from .diffops import (
+    MAX_DIFF_ORDER,
+    FunctionHandle,
+    _abs_max,
+    _completely_monotone,
+    _first_diff,
+    _one_row,
+    _second_diff,
+    compose,
+)
 from .errors import (
     CapabilityError,
     DomainError,
@@ -161,8 +170,9 @@ class CheckReport:
 # ``zero``) that returns ``(slack, scale)``, two arrays of R values, with
 # ``scale`` the largest absolute value the tolerance is relative to.  The
 # trials call a form on every sampled row, witness re-evaluation on one row,
-# and shrinking on every candidate of a sweep.  The two difference forms,
-# ``_second_diff`` and ``_completely_monotone``, live in :mod:`.diffops`.
+# and shrinking on every candidate of a sweep.  The difference forms,
+# ``_first_diff``, ``_second_diff`` and ``_completely_monotone``, live in
+# :mod:`.diffops`.
 # ---------------------------------------------------------------------------
 
 
@@ -189,8 +199,8 @@ def _origin(sign: float, handle, r):
 
 
 def _increment(sign: float, handle, r):
-    vu, vv = handle.batch(r["U"]), handle.batch(r["U"] + r["step"])
-    return sign * (vv - vu), _abs_max(vu, vv)
+    d, scale = _first_diff(handle, r)
+    return sign * d, scale
 
 
 def _alpha_strong(alpha: float, handle, r):
@@ -215,21 +225,12 @@ def _double_bound(upper: bool, handle, r):
     return (prod - d) if upper else (prod + d), _abs_max(prod, d)
 
 
-def _popoviciu(symmetrized: bool, f: ScalarFunction, sign: float, handle, r):
-    """Three-point inequality for ``f`` composed with the handle (its second
-    difference), or its symmetrized form; ``sign`` -1 reverses both."""
-
-    def composed(rows):
-        v = handle.batch(rows)
-        inside = (v >= f.lo) & (v <= f.hi)
-        return np.where(inside, f.fn(np.clip(v, f.lo, f.hi)), np.nan)
-
-    g = FunctionHandle(handle.label, handle.domain, composed)
-    if not symmetrized:
-        return _signed_second_diff(sign, g, r)
+def _symmetrized(sign: float, handle, r):
+    """The symmetrized three-point combination ``(f(x) + f(y) + f(z)) / 3 +
+    f(x+y+z) - 2/3 (f(x+y) + f(y+z) + f(x+z))``."""
     x, y, z = r["x"], r["y"], r["z"]
-    fx, fy, fz, fxyz = g.batch(x), g.batch(y), g.batch(z), g.batch(x + y + z)
-    fxy, fyz, fxz = g.batch(x + y), g.batch(y + z), g.batch(x + z)
+    fx, fy, fz, fxyz = handle.batch(x), handle.batch(y), handle.batch(z), handle.batch(x + y + z)
+    fxy, fyz, fxz = handle.batch(x + y), handle.batch(y + z), handle.batch(x + z)
     vals = (fx, fy, fz, fxyz, fxy, fyz, fxz)
     slack = (fx + fy + fz) / 3.0 + fxyz - (2.0 / 3.0) * (fxy + fyz + fxz)
     return sign * slack, _abs_max(*vals)
@@ -247,6 +248,8 @@ _FORMS = {
     "origin-nonneg": (_origin, 1.0),
     "origin-nonpos": (_origin, -1.0),
     "nondecreasing": (_increment, 1.0),
+    "symmetrized-nonneg": (_symmetrized, 1.0),
+    "symmetrized-nonpos": (_symmetrized, -1.0),
     "double-bound-upper": (_double_bound, True),
     "double-bound-lower": (_double_bound, False),
 }
@@ -274,17 +277,8 @@ _LABELS = {
 _EXPR_PARAM = re.compile(r"^(?P<name>[a-z0-9-]+)(\[(?P<arg>[^\]=]*=[^\]]*)\])?$")
 
 
-def _form(expression: str, scalar_fn: ScalarFunction | None = None, reverse: bool = False):
-    """The form of a witness expression, with its parameters bound.
-
-    Three-point (Popoviciu-style) expressions need the composed scalar
-    function and its direction.
-    """
-    if expression.startswith("popoviciu"):
-        if scalar_fn is None:
-            raise ParameterError("re-evaluating a three-point witness needs scalar_fn")
-        symmetrized = expression.startswith("popoviciu-symmetrized")
-        return partial(_popoviciu, symmetrized, scalar_fn, -1.0 if reverse else 1.0)
+def _form(expression: str):
+    """The form of a witness expression, with its parameters bound."""
     m = _EXPR_PARAM.match(expression)
     if not m:
         raise ParameterError(f"malformed expression {expression!r}")
@@ -298,43 +292,21 @@ def _form(expression: str, scalar_fn: ScalarFunction | None = None, reverse: boo
     raise ParameterError(f"unknown expression {expression!r}")
 
 
-def evaluate_expression(
-    handle: FunctionHandle | None,
-    expression: str,
-    points: dict,
-    scalar_fn: ScalarFunction | None = None,
-    reverse: bool = False,
-):
-    """Evaluate a witness expression at named points: returns ``(slack, s)``.
+def evaluate_expression(handle: FunctionHandle, expression: str, points: dict):
+    """Evaluate a witness expression at named points: returns ``(slack, s)``
+    and raises :class:`DomainError` on a non-finite value.
 
     This is the one-row case of the expression's form and the authoritative
     witness path: check() re-evaluates every found violation through it, so
     stored witness margins reproduce exactly.
     """
-    rows = {
-        name: (p.data if handle is None else handle._point_data(p))[None]
-        for name, p in points.items()
-    }
-    slack, scale = _form(expression, scalar_fn, reverse)(handle, rows)
-    if not (np.isfinite(slack[0]) and np.isfinite(scale[0])):
-        label = expression if handle is None else handle.label
-        raise DomainError(f"{label!r} undefined on a witness point")
-    return float(slack[0]), float(scale[0])
+    return _one_row(handle, _form(expression), points)
 
 
-def reevaluate_witness(
-    handle: FunctionHandle | None,
-    witness: Witness,
-    scalar_fn: ScalarFunction | None = None,
-    reverse: bool = False,
-) -> float:
-    """Recompute the witness margin from its stored points.
-
-    Three-point (Popoviciu-style) expressions need the composed scalar
-    function passed back in; everything else re-evaluates from the handle
-    alone.
-    """
-    slack, _ = evaluate_expression(handle, witness.expression, witness.points, scalar_fn, reverse)
+def reevaluate_witness(handle: FunctionHandle, witness: Witness) -> float:
+    """Recompute the witness margin from its stored points.  A three-point
+    witness re-evaluates on ``diffops.compose(f, handle)``."""
+    slack, _ = evaluate_expression(handle, witness.expression, witness.points)
     return slack
 
 
@@ -368,8 +340,7 @@ def _shrink_candidates(current: dict, names: list, floor: np.ndarray):
     return np.concatenate(owners), np.concatenate(changed)
 
 
-def _shrink(handle, expression: str, points: dict, margin: float, scale: float,
-            scalar_fn=None, reverse=False):
+def _shrink(handle, expression: str, points: dict, margin: float, scale: float):
     """Greedy on-cone reduction of a witness, one batched form call per sweep.
 
     A sweep builds every candidate of :func:`_shrink_candidates`, drops those
@@ -387,7 +358,7 @@ def _shrink(handle, expression: str, points: dict, margin: float, scale: float,
     :func:`reevaluate_witness` gives.
     """
     cone = handle.domain
-    form = _form(expression, scalar_fn, reverse)
+    form = _form(expression)
     floor = cones.coordinate_floor(cone, scale)
     ceiling = margin + 1e-12 * max(1.0, abs(margin))
     names = sorted(points)
@@ -419,7 +390,7 @@ def _shrink(handle, expression: str, points: dict, margin: float, scale: float,
         return points, margin
     shrunk = {name: Point(points[name].kind, current[name], _validated=True) for name in names}
     try:
-        shrunk_margin, _ = evaluate_expression(handle, expression, shrunk, scalar_fn, reverse)
+        shrunk_margin, _ = evaluate_expression(handle, expression, shrunk)
     except DomainError:
         return points, margin
     if shrunk_margin <= ceiling:
@@ -450,8 +421,8 @@ class _Component:
     roles: dict  # role name -> (T, ...) point data
 
 
-def _component(handle, expression: str, roles: dict, scalar_fn=None, reverse=False) -> _Component:
-    slack, scale = _form(expression, scalar_fn, reverse)(handle, roles)
+def _component(handle, expression: str, roles: dict) -> _Component:
+    slack, scale = _form(expression)(handle, roles)
     return _Component(expression, slack, scale, roles)
 
 
@@ -483,8 +454,6 @@ def _reduce_trials(
     blocks,
     cfg: CheckConfig,
     origin_expr: str | None,
-    scalar_fn: ScalarFunction | None = None,
-    reverse: bool = False,
 ) -> CheckReport:
     """Shared tail of every randomized check: thresholds, skip accounting,
     witness extraction, shrinking, report assembly.
@@ -520,9 +489,9 @@ def _reduce_trials(
     if best is not None:
         # a re-evaluated witness is sound whatever the skip count
         _, expression, pts, scale = best
-        margin, _ = evaluate_expression(handle, expression, pts, scalar_fn, reverse)
+        margin, _ = evaluate_expression(handle, expression, pts)
         if cfg.shrink:
-            pts, margin = _shrink(handle, expression, pts, margin, scale, scalar_fn, reverse)
+            pts, margin = _shrink(handle, expression, pts, margin, scale)
         witness = Witness(points=pts, margin=margin, expression=expression)
         worst = margin
     elif skipped > _SKIP_BUDGET * total:
@@ -789,8 +758,9 @@ def check_popoviciu(
 ) -> CheckReport:
     """Three-point inequality for a monotone nonnegative strongly
     superadditive rule composed with a nondecreasing convex function, plus
-    its symmetrized form; both reverse when f is flagged nonincreasing
-    concave."""
+    its symmetrized form: the ``second-diff-nonneg`` and
+    ``symmetrized-nonneg`` forms of ``diffops.compose(f, handle)``, or their
+    ``-nonpos`` forms when f is flagged nonincreasing concave."""
     from .catalog import CatalogEntry, SourceStatus, lookup
 
     cfg = cfg or CheckConfig()
@@ -804,7 +774,7 @@ def check_popoviciu(
     handle = resolve_handle(target, params, dim)
     cone = handle.domain
 
-    reverse = f.nondecreasing is False and f.convex is False
+    concave = f.nondecreasing is False and f.convex is False
 
     # monotonicity and nonnegativity spot check on 100 ordered pairs
     spot = 100
@@ -821,13 +791,11 @@ def check_popoviciu(
             f"u={u[i].tolist()!r}, u+v={(u + v)[i].tolist()!r}"
         )
     lo_f, hi_f = float(np.nanmin(fu)), float(np.nanmax(fuv))
-    _spot_check_shape(f, lo_f, hi_f, nondecreasing=not reverse, convex=not reverse)
+    _spot_check_shape(f, lo_f, hi_f, nondecreasing=not concave, convex=not concave)
 
+    g = compose(f, handle)
     xyz = _draw_xyz(cone, cfg, 0, cfg.trials)
-    suffix = "reversed" if reverse else "forward"
-    comps = [
-        _component(handle, f"popoviciu-{form}[{f.label};{suffix}]", xyz, f, reverse)
-        for form in ("three-point", "symmetrized")
-    ]
+    sign = "nonpos" if concave else "nonneg"
+    comps = [_component(g, f"{form}-{sign}", xyz) for form in ("second-diff", "symmetrized")]
     prop = f"popoviciu[{handle.label};f={f.label}]"
-    return _reduce_trials(handle, prop, [(cfg.scale, comps)], cfg, None, f, reverse)
+    return _reduce_trials(g, prop, [(cfg.scale, comps)], cfg, None)

@@ -48,6 +48,16 @@ _USAGE_ERRORS = (
     DomainError,
 )
 
+# --method -> (its certify function, the flag it needs, that flag's choices)
+_CERTIFY_METHODS = {
+    "hessian-sign": (certify_hessian_sign, "sign", ("nonpos", "nonneg")),
+    "topkis": (certify_topkis, "mode", ("submodular", "supermodular")),
+    "diff-monotone": (
+        certify_differential_monotone, "direction", ("nonincreasing", "nondecreasing")
+    ),
+}
+
+
 def _parse_param(text: str):
     if "=" not in text:
         raise ParameterError(f"--param expects key=value, got {text!r}")
@@ -110,12 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cert = sub.add_parser("certify", help="sampled sufficient-condition certificate")
     cert.add_argument("entry")
-    cert.add_argument(
-        "--method", required=True, choices=["hessian-sign", "topkis", "diff-monotone"]
-    )
-    cert.add_argument("--sign", choices=["nonpos", "nonneg"])
-    cert.add_argument("--mode", choices=["submodular", "supermodular"])
-    cert.add_argument("--direction", choices=["nonincreasing", "nondecreasing"])
+    cert.add_argument("--method", required=True, choices=list(_CERTIFY_METHODS))
+    for _, flag, choices in _CERTIFY_METHODS.values():
+        cert.add_argument(f"--{flag}", choices=choices)
     cert.add_argument("--points", type=int, default=200)
     _common(cert, with_property=False)
 
@@ -180,23 +187,11 @@ def _cmd_certify(args) -> int:
     lookup(args.entry)
     cfg = _config_from_args(args)
     params = _collect_params(args)
-    if args.method == "hessian-sign":
-        if not args.sign:
-            raise ParameterError("--method hessian-sign needs --sign nonpos|nonneg")
-        cert = certify_hessian_sign(args.entry, args.sign, args.points, cfg,
-                                    params=params, dim=args.dim)
-    elif args.method == "topkis":
-        if not args.mode:
-            raise ParameterError("--method topkis needs --mode submodular|supermodular")
-        cert = certify_topkis(args.entry, args.mode, args.points, cfg,
-                              params=params, dim=args.dim)
-    else:
-        if not args.direction:
-            raise ParameterError(
-                "--method diff-monotone needs --direction nonincreasing|nondecreasing"
-            )
-        cert = certify_differential_monotone(args.entry, args.direction, args.points, cfg,
-                                             params=params, dim=args.dim)
+    certify, flag, choices = _CERTIFY_METHODS[args.method]
+    value = getattr(args, flag)
+    if not value:
+        raise ParameterError(f"--method {args.method} needs --{flag} {'|'.join(choices)}")
+    cert = certify(args.entry, value, args.points, cfg, params=params, dim=args.dim)
     _output(cert, args)
     return EXIT_OK if cert.certified else EXIT_VIOLATION
 

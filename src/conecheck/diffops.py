@@ -3,9 +3,10 @@
 ``delta`` is the first difference ``f(x + z) - f(z)``; ``second_diff`` is
 the alternating four-term combination whose sign separates the strongly
 subadditive functions from the strongly superadditive ones; ``kth_diff``
-generalizes to order k via inclusion-exclusion.  These two are the one-row
-cases of the vectorized forms ``_second_diff`` and ``_completely_monotone``,
-which the randomized checks evaluate on every trial.
+generalizes to order k via inclusion-exclusion.  They are the one-row cases
+of the vectorized difference forms ``_first_diff``, ``_second_diff`` and
+``_completely_monotone``, which the randomized checks evaluate on every
+trial and the certificates use as their finite-difference stencils.
 """
 
 from __future__ import annotations
@@ -82,21 +83,6 @@ class FunctionHandle:
         return f"FunctionHandle({self.label!r} on {self.domain.family}({self.domain.dim}))"
 
 
-def _stack_eval(f: FunctionHandle, points: list[Point]) -> np.ndarray:
-    rows = np.stack([f._point_data(p) for p in points])
-    vals = f.batch(rows)
-    if not np.all(np.isfinite(vals)):
-        bad = points[int(np.flatnonzero(~np.isfinite(vals))[0])]
-        raise DomainError(f"{f.label!r} is undefined at {bad!r}")
-    return vals
-
-
-def delta(f: FunctionHandle, x: Point, z: Point) -> float:
-    """First difference ``f(x + z) - f(z)``."""
-    vals = _stack_eval(f, [x + z, z])
-    return float(vals[0] - vals[1])
-
-
 def _abs_max(*arrays: np.ndarray) -> np.ndarray:
     out = np.abs(arrays[0])
     for a in arrays[1:]:
@@ -104,9 +90,15 @@ def _abs_max(*arrays: np.ndarray) -> np.ndarray:
     return out
 
 
-# The checker forms of the two difference operators (see the form convention
-# in :mod:`.checkers`); ``second_diff`` and ``kth_diff`` are their one-row
-# cases.
+# The checker forms of the difference operators (see the form convention in
+# :mod:`.checkers`); ``delta``, ``second_diff`` and ``kth_diff`` are their
+# one-row cases.
+
+
+def _first_diff(handle, r):
+    """``f(U + step) - f(U)``, and the larger |f| of the two."""
+    vu, vv = handle.batch(r["U"]), handle.batch(r["U"] + r["step"])
+    return vv - vu, _abs_max(vu, vv)
 
 
 def _second_diff(handle, r):
@@ -134,19 +126,24 @@ def _completely_monotone(k: int, handle, r):
     return np.sum(vals[~odd], axis=0) - np.sum(vals[odd], axis=0), np.max(np.abs(vals), axis=0)
 
 
-def _one_row(f: FunctionHandle, form, points: dict) -> float:
-    """A form on the single row of the named points; a non-finite value
-    raises :class:`DomainError`."""
+def _one_row(f: FunctionHandle, form, points: dict) -> tuple[float, float]:
+    """``(slack, scale)`` of a form on the single row of the named points;
+    a non-finite value raises :class:`DomainError`."""
     slack, scale = form(f, {name: f._point_data(p)[None] for name, p in points.items()})
-    if not np.isfinite(scale[0]):
+    if not (np.isfinite(slack[0]) and np.isfinite(scale[0])):
         raise DomainError(f"{f.label!r} is undefined at one of {points!r}")
-    return float(slack[0])
+    return float(slack[0]), float(scale[0])
+
+
+def delta(f: FunctionHandle, x: Point, z: Point) -> float:
+    """First difference ``f(x + z) - f(z)``."""
+    return _one_row(f, _first_diff, {"U": z, "step": x})[0]
 
 
 def second_diff(f: FunctionHandle, x: Point, y: Point, z: Point) -> float:
     """``f(x+y+z) + f(z) - f(x+z) - f(y+z)``, grouped as (positives) -
     (negatives) to limit cancellation; exactly symmetric in x and y."""
-    return _one_row(f, _second_diff, {"x": x, "y": y, "z": z})
+    return _one_row(f, _second_diff, {"x": x, "y": y, "z": z})[0]
 
 
 def kth_diff(f: FunctionHandle, xs: list[Point], base: Point) -> float:
@@ -158,7 +155,7 @@ def kth_diff(f: FunctionHandle, xs: list[Point], base: Point) -> float:
     if k > MAX_DIFF_ORDER:
         raise CapabilityError(f"difference order {k} exceeds the cap {MAX_DIFF_ORDER}")
     points = {"base": base, **{f"x{i + 1}": x for i, x in enumerate(xs)}}
-    slack = _one_row(f, partial(_completely_monotone, k), points)
+    slack, _ = _one_row(f, partial(_completely_monotone, k), points)
     return -slack if k % 2 else slack
 
 
@@ -176,3 +173,16 @@ def shift_and_center(f: FunctionHandle, t: Point) -> FunctionHandle:
         return f.batch(rows + t_data) - f_t
 
     return FunctionHandle(f"{f.label}|shifted-centered", f.domain, batch)
+
+
+def compose(f, handle: FunctionHandle) -> FunctionHandle:
+    """``x -> f(handle(x))`` for a :class:`~.numkernel.ScalarFunction` f: NaN
+    where the handle's value leaves f's interval.  It keeps the handle's
+    label and domain, so its errors name the handle."""
+
+    def batch(rows: np.ndarray) -> np.ndarray:
+        v = handle.batch(rows)
+        inside = (v >= f.lo) & (v <= f.hi)
+        return np.where(inside, f.fn(np.clip(v, f.lo, f.hi)), np.nan)
+
+    return FunctionHandle(handle.label, handle.domain, batch)

@@ -219,11 +219,9 @@ def criterion_5(seed: int) -> CriterionResult:
     rep = check("logdet", "second-diff-nonneg", CheckConfig(trials=1000, seed=seed), dim=3)
     checks.append(_from_report("logdet second-diff-nonneg (as stated)", rep))
 
-    # pair i draws its two Gaussian factors as draws 2i and 2i + 1 of the stream
-    n = 4
-    g = Rng(seed, 400).generator.normal(size=(1000, 2, n, n))
-    a = g[:, 0] @ g[:, 0].transpose(0, 2, 1) / n
-    b = a + g[:, 1] @ g[:, 1].transpose(0, 2, 1) / n
+    cone = cones.psd_cone(4)
+    a = cones.sample_batch(cone, Rng(seed, 400), 1000)
+    b = a + cones.sample_batch(cone, Rng(seed, 401), 1000)
     bad = np.flatnonzero(~np.all(np.linalg.eigvalsh(a) <= np.linalg.eigvalsh(b) + 1e-9, axis=1))
     failing_pair = (a[bad[0]].tolist(), b[bad[0]].tolist()) if bad.size else None
     checks.append(

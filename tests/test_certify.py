@@ -28,7 +28,7 @@ from conecheck.certify import (
 )
 from conecheck.checkers import CheckConfig, check
 from conecheck.cones import Point, Rng, nonneg_orthant, psd_cone
-from conecheck.diffops import FunctionHandle, shift_and_center
+from conecheck.diffops import FunctionHandle, delta, second_diff, shift_and_center
 from conecheck.errors import CapabilityError, CertificateError, NumericFailure
 
 
@@ -304,6 +304,7 @@ def test_certificate_verdict_is_derived_from_the_refusal_witness():
     assert [c.certified for c in certs] == [True, False, False]
     # half-sq-plus-cos is 1 at the origin, the wrong sign for superadditivity
     assert certs[1].refusal_witness["reason"] == "origin sign condition"
+    assert certs[1].refusal_witness["value"] == 1.0
     for cert in certs:
         unrefused = cert.refusal_witness is None
         assert cert.certified == unrefused
@@ -352,3 +353,24 @@ def test_hessian_sign_scan_matches_the_plain_scan(entry_id, method, mode, index)
     assert rw["index"] == [i, j] == index
     assert rw["value"] == hess[k, i, j]
     np.testing.assert_array_equal(rw["point"].data, pts[k])
+
+
+def test_certificate_stencils_are_the_difference_forms():
+    """Hessian entries and directional derivatives are one-row difference
+    forms scaled by the step, bit for bit."""
+    h = conecheck.instantiate("lse", dim=3)
+    pts = certify._interior_batch(h.domain, Rng(5, 1), 4, 1.0)
+    w = certify._interior_batch(h.domain, Rng(5, 2), 4, 1.0)
+    hess = certify._batched_hessians(h, pts)
+    deriv = certify._directional_derivatives(h, pts, w)
+    vec = lambda a: Point(cones.VECTOR, a, _validated=True)  # noqa: E731
+    for k, p in enumerate(pts):
+        step = 1e-4 * max(1.0, np.abs(p).max())
+        for i in range(3):
+            for j in range(3):
+                ei, ej = step * np.eye(3)[i], step * np.eye(3)[j]
+                sd = second_diff(h, vec(2.0 * ei), vec(2.0 * ej), vec(p - ei - ej))
+                assert hess[k, i, j] == sd / (4.0 * step * step)
+        step = 1e-5 * max(1.0, np.abs(p).max())
+        d = delta(h, vec(2.0 * (step * w[k])), vec(p - step * w[k]))
+        assert deriv[k] == d / (2.0 * step)

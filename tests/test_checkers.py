@@ -23,7 +23,7 @@ from conecheck.checkers import (
     tomic_weyl,
 )
 from conecheck.cones import Point, Rng, nonneg_orthant
-from conecheck.diffops import FunctionHandle
+from conecheck.diffops import FunctionHandle, compose
 from conecheck.errors import CapabilityError, NumericFailure, PreconditionError
 from conecheck.numkernel import (
     ScalarFunction,
@@ -39,6 +39,12 @@ def _cfg(**kw):
     kw.setdefault("trials", 2000)
     kw.setdefault("seed", 0)
     return CheckConfig(**kw)
+
+
+# monotone, nonnegative and strongly subadditive, so the three-point
+# inequality for f composed with it fails
+SQRT_SUM = FunctionHandle("sqrt-sum", nonneg_orthant(2), lambda r: np.sqrt(r.sum(axis=1)))
+NEG_FN = ScalarFunction("neg", lambda t: -t, nondecreasing=False, convex=False)
 
 
 def _assert_sound(target, report):
@@ -422,7 +428,27 @@ def test_popoviciu_reversed_for_nonincreasing_concave():
     )
     rep = check_popoviciu("det", neg_sq, _cfg(trials=500), dim=2)
     assert not rep.found_violation
-    assert "reversed" in rep.witness.expression if rep.witness else True
+    assert rep.witness.expression.endswith("-nonpos") if rep.witness else True
+
+
+@pytest.mark.parametrize("f,sign", [(identity_fn, "nonneg"), (power_fn(1.5), "nonneg"),
+                                    (NEG_FN, "nonpos")])
+def test_popoviciu_witness_reevaluates_on_the_composed_handle(f, sign):
+    rep = check_popoviciu(SQRT_SUM, f, CheckConfig(trials=1000, seed=0))
+    assert rep.verdict == "VIOLATION_FOUND"
+    w = rep.witness
+    assert w.expression in (f"second-diff-{sign}", f"symmetrized-{sign}")
+    assert all(cones.member(SQRT_SUM.domain, pt) for pt in w.points.values())
+    assert reevaluate_witness(compose(f, SQRT_SUM), w) == w.margin == rep.worst_margin
+
+
+def test_compose_keeps_the_handle_label_and_leaves_the_interval_as_nan():
+    sqrt_fn = ScalarFunction("sqrt", np.sqrt, lo=0.0)
+    line = FunctionHandle("line", cones.full_space(1), lambda r: r[:, 0])
+    g = compose(sqrt_fn, line)
+    assert (g.label, g.domain) == ("line", line.domain)
+    out = g.batch(np.array([[4.0], [-1.0]]))
+    assert out[0] == 2.0 and np.isnan(out[1])
 
 
 def test_config_validation():
@@ -492,6 +518,7 @@ def test_report_biconditional_invariant():
         check("lse", "submodular", _cfg(trials=500), dim=3),
         check("reciprocal", "strong-subadd", _cfg(trials=1000)),
         refute("half-sq-plus-cos", "superadd", _cfg(trials=600)),
+        check_popoviciu(SQRT_SUM, identity_fn, _cfg(trials=1000)),
         check("exp-neg-linear", "completely-monotone", _cfg(trials=200)),
         check_chebyshev([1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [0.2, 0.3, 0.5]),
         tomic_weyl(majorized, exp_fn, "a-nonincreasing"),

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from conecheck.cli import main
 
 
@@ -106,6 +108,17 @@ def test_certify_commands(capsys):
     code, out, _ = _run(capsys, "certify", "lse", "--method", "topkis",
                         "--mode", "submodular", "--points", "50")
     assert code == 0
+
+
+@pytest.mark.parametrize("method,needs", [
+    ("hessian-sign", "--sign nonpos|nonneg"),
+    ("topkis", "--mode submodular|supermodular"),
+    ("diff-monotone", "--direction nonincreasing|nondecreasing"),
+])
+def test_certify_names_the_missing_flag(capsys, method, needs):
+    code, out, err = _run(capsys, "certify", "lse", "--method", method)
+    assert (code, out) == (2, "")
+    assert err == f"error: --method {method} needs {needs}\n"
 
 
 def test_config_file_defaults(tmp_path, capsys):

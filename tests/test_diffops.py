@@ -123,12 +123,14 @@ def test_kth_diff_order_cap():
 @pytest.mark.parametrize("entry_id,dim", [("exp-neg-linear", 3), ("det-recip-pow", 2)])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_library_operators_are_one_row_check_forms(entry_id, dim, k):
-    """second_diff and kth_diff are the one-row cases of the forms the checks
-    evaluate, bit for bit."""
+    """delta, second_diff and kth_diff are the one-row cases of the forms the
+    checks evaluate, bit for bit."""
     h = catalog.instantiate(entry_id, dim=dim)
     rows = sample_batch(h.domain, Rng(21, k), k + 1, 1.0, boundary_prob=0.0)
     pts = [Point(h.domain.point_kind, r) for r in rows]
     xyz = {"x": pts[0], "y": pts[-1], "z": pts[1 % (k + 1)]}
+    slack, _ = evaluate_expression(h, "nondecreasing", {"U": xyz["z"], "step": xyz["x"]})
+    assert delta(h, xyz["x"], xyz["z"]) == slack
     slack, _ = evaluate_expression(h, "second-diff-nonneg", xyz)
     assert second_diff(h, xyz["x"], xyz["y"], xyz["z"]) == slack
     steps = {f"x{i + 1}": x for i, x in enumerate(pts[1:])}
