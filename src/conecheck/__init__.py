@@ -17,7 +17,6 @@ from .certify import (
     certify_topkis,
     gaussian_detcert_check,
     laplace_as_handle,
-    laplace_eval,
 )
 from .checkers import (
     CheckConfig,

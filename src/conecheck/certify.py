@@ -111,7 +111,7 @@ def _origin_refusal(handle: FunctionHandle, want_nonneg: bool, cfg: CheckConfig)
             handle, "origin-nonneg" if want_nonneg else "origin-nonpos", {"zero": zero})
     except DomainError:
         return None
-    if slack >= -(cfg.tol_abs + cfg.tol_rel * scale):
+    if slack >= -cfg.tolerance(scale):
         return None
     # the origin forms' slack is f(0) or -f(0)
     value = slack if want_nonneg else -slack
@@ -354,14 +354,6 @@ class LaplaceCertificate:
         return [[w, u.to_json()] for w, u in self.atoms]
 
 
-def laplace_eval(cert: LaplaceCertificate, x: Point) -> float:
-    """``sum_i w_i exp(-<x, u_i>)`` with the kind-appropriate pairing."""
-    total = 0.0
-    for w, u in cert.atoms:
-        total += w * float(np.exp(-x.inner(u)))
-    return total
-
-
 def laplace_as_handle(cert: LaplaceCertificate, cone: ConeSpec) -> FunctionHandle:
     """Function handle for the certified mixture; validates the atoms
     against the cone's dual first."""
@@ -518,4 +510,4 @@ def check_det_trace_monotone(n: int, cfg: CheckConfig | None = None) -> CheckRep
         "step": cones.sample_batch(cone, Rng(cfg.seed, _STREAM_V), cfg.trials, cfg.scale, 0.0),
     }
     comp = _component(handle, "nondecreasing", roles)
-    return _reduce_trials(handle, "det-trace-inverse-monotone", [(cfg.scale, [comp])], cfg, None)
+    return _reduce_trials(handle, "det-trace-inverse-monotone", [(cfg.scale, [comp])], cfg)

@@ -8,8 +8,8 @@ inequality, so certified verdicts live in :mod:`conecheck.certify`.  The
 verdict is derived from the report's witness, so the two cannot disagree.
 
 Slack convention: every inequality is normalized to ``slack >= 0``; a trial
-is a violation iff ``slack < -(tol_abs + tol_rel * s)`` where ``s`` is the
-largest absolute function value involved in that trial.
+is a violation iff ``slack < -cfg.tolerance(s)`` where ``s`` is the largest
+absolute function value involved in that trial.
 
 Determinism: all draws derive from Philox streams keyed by
 ``(config.seed, fixed stream ids)``, so identical configurations produce
@@ -90,6 +90,11 @@ class CheckConfig:
             raise ParameterError(f"order_cap must lie in 1..{MAX_DIFF_ORDER}")
         if not 0.0 <= self.boundary_prob < 1.0:
             raise ParameterError("boundary_prob must lie in [0, 1)")
+
+    def tolerance(self, s):
+        """The violation threshold at value scale ``s``: a slack below
+        ``-tolerance(s)`` is a violation."""
+        return self.tol_abs + self.tol_rel * s
 
     def to_json(self) -> dict:
         return {
@@ -181,6 +186,13 @@ def _signed_second_diff(sign: float, handle, r):
     return sign * sd, scale
 
 
+def _comonotone(sign: float, handle, r):
+    """The signed second difference where ``(x, y)`` is comonotone, NaN
+    elsewhere: the hypothesis is part of the form."""
+    sd, scale = _signed_second_diff(sign, handle, r)
+    return np.where(cones.comonotonic_batch(r["x"], r["y"]), sd, np.nan), scale
+
+
 def _additivity(sign: float, handle, r):
     vx, vy, vxy = handle.batch(r["x"]), handle.batch(r["y"]), handle.batch(r["x"] + r["y"])
     return sign * (vx + vy - vxy), _abs_max(vx, vy, vxy)
@@ -242,7 +254,7 @@ _FORMS = {
     "superadd": (_additivity, -1.0),
     "second-diff-nonpos": (_signed_second_diff, -1.0),
     "second-diff-nonneg": (_signed_second_diff, 1.0),
-    "comonotone-strong-superadd": (_signed_second_diff, 1.0),
+    "comonotone-strong-superadd": (_comonotone, 1.0),
     "submodular": (_modular, 1.0),
     "supermodular": (_modular, -1.0),
     "origin-nonneg": (_origin, 1.0),
@@ -344,11 +356,12 @@ def _shrink(handle, expression: str, points: dict, margin: float, scale: float):
     """Greedy on-cone reduction of a witness, one batched form call per sweep.
 
     A sweep builds every candidate of :func:`_shrink_candidates`, drops those
-    whose changed point leaves the cone (or, for comonotone witnesses, breaks
-    the comonotone pair), evaluates the rest with one form call, and accepts
-    the first whose slack is finite and at most the ceiling.  The ceiling is
-    the found margin plus a one-ulp-scale wobble, so flat directions still
-    collapse toward the origin but shrinking never weakens the violation.
+    whose changed point leaves the cone, evaluates the rest with one form
+    call, and accepts the first whose slack is finite and at most the
+    ceiling; a form is NaN where its own hypothesis, such as a comonotone
+    pair, fails.  The ceiling is the found margin plus a one-ulp-scale
+    wobble, so flat directions still collapse toward the origin but
+    shrinking never weakens the violation.
     No coordinate goes below the open orthant's sampling floor at ``scale``,
     so a violation that grows without bound near the boundary cannot spend
     the step budget on the float range.  Capped at 200 accepted steps.
@@ -372,11 +385,7 @@ def _shrink(handle, expression: str, points: dict, margin: float, scale: float):
         for k, name in enumerate(names):
             roles[name] = np.repeat(current[name][None], owner.size, axis=0)
             roles[name][owner == k] = changed[owner == k]
-        keep = cones.member_batch(cone, changed)
-        if expression == "comonotone-strong-superadd":
-            keep &= np.array([cones.comonotonic(x, y) for x, y in zip(roles["x"], roles["y"])],
-                             dtype=bool)
-        rows = np.flatnonzero(keep)
+        rows = np.flatnonzero(cones.member_batch(cone, changed))
         if rows.size == 0:
             break
         slack, s = form(handle, {name: arr[rows] for name, arr in roles.items()})
@@ -438,7 +447,7 @@ def _fold_block(comps: list[_Component], cfg: CheckConfig, cone: ConeSpec, scale
     for c in comps:
         sl = np.where(finite, c.slack, np.inf)
         worst = min(worst, float(sl.min()))
-        viol = sl < -(cfg.tol_abs + cfg.tol_rel * c.scale)
+        viol = sl < -cfg.tolerance(c.scale)
         if viol.any():
             idx = int(np.argmin(np.where(viol, sl, np.inf)))
             if best is None or sl[idx] < best[0]:
@@ -448,37 +457,21 @@ def _fold_block(comps: list[_Component], cfg: CheckConfig, cone: ConeSpec, scale
     return finite.size, int(finite.size - finite.sum()), worst, best
 
 
-def _reduce_trials(
-    handle: FunctionHandle,
-    prop_name: str,
-    blocks,
-    cfg: CheckConfig,
-    origin_expr: str | None,
-) -> CheckReport:
+def _reduce_trials(handle: FunctionHandle, prop_name: str, blocks, cfg: CheckConfig) -> CheckReport:
     """Shared tail of every randomized check: thresholds, skip accounting,
     witness extraction, shrinking, report assembly.
 
-    ``blocks`` yields ``(sampling scale, components)``; a plain check is one
-    block, ``refute`` one per rung of :data:`SCALE_LADDER`.  After the
-    origin, blocks fold one at a time into one skip count, one worst margin
-    and one best candidate, which keeps its block's scale for the shrinking
-    floor.  One skip budget covers all trials.
+    ``blocks`` yields ``(sampling scale, components)``; a check of a property
+    label starts with the one-row origin block when the cone holds the
+    origin, then has one sampled block for ``check`` or one per rung of
+    :data:`SCALE_LADDER` for ``refute``.  Blocks fold one at a time into one
+    skip count, one worst margin and one best candidate, which keeps its
+    block's scale for the shrinking floor.  One skip budget covers all
+    trials.
     """
     cone = handle.domain
     skipped, total, worst = 0, 0, np.inf
     best = None  # (slack, expression, witness points, sampling scale)
-    if origin_expr is not None:
-        total = 1
-        zero = {"zero": cone.zero()}
-        try:
-            origin_slack, origin_scale = evaluate_expression(handle, origin_expr, zero)
-        except DomainError:
-            skipped = 1
-        else:
-            worst = origin_slack
-            if origin_slack < -(cfg.tol_abs + cfg.tol_rel * origin_scale):
-                best = (origin_slack, origin_expr, zero, cfg.scale)
-
     for scale, comps in blocks:
         count, block_skipped, worst, best = _fold_block(comps, cfg, cone, scale, worst, best)
         del comps  # free this block before the next one is drawn
@@ -542,9 +535,11 @@ def _label_block(handle, prop: PropertyLabel, forms, cfg: CheckConfig, base: int
 
 
 def _check_label(target, property, cfg: CheckConfig, params, dim, rungs) -> CheckReport:
-    """The trial path of :func:`check` and :func:`refute`: ``rungs(t)``
-    splits the ``t`` sampled trials into ``(config, stream base, count)``
-    blocks, each drawn and reduced in turn."""
+    """The trial path of :func:`check` and :func:`refute`: the origin sign
+    condition as a one-row block at ``cfg.scale`` when the cone holds the
+    origin, then ``rungs(t)`` splits the ``t`` sampled trials into
+    ``(config, stream base, count)`` blocks, each drawn and reduced in
+    turn."""
     handle = resolve_handle(target, params, dim)
     prop = PropertyLabel(property)
     cone = handle.domain
@@ -558,9 +553,14 @@ def _check_label(target, property, cfg: CheckConfig, params, dim, rungs) -> Chec
     if prop == PropertyLabel.COMONOTONE_STRONG_SUPERADD and cone.point_kind != VECTOR:
         raise CapabilityError("comonotone checks need a vector-kind cone")
     t = max(cfg.trials - (1 if origin else 0), 1)
-    blocks = ((sub.scale, _label_block(handle, prop, forms, sub, base, count))
-              for sub, base, count in rungs(t))
-    return _reduce_trials(handle, prop.value, blocks, cfg, origin)
+
+    def blocks():
+        if origin:
+            yield cfg.scale, [_component(handle, origin, {"zero": cone.zero().data[None]})]
+        for sub, base, count in rungs(t):
+            yield sub.scale, _label_block(handle, prop, forms, sub, base, count)
+
+    return _reduce_trials(handle, prop.value, blocks(), cfg)
 
 
 def check(
@@ -612,7 +612,8 @@ def check_alpha_strong(target, alpha: float, cfg: CheckConfig | None = None) -> 
         raise ParameterError("alpha must be positive")
     handle = resolve_handle(target)
     _require_scalar_domain(handle)
-    return _check_xyz(handle, f"alpha-strong[alpha={alpha!r}]", cfg or CheckConfig())
+    expression = f"alpha-strong[alpha={alpha!r}]"
+    return _check_xyz(handle, expression, [expression], cfg or CheckConfig())
 
 
 def check_lipschitz_box(target, lip: float, cfg: CheckConfig | None = None) -> CheckReport:
@@ -622,29 +623,31 @@ def check_lipschitz_box(target, lip: float, cfg: CheckConfig | None = None) -> C
         raise ParameterError("L must be positive")
     handle = resolve_handle(target)
     _require_scalar_domain(handle)
-    return _check_xyz(handle, f"lipschitz-box[L={lip!r}]", cfg or CheckConfig())
+    expression = f"lipschitz-box[L={lip!r}]"
+    return _check_xyz(handle, expression, [expression], cfg or CheckConfig())
 
 
-def _check_xyz(handle: FunctionHandle, expression: str, cfg: CheckConfig) -> CheckReport:
-    comp = _component(handle, expression, _draw_xyz(handle.domain, cfg, 0, cfg.trials))
-    return _reduce_trials(handle, expression, [(cfg.scale, [comp])], cfg, None)
+def _check_xyz(handle: FunctionHandle, prop: str, expressions, cfg: CheckConfig) -> CheckReport:
+    """A single-block check: x, y and z drawn once for ``cfg.trials`` trials,
+    one component per expression."""
+    xyz = _draw_xyz(handle.domain, cfg, 0, cfg.trials)
+    comps = [_component(handle, e, xyz) for e in expressions]
+    return _reduce_trials(handle, prop, [(cfg.scale, comps)], cfg)
 
 
 def check_remark_double_inequality(cfg: CheckConfig | None = None) -> CheckReport:
     """``exp(xy) >= (1+z)(1+x+y+z) / ((1+x+z)(1+y+z)) >= exp(-xy)`` on
     nonnegative triples, tested in the log domain."""
-    cfg = cfg or CheckConfig()
-    xyz = _draw_xyz(_LOG1P.domain, cfg, 0, cfg.trials)
-    comps = [_component(_LOG1P, e, xyz) for e in ("double-bound-upper", "double-bound-lower")]
-    return _reduce_trials(_LOG1P, "exp-poly-double-bound", [(cfg.scale, comps)], cfg, None)
+    return _check_xyz(_LOG1P, "exp-poly-double-bound", ("double-bound-upper", "double-bound-lower"),
+                      cfg or CheckConfig())
 
 
 def _one_trial(prop: str, vectors: dict, margin: float, s: float, cfg: CheckConfig) -> CheckReport:
     """Report of a single deterministic trial: a violation, with the named
     vectors as its witness, when ``margin`` is not at least
-    ``-(tol_abs + tol_rel * s)``."""
+    ``-cfg.tolerance(s)`` (a NaN margin is one)."""
     witness = None
-    if not margin >= -(cfg.tol_abs + cfg.tol_rel * s):
+    if not margin >= -cfg.tolerance(s):
         points = {name: Point.vector(v) for name, v in vectors.items()}
         witness = Witness(points=points, margin=margin, expression=prop)
     return CheckReport(
@@ -782,7 +785,7 @@ def check_popoviciu(
     v = cones.sample_batch(cone, Rng(cfg.seed, _STREAM_SPOT_V), spot, cfg.scale, 0.0)
     fu, fuv = handle.batch(u), handle.batch(u + v)
     ok = np.isfinite(fu) & np.isfinite(fuv)
-    thr = cfg.tol_abs + cfg.tol_rel * np.maximum(np.abs(fu), np.abs(fuv))
+    thr = cfg.tolerance(np.maximum(np.abs(fu), np.abs(fuv)))
     bad = ok & ((fu > fuv + thr) | (fu < -thr))
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -793,9 +796,6 @@ def check_popoviciu(
     lo_f, hi_f = float(np.nanmin(fu)), float(np.nanmax(fuv))
     _spot_check_shape(f, lo_f, hi_f, nondecreasing=not concave, convex=not concave)
 
-    g = compose(f, handle)
-    xyz = _draw_xyz(cone, cfg, 0, cfg.trials)
     sign = "nonpos" if concave else "nonneg"
-    comps = [_component(g, f"{form}-{sign}", xyz) for form in ("second-diff", "symmetrized")]
-    prop = f"popoviciu[{handle.label};f={f.label}]"
-    return _reduce_trials(g, prop, [(cfg.scale, comps)], cfg, None)
+    return _check_xyz(compose(f, handle), f"popoviciu[{handle.label};f={f.label}]",
+                      [f"{form}-{sign}" for form in ("second-diff", "symmetrized")], cfg)

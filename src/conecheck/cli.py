@@ -22,31 +22,13 @@ from .certify import (
     certify_topkis,
 )
 from .checkers import CheckConfig, check, refute
-from .errors import (
-    CapabilityError,
-    ConeCheckError,
-    DomainError,
-    NumericFailure,
-    ParameterError,
-    PreconditionError,
-    ShapeError,
-    UnknownEntryError,
-)
+from .errors import ConeCheckError, NumericFailure, ParameterError
 from .suite import build_manifest, manifest_bytes
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-_USAGE_ERRORS = (
-    ParameterError,
-    UnknownEntryError,
-    CapabilityError,
-    ShapeError,
-    PreconditionError,
-    DomainError,
-)
 
 # --method -> (its certify function, the flag it needs, that flag's choices)
 _CERTIFY_METHODS = {
@@ -237,16 +219,10 @@ def main(argv=None) -> int:
         if args.command == "suite":
             return _cmd_suite(args)
         parser.error(f"unknown command {args.command!r}")
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ConeCheckError as exc:  # anything else from the package
+    except (ConeCheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

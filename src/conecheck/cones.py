@@ -333,15 +333,26 @@ def meet_join(cone: ConeSpec, x: Point, y: Point) -> tuple[Point, Point]:
     return lo, hi
 
 
+def comonotonic_batch(u: np.ndarray, v: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """Row-wise comonotonicity of stacked vector pairs ``(R, n)``: R booleans,
+    each true iff ``(u_i - u_j) * (v_i - v_j) >= -tol`` for every index pair
+    of its row.  Memory is O(R n), one index i at a time."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape or u.ndim != 2:
+        raise ShapeError("comonotonicity needs two vectors of equal length")
+    out = np.ones(u.shape[0], dtype=bool)
+    for i in range(u.shape[1]):
+        out &= np.all((u[:, i, None] - u) * (v[:, i, None] - v) >= -tol, axis=1)
+    return out
+
+
 def comonotonic(u, v, tol: float = 0.0) -> bool:
-    """True iff ``(u_i - u_j) * (v_i - v_j) >= -tol`` for every index pair."""
+    """Whether two vectors are comonotone within tolerance: the one-row case
+    of :func:`comonotonic_batch`."""
     ua = u.data if isinstance(u, Point) else np.asarray(u, dtype=np.float64)
     va = v.data if isinstance(v, Point) else np.asarray(v, dtype=np.float64)
-    if ua.shape != va.shape or ua.ndim != 1:
-        raise ShapeError("comonotonicity needs two vectors of equal length")
-    du = ua[:, None] - ua[None, :]
-    dv = va[:, None] - va[None, :]
-    return bool(np.all(du * dv >= -tol))
+    return bool(comonotonic_batch(ua[None], va[None], tol)[0])
 
 
 @dataclass(frozen=True)

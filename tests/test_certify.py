@@ -24,7 +24,6 @@ from conecheck.certify import (
     gaussian_detcert_check,
     gaussian_representation_margin,
     laplace_as_handle,
-    laplace_eval,
 )
 from conecheck.checkers import CheckConfig, check
 from conecheck.cones import Point, Rng, nonneg_orthant, psd_cone
@@ -115,7 +114,6 @@ def test_laplace_single_atom_matches_exponential():
     handle = laplace_as_handle(cert, nonneg_orthant(1))
     for x in (0.0, 0.5, 3.0):
         assert handle(Point.vector([x])) == pytest.approx(math.exp(-2.0 * x), rel=1e-14)
-        assert laplace_eval(cert, Point.vector([x])) == pytest.approx(math.exp(-2.0 * x))
 
 
 def test_laplace_psd_atom_uses_trace_pairing():

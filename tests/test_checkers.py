@@ -12,6 +12,7 @@ from conecheck.certify import check_det_trace_monotone, gaussian_detcert_check
 from conecheck.checkers import (
     CheckConfig,
     MajorizationPair,
+    Witness,
     check,
     check_alpha_strong,
     check_chebyshev,
@@ -24,7 +25,7 @@ from conecheck.checkers import (
 )
 from conecheck.cones import Point, Rng, nonneg_orthant
 from conecheck.diffops import FunctionHandle, compose
-from conecheck.errors import CapabilityError, NumericFailure, PreconditionError
+from conecheck.errors import CapabilityError, DomainError, NumericFailure, PreconditionError
 from conecheck.numkernel import (
     ScalarFunction,
     exp_fn,
@@ -308,17 +309,17 @@ def test_refute_evaluates_the_origin_once_and_shrinks_one_witness(monkeypatch):
     """Every rung of the ladder finds a violation here, and the one report
     still costs one origin evaluation and one shrink."""
     shrinks, origins, rung_lows = [], [], []
-    shrink, evaluate, label_block = (
-        checkers._shrink, checkers.evaluate_expression, checkers._label_block)
+    shrink, component, label_block = (
+        checkers._shrink, checkers._component, checkers._label_block)
 
     def counted_shrink(*args, **kwargs):
         shrinks.append(args[1])
         return shrink(*args, **kwargs)
 
-    def counted_evaluate(handle, expression, *args, **kwargs):
-        if expression.startswith("origin"):
+    def counted_component(handle, expression, *args, **kwargs):
+        if expression.startswith("origin-"):
             origins.append(expression)
-        return evaluate(handle, expression, *args, **kwargs)
+        return component(handle, expression, *args, **kwargs)
 
     def recorded_block(*args):
         comps = label_block(*args)
@@ -326,7 +327,7 @@ def test_refute_evaluates_the_origin_once_and_shrinks_one_witness(monkeypatch):
         return comps
 
     monkeypatch.setattr(checkers, "_shrink", counted_shrink)
-    monkeypatch.setattr(checkers, "evaluate_expression", counted_evaluate)
+    monkeypatch.setattr(checkers, "_component", counted_component)
     monkeypatch.setattr(checkers, "_label_block", recorded_block)
     cfg = _cfg(trials=1000)
     rep = refute("geomean2", "strong-subadd", cfg)
@@ -501,6 +502,33 @@ def test_comonotone_violation_is_sound():
     assert rep.found_violation
     assert rep.witness.expression in ("comonotone-strong-superadd", "origin-nonpos")
     _assert_sound(neg_lse, rep)
+
+
+def test_comonotone_witness_outside_its_hypothesis_is_refused():
+    """The comonotone form is NaN where (x, y) is not comonotone, so
+    re-evaluating such a witness raises instead of giving a margin."""
+    handle = catalog.instantiate("lse", dim=2)
+    points = {"x": Point.vector([1.0, 0.0]), "y": Point.vector([0.0, 1.0]),
+              "z": Point.vector([0.0, 0.0])}
+    assert checkers.evaluate_expression(handle, "second-diff-nonneg", points)[0] < 0
+    witness = Witness(points=points, margin=-1.0, expression="comonotone-strong-superadd")
+    with pytest.raises(DomainError):
+        reevaluate_witness(handle, witness)
+
+
+@pytest.mark.parametrize("cone", [nonneg_orthant(2), cones.psd_cone(2)])
+@pytest.mark.parametrize("run", [check, refute])
+def test_origin_folds_first_and_wins_ties(run, cone):
+    """f = 1 violates the origin sign condition and superadditivity by the
+    same -1.0 on every trial; the origin block comes first, so its witness
+    is the one reported."""
+    handle = FunctionHandle("one", cone, lambda rows: np.ones(rows.shape[0]))
+    rep = run(handle, "strong-superadd", _cfg(trials=300))
+    assert rep.witness.expression == "origin-nonpos"
+    assert list(rep.witness.points) == ["zero"]
+    assert rep.witness.points["zero"] == cone.zero()
+    assert rep.witness.margin == -1.0 == rep.worst_margin
+    assert reevaluate_witness(handle, rep.witness) == -1.0
 
 
 def test_report_biconditional_invariant():

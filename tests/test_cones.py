@@ -118,9 +118,35 @@ def test_lattice_identity_exact(xs, ys):
 
 
 def test_comonotonic_examples():
-    assert cones.comonotonic([1, 2, 3], [0, 0, 5])
-    assert not cones.comonotonic([1, 2], [2, 1])
-    assert cones.comonotonic([4, 4, 4], [3, -1, 7])
+    pairs = [([1, 2, 3], [0, 0, 5]), ([1, 2], [2, 1]), ([4, 4, 4], [3, -1, 7])]
+    assert [cones.comonotonic(u, v) for u, v in pairs] == [True, False, True]
+    for u, v in pairs:
+        assert cones.comonotonic_batch(np.array([u]), np.array([v])).tolist() == [
+            cones.comonotonic(u, v)]
+    with pytest.raises(ShapeError):
+        cones.comonotonic([1, 2], [1, 2, 3])
+    with pytest.raises(ShapeError):
+        cones.comonotonic_batch(np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.5])
+def test_comonotonic_batch_agrees_with_comonotonic_row_by_row(tol):
+    """Shared-sort pairs, independent pairs, ties and a NaN row, at zero and
+    positive tolerance; the reference is the all-pairs product matrix."""
+    g = np.random.default_rng(3)
+    u = np.round(g.normal(size=(200, 4)), 1)
+    v = np.round(g.normal(size=(200, 4)), 1)
+    perm = np.argsort(g.random(size=(100, 4)), axis=1)
+    u[:100] = np.take_along_axis(np.sort(u[:100], axis=1), perm, axis=1)
+    v[:100] = np.take_along_axis(np.sort(v[:100], axis=1), perm, axis=1)
+    u[150, 2] = np.nan
+    got = cones.comonotonic_batch(u, v, tol)
+    assert got.shape == (200,) and got[:100].all() and not got[150]
+    assert got.tolist() == [cones.comonotonic(a, b, tol) for a, b in zip(u, v)]
+    assert got.tolist() == [
+        bool(np.all((a[:, None] - a[None, :]) * (b[:, None] - b[None, :]) >= -tol))
+        for a, b in zip(u, v)]
+    assert 0 < got[100:].sum() < 100
 
 
 @given(
@@ -133,6 +159,7 @@ def test_shared_sort_produces_comonotone_pairs(u, v):
     us, vs = np.sort(np.asarray(u[:n])), np.sort(np.asarray(v[:n]))
     perm = np.random.default_rng(0).permutation(n)
     assert cones.comonotonic(us[perm], vs[perm])
+    assert cones.comonotonic_batch(us[perm][None], vs[perm][None]).tolist() == [True]
 
 
 @pytest.mark.parametrize(
