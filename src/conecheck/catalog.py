@@ -397,12 +397,7 @@ def _make_det(p: dict, n: int) -> FunctionHandle:
 
 
 def _default_pencil_matrices(count: int, order: int) -> np.ndarray:
-    g = Rng(0xC0DE, 7).generator
-    mats = np.empty((count, order, order))
-    for i in range(count):
-        m = g.normal(size=(order, order))
-        mats[i] = m @ m.T / order + 0.5 * np.eye(order)
-    return mats
+    return cones.sample_batch(cones.psd_cone(order), Rng(0xC0DE, 7), count) + 0.5 * np.eye(order)
 
 
 def _make_logdet_pencil(p: dict, n: int) -> FunctionHandle:
@@ -761,7 +756,11 @@ def instantiate(
         raise _param_error(entry.id, f"dimension must be positive, got {dim}")
     if entry.fixed_dim and n != entry.default_dim:
         raise _param_error(entry.id, f"dimension is fixed at {entry.default_dim}")
-    return entry._factory(merged, n)
+    try:
+        return entry._factory(merged, n)
+    except (TypeError, ValueError) as exc:
+        # a value of the wrong type, such as a string from the command line
+        raise _param_error(entry.id, f"parameter of the wrong type: {exc}") from exc
 
 
 def resolve_handle(target, params: dict | None = None, dim: int | None = None) -> FunctionHandle:

@@ -458,19 +458,17 @@ def gaussian_representation_margin(a: np.ndarray) -> tuple:
 def gaussian_detcert_check(n: int, cfg: CheckConfig | None = None) -> CheckReport:
     """Quasi-Monte-Carlo validation of the square-root reciprocal
     determinant representation on random PSD matrices with operator norm at
-    most 2; relative tolerance 1e-3 with 10^6 fixed nodes.  All matrices are
-    drawn first, then checked in one quadrature call."""
+    most 2; relative tolerance 1e-3 with 10^6 fixed nodes.  The matrices are
+    one PSD ``sample_batch``, each scaled to an operator norm drawn uniformly
+    from [0.1, 2], then checked in one quadrature call."""
     cfg = cfg or CheckConfig()
     if n > 4:
         raise CapabilityError("the quadrature validation supports orders up to 4")
-    g = Rng(cfg.seed, _STREAM_MATS).generator
+    rng = Rng(cfg.seed, _STREAM_MATS)
     tol = 1e-3
-    mats = np.empty((cfg.trials, n, n))
-    for a in mats:
-        gm = g.normal(size=(n, n))
-        a[:] = gm @ gm.T
-        lam_max = float(np.linalg.eigvalsh(a)[-1])
-        a *= 2.0 * g.uniform(0.05, 1.0) / lam_max
+    mats = cones.sample_batch(cones.psd_cone(n), rng, cfg.trials)
+    lam_max = np.linalg.eigvalsh(mats)[:, -1]
+    mats *= (2.0 * rng.generator.uniform(0.05, 1.0, size=cfg.trials) / lam_max)[:, None, None]
     _, _, relerr = gaussian_representation_margin(mats)
     slack = tol - relerr
     k = int(np.argmin(slack))

@@ -62,6 +62,9 @@ _STREAM_SPOT_U, _STREAM_SPOT_V = 20, 21
 _SKIP_BUDGET = 0.10
 _SHRINK_CAP = 200
 
+_TOL_ABS = 1e-9
+_TOL_REL = 1e-12
+
 # the sampling scales refute() runs, as multiples of CheckConfig.scale
 SCALE_LADDER = (0.1, 1.0, 10.0)
 
@@ -72,11 +75,8 @@ class CheckConfig:
 
     trials: int = 10000
     scale: float = 1.0
-    tol_abs: float = 1e-9
-    tol_rel: float = 1e-12
     seed: int = 0
     order_cap: int = 5
-    shrink: bool = True
     boundary_prob: float = 0.2
 
     def __post_init__(self):
@@ -84,27 +84,26 @@ class CheckConfig:
             raise ParameterError("trials must be >= 1")
         if not self.scale > 0:
             raise ParameterError("scale must be positive")
-        if self.tol_abs < 0 or self.tol_rel < 0:
-            raise ParameterError("tolerances must be nonnegative")
         if not 1 <= self.order_cap <= MAX_DIFF_ORDER:
             raise ParameterError(f"order_cap must lie in 1..{MAX_DIFF_ORDER}")
         if not 0.0 <= self.boundary_prob < 1.0:
             raise ParameterError("boundary_prob must lie in [0, 1)")
 
     def tolerance(self, s):
-        """The violation threshold at value scale ``s``: a slack below
-        ``-tolerance(s)`` is a violation."""
-        return self.tol_abs + self.tol_rel * s
+        """The violation threshold at value scale ``s``, fixed at ``1e-9 +
+        1e-12 s``: a slack below ``-tolerance(s)`` is a violation."""
+        return _TOL_ABS + _TOL_REL * s
 
     def to_json(self) -> dict:
+        """The fields plus the fixed tolerances and ``shrink``, always on."""
         return {
             "trials": self.trials,
             "scale": self.scale,
-            "tol_abs": self.tol_abs,
-            "tol_rel": self.tol_rel,
+            "tol_abs": _TOL_ABS,
+            "tol_rel": _TOL_REL,
             "seed": self.seed,
             "order_cap": self.order_cap,
-            "shrink": self.shrink,
+            "shrink": True,
             "boundary_prob": self.boundary_prob,
         }
 
@@ -483,8 +482,7 @@ def _reduce_trials(handle: FunctionHandle, prop_name: str, blocks, cfg: CheckCon
         # a re-evaluated witness is sound whatever the skip count
         _, expression, pts, scale = best
         margin, _ = evaluate_expression(handle, expression, pts)
-        if cfg.shrink:
-            pts, margin = _shrink(handle, expression, pts, margin, scale)
+        pts, margin = _shrink(handle, expression, pts, margin, scale)
         witness = Witness(points=pts, margin=margin, expression=expression)
         worst = margin
     elif skipped > _SKIP_BUDGET * total:
@@ -655,7 +653,7 @@ def _one_trial(prop: str, vectors: dict, margin: float, s: float, cfg: CheckConf
     )
 
 
-def check_chebyshev(u, v, p, tol: float = 1e-9) -> CheckReport:
+def check_chebyshev(u, v, p) -> CheckReport:
     """Chebyshev's algebraic inequality ``<u,p><v,p> <= <uv,p>`` for
     comonotone u, v and a probability vector p."""
     ua = u.data if isinstance(u, Point) else np.asarray(u, dtype=np.float64)
@@ -663,7 +661,7 @@ def check_chebyshev(u, v, p, tol: float = 1e-9) -> CheckReport:
     pa = p.data if isinstance(p, Point) else np.asarray(p, dtype=np.float64)
     if ua.shape != va.shape or ua.shape != pa.shape or ua.ndim != 1:
         raise ShapeError("u, v, p must be vectors of one shared length")
-    if not cones.comonotonic(ua, va, tol):
+    if not cones.comonotonic(ua, va, _TOL_ABS):
         raise PreconditionError("u and v are not comonotone")
     if np.any(pa < -1e-12) or abs(float(pa.sum()) - 1.0) > 1e-12:
         raise PreconditionError("p must be a probability vector (nonnegative, summing to 1)")
@@ -672,7 +670,7 @@ def check_chebyshev(u, v, p, tol: float = 1e-9) -> CheckReport:
     mean_v = float(va @ pa)
     return _one_trial(
         "chebyshev-product", {"u": ua, "v": va, "p": pa}, mean_uv - mean_u * mean_v,
-        max(abs(mean_uv), abs(mean_u * mean_v)), CheckConfig(trials=1, tol_abs=tol),
+        max(abs(mean_uv), abs(mean_u * mean_v)), CheckConfig(trials=1),
     )
 
 
@@ -690,7 +688,8 @@ class MajorizationPair:
         if self.a.shape != self.b.shape or self.a.ndim != 1 or self.a.size < 1:
             raise ShapeError("majorization pair needs two equal-length vectors")
 
-    def validate(self, direction: str, tol: float = 1e-12) -> None:
+    def validate(self, direction: str) -> None:
+        tol = 1e-12
         ca, cb = np.cumsum(self.a), np.cumsum(self.b)
         bad = np.flatnonzero(ca > cb + tol)
         if bad.size:

@@ -433,10 +433,10 @@ def comonotone_pair_batch(
     n: int, rng: Rng, count: int, scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized twin of :func:`sample_comonotone_pair`."""
-    g = rng.generator
-    u = np.sort(np.abs(g.normal(0.0, scale, size=(count, n))), axis=1)
-    v = np.sort(np.abs(g.normal(0.0, scale, size=(count, n))), axis=1)
-    perm = np.argsort(g.random(size=(count, n)), axis=1)
+    orthant = nonneg_orthant(n)
+    u = np.sort(sample_batch(orthant, rng, count, scale, 0.0), axis=1)
+    v = np.sort(sample_batch(orthant, rng, count, scale, 0.0), axis=1)
+    perm = np.argsort(rng.generator.random(size=(count, n)), axis=1)
     return np.take_along_axis(u, perm, axis=1), np.take_along_axis(v, perm, axis=1)
 
 

@@ -51,7 +51,7 @@ class FunctionHandle:
         return run
 
     @classmethod
-    def from_pointwise(cls, label: str, domain: ConeSpec, fn, hessian=None) -> "FunctionHandle":
+    def from_pointwise(cls, label: str, domain: ConeSpec, fn) -> "FunctionHandle":
         """Wrap a Point -> float rule (evaluated row by row in batches)."""
         kind = domain.point_kind
 
@@ -64,7 +64,7 @@ class FunctionHandle:
                     out[i] = np.nan
             return out
 
-        return cls(label, domain, batch, hessian=hessian)
+        return cls(label, domain, batch)
 
     def _point_data(self, x: Point) -> np.ndarray:
         if x.kind != self.domain.point_kind or x.dim != self.domain.dim:

@@ -314,8 +314,9 @@ def criterion_9(seed: int) -> CriterionResult:
 
 
 def criterion_10(seed: int) -> CriterionResult:
-    """The refuted-candidate claims all produce sound witnesses; the Jensen
-    gap witness has magnitude at least 0.4."""
+    """The refuted-candidate claims all produce sound witnesses, whose
+    re-evaluated margin equals the stored one exactly; the Jensen gap
+    witness has magnitude at least 0.4."""
     checks = []
     targets = [
         ("half-sq-plus-cos", "superadd", None, None),
@@ -329,7 +330,7 @@ def criterion_10(seed: int) -> CriterionResult:
         if rep.found_violation:
             handle = instantiate(eid, params, dim)
             reeval = reevaluate_witness(handle, rep.witness)
-            sound = abs(reeval - rep.witness.margin) <= 1e-12 * max(1.0, abs(rep.witness.margin))
+            sound = reeval == rep.witness.margin
         detail = rep.to_json()
         detail["reevaluated_margin"] = reeval
         checks.append(SubCheck(f"{eid} {prop} refuted with a sound witness", sound, detail))

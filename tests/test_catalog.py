@@ -116,19 +116,49 @@ def test_every_entry_finite_on_interior_samples(entry):
     assert np.all(np.isfinite(vals)), entry.id
 
 
+# one out-of-range case per parameter check: (entry, params, dim, message part)
+_RANGE_ERRORS = [
+    ("affine-power", {"alpha": 2.0}, None, "alpha must lie in [0, 1]"),
+    ("affine-power", {"n": -1.0}, None, "n and p must be nonnegative"),
+    ("affine-power", {"p": -1.0}, None, "n and p must be nonnegative"),
+    ("one-minus-sqrt1p", {"alpha": 0.0}, None, "alpha must be positive"),
+    ("neg-xlogx-shift", {"alpha": 1.5}, None, "alpha must lie in [0, 1]"),
+    ("concave-of-linear", {"inner": "sq-norm"}, None, "must be a scalar strong-subadd entry"),
+    ("concave-of-linear", {"a": [1.0, -1.0]}, 2, "weight vector a must be nonnegative"),
+    ("concave-of-linear", {"a": [1.0, 1.0]}, 3, "parameter 'a' must have length 3"),
+    ("pairwise-diff-convex", {"q": 1.5}, None, "exponent q must be >= 2"),
+    ("jensen-gap", {"weights": -0.5}, None, "weights must be nonnegative"),
+    ("jensen-gap", {"inner": "log1p"}, None, "only neg-square"),
+    ("nonneg-poly", {"monomials": [[1.0, 2.0]]}, 3, "each monomial needs 1 + 3 numbers"),
+    ("nonneg-poly", {"monomials": [[-1.0, 2.0, 0.0]]}, 2, "coefficients must be nonnegative"),
+    ("nonneg-poly", {"monomials": [[1.0, 0.0, 0.0]]}, 2, "constant term must be zero"),
+    ("lp-power-norm", {"p": 1.0}, None, "exponent must satisfy p > 1"),
+    ("logdet-pencil", {"order": 2, "matrices": np.stack([np.eye(2)] * 2)}, 3,
+     "need 3 matrices of order 2"),
+    ("trace-pow", {"p": 3.0}, None, "exponent must lie in [0, 2]"),
+    ("trace-hansen", {"p": 0.0}, None, "exponent must lie in (0, 1]"),
+    ("det-recip-pow", {"beta": -0.5}, None, "beta must be nonnegative"),
+    ("det-shift-recip", {"beta": -0.5}, None, "beta must be nonnegative"),
+    ("exp-neg-linear", {"alpha": 0.0}, None, "alpha must be strictly positive"),
+    ("inv-power-product", {"alpha": [1.0, -1.0, 1.0]}, None, "alpha must be strictly positive"),
+    ("logistic-pow", {"a": -1.0}, None, "a must be positive"),
+    ("logistic-pow", {"beta": -1.0}, None, "beta must be nonnegative"),
+    ("elem-sym-4", {"beta": -1.0}, None, "beta must be nonnegative"),
+    ("elem-sym-4-shifted", {"beta": -1.0}, None, "beta must be nonnegative"),
+    ("log1p", {"nope": 1.0}, None, "unknown parameters"),
+    ("sq-norm", None, 0, "dimension must be positive"),
+    ("geomean2", None, 3, "dimension is fixed at 2"),
+    ("trace-pow", {"p": "abc"}, None, "parameter of the wrong type"),
+    ("concave-of-linear", {"a": "1,x"}, None, "parameter of the wrong type"),
+]
+
+
 def test_parameter_range_errors():
-    with pytest.raises(ParameterError, match=r"alpha"):
-        instantiate("affine-power", params={"alpha": 2.0})
-    with pytest.raises(ParameterError):
-        instantiate("trace-pow", params={"p": 3.0})
-    with pytest.raises(ParameterError):
-        instantiate("lp-power-norm", params={"p": 1.0})
-    with pytest.raises(ParameterError):
-        instantiate("logistic-pow", params={"a": -1.0})
-    with pytest.raises(ParameterError, match="unknown parameters"):
-        instantiate("log1p", params={"nope": 1.0})
-    with pytest.raises(ParameterError, match="fixed"):
-        instantiate("geomean2", dim=3)
+    for entry_id, params, dim, message in _RANGE_ERRORS:
+        with pytest.raises(ParameterError) as info:
+            instantiate(entry_id, params=params, dim=dim)
+        assert str(info.value).startswith(f"{entry_id}: ") and message in str(info.value), (
+            entry_id, params, str(info.value))
 
 
 def test_pencil_rejects_non_pd_matrices():

@@ -224,19 +224,16 @@ def test_gaussian_representation_memory_is_bounded_for_large_stacks():
 
 
 def test_gaussian_detcert_check_draws_documented_sequence():
-    """Every matrix is drawn as normal(n, n), eigvalsh, uniform, in order,
-    and the worst margin is the tolerance minus the largest relative error."""
+    """The matrices are one PSD sample_batch, then one uniform per matrix
+    from the same stream scales it to operator norm 2u, and the worst
+    margin is the tolerance minus the largest relative error."""
     for n, seed in ((1, 0), (2, 3)):
         rep = gaussian_detcert_check(n, _cfg(trials=6, seed=seed))
-        g = Rng(seed, certify._STREAM_MATS).generator
-        mats = []
-        for _ in range(6):
-            gm = g.normal(size=(n, n))
-            a = gm @ gm.T
-            lam_max = float(np.linalg.eigvalsh(a)[-1])
-            a *= 2.0 * g.uniform(0.05, 1.0) / lam_max
-            mats.append(a)
-        _, _, rel = gaussian_representation_margin(np.stack(mats))
+        rng = Rng(seed, certify._STREAM_MATS)
+        mats = cones.sample_batch(psd_cone(n), rng, 6)
+        lam_max = np.linalg.eigvalsh(mats)[:, -1]
+        mats *= (2.0 * rng.generator.uniform(0.05, 1.0, size=6) / lam_max)[:, None, None]
+        _, _, rel = gaussian_representation_margin(mats)
         assert rep.worst_margin == 1e-3 - rel.max()
         assert rep.trials_run == 6 and rep.witness is None
 

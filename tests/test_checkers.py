@@ -457,7 +457,7 @@ def test_config_validation():
     from conecheck.errors import ParameterError
 
     for bad in (dict(trials=0), dict(scale=-1.0), dict(order_cap=0),
-                dict(order_cap=13), dict(boundary_prob=1.0), dict(tol_abs=-1e-9)):
+                dict(order_cap=13), dict(boundary_prob=1.0)):
         with _pytest.raises(ParameterError):
             CheckConfig(**bad)
 
@@ -564,5 +564,5 @@ def test_report_biconditional_invariant():
             assert rep.worst_margin == rep.witness.margin
             assert rep.worst_margin < 0
         else:
-            thr = rep.config.tol_abs  # minimal threshold; scale term only widens it
+            thr = rep.config.tolerance(0.0)  # minimal threshold; scale term only widens it
             assert rep.worst_margin >= -thr or rep.skipped > 0

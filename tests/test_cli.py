@@ -59,18 +59,28 @@ def test_unknown_entry_is_usage_error(capsys):
 
 
 def test_bad_param_is_usage_error(capsys):
-    code, _, _ = _run(capsys, "check", "trace-pow", "--property", "strong-subadd",
-                      "--trials", "10", "--param", "p=3.0")
-    assert code == 2
-    code, _, _ = _run(capsys, "check", "trace-pow", "--property", "strong-subadd",
-                      "--trials", "10", "--param", "zzz=1")
-    assert code == 2
+    for entry, prop, param in (
+        ("trace-pow", "strong-subadd", "p=3.0"),
+        ("trace-pow", "strong-subadd", "zzz=1"),
+        ("trace-pow", "strong-subadd", "p=abc"),
+        ("concave-of-linear", "strong-subadd", "a=1,x"),
+    ):
+        code, out, err = _run(capsys, "check", entry, "--property", prop,
+                              "--trials", "10", "--param", param)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {entry}: ") and "Traceback" not in err
 
 
 def test_param_and_dim_flags(capsys):
-    code, out, _ = _run(capsys, "check", "trace-pow", "--property", "strong-subadd",
-                        "--trials", "200", "--param", "p=0.3", "--dim", "2", "--seed", "2")
-    assert code == 0
+    for argv, dim in (
+        (("trace-pow", "--param", "p=0.3"), 2),
+        (("concave-of-linear", "--param", "a=1,0.5", "--param", "inner=sigmoid"), 2),
+    ):
+        code, out, _ = _run(capsys, "check", *argv, "--property", "strong-subadd",
+                            "--trials", "200", "--dim", str(dim), "--seed", "2",
+                            "--scale", "0.5")
+        assert code == 0
+        assert json.loads(out)["config"]["scale"] == 0.5
 
 
 def test_json_output_file(tmp_path, capsys):
@@ -141,6 +151,15 @@ def test_pretty_check_output(capsys):
                         "--trials", "50", "--pretty")
     assert code == 0
     assert "verdict" in out
+
+
+def test_suite_without_json_prints_one_line_per_criterion(capsys):
+    code, out, err = _run(capsys, "suite", "--seed", "0")
+    assert code == 1  # the logdet second-difference clause fails as stated
+    lines = [json.loads(ln) for ln in out.splitlines()]
+    assert [c["criterion"] for c in lines] == list(range(1, 12))
+    assert [c["criterion"] for c in lines if not c["passed"]] == [5]
+    assert "criterion  5 [FAIL]" in err
 
 
 def test_suite_unwritable_json_fails_fast(capsys):
