@@ -39,13 +39,11 @@ from .cones import (
     Rng,
     comonotonic,
     full_space,
-    grid_lp_positive,
     leq,
     meet_join,
     member,
     nonneg_orthant,
     positive_orthant,
-    product,
     psd_cone,
     sample,
     sample_comonotone_pair,

@@ -23,7 +23,7 @@ import numpy as np
 from . import cones
 from .cones import ConeSpec, Rng
 from .diffops import FunctionHandle
-from .errors import ParameterError, UnknownEntryError
+from .errors import ConeCheckError, ParameterError, UnknownEntryError
 from .numkernel import CLAMP_WINDOW, gamma, spectral
 
 __all__ = [
@@ -259,12 +259,10 @@ def _make_sq_norm(p: dict, n: int) -> FunctionHandle:
 
 
 def _make_inner_product(p: dict, n: int) -> FunctionHandle:
-    dom = cones.product(cones.nonneg_orthant(n), cones.nonneg_orthant(n))
-
     def batch(rows):
         return np.sum(rows[:, :n] * rows[:, n:], axis=1)
 
-    return FunctionHandle("inner-product", dom, batch)
+    return FunctionHandle("inner-product", cones.nonneg_orthant(2 * n), batch)
 
 
 def _make_concave_of_linear(p: dict, n: int) -> FunctionHandle:
@@ -376,12 +374,13 @@ def _make_lp_power_norm(p: dict, n: int) -> FunctionHandle:
     pw, h = p["p"], p["h"]
     if not pw > 1.0:
         raise _param_error("lp-power-norm", f"exponent must satisfy p > 1, got {pw}")
-    dom = cones.grid_lp_positive(n, pw, h)
+    if not h > 0.0:
+        raise _param_error("lp-power-norm", f"grid step must be positive, got {h}")
 
     def batch(rows):
         return h * np.sum(np.abs(rows) ** pw, axis=1)
 
-    return FunctionHandle("lp-power-norm", dom, batch)
+    return FunctionHandle("lp-power-norm", cones.nonneg_orthant(n), batch)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +619,7 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
     add(_entry("inner-product", _make_inner_product, {L.STRONG_SUPERADD: A},
                "bilinear pairing on the product of two nonnegative orthants",
                default_dim=3, fixed_dim=False,
-               notes="dim parameter is the factor size; points concatenate both factors"))
+               notes="dim parameter is the factor size; points concatenate the two factor vectors"))
     add(_entry("concave-of-linear", _make_concave_of_linear, {L.STRONG_SUBADD: A},
                "Hardy-Littlewood-Polya majorization: concave of a positive linear form",
                default_dim=3, fixed_dim=False,
@@ -758,6 +757,8 @@ def instantiate(
         raise _param_error(entry.id, f"dimension is fixed at {entry.default_dim}")
     try:
         return entry._factory(merged, n)
+    except ConeCheckError:
+        raise
     except (TypeError, ValueError) as exc:
         # a value of the wrong type, such as a string from the command line
         raise _param_error(entry.id, f"parameter of the wrong type: {exc}") from exc

@@ -304,19 +304,12 @@ def dual_member(cone: ConeSpec, u: Point) -> bool:
         return False
     d = u.data
     fam = cone.family
-    if fam in (cones.NONNEG_ORTHANT, cones.POSITIVE_ORTHANT, cones.GRID_LP_POSITIVE):
+    if fam in (cones.NONNEG_ORTHANT, cones.POSITIVE_ORTHANT):
         return bool(np.all(d >= 0.0))
     if fam == cones.PSD_CONE:
         return bool(np.linalg.eigvalsh(d)[0] >= -1e-12)
     if fam == cones.FULL_SPACE:
         return bool(np.all(np.abs(d) <= 1e-12))
-    if fam == cones.PRODUCT:
-        off = 0
-        for f in cone.factors:
-            if not dual_member(f, Point(VECTOR, d[off : off + f.dim], _validated=True)):
-                return False
-            off += f.dim
-        return True
     raise CapabilityError(f"no dual-cone rule for {fam!r}")
 
 

@@ -40,6 +40,10 @@ _CERTIFY_METHODS = {
 }
 
 
+# JSON types a --config file may give the numeric flags that argparse would type
+_CONFIG_TYPES = {"trials": (int,), "seed": (int,), "dim": (int,), "scale": (int, float)}
+
+
 def _parse_param(text: str):
     if "=" not in text:
         raise ParameterError(f"--param expects key=value, got {text!r}")
@@ -140,8 +144,15 @@ def _apply_config_file(args):
             defaults = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParameterError(f"cannot read config file {args.config!r}: {exc}") from exc
+    if not isinstance(defaults, dict):
+        raise ParameterError(f"config file {args.config!r} must hold a JSON object")
     for key, value in defaults.items():
         if hasattr(args, key) and getattr(args, key) is None:
+            types = _CONFIG_TYPES.get(key)
+            if types and (isinstance(value, bool) or not isinstance(value, types)):
+                want = " or ".join(t.__name__ for t in types)
+                raise ParameterError(
+                    f"config file {args.config!r}: {key} must be {want}, got {value!r}")
             setattr(args, key, value)
 
 

@@ -138,27 +138,17 @@ NONNEG_ORTHANT = "nonneg-orthant"
 POSITIVE_ORTHANT = "positive-orthant"
 FULL_SPACE = "full-space"
 PSD_CONE = "psd-cone"
-PRODUCT = "product"
-GRID_LP_POSITIVE = "grid-lp-positive"
-
-_LATTICE_FAMILIES = {NONNEG_ORTHANT, FULL_SPACE, GRID_LP_POSITIVE}
 
 
 @dataclass(frozen=True)
 class ConeSpec:
     """Descriptor of a supported convex cone.
 
-    ``dim`` is the vector length (or matrix order for the PSD cone, or the
-    total concatenated length for product cones).  Product cones hold their
-    factor specs; only vector-kind factors are supported, and points of a
-    product cone are the concatenated factor coordinates.
+    ``dim`` is the vector length, or the matrix order for the PSD cone.
     """
 
     family: str
     dim: int
-    factors: tuple["ConeSpec", ...] = ()
-    p: float | None = None
-    h: float | None = None
 
     @property
     def point_kind(self) -> str:
@@ -166,31 +156,18 @@ class ConeSpec:
 
     @property
     def contains_origin(self) -> bool:
-        if self.family == POSITIVE_ORTHANT:
-            return False
-        if self.family == PRODUCT:
-            return all(f.contains_origin for f in self.factors)
-        return True
+        return self.family != POSITIVE_ORTHANT
 
     @property
     def supports_lattice(self) -> bool:
-        if self.family in _LATTICE_FAMILIES:
-            return True
-        if self.family == PRODUCT:
-            return all(f.supports_lattice for f in self.factors)
-        return False
+        """Vector cones are closed under coordinatewise min and max."""
+        return self.point_kind == VECTOR
 
     def zero(self) -> Point:
         return Point.zero(self.point_kind, self.dim)
 
     def to_json(self) -> dict:
-        out: dict = {"family": self.family, "dim": self.dim}
-        if self.family == GRID_LP_POSITIVE:
-            out["p"] = self.p
-            out["h"] = self.h
-        if self.family == PRODUCT:
-            out["factors"] = [f.to_json() for f in self.factors]
-        return out
+        return {"family": self.family, "dim": self.dim}
 
 
 def _check_dim(n: int) -> int:
@@ -215,30 +192,8 @@ def psd_cone(n: int) -> ConeSpec:
     return ConeSpec(PSD_CONE, _check_dim(n))
 
 
-def product(*factors: ConeSpec) -> ConeSpec:
-    if not factors:
-        raise ParameterError("product cone needs at least one factor")
-    for f in factors:
-        if f.point_kind != VECTOR:
-            raise CapabilityError("product cones support vector-kind factors only")
-    return ConeSpec(PRODUCT, sum(f.dim for f in factors), factors=tuple(factors))
-
-
-def grid_lp_positive(m: int, p: float, h: float) -> ConeSpec:
-    m = _check_dim(m)
-    if not p >= 1.0:
-        raise ParameterError(f"grid exponent must satisfy p >= 1, got {p}")
-    if not h > 0.0:
-        raise ParameterError(f"grid step must be positive, got {h}")
-    return ConeSpec(GRID_LP_POSITIVE, m, p=float(p), h=float(h))
-
-
 def cone_from_json(obj: dict) -> ConeSpec:
     fam = obj["family"]
-    if fam == PRODUCT:
-        return product(*(cone_from_json(f) for f in obj["factors"]))
-    if fam == GRID_LP_POSITIVE:
-        return grid_lp_positive(obj["dim"], obj["p"], obj["h"])
     maker = {
         NONNEG_ORTHANT: nonneg_orthant,
         POSITIVE_ORTHANT: positive_orthant,
@@ -273,7 +228,7 @@ def member_batch(cone: ConeSpec, rows: np.ndarray, tol: float = 0.0) -> np.ndarr
             f"rows of shape {rows.shape[1:]} incompatible with cone {cone.family}({cone.dim})"
         )
     fam = cone.family
-    if fam in (NONNEG_ORTHANT, GRID_LP_POSITIVE):
+    if fam == NONNEG_ORTHANT:
         return np.all(rows >= -tol, axis=1)
     if fam == POSITIVE_ORTHANT:
         return np.all(rows > tol, axis=1)
@@ -285,13 +240,6 @@ def member_batch(cone: ConeSpec, rows: np.ndarray, tol: float = 0.0) -> np.ndarr
         out = np.zeros(rows.shape[0], dtype=bool)
         out[finite] = np.linalg.eigvalsh(fin)[:, 0] >= -tol * np.maximum(
             1.0, np.linalg.norm(fin, axis=(1, 2)))
-        return out
-    if fam == PRODUCT:
-        out = np.ones(rows.shape[0], dtype=bool)
-        off = 0
-        for f in cone.factors:
-            out &= member_batch(f, rows[:, off : off + f.dim], tol)
-            off += f.dim
         return out
     raise CapabilityError(f"membership not implemented for {fam}")
 
@@ -309,8 +257,6 @@ def coordinate_floor(cone: ConeSpec, scale: float = 1.0) -> np.ndarray:
     orthant's sampling floor, and ``-inf`` where membership alone decides."""
     if cone.family == POSITIVE_ORTHANT:
         return np.full(cone.dim, _OPEN_ORTHANT_FLOOR * scale)
-    if cone.family == PRODUCT:
-        return np.concatenate([coordinate_floor(f, scale) for f in cone.factors])
     return np.full(cone.zero().data.shape, -np.inf)
 
 
@@ -399,7 +345,7 @@ def sample_batch(
     g = rng.generator
     n = cone.dim
     fam = cone.family
-    if fam in (NONNEG_ORTHANT, GRID_LP_POSITIVE, POSITIVE_ORTHANT):
+    if fam in (NONNEG_ORTHANT, POSITIVE_ORTHANT):
         out = np.abs(g.normal(0.0, scale, size=(count, n)))
         if boundary_prob > 0.0:
             out[g.random(size=(count, n)) < boundary_prob] = 0.0
@@ -412,9 +358,6 @@ def sample_batch(
         gmat = g.normal(0.0, 1.0, size=(count, n, n))
         out = (gmat @ gmat.transpose(0, 2, 1)) * (scale / n)
         return 0.5 * (out + np.swapaxes(out, 1, 2))
-    if fam == PRODUCT:
-        parts = [sample_batch(f, rng, count, scale, boundary_prob) for f in cone.factors]
-        return np.concatenate(parts, axis=1)
     raise CapabilityError(f"sampling not implemented for {fam}")
 
 

@@ -133,6 +133,7 @@ _RANGE_ERRORS = [
     ("nonneg-poly", {"monomials": [[-1.0, 2.0, 0.0]]}, 2, "coefficients must be nonnegative"),
     ("nonneg-poly", {"monomials": [[1.0, 0.0, 0.0]]}, 2, "constant term must be zero"),
     ("lp-power-norm", {"p": 1.0}, None, "exponent must satisfy p > 1"),
+    ("lp-power-norm", {"h": 0.0}, None, "grid step must be positive"),
     ("logdet-pencil", {"order": 2, "matrices": np.stack([np.eye(2)] * 2)}, 3,
      "need 3 matrices of order 2"),
     ("trace-pow", {"p": 3.0}, None, "exponent must lie in [0, 2]"),
@@ -157,8 +158,11 @@ def test_parameter_range_errors():
     for entry_id, params, dim, message in _RANGE_ERRORS:
         with pytest.raises(ParameterError) as info:
             instantiate(entry_id, params=params, dim=dim)
-        assert str(info.value).startswith(f"{entry_id}: ") and message in str(info.value), (
-            entry_id, params, str(info.value))
+        text = str(info.value)
+        assert text.startswith(f"{entry_id}: ") and message in text, (entry_id, params, text)
+        # raised once, not re-wrapped: one entry prefix, and "wrong type" only where meant
+        assert text.count(f"{entry_id}: ") == 1, text
+        assert ("wrong type" in text) == (message == "parameter of the wrong type"), text
 
 
 def test_pencil_rejects_non_pd_matrices():
@@ -179,10 +183,8 @@ def test_domains_match_entry_families():
     assert instantiate("lse", dim=5).domain == cones.full_space(5)
     assert instantiate("reciprocal").domain == cones.positive_orthant(1)
     assert instantiate("inv-power-product", dim=2).domain == cones.positive_orthant(2)
-    inner = instantiate("inner-product", dim=3).domain
-    assert inner.family == cones.PRODUCT and inner.dim == 6
-    grid = instantiate("lp-power-norm", dim=8).domain
-    assert grid.family == cones.GRID_LP_POSITIVE and grid.dim == 8
+    assert instantiate("inner-product", dim=3).domain == cones.nonneg_orthant(6)
+    assert instantiate("lp-power-norm", dim=8).domain == cones.nonneg_orthant(8)
 
 
 def test_entry_json_shape():

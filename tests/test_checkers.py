@@ -122,6 +122,16 @@ def test_submodular_needs_lattice():
         check("det", "submodular", _cfg(trials=10), dim=2)
 
 
+def test_open_orthant_has_lattice_operations():
+    # the positive orthant is closed under coordinatewise min and max
+    lo, hi = cones.meet_join(cones.positive_orthant(2), Point.vector([1.0, 0.5]),
+                             Point.vector([0.25, 2.0]))
+    assert lo == Point.vector([0.25, 0.5]) and hi == Point.vector([1.0, 2.0])
+    sum_log = FunctionHandle("sum-log", cones.positive_orthant(3),
+                             lambda rows: np.sum(np.log(rows), axis=1))
+    assert check(sum_log, "submodular", _cfg()).verdict == "NO_VIOLATION_FOUND"
+
+
 def test_det_strong_superadd_small_orders():
     for n in range(1, 6):
         rep = check("det", "strong-superadd", _cfg(trials=300), dim=n)

@@ -146,6 +146,17 @@ def test_config_file_defaults(tmp_path, capsys):
     assert json.loads(out.strip())["config"]["trials"] == 77
 
 
+@pytest.mark.parametrize(
+    "content", ['[1, 2]', '{"trials": "abc"}', '{"seed": 1.5}', '{"dim": "abc"}'])
+def test_malformed_config_is_usage_error(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code, out, err = _run(capsys, "--config", str(cfg), "check", "log1p",
+                          "--property", "subadd")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config file {str(cfg)!r}") and "Traceback" not in err
+
+
 def test_pretty_check_output(capsys):
     code, out, _ = _run(capsys, "check", "log1p", "--property", "subadd",
                         "--trials", "50", "--pretty")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecheck import cones
+from conecheck.catalog import builtin_entries, instantiate
 from conecheck.cones import Point, Rng
 from conecheck.errors import CapabilityError, ParameterError, ShapeError
 
@@ -47,10 +48,11 @@ def test_member_batch_is_member_row_by_row():
     psd = cones.psd_cone(2)
     mats = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], np.zeros((2, 2)), [[1.0, 1.0], [1.0, 1.0]]])
     assert cones.member_batch(psd, mats).tolist() == [True, False, True, True]
-    mixed = cones.product(cones.positive_orthant(1), cones.nonneg_orthant(2))
-    vecs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1e-8, -1.0, 0.0]])
-    assert cones.member_batch(mixed, vecs).tolist() == [True, False, False]
-    for cone, rows in ((psd, mats), (mixed, vecs)):
+    closed, open_ = cones.nonneg_orthant(3), cones.positive_orthant(3)
+    vecs = np.array([[1.0, 0.0, 0.0], [1e-8, 1.0, 1.0], [1e-8, -1.0, 0.0]])
+    assert cones.member_batch(closed, vecs).tolist() == [True, True, False]
+    assert cones.member_batch(open_, vecs).tolist() == [False, True, False]
+    for cone, rows in ((psd, mats), (closed, vecs), (open_, vecs)):
         expected = [cones.member(cone, Point(cone.point_kind, r)) for r in rows]
         assert cones.member_batch(cone, rows).tolist() == expected
     with pytest.raises(ShapeError):
@@ -68,11 +70,12 @@ def test_psd_member_batch_is_false_on_non_finite_rows():
 
 
 def test_coordinate_floor_is_the_open_orthant_sampling_floor():
-    mixed = cones.product(cones.positive_orthant(2), cones.nonneg_orthant(1))
-    floor = cones.coordinate_floor(mixed, scale=10.0)
-    assert floor[:2].tolist() == pytest.approx([1e-5, 1e-5], rel=1e-15) and floor[2] == -np.inf
-    draws = cones.sample_batch(mixed, Rng(3, 0), 500, scale=10.0, boundary_prob=0.5)
-    assert np.all(draws >= floor) and np.any(draws[:, :2] == floor[:2])
+    open_ = cones.positive_orthant(2)
+    floor = cones.coordinate_floor(open_, scale=10.0)
+    assert floor.tolist() == pytest.approx([1e-5, 1e-5], rel=1e-15)
+    draws = cones.sample_batch(open_, Rng(3, 0), 500, scale=10.0, boundary_prob=0.5)
+    assert np.all(draws >= floor) and np.all(np.any(draws == floor, axis=0))
+    assert np.all(cones.coordinate_floor(cones.nonneg_orthant(1), scale=10.0) == -np.inf)
     assert np.all(cones.coordinate_floor(cones.psd_cone(3)) == -np.inf)
 
 
@@ -169,8 +172,6 @@ def test_shared_sort_produces_comonotone_pairs(u, v):
         cones.positive_orthant(3),
         cones.full_space(5),
         cones.psd_cone(3),
-        cones.grid_lp_positive(8, 2.0, 0.125),
-        cones.product(cones.nonneg_orthant(2), cones.nonneg_orthant(3)),
     ],
 )
 def test_samples_are_members(cone):
@@ -227,18 +228,6 @@ def test_open_orthant_samples_have_positive_floor():
     assert arr.min() >= 1e-6
 
 
-def test_product_cone_rejects_matrix_factors():
-    with pytest.raises(CapabilityError):
-        cones.product(cones.nonneg_orthant(2), cones.psd_cone(2))
-
-
-def test_grid_cone_parameter_validation():
-    with pytest.raises(ParameterError):
-        cones.grid_lp_positive(8, 0.5, 0.1)
-    with pytest.raises(ParameterError):
-        cones.grid_lp_positive(8, 2.0, 0.0)
-
-
 def test_point_arithmetic_and_kind_checks():
     x, y = Point.vector([1.0, 2.0]), Point.vector([0.5, 0.5])
     assert (x + y) == Point.vector([1.5, 2.5])
@@ -286,10 +275,10 @@ def test_point_json_shapes():
 def test_cone_json_round_trip():
     specs = [
         cones.nonneg_orthant(4),
+        cones.positive_orthant(2),
+        cones.full_space(3),
         cones.psd_cone(3),
-        cones.grid_lp_positive(8, 2.0, 0.125),
-        cones.product(cones.nonneg_orthant(2), cones.full_space(3)),
-    ]
+    ] + [instantiate(entry).domain for entry in builtin_entries()]
     for spec in specs:
         assert cones.cone_from_json(spec.to_json()) == spec
 
@@ -298,7 +287,7 @@ def test_contains_origin_flags():
     assert cones.nonneg_orthant(2).contains_origin
     assert not cones.positive_orthant(2).contains_origin
     assert cones.psd_cone(2).contains_origin
-    assert not cones.product(cones.nonneg_orthant(1), cones.positive_orthant(1)).contains_origin
+    assert cones.full_space(2).contains_origin
 
 
 def test_boundary_probing_fraction():
