@@ -243,19 +243,14 @@ def _make_shannon(p: dict, n: int) -> FunctionHandle:
         out = -np.sum(t, axis=1)
         return np.where(np.any(rows < 0.0, axis=1), np.nan, out)
 
-    def hessian(pt):
-        return np.diag(-1.0 / pt.data)
-
-    return FunctionHandle("shannon-entropy", cones.nonneg_orthant(n), batch, hessian=hessian)
+    return FunctionHandle("shannon-entropy", cones.nonneg_orthant(n), batch)
 
 
 def _make_sq_norm(p: dict, n: int) -> FunctionHandle:
     def batch(rows):
         return np.sum(rows * rows, axis=1)
 
-    return FunctionHandle(
-        "sq-norm", cones.nonneg_orthant(n), batch, hessian=lambda pt: 2.0 * np.eye(pt.dim)
-    )
+    return FunctionHandle("sq-norm", cones.nonneg_orthant(n), batch)
 
 
 def _make_inner_product(p: dict, n: int) -> FunctionHandle:
@@ -362,12 +357,7 @@ def _make_lse(p: dict, n: int) -> FunctionHandle:
         m = np.max(rows, axis=1)
         return m + np.log(np.mean(np.exp(rows - m[:, None]), axis=1))
 
-    def hessian(pt):
-        w = np.exp(pt.data - pt.data.max())
-        w = w / w.sum()
-        return np.diag(w) - np.outer(w, w)
-
-    return FunctionHandle("lse", cones.full_space(n), batch, hessian=hessian)
+    return FunctionHandle("lse", cones.full_space(n), batch)
 
 
 def _make_lp_power_norm(p: dict, n: int) -> FunctionHandle:

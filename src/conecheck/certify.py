@@ -14,10 +14,10 @@ checks' ``origin-nonneg``/``origin-nonpos`` form.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import cones
 from .catalog import PropertyLabel, resolve_handle
@@ -46,6 +46,7 @@ _RESAMPLE_BUDGET = 0.10
 # relative to the largest entry seen
 _HESS_SIGN_TOL = 1e-6
 _DIRECTIONAL_TOL = 1e-6
+_DUAL_TOL = 1e-12
 
 _STREAM_POINTS, _STREAM_V, _STREAM_W, _STREAM_MATS = 41, 42, 43, 44
 
@@ -298,19 +299,19 @@ def certify_differential_monotone(
 
 
 def dual_member(cone: ConeSpec, u: Point) -> bool:
-    """Membership in the dual cone under the natural pairing (orthants and
-    the PSD cone are self-dual; the full space has the trivial dual)."""
+    """Membership in the dual cone under the natural pairing, within 1e-12:
+    the dual of either orthant is the nonnegative orthant, the PSD cone is
+    self-dual (the tolerance scaled as in :func:`cones.member_batch`), and
+    the dual of the full space is the origin."""
     if u.kind != cone.point_kind or u.dim != cone.dim:
         return False
-    d = u.data
-    fam = cone.family
-    if fam in (cones.NONNEG_ORTHANT, cones.POSITIVE_ORTHANT):
-        return bool(np.all(d >= 0.0))
-    if fam == cones.PSD_CONE:
-        return bool(np.linalg.eigvalsh(d)[0] >= -1e-12)
-    if fam == cones.FULL_SPACE:
-        return bool(np.all(np.abs(d) <= 1e-12))
-    raise CapabilityError(f"no dual-cone rule for {fam!r}")
+    if cone.family == cones.FULL_SPACE:
+        return bool(np.all(np.abs(u.data) <= _DUAL_TOL))
+    # the other families are closed and self-dual; the open orthant's dual is
+    # its closure
+    if cone.family == cones.POSITIVE_ORTHANT:
+        cone = cones.nonneg_orthant(cone.dim)
+    return cones.member(cone, u, _DUAL_TOL)
 
 
 @dataclass(frozen=True)
@@ -399,13 +400,80 @@ def _halton(count: int, dims: int) -> np.ndarray:
     return out
 
 
+# Wichura's AS241 (PPND16), Appl. Statist. 37 (1988): the normal quantile as
+# rational functions, highest degree first, of r = 0.180625 - q^2 for
+# |q| = |p - 1/2| <= 0.425, else of r - 1.6 (r <= 5) or r - 5 with
+# r = sqrt(-log(min(p, 1 - p))); about 1e-16 relative.
+_AS241_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
+)
+_AS241_NEAR = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+     4.63033784615654529590e0, 1.42343711074968357734e0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+     2.05319162663775882187e0, 1.0),
+)
+_AS241_FAR = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+     5.46378491116411436990e0, 6.65790464350110377720e0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0),
+)
+
+
+def _rational(coefs: tuple, x: np.ndarray) -> np.ndarray:
+    """``num(x) / den(x)`` by Horner's rule, in one fresh array."""
+    num, den = np.full_like(x, coefs[0][0]), np.full_like(x, coefs[1][0])
+    for a, b in zip(coefs[0][1:], coefs[1][1:]):
+        num *= x
+        num += a
+        den *= x
+        den += b
+    num /= den
+    return num
+
+
+def _normal_quantile_over_sqrt2(u: np.ndarray) -> None:
+    """Replace the probabilities ``u`` in ``(0, 1)`` in place by the
+    standard normal quantiles divided by ``sqrt(2)``.  The central form runs
+    on every entry, the tail forms only on the entries with ``|u - 1/2| >
+    0.425``; temporaries are a few arrays the size of ``u``."""
+    q = u - 0.5
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    val = _rational(_AS241_CENTRAL, r)
+    val *= q
+    tail = np.abs(q) > 0.425
+    if tail.any():
+        p = u[tail]
+        r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+        far = r > 5.0
+        t = _rational(_AS241_NEAR, r - 1.6)
+        if far.any():
+            t[far] = _rational(_AS241_FAR, r[far] - 5.0)
+        val[tail] = np.copysign(t, q[tail])
+    np.multiply(val, math.sqrt(0.5), out=u)
+
+
 def _gaussian_nodes(dims: int) -> np.ndarray:
     """Fixed low-discrepancy Gaussian nodes with density exp(-x^2)/sqrt(pi)
     per coordinate, shape ``(dims, _QMC_NODES)``; seed-independent by
-    design."""
+    design.  The Halton nodes are mapped in place, one ``_QMC_BLOCK`` of
+    columns at a time, so the map makes no full-size temporaries."""
     if dims not in _GAUSS_NODE_CACHE:
-        u = _halton(_QMC_NODES, dims)
-        _GAUSS_NODE_CACHE[dims] = ndtri(u) / np.sqrt(2.0)
+        z = _halton(_QMC_NODES, dims)
+        for s in range(0, _QMC_NODES, _QMC_BLOCK):
+            _normal_quantile_over_sqrt2(z[:, s : s + _QMC_BLOCK])
+        _GAUSS_NODE_CACHE[dims] = z
     return _GAUSS_NODE_CACHE[dims]
 
 

@@ -40,8 +40,9 @@ _CERTIFY_METHODS = {
 }
 
 
-# JSON types a --config file may give the numeric flags that argparse would type
-_CONFIG_TYPES = {"trials": (int,), "seed": (int,), "dim": (int,), "scale": (int, float)}
+# the types argparse gives the numeric flags; a --config value is converted
+# to its flag's type, so a config file and the flag write the same report
+_CONFIG_TYPES = {"trials": int, "seed": int, "dim": int, "scale": float}
 
 
 def _parse_param(text: str):
@@ -148,11 +149,14 @@ def _apply_config_file(args):
         raise ParameterError(f"config file {args.config!r} must hold a JSON object")
     for key, value in defaults.items():
         if hasattr(args, key) and getattr(args, key) is None:
-            types = _CONFIG_TYPES.get(key)
-            if types and (isinstance(value, bool) or not isinstance(value, types)):
-                want = " or ".join(t.__name__ for t in types)
-                raise ParameterError(
-                    f"config file {args.config!r}: {key} must be {want}, got {value!r}")
+            want = _CONFIG_TYPES.get(key)
+            if want:
+                # a JSON integer also stands for a float, never the reverse
+                if isinstance(value, bool) or not isinstance(value, (int, want)):
+                    raise ParameterError(
+                        f"config file {args.config!r}: {key} must be {want.__name__}, "
+                        f"got {value!r}")
+                value = want(value)
             setattr(args, key, value)
 
 

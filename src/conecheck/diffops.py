@@ -29,17 +29,15 @@ class FunctionHandle:
     ``batch`` maps a stacked array of raw point data ``(T, ...)`` to a
     ``(T,)`` value array and may return NaN where the function is undefined;
     calling the handle on a single :class:`Point` converts NaN into a
-    :class:`DomainError`.  ``hessian`` optionally supplies an analytic
-    Hessian rule for vector domains.
+    :class:`DomainError`.
     """
 
-    __slots__ = ("label", "domain", "batch", "hessian")
+    __slots__ = ("label", "domain", "batch")
 
-    def __init__(self, label: str, domain: ConeSpec, batch, hessian=None):
+    def __init__(self, label: str, domain: ConeSpec, batch):
         self.label = label
         self.domain = domain
         self.batch = self._wrap(batch)
-        self.hessian = hessian
 
     @staticmethod
     def _wrap(batch):

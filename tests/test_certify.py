@@ -3,6 +3,7 @@ monotonicity, Laplace atoms, and the determinant quadrature identity."""
 
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tracemalloc
@@ -103,6 +104,10 @@ def test_hessian_nonpos_implies_topkis_submodular():
 def test_dual_membership_rules():
     assert dual_member(nonneg_orthant(2), Point.vector([1.0, 0.0]))
     assert not dual_member(nonneg_orthant(2), Point.vector([1.0, -0.1]))
+    # the dual of the open orthant is the closed one: its boundary belongs
+    assert dual_member(cones.positive_orthant(2), Point.vector([1.0, 0.0]))
+    assert dual_member(cones.positive_orthant(2), Point.vector([0.0, 0.0]))
+    assert not dual_member(cones.positive_orthant(2), Point.vector([1.0, -0.1]))
     assert dual_member(psd_cone(2), Point.matrix(np.eye(2)))
     assert not dual_member(psd_cone(2), Point.matrix(np.diag([1.0, -1.0])))
     assert dual_member(cones.full_space(2), Point.vector([0.0, 0.0]))
@@ -248,6 +253,26 @@ def test_qmc_nodes_are_fixed_halton_nodes():
     assert np.isfinite(z).all()
 
 
+def test_gaussian_nodes_match_stdlib_normal_quantile():
+    """The nodes are the normal quantiles of the Halton nodes over sqrt(2),
+    the outermost nodes of both tails included; the far-tail form (below
+    about 1e-11, which no node reaches) is checked on probabilities of its
+    own."""
+    inv = statistics.NormalDist().inv_cdf
+    u = certify._halton(certify._QMC_NODES, 2)
+    z = certify._gaussian_nodes(2)
+    for d in range(2):
+        order = np.argsort(u[d])
+        picks = np.concatenate([order[:20], order[-20:], order[::4999]])
+        ref = np.array([inv(p) for p in u[d, picks]]) / math.sqrt(2.0)
+        np.testing.assert_allclose(z[d, picks], ref, rtol=1e-15, atol=1e-15)
+    p = np.array([1e-300, 1e-20, 1e-12, 0.02, 0.5, 0.6, 1.0 - 1e-12])
+    got = p.copy()
+    certify._normal_quantile_over_sqrt2(got)
+    ref = np.array([inv(v) for v in p]) / math.sqrt(2.0)
+    np.testing.assert_allclose(got, ref, rtol=1e-15, atol=1e-15)
+
+
 def _radical_inverse(i: int, b: int) -> float:
     x, f = 0.0, 1.0
     while i > 0:
@@ -265,15 +290,15 @@ def test_halton_matches_pure_python_radical_inverse():
 
 
 def test_import_keeps_scipy_stats_out():
-    """Importing scipy.stats costs about 0.8 s and 43 MiB; conecheck needs
-    none of it."""
+    """conecheck needs no scipy: importing ``scipy.special`` alone took about
+    as long as the rest of start-up, and ``scipy.stats`` 0.8 s and 43 MiB."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(conecheck.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, conecheck, conecheck.cli, conecheck.suite; "
-            "print('scipy.stats' in sys.modules)")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_det_trace_inverse_monotone():

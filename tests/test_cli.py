@@ -146,6 +146,20 @@ def test_config_file_defaults(tmp_path, capsys):
     assert json.loads(out.strip())["config"]["trials"] == 77
 
 
+def test_config_file_and_flags_write_identical_reports(tmp_path, capsys):
+    """A config value takes its flag's type: ``{"scale": 2}`` writes the
+    same bytes as ``--scale 2``."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "scale": 2, "trials": 200}))
+    common = ("check", "log1p", "--property", "strong-subadd")
+    assert _run(capsys, "--config", str(cfg), *common, "--json", str(tmp_path / "a.json"))[0] == 0
+    assert _run(capsys, *common, "--seed", "3", "--scale", "2", "--trials", "200",
+                "--json", str(tmp_path / "b.json"))[0] == 0
+    written = (tmp_path / "a.json").read_bytes()
+    assert written == (tmp_path / "b.json").read_bytes()
+    assert b'"scale": 2.0' in written
+
+
 @pytest.mark.parametrize(
     "content", ['[1, 2]', '{"trials": "abc"}', '{"seed": 1.5}', '{"dim": "abc"}'])
 def test_malformed_config_is_usage_error(tmp_path, capsys, content):

@@ -111,14 +111,28 @@ def test_fd_hessian_quadratic_and_entropy():
     assert np.allclose(hess, np.diag([-1.0, -1.0]), atol=1e-5)
 
 
-@pytest.mark.parametrize("entry_id", ["shannon-entropy", "sq-norm", "lse"])
+def _lse_hessian(x):
+    w = np.exp(x - x.max())
+    w = w / w.sum()
+    return np.diag(w) - np.outer(w, w)
+
+
+# closed-form Hessians of the entries, at a point x
+_ANALYTIC_HESSIANS = {
+    "shannon-entropy": lambda x: np.diag(-1.0 / x),
+    "sq-norm": lambda x: 2.0 * np.eye(x.size),
+    "lse": _lse_hessian,
+}
+
+
+@pytest.mark.parametrize("entry_id", list(_ANALYTIC_HESSIANS))
 def test_fd_hessian_matches_analytic(entry_id):
     handle = _handle(entry_id, dim=3)
     rng = np.random.default_rng(6)
     pts = rng.uniform(0.25, 2.0, size=(100, 3))
     fd = _batched_hessians(handle, pts)
     for x, h in zip(pts, fd):
-        exact = handle.hessian(Point.vector(x))
+        exact = _ANALYTIC_HESSIANS[entry_id](x)
         assert np.max(np.abs(h - exact)) <= 1e-5
 
 
@@ -158,3 +172,12 @@ def test_gamma_recurrence_on_interval():
     for k in range(0, 10):
         exact = math.factorial(2 * k) / (4 ** k * math.factorial(k)) * math.sqrt(math.pi)
         assert nk.gamma(k + 0.5) == pytest.approx(exact, rel=1e-12)
+
+
+def test_gamma_matches_math_gamma():
+    xs = np.linspace(0.1, 30.0, 30001)
+    exact = np.array([math.gamma(v) for v in xs])
+    assert np.max(np.abs(nk.gamma(xs) / exact - 1.0)) <= 1e-12
+    # so x-gamma-minus-1 is exactly 0 at the origin, where its sign is checked
+    assert nk.gamma(1.0) == 1.0
+    assert nk.gamma(np.ones((2, 3))).shape == (2, 3)
