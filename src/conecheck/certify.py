@@ -375,28 +375,41 @@ _QMC_NODES = 10 ** 6
 # bound its temporaries to a few MiB whatever the number of matrices
 _QMC_BLOCK = 2 ** 15
 _QMC_STACK = 16
+# one Halton base per coordinate, so the quadrature's highest order is
+# len(_PRIMES)
 _PRIMES = (2, 3, 5, 7)
-_GAUSS_NODE_CACHE: dict[int, np.ndarray] = {}
+
+
+def _radical_inverse(b: int, start: int, out: np.ndarray) -> None:
+    """Write the base-``b`` radical inverses of the indices ``start + 1``,
+    ..., ``start + len(out)`` into ``out``, least significant digit first.
+    The indices stay below 2**53, so the digits ``i - floor(i / b) * b``
+    are exact in float64; the three work arrays are the size of ``out``."""
+    i = np.arange(start + 1, start + 1 + len(out), dtype=np.float64)
+    q = np.empty_like(i)
+    r = np.empty_like(i)
+    out[:] = 0.0
+    f = 1.0
+    # i is increasing, so its last entry has the most digits
+    while i[-1] > 0:
+        f /= b
+        np.divide(i, b, out=q)
+        np.floor(q, out=q)
+        np.multiply(q, b, out=r)
+        np.subtract(i, r, out=r)
+        r *= f
+        out += r
+        i, q = q, i
 
 
 def _halton(count: int, dims: int) -> np.ndarray:
     """Radical-inverse Halton sequence (bases 2,3,5,7), indices from 1, one
-    row per coordinate: shape ``(dims, count)``."""
-    out = np.zeros((dims, count))
-    idx = np.arange(1, count + 1, dtype=np.int64)
-    r = np.empty_like(idx)
+    row per coordinate: shape ``(dims, count)``.  Filled one ``_QMC_BLOCK``
+    of indices at a time by the kernel of the quadrature's node table."""
+    out = np.empty((dims, count))
     for d in range(dims):
-        b = _PRIMES[d]
-        x = out[d]
-        f = 1.0
-        i = idx.copy()
-        # idx is increasing, so its last entry has the most digits; divmod
-        # works in place, since two fresh arrays per digit raise the peak
-        # memory of the suite
-        while i[-1] > 0:
-            f /= b
-            np.divmod(i, b, out=(i, r))
-            x += f * r
+        for s in range(0, count, _QMC_BLOCK):
+            _radical_inverse(_PRIMES[d], s, out[d, s : s + _QMC_BLOCK])
     return out
 
 
@@ -464,17 +477,42 @@ def _normal_quantile_over_sqrt2(u: np.ndarray) -> None:
     np.multiply(val, math.sqrt(0.5), out=u)
 
 
+# the quadrature's nodes, one row per base of _PRIMES, allocated on first
+# use; a row's pages are touched only when it is filled.  Rows are filled in
+# order, so the filled rows are the first _gauss_rows.  Read-only outside
+# the fill.
+_GAUSS_NODES: np.ndarray | None = None
+_gauss_rows = 0
+
+
 def _gaussian_nodes(dims: int) -> np.ndarray:
     """Fixed low-discrepancy Gaussian nodes with density exp(-x^2)/sqrt(pi)
     per coordinate, shape ``(dims, _QMC_NODES)``; seed-independent by
-    design.  The Halton nodes are mapped in place, one ``_QMC_BLOCK`` of
-    columns at a time, so the map makes no full-size temporaries."""
-    if dims not in _GAUSS_NODE_CACHE:
-        z = _halton(_QMC_NODES, dims)
-        for s in range(0, _QMC_NODES, _QMC_BLOCK):
-            _normal_quantile_over_sqrt2(z[:, s : s + _QMC_BLOCK])
-        _GAUSS_NODE_CACHE[dims] = z
-    return _GAUSS_NODE_CACHE[dims]
+    design.  A read-only view of the first ``dims`` rows of the node table,
+    so every order shares the rows of the lower ones.  Each row is built
+    once, one ``_QMC_BLOCK`` of indices at a time: the Halton nodes of its
+    base, mapped in place to Gaussian nodes, so the fill makes only
+    block-sized temporaries."""
+    global _GAUSS_NODES, _gauss_rows
+    if dims > len(_PRIMES):
+        raise CapabilityError(
+            f"the quadrature validation supports orders up to {len(_PRIMES)}"
+        )
+    if _GAUSS_NODES is None:
+        _GAUSS_NODES = np.empty((len(_PRIMES), _QMC_NODES))
+    if dims > _gauss_rows:
+        _GAUSS_NODES.flags.writeable = True
+        try:
+            for d in range(_gauss_rows, dims):
+                row = _GAUSS_NODES[d]
+                for s in range(0, _QMC_NODES, _QMC_BLOCK):
+                    block = row[s : s + _QMC_BLOCK]
+                    _radical_inverse(_PRIMES[d], s, block)
+                    _normal_quantile_over_sqrt2(block)
+                _gauss_rows = d + 1
+        finally:
+            _GAUSS_NODES.flags.writeable = False
+    return _GAUSS_NODES[:dims]
 
 
 def gaussian_representation_margin(a: np.ndarray) -> tuple:
@@ -497,11 +535,20 @@ def gaussian_representation_margin(a: np.ndarray) -> tuple:
     coef[:, iu == ju] *= 0.5
     z = _gaussian_nodes(n)
     total = np.zeros(len(mats))
+    # one pair of work buffers serves every block: fresh block-sized arrays
+    # can be mapped and faulted in anew by the allocator on each block
+    mono_buf = np.empty(len(iu) * _QMC_BLOCK)
+    q_buf = np.empty(min(len(mats), _QMC_STACK) * _QMC_BLOCK)
     for s in range(0, _QMC_NODES, _QMC_BLOCK):
         zb = z[:, s : s + _QMC_BLOCK]
-        monomials = zb[iu] * zb[ju]
+        w = zb.shape[1]
+        monomials = mono_buf[: len(iu) * w].reshape(len(iu), w)
+        for k, (i, j) in enumerate(zip(iu, ju)):
+            np.multiply(zb[i], zb[j], out=monomials[k])
         for lo in range(0, len(mats), _QMC_STACK):
-            q = coef[lo : lo + _QMC_STACK] @ monomials
+            c = coef[lo : lo + _QMC_STACK]
+            q = q_buf[: len(c) * w].reshape(len(c), w)
+            np.matmul(c, monomials, out=q)
             np.negative(q, out=q)
             np.exp(q, out=q)
             total[lo : lo + _QMC_STACK] += q.sum(axis=1)
@@ -523,8 +570,7 @@ def gaussian_detcert_check(n: int, cfg: CheckConfig | None = None) -> CheckRepor
     one PSD ``sample_batch``, each scaled to an operator norm drawn uniformly
     from [0.1, 2], then checked in one quadrature call."""
     cfg = cfg or CheckConfig()
-    if n > 4:
-        raise CapabilityError("the quadrature validation supports orders up to 4")
+    _gaussian_nodes(n)  # raises CapabilityError above the highest order
     rng = Rng(cfg.seed, _STREAM_MATS)
     tol = 1e-3
     mats = cones.sample_batch(cones.psd_cone(n), rng, cfg.trials)

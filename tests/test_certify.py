@@ -1,6 +1,7 @@
 """Certificates: Hessian signs, Topkis cross-partials, differential
 monotonicity, Laplace atoms, and the determinant quadrature identity."""
 
+import hashlib
 import math
 import os
 import statistics
@@ -178,6 +179,9 @@ def test_gaussian_detcert_check_passes():
     assert rep.worst_margin > 0
     with pytest.raises(CapabilityError):
         gaussian_detcert_check(5, _cfg(trials=1))
+    # one Halton base per coordinate: no order above len(_PRIMES) has nodes
+    with pytest.raises(CapabilityError):
+        gaussian_representation_margin(np.eye(len(certify._PRIMES) + 1))
 
 
 def _random_psd(rng, n):
@@ -283,10 +287,57 @@ def _radical_inverse(i: int, b: int) -> float:
 
 
 def test_halton_matches_pure_python_radical_inverse():
-    u = certify._halton(10 ** 6, 4)
+    """Spot checks against the scalar loop, and a hash of all 4e6 values.
+    Only IEEE add, multiply, divide and floor make them, so the hash holds on
+    every platform; the quantile-mapped nodes are not hashed, since ``log``
+    may differ by an ulp between platforms."""
+    u = certify._halton(certify._QMC_NODES, 4)
     for d, b in enumerate((2, 3, 5, 7)):
         for i in [*range(1, 2001), 10 ** 6]:
             assert u[d, i - 1] == _radical_inverse(i, b), (b, i)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == (
+        "2316b89ca756db206aa7b1ac0881416919d28aeb3d32405f63dd4bced95e0219")
+
+
+def _empty_node_table(monkeypatch):
+    monkeypatch.setattr(certify, "_GAUSS_NODES", None)
+    monkeypatch.setattr(certify, "_gauss_rows", 0)
+
+
+def test_gaussian_nodes_are_shared_read_only_rows():
+    """Every order reads the rows of the node table, so order 1 is row 0 of
+    order 2, and no caller can write into the nodes of later quadratures."""
+    z1, z2 = certify._gaussian_nodes(1), certify._gaussian_nodes(2)
+    np.testing.assert_array_equal(z1, z2[:1])
+    assert np.shares_memory(z1, z2[0])
+    with pytest.raises(ValueError):
+        z2[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        z2.flags.writeable = True
+
+
+def test_gaussian_nodes_do_not_depend_on_the_fill_order(monkeypatch):
+    top = len(certify._PRIMES)
+    filled = []
+    for orders in ((top, 1), (1, top)):
+        _empty_node_table(monkeypatch)
+        for n in orders:
+            certify._gaussian_nodes(n)
+        filled.append(certify._gaussian_nodes(top).tobytes())
+    assert filled[0] == filled[1]
+
+
+def test_gaussian_node_fill_makes_block_sized_temporaries(monkeypatch):
+    """A fresh fill of every row peaks at the table it keeps plus the work
+    arrays of one block; full-length work arrays would add tens of MiB."""
+    _empty_node_table(monkeypatch)
+    tracemalloc.start()
+    try:
+        z = certify._gaussian_nodes(len(certify._PRIMES))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= z.nbytes + 4 * 2 ** 20
 
 
 def test_import_keeps_scipy_stats_out():
