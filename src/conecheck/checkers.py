@@ -13,10 +13,13 @@ absolute function value involved in that trial.
 
 Determinism: all draws derive from Philox streams keyed by
 ``(config.seed, fixed stream ids)``, so identical configurations produce
-byte-identical reports.  Each inequality is one vectorized form, evaluated
-on every trial, on one row to re-evaluate a witness, and on every candidate
-of a shrinking sweep; stored witness margins come from the one-row path,
-so they reproduce exactly.
+byte-identical reports.  Trials are drawn, evaluated and folded in blocks of
+``_BLOCK``; block ``b`` of a stream starts at Philox counter ``[0, 0, 0, b]``,
+so memory does not grow with the trial count and a check of at most
+``_BLOCK`` trials draws exactly what one unblocked stream would.  Each
+inequality is one vectorized form, evaluated on every trial, on one row to
+re-evaluate a witness, and on every candidate of a shrinking sweep; stored
+witness margins come from the one-row path, so they reproduce exactly.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ _STREAM_STEPS = 8
 _STREAM_SPOT_U, _STREAM_SPOT_V = 20, 21
 
 _SKIP_BUDGET = 0.10
+# trials drawn, evaluated and folded at a time
+_BLOCK = 2 ** 14
 _SHRINK_CAP = 200
 
 _TOL_ABS = 1e-9
@@ -411,14 +416,21 @@ def _shrink(handle, expression: str, points: dict, margin: float, scale: float):
 # ---------------------------------------------------------------------------
 
 
-def _draw(cone: ConeSpec, cfg: CheckConfig, stream: int, count: int) -> np.ndarray:
-    rng = Rng(cfg.seed, stream)
+def _draw(cone: ConeSpec, cfg: CheckConfig, stream: int, count: int, block: int) -> np.ndarray:
+    rng = Rng(cfg.seed, stream, block)
     return cones.sample_batch(cone, rng, count, cfg.scale, cfg.boundary_prob)
 
 
-def _draw_xyz(cone: ConeSpec, cfg: CheckConfig, base: int, count: int, names: str = "xyz"):
+def _draw_xyz(cone: ConeSpec, cfg: CheckConfig, base: int, count: int, block: int,
+              names: str = "xyz"):
     streams = {"x": _STREAM_X, "y": _STREAM_Y, "z": _STREAM_Z}
-    return {n: _draw(cone, cfg, base + streams[n], count) for n in names}
+    return {n: _draw(cone, cfg, base + streams[n], count, block) for n in names}
+
+
+def _blocks(count: int):
+    """``(block index, trials)`` of ``count`` trials cut into ``_BLOCK``s."""
+    for b, start in enumerate(range(0, count, _BLOCK)):
+        yield b, min(_BLOCK, count - start)
 
 
 @dataclass
@@ -434,15 +446,31 @@ def _component(handle, expression: str, roles: dict) -> _Component:
     return _Component(expression, slack, scale, roles)
 
 
-def _fold_block(comps: list[_Component], cfg: CheckConfig, cone: ConeSpec, scale: float,
+def _at_undefined_apex(handle: FunctionHandle, comps: list[_Component]) -> np.ndarray:
+    """The trials with a role point at the cone's apex, the origin, when the
+    handle is undefined there (all false otherwise)."""
+    at = np.zeros(comps[0].slack.shape, dtype=bool)
+    if np.isfinite(handle.batch(handle.domain.zero().data[None]))[0]:
+        return at
+    for c in comps:
+        for arr in c.roles.values():
+            at |= ~arr.reshape(arr.shape[0], -1).any(axis=1)
+    return at
+
+
+def _fold_block(comps: list[_Component], cfg: CheckConfig, handle: FunctionHandle, scale: float,
                 worst: float, best):
     """Fold one block into the lowest finite slack and the lowest violating
     candidate ``(slack, expression, points, scale)`` so far; returns the
-    block's trial count and skips with them.  A trial is skipped when any
-    component is non-finite on it; ties keep the earlier candidate."""
+    block's trial count, skips and skips at an undefined apex with them.  A
+    trial is skipped when any component is non-finite on it; ties keep the
+    earlier candidate."""
+    cone = handle.domain
     finite = np.ones(comps[0].slack.shape, dtype=bool)
     for c in comps:
         finite &= np.isfinite(c.slack) & np.isfinite(c.scale)
+    skipped = int(finite.size - finite.sum())
+    at_apex = int((~finite & _at_undefined_apex(handle, comps)).sum()) if skipped else 0
     for c in comps:
         sl = np.where(finite, c.slack, np.inf)
         worst = min(worst, float(sl.min()))
@@ -453,7 +481,7 @@ def _fold_block(comps: list[_Component], cfg: CheckConfig, cone: ConeSpec, scale
                 pts = {role: Point(cone.point_kind, arr[idx], _validated=True)
                        for role, arr in c.roles.items()}
                 best = (float(sl[idx]), c.expression, pts, scale)
-    return finite.size, int(finite.size - finite.sum()), worst, best
+    return finite.size, skipped, at_apex, worst, best
 
 
 def _reduce_trials(handle: FunctionHandle, prop_name: str, blocks, cfg: CheckConfig) -> CheckReport:
@@ -463,19 +491,23 @@ def _reduce_trials(handle: FunctionHandle, prop_name: str, blocks, cfg: CheckCon
     ``blocks`` yields ``(sampling scale, components)``; a check of a property
     label starts with the one-row origin block when the cone holds the
     origin, then has one sampled block for ``check`` or one per rung of
-    :data:`SCALE_LADDER` for ``refute``.  Blocks fold one at a time into one
-    skip count, one worst margin and one best candidate, which keeps its
-    block's scale for the shrinking floor.  One skip budget covers all
-    trials.
+    :data:`SCALE_LADDER` for ``refute``, each cut into blocks of at most
+    ``_BLOCK`` trials.  Blocks fold one at a time into one skip count, one
+    worst margin and one best candidate, which keeps its block's scale for
+    the shrinking floor, so cutting the same trials into other blocks gives
+    the same report.  One skip budget covers all trials; skips with a role
+    point at the cone's apex, where the handle is undefined, count in
+    ``skipped`` but not against the budget.
     """
-    cone = handle.domain
-    skipped, total, worst = 0, 0, np.inf
+    skipped, at_apex, total, worst = 0, 0, 0, np.inf
     best = None  # (slack, expression, witness points, sampling scale)
     for scale, comps in blocks:
-        count, block_skipped, worst, best = _fold_block(comps, cfg, cone, scale, worst, best)
+        count, block_skipped, block_at_apex, worst, best = _fold_block(
+            comps, cfg, handle, scale, worst, best)
         del comps  # free this block before the next one is drawn
         total += count
         skipped += block_skipped
+        at_apex += block_at_apex
 
     witness = None
     if best is not None:
@@ -485,9 +517,9 @@ def _reduce_trials(handle: FunctionHandle, prop_name: str, blocks, cfg: CheckCon
         pts, margin = _shrink(handle, expression, pts, margin, scale)
         witness = Witness(points=pts, margin=margin, expression=expression)
         worst = margin
-    elif skipped > _SKIP_BUDGET * total:
+    elif skipped - at_apex > _SKIP_BUDGET * total:
         raise NumericFailure(
-            f"{skipped}/{total} trials skipped on domain errors for {handle.label!r}; "
+            f"{skipped - at_apex}/{total} trials skipped on domain errors for {handle.label!r}; "
             f"budget is {_SKIP_BUDGET:.0%}"
         )
 
@@ -509,24 +541,26 @@ def _reduce_trials(handle: FunctionHandle, prop_name: str, blocks, cfg: CheckCon
 # ---------------------------------------------------------------------------
 
 
-def _label_block(handle, prop: PropertyLabel, forms, cfg: CheckConfig, base: int, count: int):
+def _label_block(handle, prop: PropertyLabel, forms, cfg: CheckConfig, base: int, count: int,
+                 block: int):
     """The evaluated components of ``count`` trials of a property label,
-    drawn from the role streams offset by ``base``."""
+    drawn from block ``block`` of the role streams offset by ``base``."""
     cone = handle.domain
     if prop == PropertyLabel.COMONOTONE_STRONG_SUPERADD:
-        rng = Rng(cfg.seed, base + _STREAM_PAIR)
+        rng = Rng(cfg.seed, base + _STREAM_PAIR, block)
         x, y = cones.comonotone_pair_batch(cone.dim, rng, count, cfg.scale)
         # raising both to one floor keeps the pair comonotone
         floor = cones.coordinate_floor(cone, cfg.scale)
         drawn = {"x": np.maximum(x, floor), "y": np.maximum(y, floor),
-                 **_draw_xyz(cone, cfg, base, count, "z")}
+                 **_draw_xyz(cone, cfg, base, count, block, "z")}
     else:
-        drawn = _draw_xyz(cone, cfg, base, count, sorted({n for _, roles in forms for n in roles}))
+        drawn = _draw_xyz(cone, cfg, base, count, block,
+                          sorted({n for _, roles in forms for n in roles}))
     comps = [_component(handle, expr, {n: drawn[n] for n in roles}) for expr, roles in forms]
     if prop == PropertyLabel.COMPLETELY_MONOTONE:
-        b = _draw(cone, cfg, base + _STREAM_BASE, count)
+        b = _draw(cone, cfg, base + _STREAM_BASE, count, block)
         for k in range(cfg.order_cap + 1):
-            steps = {f"x{i + 1}": _draw(cone, cfg, base + _STREAM_STEPS + 16 * k + i, count)
+            steps = {f"x{i + 1}": _draw(cone, cfg, base + _STREAM_STEPS + 16 * k + i, count, block)
                      for i in range(k)}
             comps.append(_component(handle, f"completely-monotone[k={k}]", {"base": b, **steps}))
     return comps
@@ -536,8 +570,8 @@ def _check_label(target, property, cfg: CheckConfig, params, dim, rungs) -> Chec
     """The trial path of :func:`check` and :func:`refute`: the origin sign
     condition as a one-row block at ``cfg.scale`` when the cone holds the
     origin, then ``rungs(t)`` splits the ``t`` sampled trials into
-    ``(config, stream base, count)`` blocks, each drawn and reduced in
-    turn."""
+    ``(config, stream base, count)`` rungs, each cut into blocks of at most
+    ``_BLOCK`` trials that are drawn and reduced in turn."""
     handle = resolve_handle(target, params, dim)
     prop = PropertyLabel(property)
     cone = handle.domain
@@ -556,7 +590,8 @@ def _check_label(target, property, cfg: CheckConfig, params, dim, rungs) -> Chec
         if origin:
             yield cfg.scale, [_component(handle, origin, {"zero": cone.zero().data[None]})]
         for sub, base, count in rungs(t):
-            yield sub.scale, _label_block(handle, prop, forms, sub, base, count)
+            for block, n in _blocks(count):
+                yield sub.scale, _label_block(handle, prop, forms, sub, base, n, block)
 
     return _reduce_trials(handle, prop.value, blocks(), cfg)
 
@@ -626,11 +661,14 @@ def check_lipschitz_box(target, lip: float, cfg: CheckConfig | None = None) -> C
 
 
 def _check_xyz(handle: FunctionHandle, prop: str, expressions, cfg: CheckConfig) -> CheckReport:
-    """A single-block check: x, y and z drawn once for ``cfg.trials`` trials,
-    one component per expression."""
-    xyz = _draw_xyz(handle.domain, cfg, 0, cfg.trials)
-    comps = [_component(handle, e, xyz) for e in expressions]
-    return _reduce_trials(handle, prop, [(cfg.scale, comps)], cfg)
+    """x, y and z drawn for ``cfg.trials`` trials, one block of at most
+    ``_BLOCK`` trials at a time, one component per expression."""
+    def blocks():
+        for block, n in _blocks(cfg.trials):
+            xyz = _draw_xyz(handle.domain, cfg, 0, n, block)
+            yield cfg.scale, [_component(handle, e, xyz) for e in expressions]
+
+    return _reduce_trials(handle, prop, blocks(), cfg)
 
 
 def check_remark_double_inequality(cfg: CheckConfig | None = None) -> CheckReport:

@@ -6,8 +6,9 @@ membership, the induced partial order, lattice operations where they exist,
 and reproducible random sampling.
 
 Randomness contract: every draw comes from a numpy ``Philox`` counter-based
-bit generator keyed by ``(master_seed, stream_index)``.  Philox is platform
-independent, so identical ``Rng`` values replay identical samples anywhere.
+bit generator keyed by ``(master_seed, stream_index)`` whose counter starts
+at ``[0, 0, 0, block]``.  Philox is platform independent, so identical
+``Rng`` values replay identical samples anywhere.
 """
 
 from __future__ import annotations
@@ -282,11 +283,20 @@ def meet_join(cone: ConeSpec, x: Point, y: Point) -> tuple[Point, Point]:
 def comonotonic_batch(u: np.ndarray, v: np.ndarray, tol: float = 0.0) -> np.ndarray:
     """Row-wise comonotonicity of stacked vector pairs ``(R, n)``: R booleans,
     each true iff ``(u_i - u_j) * (v_i - v_j) >= -tol`` for every index pair
-    of its row.  Memory is O(R n), one index i at a time."""
+    of its row, and false on rows with a non-finite entry.
+
+    At ``tol == 0`` the test is exact and O(R n log n): a finite row is
+    comonotone iff v is nondecreasing once the row is sorted by u, ties
+    broken by v.  A positive tolerance compares every index pair, one index
+    i at a time, in O(R n) memory."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 2:
         raise ShapeError("comonotonicity needs two vectors of equal length")
+    if tol == 0.0:
+        vs = np.take_along_axis(v, np.lexsort((v, u), axis=1), axis=1)
+        return (np.all(vs[:, 1:] >= vs[:, :-1], axis=1)
+                & np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1))
     out = np.ones(u.shape[0], dtype=bool)
     for i in range(u.shape[1]):
         out &= np.all((u[:, i, None] - u) * (v[:, i, None] - v) >= -tol, axis=1)
@@ -303,14 +313,21 @@ def comonotonic(u, v, tol: float = 0.0) -> bool:
 
 @dataclass(frozen=True)
 class Rng:
-    """Reproducible random stream: Philox keyed by (master_seed, stream_index).
+    """Reproducible random stream: Philox keyed by ``(master_seed,
+    stream_index)``, with its 256-bit counter starting at ``[0, 0, 0,
+    block]``.
 
-    Streams with distinct indices are statistically independent; identical
-    keys replay identical draws on every platform.
+    Streams with distinct keys are statistically independent; identical
+    values replay identical draws on every platform.  A check cuts its
+    trials into fixed blocks and draws block ``b`` of a role stream from
+    ``block=b``: the same key, with the top counter word set to the block
+    index, so blocks never overlap (each would need 2^192 draws to reach
+    the next) and block 0 is the stream from counter 0.
     """
 
     master_seed: int
     stream_index: int = 0
+    block: int = 0
     _gen: list = field(default_factory=list, repr=False, compare=False)
 
     @property
@@ -320,7 +337,8 @@ class Rng:
                 [self.master_seed & 0xFFFFFFFFFFFFFFFF, self.stream_index & 0xFFFFFFFFFFFFFFFF],
                 dtype=np.uint64,
             )
-            self._gen.append(np.random.Generator(np.random.Philox(key=key)))
+            counter = np.array([0, 0, 0, self.block], dtype=np.uint64)
+            self._gen.append(np.random.Generator(np.random.Philox(counter=counter, key=key)))
         return self._gen[0]
 
 

@@ -22,6 +22,9 @@ from .errors import CapabilityError, DomainError, ShapeError
 # precision, and the evaluation count explodes.
 MAX_DIFF_ORDER = 12
 
+# subset-point rows per ``batch`` call of the completely-monotone form
+_SUBSET_ROWS = 2 ** 16
+
 
 class FunctionHandle:
     """A real-valued function on a cone.
@@ -113,15 +116,58 @@ def _second_diff(handle, r):
 def _completely_monotone(k: int, handle, r):
     """Order-k alternating difference at ``base`` with steps ``x1..xk``,
     signed so that complete monotonicity means ``slack >= 0``; the scale is
-    the largest |f| over all 2^k subset points."""
+    the largest |f| over all 2^k subset points.
+
+    Subset ``s`` is the point ``base + sum of x(i+1) over the bits i of s``,
+    its steps added from the highest index down.  The slack is the sum of f
+    over the even subsets minus the sum over the odd ones, each summed from
+    0 in ascending ``s``.  When all 2^k T rows fit in
+    :data:`_SUBSET_ROWS`, one ``batch`` call evaluates them.  Otherwise the
+    trials are taken ``_SUBSET_ROWS / (k + 1)`` at a time, each subset point
+    is formed from a stack of k + 1 prefix sums, and the points are
+    evaluated ``_SUBSET_ROWS`` rows per call, so memory does not grow with
+    k or T.  Both ways give the same bits: numpy sums the columns of a
+    ``(2^(k-1), T)`` array for ``T >= 2`` in the same sequence, and one
+    trial, whose column numpy sums pairwise, fits in one call at every
+    order up to 16.
+    """
     base = r["base"]
-    sums = [base]
-    for s in range(1, 1 << k):
-        low = (s & -s).bit_length() - 1
-        sums.append(sums[s & (s - 1)] + r[f"x{low + 1}"])
-    vals = handle.batch(np.concatenate(sums)).reshape(1 << k, base.shape[0])
-    odd = np.array([bin(s).count("1") % 2 == 1 for s in range(1 << k)])
-    return np.sum(vals[~odd], axis=0) - np.sum(vals[odd], axis=0), np.max(np.abs(vals), axis=0)
+    t = base.shape[0]
+    popcount = [bin(s).count("1") for s in range(1 << k)]
+    if t << k <= _SUBSET_ROWS:
+        sums = [base]
+        for s in range(1, 1 << k):
+            low = (s & -s).bit_length() - 1
+            sums.append(sums[s & (s - 1)] + r[f"x{low + 1}"])
+        vals = handle.batch(np.concatenate(sums)).reshape(1 << k, t)
+        odd = np.array([c % 2 == 1 for c in popcount])
+        return np.sum(vals[~odd], axis=0) - np.sum(vals[odd], axis=0), np.max(np.abs(vals), axis=0)
+
+    steps = [r[f"x{i + 1}"] for i in range(k)]
+    chunk = min(t, max(1, _SUBSET_ROWS // (k + 1)))
+    group = max(1, _SUBSET_ROWS // chunk)
+    sums = (np.zeros(t), np.zeros(t))  # even, odd
+    scale = np.empty(t)
+    for lo in range(0, t, chunk):
+        rows = slice(lo, min(lo + chunk, t))
+        # stack[d]: base plus the d highest steps of the current subset
+        stack = np.empty((k + 1,) + base[rows].shape)
+        stack[0] = base[rows]
+        points = np.empty((group,) + stack.shape[1:])
+        for first in range(0, 1 << k, group):
+            subsets = range(first, min(first + group, 1 << k))
+            for j, s in enumerate(subsets):
+                if s:
+                    low = (s & -s).bit_length() - 1
+                    np.add(stack[popcount[s] - 1], steps[low][rows], out=stack[popcount[s]])
+                points[j] = stack[popcount[s]]
+            vals = handle.batch(points[:len(subsets)].reshape((-1,) + base.shape[1:]))
+            vals = vals.reshape(len(subsets), -1)
+            for j, s in enumerate(subsets):
+                sums[popcount[s] % 2][rows] += vals[j]
+            top = np.max(np.abs(vals), axis=0)
+            scale[rows] = top if first == 0 else np.maximum(scale[rows], top)
+    return sums[0] - sums[1], scale
 
 
 def _one_row(f: FunctionHandle, form, points: dict) -> tuple[float, float]:

@@ -1,5 +1,7 @@
 """Randomized checks: verdicts, witnesses, determinism, special inequalities."""
 
+import hashlib
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from conecheck import catalog, checkers, cones
+from conecheck.catalog import PropertyLabel
 from conecheck.certify import check_det_trace_monotone, gaussian_detcert_check
 from conecheck.checkers import (
     CheckConfig,
@@ -576,3 +579,77 @@ def test_report_biconditional_invariant():
         else:
             thr = rep.config.tolerance(0.0)  # minimal threshold; scale term only widens it
             assert rep.worst_margin >= -thr or rep.skipped > 0
+
+
+@pytest.mark.parametrize("run,target,prop,trials,dim,digest", [
+    (check, "log1p", "strong-subadd", 2 ** 14, None,
+     "807dab96231f98120e67634d523625722ca5d500918231bebabf71059e4b9231"),
+    (refute, "geomean2", "strong-subadd", 3000, None,
+     "cb25391d2bd7d0bd4b4b4616277239081df23c98afd64abe0289e6c952576fda"),
+    (check, "trace-pow", "second-diff-nonpos", 2 ** 14, 2,
+     "72b84b2d0c688ddb599fefc327216b4621722a0030e478b69e44cf186d315f7b"),
+])
+def test_reports_of_one_block_keep_their_bytes(run, target, prop, trials, dim, digest):
+    """A check of at most ``_BLOCK`` trials per rung draws block 0 of each
+    stream, the stream from counter 0: these digests were taken before
+    trials were cut into blocks.  Bytes also depend on the platform's
+    floating-point kernels (numpy's vectorised log1p, BLAS for the PSD
+    sampler's products); they were taken on x86-64 with AVX-512."""
+    assert trials <= checkers._BLOCK
+    rep = run(target, prop, CheckConfig(trials=trials, seed=0), dim=dim)
+    assert hashlib.sha256(rep.json_line().encode()).hexdigest() == digest
+
+
+def _slice_block(comps, rows):
+    return [checkers._Component(c.expression, c.slack[rows], c.scale[rows],
+                                {r: a[rows] for r, a in c.roles.items()}) for c in comps]
+
+
+@pytest.mark.parametrize("handle,prop", [
+    (catalog.instantiate("geomean2"), PropertyLabel.STRONG_SUBADD),
+    (FunctionHandle("one", nonneg_orthant(2), lambda rows: np.ones(rows.shape[0])),
+     PropertyLabel.SUPERADD),
+    (catalog.instantiate("logdet-pencil"), PropertyLabel.SECOND_DIFF_NONPOS),
+])
+def test_folding_the_same_trials_in_more_blocks_gives_the_same_report(handle, prop):
+    """Witness (ties keep the earlier trial), worst margin and skip counts do
+    not depend on where the trials are cut."""
+    cfg = _cfg(trials=900, boundary_prob=0.5)
+    forms = checkers._LABELS[prop.value][1:]
+    comps = checkers._label_block(handle, prop, forms, cfg, 0, cfg.trials, 0)
+    one = checkers._reduce_trials(handle, prop.value, [(cfg.scale, comps)], cfg)
+    cuts = (0, 1, 2, 300, 301, 899, 900)
+    several = checkers._reduce_trials(
+        handle, prop.value,
+        [(cfg.scale, _slice_block(comps, slice(a, b))) for a, b in zip(cuts, cuts[1:])], cfg)
+    assert several.json_line() == one.json_line()
+
+
+@pytest.mark.parametrize("target,prop,dim", [("log1p", "strong-subadd", None),
+                                             ("det", "strong-superadd", 2)])
+def test_check_memory_does_not_grow_with_the_trial_count(target, prop, dim):
+    """Trials are drawn and folded one block at a time, so 8 blocks of trials
+    peak like one."""
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            check(target, prop, _cfg(trials=trials), dim=dim)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    check(target, prop, _cfg(trials=30), dim=dim)
+    assert peak(8 * checkers._BLOCK) < 1.5 * peak(checkers._BLOCK)
+
+
+def test_skips_at_an_undefined_apex_are_reported_but_not_charged(capsys):
+    """Refuting the log det pencil zeroes all of z in an eighth of trials, where
+    the pencil is singular; those trials stay in ``skipped`` but not in the
+    skip budget, so the asserted claim is not refuted and exits 0."""
+    from conecheck.cli import main
+
+    for seed in range(5):
+        rep = refute("logdet-pencil", "second-diff-nonpos", _cfg(trials=10000, seed=seed))
+        assert not rep.found_violation and rep.skipped > checkers._SKIP_BUDGET * rep.trials_run
+    assert main(["refute", "logdet-pencil", "--property", "second-diff-nonpos"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "NO_VIOLATION_FOUND"

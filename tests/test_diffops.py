@@ -1,13 +1,15 @@
 """Difference operators: first, second, k-th order, and shift-and-center."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conecheck import catalog
+from conecheck import catalog, diffops
 from conecheck.checkers import evaluate_expression
 from conecheck.cones import Point, Rng, nonneg_orthant, psd_cone, sample_batch
+from conecheck.diffops import _completely_monotone
 from conecheck.diffops import FunctionHandle, delta, kth_diff, second_diff, shift_and_center
 from conecheck.errors import CapabilityError, DomainError, ShapeError
 
@@ -210,3 +212,59 @@ def test_second_diff_lse_at_unit_box_triple():
     val = second_diff(h, p(1.0, 0.0), p(0.0, 1.0), p(1.0, 1.0))
     assert val == pytest.approx(1.0 - 2.0 * math.log((1.0 + math.e) / 2.0), abs=1e-12)
     assert val < 0
+
+
+# f is -0.0 or NaN on every row, so the sums start from +0.0 and any NaN
+# must reach the scale
+SIGNED_ZERO = FunctionHandle("signed-zero", nonneg_orthant(2),
+                             lambda r: np.where(r[:, 0] > 2.5, np.nan, -0.0 * r[:, 1]))
+
+
+def _cm_roles(handle, k, t, seed=0):
+    rng = Rng(seed, k)
+    roles = {"base": sample_batch(handle.domain, rng, t)}
+    for i in range(k):
+        roles[f"x{i + 1}"] = sample_batch(handle.domain, rng, t, 0.5)
+    return roles
+
+
+def _cm_bits(monkeypatch, rows, k, handle, roles):
+    monkeypatch.setattr(diffops, "_SUBSET_ROWS", rows)
+    slack, scale = _completely_monotone(k, handle, roles)
+    return slack.tobytes() + scale.tobytes()
+
+
+@pytest.mark.parametrize("handle", [catalog.instantiate("exp-neg-linear"),
+                                    catalog.instantiate("det-recip-pow", {"beta": 0.75}, 3),
+                                    SIGNED_ZERO], ids=lambda h: h.label)
+def test_streamed_completely_monotone_matches_one_call(monkeypatch, handle):
+    """At every k <= 8 and T in {1, 2, 3, 7, 3000, 9000, 40000} whose 2^k T
+    rows one call can hold, the streamed subset sums give the bits of one
+    call over all rows, signed zeros and NaN included; small T is also
+    forced through the stream with a row budget of 8."""
+    for k in range(9):
+        for t in (1, 2, 3, 7, 3000, 9000, 40000):
+            if t << k > 2 ** 20:
+                continue
+            roles = _cm_roles(handle, k, t)
+            one_call = _cm_bits(monkeypatch, 2 ** 62, k, handle, roles)
+            assert _cm_bits(monkeypatch, diffops._SUBSET_ROWS, k, handle, roles) == one_call, (k, t)
+            if 2 <= t <= 7:
+                assert _cm_bits(monkeypatch, 8, k, handle, roles) == one_call, (k, t)
+
+
+def test_completely_monotone_memory_does_not_grow_with_the_order():
+    """At 2^14 trials the form peaks within a small constant at k = 10 of its
+    peak at k = 2; all 2^10 subset points at once would take 384 MiB."""
+    handle = catalog.instantiate("exp-neg-linear")
+
+    def peak(k):
+        roles = _cm_roles(handle, k, 2 ** 14)
+        tracemalloc.start()
+        try:
+            _completely_monotone(k, handle, roles)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10) < 2 * peak(2)
