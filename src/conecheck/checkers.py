@@ -275,6 +275,14 @@ _PARAMETRIZED_FORMS = {
     "alpha-strong": (_alpha_strong, float),
     "lipschitz-box": (_lipschitz_box, float),
 }
+# form -> the roles it evaluates the handle at by themselves, not only as a
+# step added to another point; a skipped trial whose non-finite value may
+# come from the cone's apex is one with such a role there
+_POINT_ROLES = {
+    _additivity: "xy", _modular: "xy", _signed_second_diff: "z", _comonotone: "z",
+    _origin: ("zero",), _increment: ("U",), _alpha_strong: "z", _lipschitz_box: "z",
+    _double_bound: (), _symmetrized: "xyz", _completely_monotone: ("base",),
+}
 # property label -> its origin sign condition (checked when the cone holds the
 # origin), then each component's expression and the roles it reads; check()
 # draws the comonotone pair and the completely-monotone steps itself
@@ -441,19 +449,24 @@ class _Component:
     roles: dict  # role name -> (T, ...) point data
 
 
-def _component(handle, expression: str, roles: dict) -> _Component:
-    slack, scale = _form(expression)(handle, roles)
+def _component(handle, expression: str, roles: dict, form=None) -> _Component:
+    """The expression's form, or ``form`` in its place, on the role arrays."""
+    form = form or _form(expression)
+    slack, scale = form(handle, roles)
     return _Component(expression, slack, scale, roles)
 
 
 def _at_undefined_apex(handle: FunctionHandle, comps: list[_Component]) -> np.ndarray:
-    """The trials with a role point at the cone's apex, the origin, when the
-    handle is undefined there (all false otherwise)."""
+    """The trials where some component evaluates the handle at the cone's
+    apex, the origin, as one of its point roles, when the handle is
+    undefined there (all false otherwise).  A zero step puts no point at the
+    apex."""
     at = np.zeros(comps[0].slack.shape, dtype=bool)
     if np.isfinite(handle.batch(handle.domain.zero().data[None]))[0]:
         return at
     for c in comps:
-        for arr in c.roles.values():
+        for role in _POINT_ROLES[_form(c.expression).func]:
+            arr = c.roles[role]
             at |= ~arr.reshape(arr.shape[0], -1).any(axis=1)
     return at
 
@@ -551,11 +564,15 @@ def _label_block(handle, prop: PropertyLabel, forms, cfg: CheckConfig, base: int
         x, y = cones.comonotone_pair_batch(cone.dim, rng, count, cfg.scale)
         # raising both to one floor keeps the pair comonotone
         floor = cones.coordinate_floor(cone, cfg.scale)
-        drawn = {"x": np.maximum(x, floor), "y": np.maximum(y, floor),
+        roles = {"x": np.maximum(x, floor), "y": np.maximum(y, floor),
                  **_draw_xyz(cone, cfg, base, count, block, "z")}
-    else:
-        drawn = _draw_xyz(cone, cfg, base, count, block,
-                          sorted({n for _, roles in forms for n in roles}))
+        # the drawn pairs are comonotone by construction, so the trials skip
+        # the hypothesis test of the form; a witness keeps it on re-evaluation
+        # and shrinking
+        (expr, _), = forms
+        return [_component(handle, expr, roles, partial(_signed_second_diff, _FORMS[expr][1]))]
+    drawn = _draw_xyz(cone, cfg, base, count, block,
+                      sorted({n for _, roles in forms for n in roles}))
     comps = [_component(handle, expr, {n: drawn[n] for n in roles}) for expr, roles in forms]
     if prop == PropertyLabel.COMPLETELY_MONOTONE:
         b = _draw(cone, cfg, base + _STREAM_BASE, count, block)

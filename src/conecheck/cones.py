@@ -283,20 +283,11 @@ def meet_join(cone: ConeSpec, x: Point, y: Point) -> tuple[Point, Point]:
 def comonotonic_batch(u: np.ndarray, v: np.ndarray, tol: float = 0.0) -> np.ndarray:
     """Row-wise comonotonicity of stacked vector pairs ``(R, n)``: R booleans,
     each true iff ``(u_i - u_j) * (v_i - v_j) >= -tol`` for every index pair
-    of its row, and false on rows with a non-finite entry.
-
-    At ``tol == 0`` the test is exact and O(R n log n): a finite row is
-    comonotone iff v is nondecreasing once the row is sorted by u, ties
-    broken by v.  A positive tolerance compares every index pair, one index
-    i at a time, in O(R n) memory."""
+    of its row.  Memory is O(R n), one index i at a time."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 2:
         raise ShapeError("comonotonicity needs two vectors of equal length")
-    if tol == 0.0:
-        vs = np.take_along_axis(v, np.lexsort((v, u), axis=1), axis=1)
-        return (np.all(vs[:, 1:] >= vs[:, :-1], axis=1)
-                & np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1))
     out = np.ones(u.shape[0], dtype=bool)
     for i in range(u.shape[1]):
         out &= np.all((u[:, i, None] - u) * (v[:, i, None] - v) >= -tol, axis=1)

@@ -581,23 +581,48 @@ def test_report_biconditional_invariant():
             assert rep.worst_margin >= -thr or rep.skipped > 0
 
 
-@pytest.mark.parametrize("run,target,prop,trials,dim,digest", [
-    (check, "log1p", "strong-subadd", 2 ** 14, None,
-     "807dab96231f98120e67634d523625722ca5d500918231bebabf71059e4b9231"),
-    (refute, "geomean2", "strong-subadd", 3000, None,
-     "cb25391d2bd7d0bd4b4b4616277239081df23c98afd64abe0289e6c952576fda"),
-    (check, "trace-pow", "second-diff-nonpos", 2 ** 14, 2,
-     "72b84b2d0c688ddb599fefc327216b4621722a0030e478b69e44cf186d315f7b"),
+def test_block_zero_is_the_stream_from_counter_zero():
+    """Block ``b`` of a stream keeps the Philox key and starts at counter
+    ``[0, 0, 0, b]``; raw Philox output is the same on every platform, so
+    the digest of blocks 0-2 is pinned."""
+    key = np.array([7, 3], dtype=np.uint64)
+    unblocked = np.random.Philox(key=key).random_raw(1024)
+    assert np.array_equal(Rng(7, 3).generator.bit_generator.random_raw(1024), unblocked)
+    assert Rng(7, 3, 2).generator.bit_generator.state["state"]["counter"].tolist() == [0, 0, 0, 2]
+    digest = hashlib.sha256()
+    for block in range(3):
+        digest.update(Rng(7, 3, block).generator.bit_generator.random_raw(1024).tobytes())
+    assert digest.hexdigest() == "530ee6bb8547cfa476942703009012884b5ade0178caad115fbd550492d421e6"
+
+
+class _UnblockedRng(cones.Rng):
+    """Every stream from Philox counter 0 whatever its block, as drawn before
+    trials were cut into blocks."""
+
+    @property
+    def generator(self):
+        if not self._gen:
+            key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
+            self._gen.append(np.random.Generator(np.random.Philox(key=key)))
+        return self._gen[0]
+
+
+@pytest.mark.parametrize("run,target,prop,trials,dim", [
+    (check, "log1p", "strong-subadd", 2 ** 14, None),
+    (refute, "geomean2", "strong-subadd", 3000, None),
+    (check, "trace-pow", "second-diff-nonpos", 2 ** 14, 2),
+    (check, "lse", "comonotone-strong-superadd", 2 ** 14, 3),
+    (check, "exp-neg-linear", "completely-monotone", 2 ** 14, None),
 ])
-def test_reports_of_one_block_keep_their_bytes(run, target, prop, trials, dim, digest):
-    """A check of at most ``_BLOCK`` trials per rung draws block 0 of each
-    stream, the stream from counter 0: these digests were taken before
-    trials were cut into blocks.  Bytes also depend on the platform's
-    floating-point kernels (numpy's vectorised log1p, BLAS for the PSD
-    sampler's products); they were taken on x86-64 with AVX-512."""
+def test_reports_of_one_block_draw_the_unblocked_streams(monkeypatch, run, target, prop,
+                                                         trials, dim):
+    """A check of at most ``_BLOCK`` trials per rung gives the report bytes of
+    one unblocked draw of every stream."""
     assert trials <= checkers._BLOCK
-    rep = run(target, prop, CheckConfig(trials=trials, seed=0), dim=dim)
-    assert hashlib.sha256(rep.json_line().encode()).hexdigest() == digest
+    blocked = run(target, prop, CheckConfig(trials=trials, seed=0), dim=dim).json_line()
+    monkeypatch.setattr(checkers, "Rng", _UnblockedRng)
+    monkeypatch.setattr(checkers, "_BLOCK", 2 ** 62)
+    assert run(target, prop, CheckConfig(trials=trials, seed=0), dim=dim).json_line() == blocked
 
 
 def _slice_block(comps, rows):
@@ -653,3 +678,48 @@ def test_skips_at_an_undefined_apex_are_reported_but_not_charged(capsys):
         assert not rep.found_violation and rep.skipped > checkers._SKIP_BUDGET * rep.trials_run
     assert main(["refute", "logdet-pencil", "--property", "second-diff-nonpos"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "NO_VIOLATION_FOUND"
+
+
+# 1 on the open interval (0, 5), NaN elsewhere: every finite slack is 0
+_OPEN_INTERVAL = FunctionHandle("open-interval", nonneg_orthant(1),
+                                lambda r: np.where((r[:, 0] > 0) & (r[:, 0] < 5), 1.0, np.nan))
+
+
+@pytest.mark.parametrize("expression,at_apex,zero_step", [
+    ("second-diff-nonpos", {"z": 0.0}, {"x": 0.0, "y": 10.0}),
+    ("completely-monotone[k=2]", {"base": 0.0}, {"x1": 0.0, "x2": 10.0}),
+])
+def test_only_points_at_an_undefined_apex_excuse_a_skip(expression, at_apex, zero_step):
+    """150 of 1000 trials are skipped, over the 10% budget.  With a point at
+    the apex they are not charged; with a zero step and the non-finite value
+    at another point they are."""
+    roles = {"z", "x", "y"} if expression == "second-diff-nonpos" else {"base", "x1", "x2"}
+
+    def reduce(first_rows):
+        arrays = {r: np.ones((1000, 1)) for r in roles}
+        for r, v in first_rows.items():
+            arrays[r][:150] = v
+        comps = [checkers._component(_OPEN_INTERVAL, expression, arrays)]
+        return checkers._reduce_trials(_OPEN_INTERVAL, "p", [(1.0, comps)], _cfg(trials=1000))
+
+    rep = reduce(at_apex)
+    assert rep.skipped == 150 and not rep.found_violation
+    with pytest.raises(NumericFailure, match="150/1000"):
+        reduce(zero_step)
+
+
+@pytest.mark.parametrize("target,dim", [("lse", 3), ("lse", 8), ("inv-power-product", 3)])
+def test_comonotone_trials_hold_the_hypothesis_they_skip(target, dim):
+    """Every drawn pair, at every rung's scale and in later blocks, passes the
+    zero-tolerance comonotone test, so evaluating the trials without it gives
+    the form's own slack and scale."""
+    handle = catalog.resolve_handle(target, None, dim)
+    prop = PropertyLabel.COMONOTONE_STRONG_SUPERADD
+    for scale in checkers.SCALE_LADDER:
+        cfg = _cfg(trials=3000, scale=scale)
+        for block in (0, 1):
+            comp, = checkers._label_block(handle, prop, checkers._LABELS[prop.value][1:],
+                                          cfg, 0, cfg.trials, block)
+            assert cones.comonotonic_batch(comp.roles["x"], comp.roles["y"]).all()
+            slack, s = checkers._form(comp.expression)(handle, comp.roles)
+            assert slack.tobytes() + s.tobytes() == comp.slack.tobytes() + comp.scale.tobytes()

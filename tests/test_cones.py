@@ -152,34 +152,6 @@ def test_comonotonic_batch_agrees_with_comonotonic_row_by_row(tol):
     assert 0 < got[100:].sum() < 100
 
 
-# ties, signed zeros, one-ulp near-ties and non-finite values; differences of
-# distinct values are at least an ulp of 1, so no product underflows to a
-# zero that the pairwise test would accept
-_TIE_POOL = st.sampled_from([-2.0, -1.0, -0.0, 0.0, np.nextafter(1.0, 0.0), 1.0,
-                             np.nextafter(1.0, 2.0), 1.0 + 4 * np.finfo(float).eps, 3.0,
-                             np.inf, np.nan])
-
-
-@st.composite
-def _pair_rows(draw):
-    n = draw(st.integers(1, 7))
-    row = st.lists(_TIE_POOL, min_size=n, max_size=n)
-    rows = draw(st.lists(st.tuples(row, row), min_size=1, max_size=6))
-    return np.array([u for u, _ in rows]), np.array([v for _, v in rows])
-
-
-@given(_pair_rows())
-@settings(max_examples=300, deadline=None)
-def test_sorted_comonotone_test_is_the_pairwise_definition(pair):
-    """At zero tolerance the sort-based test agrees with every index pair's
-    product on ties, zeros, near-ties and non-finite entries."""
-    u, v = pair
-    with np.errstate(invalid="ignore"):
-        pairwise = [bool(np.all((a[:, None] - a[None, :]) * (b[:, None] - b[None, :]) >= 0.0))
-                    for a, b in zip(u, v)]
-    assert cones.comonotonic_batch(u, v).tolist() == pairwise
-
-
 @given(
     st.lists(finite_floats, min_size=2, max_size=10),
     st.lists(finite_floats, min_size=2, max_size=10),
