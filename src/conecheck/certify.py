@@ -25,6 +25,7 @@ from .checkers import (
     CheckConfig,
     CheckReport,
     Witness,
+    _blocks,
     _component,
     _reduce_trials,
     evaluate_expression,
@@ -601,7 +602,7 @@ def check_det_trace_monotone(n: int, cfg: CheckConfig | None = None) -> CheckRep
     """``det(U) trace(U^-1) <= det(V) trace(V^-1)`` on random ordered pairs
     U <= V = U + step of positive-definite matrices: the ``nondecreasing``
     form over the roles ``U`` and ``step``, so a shrunk witness keeps its
-    order."""
+    order.  Drawn and folded one ``_BLOCK`` of trials at a time."""
     cfg = cfg or CheckConfig()
     cone = cones.psd_cone(n)
 
@@ -610,9 +611,11 @@ def check_det_trace_monotone(n: int, cfg: CheckConfig | None = None) -> CheckRep
         return np.prod(lam, axis=1) * np.sum(1.0 / lam, axis=1)
 
     handle = FunctionHandle("det-trace-inverse", cone, phi)
-    roles = {
-        "U": _interior_batch(cone, Rng(cfg.seed, _STREAM_POINTS), cfg.trials, cfg.scale),
-        "step": cones.sample_batch(cone, Rng(cfg.seed, _STREAM_V), cfg.trials, cfg.scale, 0.0),
-    }
-    comp = _component(handle, "nondecreasing", roles)
-    return _reduce_trials(handle, "det-trace-inverse-monotone", [(cfg.scale, [comp])], cfg)
+
+    def blocks():
+        for b, count in _blocks(cfg.trials):
+            u = _interior_batch(cone, Rng(cfg.seed, _STREAM_POINTS, b), count, cfg.scale)
+            step = cones.sample_batch(cone, Rng(cfg.seed, _STREAM_V, b), count, cfg.scale, 0.0)
+            yield cfg.scale, [_component(handle, "nondecreasing", {"U": u, "step": step})]
+
+    return _reduce_trials(handle, "det-trace-inverse-monotone", blocks(), cfg)

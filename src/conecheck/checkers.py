@@ -39,6 +39,7 @@ from .diffops import (
     FunctionHandle,
     _abs_max,
     _completely_monotone,
+    _completely_monotone_orders,
     _first_diff,
     _one_row,
     _second_diff,
@@ -575,11 +576,14 @@ def _label_block(handle, prop: PropertyLabel, forms, cfg: CheckConfig, base: int
                       sorted({n for _, roles in forms for n in roles}))
     comps = [_component(handle, expr, {n: drawn[n] for n in roles}) for expr, roles in forms]
     if prop == PropertyLabel.COMPLETELY_MONOTONE:
-        b = _draw(cone, cfg, base + _STREAM_BASE, count, block)
-        for k in range(cfg.order_cap + 1):
-            steps = {f"x{i + 1}": _draw(cone, cfg, base + _STREAM_STEPS + 16 * k + i, count, block)
-                     for i in range(k)}
-            comps.append(_component(handle, f"completely-monotone[k={k}]", {"base": b, **steps}))
+        # one pass evaluates every order; order j reads base and the first j shared steps
+        k = cfg.order_cap
+        roles = {"base": _draw(cone, cfg, base + _STREAM_BASE, count, block),
+                 **{f"x{i + 1}": _draw(cone, cfg, base + _STREAM_STEPS + i, count, block)
+                    for i in range(k)}}
+        slack, scale = _completely_monotone_orders(k, handle, roles)
+        comps += [_Component(f"completely-monotone[k={j}]", slack[j], scale[j],
+                             dict(list(roles.items())[:j + 1])) for j in range(k + 1)]
     return comps
 
 

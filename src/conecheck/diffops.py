@@ -6,7 +6,9 @@ subadditive functions from the strongly superadditive ones; ``kth_diff``
 generalizes to order k via inclusion-exclusion.  They are the one-row cases
 of the vectorized difference forms ``_first_diff``, ``_second_diff`` and
 ``_completely_monotone``, which the randomized checks evaluate on every
-trial and the certificates use as their finite-difference stencils.
+trial and the certificates use as their finite-difference stencils.  Each
+row gets the same bits in any batch whenever the handle's ``batch`` does:
+rules built from + - * / do; numpy's transcendental and BLAS kernels may not.
 """
 
 from __future__ import annotations
@@ -113,61 +115,52 @@ def _second_diff(handle, r):
     return (vxyz + vz) - (vxz + vyz), _abs_max(vz, vxz, vyz, vxyz)
 
 
-def _completely_monotone(k: int, handle, r):
-    """Order-k alternating difference at ``base`` with steps ``x1..xk``,
-    signed so that complete monotonicity means ``slack >= 0``; the scale is
-    the largest |f| over all 2^k subset points.
+def _completely_monotone_orders(k: int, handle, r):
+    """Every order 0..k of the completely-monotone form in one pass: two
+    ``(k + 1, T)`` arrays whose row j is the order-j alternating difference
+    at ``base`` with steps ``x1..xj``, signed so that complete monotonicity
+    means ``slack >= 0``, and the largest |f| over its 2^j subset points.
 
-    Subset ``s`` is the point ``base + sum of x(i+1) over the bits i of s``,
-    its steps added from the highest index down.  The slack is the sum of f
-    over the even subsets minus the sum over the odd ones, each summed from
-    0 in ascending ``s``.  When all 2^k T rows fit in
-    :data:`_SUBSET_ROWS`, one ``batch`` call evaluates them.  Otherwise the
-    trials are taken ``_SUBSET_ROWS / (k + 1)`` at a time, each subset point
-    is formed from a stack of k + 1 prefix sums, and the points are
-    evaluated ``_SUBSET_ROWS`` rows per call, so memory does not grow with
-    k or T.  Both ways give the same bits: numpy sums the columns of a
-    ``(2^(k-1), T)`` array for ``T >= 2`` in the same sequence, and one
-    trial, whose column numpy sums pairwise, fits in one call at every
-    order up to 16.
+    Subset ``s`` is ``base`` plus x(i+1) for each bit i of s, added from the
+    highest index down, so order j's subsets are those below 2^j.  One walk
+    in ascending ``s`` sums the even and the odd subsets from 0 and reads
+    order j off at ``s = 2^j``.  It takes ``_SUBSET_ROWS / (k + 1)`` trials
+    at a time, forms each point from a stack of k + 1 prefix sums and
+    evaluates ``_SUBSET_ROWS`` rows per call, so memory does not grow with T.
     """
     base = r["base"]
     t = base.shape[0]
     popcount = [bin(s).count("1") for s in range(1 << k)]
-    if t << k <= _SUBSET_ROWS:
-        sums = [base]
-        for s in range(1, 1 << k):
-            low = (s & -s).bit_length() - 1
-            sums.append(sums[s & (s - 1)] + r[f"x{low + 1}"])
-        vals = handle.batch(np.concatenate(sums)).reshape(1 << k, t)
-        odd = np.array([c % 2 == 1 for c in popcount])
-        return np.sum(vals[~odd], axis=0) - np.sum(vals[odd], axis=0), np.max(np.abs(vals), axis=0)
-
-    steps = [r[f"x{i + 1}"] for i in range(k)]
-    chunk = min(t, max(1, _SUBSET_ROWS // (k + 1)))
-    group = max(1, _SUBSET_ROWS // chunk)
-    sums = (np.zeros(t), np.zeros(t))  # even, odd
-    scale = np.empty(t)
+    chunk = max(1, min(t, _SUBSET_ROWS // (k + 1)))
+    group = min(1 << k, max(1, _SUBSET_ROWS // chunk))
+    slack, scale = np.empty((k + 1, t)), np.empty((k + 1, t))
     for lo in range(0, t, chunk):
         rows = slice(lo, min(lo + chunk, t))
         # stack[d]: base plus the d highest steps of the current subset
         stack = np.empty((k + 1,) + base[rows].shape)
         stack[0] = base[rows]
         points = np.empty((group,) + stack.shape[1:])
+        sums, top = np.zeros((2, len(stack[0]))), np.zeros(len(stack[0]))  # even, odd; max |f|
         for first in range(0, 1 << k, group):
             subsets = range(first, min(first + group, 1 << k))
             for j, s in enumerate(subsets):
                 if s:
                     low = (s & -s).bit_length() - 1
-                    np.add(stack[popcount[s] - 1], steps[low][rows], out=stack[popcount[s]])
+                    np.add(stack[popcount[s] - 1], r[f"x{low + 1}"][rows], out=stack[popcount[s]])
                 points[j] = stack[popcount[s]]
             vals = handle.batch(points[:len(subsets)].reshape((-1,) + base.shape[1:]))
-            vals = vals.reshape(len(subsets), -1)
-            for j, s in enumerate(subsets):
-                sums[popcount[s] % 2][rows] += vals[j]
-            top = np.max(np.abs(vals), axis=0)
-            scale[rows] = top if first == 0 else np.maximum(scale[rows], top)
-    return sums[0] - sums[1], scale
+            for s, v in zip(subsets, vals.reshape(len(subsets), -1)):
+                sums[popcount[s] % 2] += v
+                np.maximum(top, np.abs(v), out=top)
+                if not s & (s + 1):  # s + 1 = 2^j: order j is complete
+                    slack[s.bit_length(), rows], scale[s.bit_length(), rows] = sums[0] - sums[1], top
+    return slack, scale
+
+
+def _completely_monotone(k: int, handle, r):
+    """The order-k form: the last order of :func:`_completely_monotone_orders`."""
+    slack, scale = _completely_monotone_orders(k, handle, r)
+    return slack[k], scale[k]
 
 
 def _one_row(f: FunctionHandle, form, points: dict) -> tuple[float, float]:

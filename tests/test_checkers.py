@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -650,21 +651,41 @@ def test_folding_the_same_trials_in_more_blocks_gives_the_same_report(handle, pr
     assert several.json_line() == one.json_line()
 
 
-@pytest.mark.parametrize("target,prop,dim", [("log1p", "strong-subadd", None),
-                                             ("det", "strong-superadd", 2)])
-def test_check_memory_does_not_grow_with_the_trial_count(target, prop, dim):
+@pytest.mark.parametrize("run", [
+    pytest.param(partial(check, "log1p", "strong-subadd"), id="log1p-strong-subadd-None"),
+    pytest.param(partial(check, "det", "strong-superadd", dim=2), id="det-strong-superadd-2"),
+    pytest.param(partial(check_det_trace_monotone, 3), id="det-trace-inverse-monotone-3"),
+])
+def test_check_memory_does_not_grow_with_the_trial_count(run):
     """Trials are drawn and folded one block at a time, so 8 blocks of trials
     peak like one."""
     def peak(trials):
         tracemalloc.start()
         try:
-            check(target, prop, _cfg(trials=trials), dim=dim)
+            run(_cfg(trials=trials))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    check(target, prop, _cfg(trials=30), dim=dim)
+    run(_cfg(trials=30))
     assert peak(8 * checkers._BLOCK) < 1.5 * peak(checkers._BLOCK)
+
+
+def test_completely_monotone_check_memory_grows_slowly_with_the_order_cap():
+    """Every order shares one set of steps and one pass over the subset
+    points, so a block's arrays grow linearly with ``order_cap``: at 2^13
+    trials, cap 12 peaks under 4x cap 2 (measured about 3x)."""
+    def peak(cap):
+        cfg = CheckConfig(trials=2 ** 13, order_cap=cap)
+        check("exp-neg-linear", "completely-monotone", replace(cfg, trials=30))
+        tracemalloc.start()
+        try:
+            check("exp-neg-linear", "completely-monotone", cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(12) < 4 * peak(2)
 
 
 def test_skips_at_an_undefined_apex_are_reported_but_not_charged(capsys):

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conecheck import catalog, diffops
-from conecheck.checkers import evaluate_expression
+from conecheck import catalog, checkers, diffops
+from conecheck.catalog import PropertyLabel
+from conecheck.checkers import CheckConfig, evaluate_expression
 from conecheck.cones import Point, Rng, nonneg_orthant, psd_cone, sample_batch
 from conecheck.diffops import _completely_monotone
 from conecheck.diffops import FunctionHandle, delta, kth_diff, second_diff, shift_and_center
@@ -234,23 +235,57 @@ def _cm_bits(monkeypatch, rows, k, handle, roles):
     return slack.tobytes() + scale.tobytes()
 
 
-@pytest.mark.parametrize("handle", [catalog.instantiate("exp-neg-linear"),
-                                    catalog.instantiate("det-recip-pow", {"beta": 0.75}, 3),
-                                    SIGNED_ZERO], ids=lambda h: h.label)
-def test_streamed_completely_monotone_matches_one_call(monkeypatch, handle):
-    """At every k <= 8 and T in {1, 2, 3, 7, 3000, 9000, 40000} whose 2^k T
-    rows one call can hold, the streamed subset sums give the bits of one
-    call over all rows, signed zeros and NaN included; small T is also
-    forced through the stream with a row budget of 8."""
+# built from + - * / alone, so each row's value has the same bits in any call
+RECIP_1PX = FunctionHandle("recip-1px", nonneg_orthant(1), lambda r: 1.0 / (1.0 + r[:, 0]))
+RECIP_DET2 = FunctionHandle("recip-det2", psd_cone(2),
+                            lambda r: 1.0 / (r[:, 0, 0] * r[:, 1, 1] - r[:, 0, 1] * r[:, 1, 0]))
+
+
+@pytest.mark.parametrize("handle", [RECIP_1PX, RECIP_DET2, SIGNED_ZERO], ids=lambda h: h.label)
+def test_completely_monotone_bits_do_not_depend_on_the_row_budget(monkeypatch, handle):
+    """At every k <= 8 the same trials give the same bits, signed zeros and
+    NaN included, at the default budget of subset rows per call, at a budget
+    of 8 rows and with all rows in one call."""
+    default = diffops._SUBSET_ROWS
     for k in range(9):
-        for t in (1, 2, 3, 7, 3000, 9000, 40000):
-            if t << k > 2 ** 20:
-                continue
+        for t in (1, 2, 3, 7, 40, 9000, 20000):
             roles = _cm_roles(handle, k, t)
-            one_call = _cm_bits(monkeypatch, 2 ** 62, k, handle, roles)
-            assert _cm_bits(monkeypatch, diffops._SUBSET_ROWS, k, handle, roles) == one_call, (k, t)
-            if 2 <= t <= 7:
-                assert _cm_bits(monkeypatch, 8, k, handle, roles) == one_call, (k, t)
+            bits = _cm_bits(monkeypatch, default, k, handle, roles)
+            if t << k <= 2 ** 18:
+                assert _cm_bits(monkeypatch, 2 ** 62, k, handle, roles) == bits, (k, t)
+            if t <= 40:
+                assert _cm_bits(monkeypatch, 8, k, handle, roles) == bits, (k, t)
+
+
+@pytest.mark.parametrize("handle", [RECIP_1PX, RECIP_DET2], ids=lambda h: h.label)
+def test_one_row_completely_monotone_is_the_block_row(handle):
+    """At every k <= 8 each of 100 trials evaluated on its own, by the form
+    and by ``kth_diff``, gives the bits it gets inside the block."""
+    for k in range(9):
+        roles = _cm_roles(handle, k, 100)
+        slack, scale = _completely_monotone(k, handle, roles)
+        for i in range(100):
+            one = _completely_monotone(k, handle, {n: a[i:i + 1] for n, a in roles.items()})
+            assert one[0].tobytes() + one[1].tobytes() == slack[i].tobytes() + scale[i].tobytes()
+            if k and np.isfinite(slack[i]) and np.isfinite(scale[i]):
+                pts = {n: Point(handle.domain.point_kind, a[i], _validated=True)
+                       for n, a in roles.items()}
+                value = kth_diff(handle, [pts[f"x{j + 1}"] for j in range(k)], pts["base"])
+                assert np.float64(value).tobytes() == (-slack[i] if k % 2 else slack[i]).tobytes()
+
+
+@pytest.mark.parametrize("handle", [RECIP_1PX, RECIP_DET2], ids=lambda h: h.label)
+def test_every_order_of_a_block_is_its_own_form_on_shared_steps(handle):
+    """A completely-monotone block draws ``order_cap`` steps once; order j
+    reads ``base, x1..xj`` of them and gets the bits of the order-j form."""
+    cfg = CheckConfig(trials=300, order_cap=8, boundary_prob=0.5)
+    comps = checkers._label_block(handle, PropertyLabel.COMPLETELY_MONOTONE, (), cfg, 0, 300, 0)
+    assert [c.expression for c in comps] == [f"completely-monotone[k={j}]" for j in range(9)]
+    for j, c in enumerate(comps):
+        assert list(c.roles) == ["base"] + [f"x{i + 1}" for i in range(j)]
+        assert all(c.roles[n] is comps[-1].roles[n] for n in c.roles)
+        slack, scale = _completely_monotone(j, handle, c.roles)
+        assert slack.tobytes() + scale.tobytes() == c.slack.tobytes() + c.scale.tobytes()
 
 
 def test_completely_monotone_memory_does_not_grow_with_the_order():
