@@ -8,7 +8,10 @@ vocabulary deliberately has no stronger word.  A certificate's verdict is
 derived from its refusal witness: ``REFUSED`` exactly when there is one.
 The finite-difference Hessians and directional derivatives are the
 difference forms of :mod:`.diffops`, and the origin sign condition is the
-checks' ``origin-nonneg``/``origin-nonpos`` form.
+checks' ``origin-nonneg``/``origin-nonpos`` form.  The Gaussian-integral
+representation of ``det(I + A)^(-1/2)`` is checked against a fixed
+tensor-product Gauss-Hermite rule, summed one slice at a time with no state
+kept between calls.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import (
     CertificateError,
     DomainError,
     NumericFailure,
+    ShapeError,
 )
 
 CERTIFIED = "CERTIFIED_NUMERIC"
@@ -371,207 +375,109 @@ def laplace_as_handle(cert: LaplaceCertificate, cone: ConeSpec) -> FunctionHandl
 # quadrature validation of the beta = 1/2 determinant representation
 # ---------------------------------------------------------------------------
 
-_QMC_NODES = 10 ** 6
-# nodes per block and matrices per product of the quadrature: together they
-# bound its temporaries to a few MiB whatever the number of matrices
-_QMC_BLOCK = 2 ** 15
-_QMC_STACK = 16
-# one Halton base per coordinate, so the quadrature's highest order is
-# len(_PRIMES)
-_PRIMES = (2, 3, 5, 7)
+# Gauss-Hermite points per coordinate: the rule integrates polynomials of
+# degree up to 2 * 24 - 1 in each coordinate exactly
+_GH_POINTS = 24
+# the highest order of the quadrature; a slice holds 24^(order - 1) nodes
+_GH_MAX_ORDER = 4
+# matrices per product of the quadrature, which bounds its temporaries to a
+# few MiB whatever the number of matrices
+_GH_STACK = 16
 
 
-def _radical_inverse(b: int, start: int, out: np.ndarray) -> None:
-    """Write the base-``b`` radical inverses of the indices ``start + 1``,
-    ..., ``start + len(out)`` into ``out``, least significant digit first.
-    The indices stay below 2**53, so the digits ``i - floor(i / b) * b``
-    are exact in float64; the three work arrays are the size of ``out``."""
-    i = np.arange(start + 1, start + 1 + len(out), dtype=np.float64)
-    q = np.empty_like(i)
-    r = np.empty_like(i)
-    out[:] = 0.0
-    f = 1.0
-    # i is increasing, so its last entry has the most digits
-    while i[-1] > 0:
-        f /= b
-        np.divide(i, b, out=q)
-        np.floor(q, out=q)
-        np.multiply(q, b, out=r)
-        np.subtract(i, r, out=r)
-        r *= f
-        out += r
-        i, q = q, i
-
-
-def _halton(count: int, dims: int) -> np.ndarray:
-    """Radical-inverse Halton sequence (bases 2,3,5,7), indices from 1, one
-    row per coordinate: shape ``(dims, count)``.  Filled one ``_QMC_BLOCK``
-    of indices at a time by the kernel of the quadrature's node table."""
-    out = np.empty((dims, count))
-    for d in range(dims):
-        for s in range(0, count, _QMC_BLOCK):
-            _radical_inverse(_PRIMES[d], s, out[d, s : s + _QMC_BLOCK])
-    return out
-
-
-# Wichura's AS241 (PPND16), Appl. Statist. 37 (1988): the normal quantile as
-# rational functions, highest degree first, of r = 0.180625 - q^2 for
-# |q| = |p - 1/2| <= 0.425, else of r - 1.6 (r <= 5) or r - 5 with
-# r = sqrt(-log(min(p, 1 - p))); about 1e-16 relative.
-_AS241_CENTRAL = (
-    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
-     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
-     1.3314166789178437745e2, 3.3871328727963666080e0),
-    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
-     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
-     4.2313330701600911252e1, 1.0),
-)
-_AS241_NEAR = (
-    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
-     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
-     4.63033784615654529590e0, 1.42343711074968357734e0),
-    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
-     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
-     2.05319162663775882187e0, 1.0),
-)
-_AS241_FAR = (
-    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
-     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
-     5.46378491116411436990e0, 6.65790464350110377720e0),
-    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
-     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
-     5.99832206555887937690e-1, 1.0),
-)
-
-
-def _rational(coefs: tuple, x: np.ndarray) -> np.ndarray:
-    """``num(x) / den(x)`` by Horner's rule, in one fresh array."""
-    num, den = np.full_like(x, coefs[0][0]), np.full_like(x, coefs[1][0])
-    for a, b in zip(coefs[0][1:], coefs[1][1:]):
-        num *= x
-        num += a
-        den *= x
-        den += b
-    num /= den
-    return num
-
-
-def _normal_quantile_over_sqrt2(u: np.ndarray) -> None:
-    """Replace the probabilities ``u`` in ``(0, 1)`` in place by the
-    standard normal quantiles divided by ``sqrt(2)``.  The central form runs
-    on every entry, the tail forms only on the entries with ``|u - 1/2| >
-    0.425``; temporaries are a few arrays the size of ``u``."""
-    q = u - 0.5
-    r = q * q
-    np.subtract(0.180625, r, out=r)
-    val = _rational(_AS241_CENTRAL, r)
-    val *= q
-    tail = np.abs(q) > 0.425
-    if tail.any():
-        p = u[tail]
-        r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
-        far = r > 5.0
-        t = _rational(_AS241_NEAR, r - 1.6)
-        if far.any():
-            t[far] = _rational(_AS241_FAR, r[far] - 5.0)
-        val[tail] = np.copysign(t, q[tail])
-    np.multiply(val, math.sqrt(0.5), out=u)
-
-
-# the quadrature's nodes, one row per base of _PRIMES, allocated on first
-# use; a row's pages are touched only when it is filled.  Rows are filled in
-# order, so the filled rows are the first _gauss_rows.  Read-only outside
-# the fill.
-_GAUSS_NODES: np.ndarray | None = None
-_gauss_rows = 0
-
-
-def _gaussian_nodes(dims: int) -> np.ndarray:
-    """Fixed low-discrepancy Gaussian nodes with density exp(-x^2)/sqrt(pi)
-    per coordinate, shape ``(dims, _QMC_NODES)``; seed-independent by
-    design.  A read-only view of the first ``dims`` rows of the node table,
-    so every order shares the rows of the lower ones.  Each row is built
-    once, one ``_QMC_BLOCK`` of indices at a time: the Halton nodes of its
-    base, mapped in place to Gaussian nodes, so the fill makes only
-    block-sized temporaries."""
-    global _GAUSS_NODES, _gauss_rows
-    if dims > len(_PRIMES):
+def _require_quadrature_order(n: int) -> None:
+    if n > _GH_MAX_ORDER:
         raise CapabilityError(
-            f"the quadrature validation supports orders up to {len(_PRIMES)}"
+            f"the quadrature validation supports orders up to {_GH_MAX_ORDER}"
         )
-    if _GAUSS_NODES is None:
-        _GAUSS_NODES = np.empty((len(_PRIMES), _QMC_NODES))
-    if dims > _gauss_rows:
-        _GAUSS_NODES.flags.writeable = True
-        try:
-            for d in range(_gauss_rows, dims):
-                row = _GAUSS_NODES[d]
-                for s in range(0, _QMC_NODES, _QMC_BLOCK):
-                    block = row[s : s + _QMC_BLOCK]
-                    _radical_inverse(_PRIMES[d], s, block)
-                    _normal_quantile_over_sqrt2(block)
-                _gauss_rows = d + 1
-        finally:
-            _GAUSS_NODES.flags.writeable = False
-    return _GAUSS_NODES[:dims]
+
+
+def _gauss_hermite(n: int) -> tuple:
+    """The order-``n`` tensor-product Gauss-Hermite rule for the density
+    ``exp(-|z|^2) / pi^(n/2)``, split into slices: the ``_GH_POINTS`` nodes
+    and weights of the first coordinate, then the ``(n - 1, 24^(n-1))``
+    nodes of the others and their product weights, shared by every slice."""
+    _require_quadrature_order(n)
+    x, w = np.polynomial.hermite.hermgauss(_GH_POINTS)
+    w /= math.sqrt(math.pi)
+    grid = np.indices((_GH_POINTS,) * (n - 1)).reshape(n - 1, _GH_POINTS ** (n - 1))
+    return x, w, x[grid], np.prod(w[grid], axis=0)
+
+
+def _square_stack(a) -> np.ndarray:
+    """``a`` as a float stack ``(m, n, n)`` of symmetric matrices; a
+    ``ShapeError`` unless it is one square matrix or a stack of them, each
+    symmetric within the tolerance of a matrix :class:`Point`."""
+    mats = np.asarray(a, dtype=np.float64)
+    if mats.ndim == 2:
+        mats = mats[None]
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] < 1:
+        raise ShapeError(
+            f"the quadrature needs a square matrix or a stack of them, got shape "
+            f"{np.shape(a)}"
+        )
+    if not cones.symmetric_batch(mats).all():
+        raise ShapeError("the quadrature needs symmetric matrices within tolerance")
+    return mats
 
 
 def gaussian_representation_margin(a: np.ndarray) -> tuple:
     """(estimate, exact, relative error) for the Gaussian-integral identity
-    giving ``det(I + A) ** (-1/2)``: three floats for one ``(n, n)`` matrix,
-    three arrays for a ``(m, n, n)`` stack.
+    ``det(I + A) ** (-1/2) = pi^(-n/2) int exp(-z^T (I + A) z) dz``: three
+    floats for one ``(n, n)`` matrix, three arrays for a ``(m, n, n)``
+    stack.
 
-    Each quadratic form ``z^T A z`` is a linear map on the monomials
-    ``z_i z_j`` (``i <= j``), so one matrix product per block of nodes
-    evaluates the forms of up to ``_QMC_STACK`` matrices.
+    The estimate is the tensor-product Gauss-Hermite rule of ``_GH_POINTS``
+    points per coordinate for the density ``exp(-|z|^2) / pi^(n/2)``, summed
+    one slice at a time: a slice fixes the first coordinate at one node and
+    runs over the ``24^(n-1)`` nodes of the others.  Each quadratic form
+    ``z^T A z`` is a linear map on the monomials ``z_i z_j`` (``i <= j``), so
+    one matrix product per slice evaluates the forms of up to ``_GH_STACK``
+    matrices.  Input other than symmetric square matrices is a
+    ``ShapeError``; an order above ``_GH_MAX_ORDER`` a ``CapabilityError``.
     """
-    mats = np.asarray(a, dtype=np.float64)
-    single = mats.ndim == 2
-    if single:
-        mats = mats[None]
+    mats = _square_stack(a)
     n = mats.shape[-1]
+    x, w, rest, rest_w = _gauss_hermite(n)
     iu, ju = np.triu_indices(n)
     # a_ii on the diagonal, a_ij + a_ji off it
     coef = mats[:, iu, ju] + mats[:, ju, iu]
     coef[:, iu == ju] *= 0.5
-    z = _gaussian_nodes(n)
+    # rows 0..n-1 are the monomials z_1 z_j, which change from slice to
+    # slice; the others involve coordinates 2..n only
+    monomials = np.empty((len(iu), rest.shape[1]))
+    for k in range(n, len(iu)):
+        np.multiply(rest[iu[k] - 1], rest[ju[k] - 1], out=monomials[k])
     total = np.zeros(len(mats))
-    # one pair of work buffers serves every block: fresh block-sized arrays
-    # can be mapped and faulted in anew by the allocator on each block
-    mono_buf = np.empty(len(iu) * _QMC_BLOCK)
-    q_buf = np.empty(min(len(mats), _QMC_STACK) * _QMC_BLOCK)
-    for s in range(0, _QMC_NODES, _QMC_BLOCK):
-        zb = z[:, s : s + _QMC_BLOCK]
-        w = zb.shape[1]
-        monomials = mono_buf[: len(iu) * w].reshape(len(iu), w)
-        for k, (i, j) in enumerate(zip(iu, ju)):
-            np.multiply(zb[i], zb[j], out=monomials[k])
-        for lo in range(0, len(mats), _QMC_STACK):
-            c = coef[lo : lo + _QMC_STACK]
-            q = q_buf[: len(c) * w].reshape(len(c), w)
-            np.matmul(c, monomials, out=q)
+    for x1, w1 in zip(x, w):
+        monomials[0] = x1 * x1
+        np.multiply(rest, x1, out=monomials[1:n])
+        for lo in range(0, len(mats), _GH_STACK):
+            q = coef[lo : lo + _GH_STACK] @ monomials
             np.negative(q, out=q)
             np.exp(q, out=q)
-            total[lo : lo + _QMC_STACK] += q.sum(axis=1)
-    est = total / _QMC_NODES
+            total[lo : lo + _GH_STACK] += w1 * (q @ rest_w)
+            del q  # freed before the next product is made
     lam = np.linalg.eigvalsh(mats)
     exact = np.exp(-0.5 * np.sum(np.log1p(lam), axis=1))
-    if not (np.isfinite(est).all() and np.isfinite(exact).all()) or (exact <= 0).any():
+    if not (np.isfinite(total).all() and np.isfinite(exact).all()) or (exact <= 0).any():
         raise NumericFailure("quadrature produced a non-finite value")
-    relerr = np.abs(est - exact) / exact
-    if single:
-        return float(est[0]), float(exact[0]), float(relerr[0])
-    return est, exact, relerr
+    relerr = np.abs(total - exact) / exact
+    if np.ndim(a) == 2:
+        return float(total[0]), float(exact[0]), float(relerr[0])
+    return total, exact, relerr
 
 
 def gaussian_detcert_check(n: int, cfg: CheckConfig | None = None) -> CheckReport:
-    """Quasi-Monte-Carlo validation of the square-root reciprocal
-    determinant representation on random PSD matrices with operator norm at
-    most 2; relative tolerance 1e-3 with 10^6 fixed nodes.  The matrices are
-    one PSD ``sample_batch``, each scaled to an operator norm drawn uniformly
-    from [0.1, 2], then checked in one quadrature call."""
+    """Quadrature validation of the square-root reciprocal determinant
+    representation on random PSD matrices with operator norm at most 2;
+    relative tolerance 1e-3 with the fixed tensor-product Gauss-Hermite rule
+    of ``_GH_POINTS`` points per coordinate, for orders up to
+    ``_GH_MAX_ORDER``.  The matrices are one PSD ``sample_batch``, each
+    scaled to an operator norm drawn uniformly from [0.1, 2], then checked
+    in one quadrature call."""
     cfg = cfg or CheckConfig()
-    _gaussian_nodes(n)  # raises CapabilityError above the highest order
+    _require_quadrature_order(n)
     rng = Rng(cfg.seed, _STREAM_MATS)
     tol = 1e-3
     mats = cones.sample_batch(cones.psd_cone(n), rng, cfg.trials)

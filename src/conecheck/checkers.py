@@ -25,6 +25,7 @@ witness margins come from the one-row path, so they reproduce exactly.
 from __future__ import annotations
 
 import json
+import numbers
 import re
 from dataclasses import dataclass, replace
 from functools import partial
@@ -86,6 +87,12 @@ class CheckConfig:
     boundary_prob: float = 0.2
 
     def __post_init__(self):
+        for name in ("trials", "seed", "order_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            # numpy integers become ints, which reports serialize
+            object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
         if not self.scale > 0:

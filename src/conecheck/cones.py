@@ -24,6 +24,19 @@ MATRIX = "symmetric-matrix"
 
 _SYM_TOL = 1e-12
 
+
+def symmetric_batch(mats: np.ndarray) -> np.ndarray:
+    """Whether each matrix of ``(..., n, n)`` is symmetric within ``_SYM_TOL``
+    times the larger of 1 and its largest finite |entry|; non-finite entries
+    must mirror exactly, NaN mirroring NaN."""
+    mirror = np.swapaxes(mats, -1, -2)
+    size = np.where(np.isfinite(mats), np.abs(mats), 0.0).max(axis=(-2, -1))
+    exact = (mats == mirror) | (np.isnan(mats) & np.isnan(mirror))
+    with np.errstate(invalid="ignore"):
+        gap = np.where(exact, 0.0, np.abs(mats - mirror))
+    return np.all(gap <= _SYM_TOL * np.maximum(1.0, size)[..., None, None], axis=(-2, -1))
+
+
 # Floor added to every coordinate sampled from an open orthant, relative to
 # the sampling scale; keeps 1/x-style evaluations finite.
 _OPEN_ORTHANT_FLOOR = 1e-6
@@ -50,10 +63,7 @@ class Point:
                 raise ShapeError(f"matrix point needs a square array, got shape {data.shape}")
             dim = data.shape[0]
             if not _validated:
-                bound = _SYM_TOL * max(1.0, float(np.abs(data[np.isfinite(data)]).max(initial=0.0)))
-                # non-finite entries must mirror exactly, NaN mirroring NaN
-                off = ~((data == data.T) | (np.isnan(data) & np.isnan(data.T)))
-                if not np.all(np.abs(data[off] - data.T[off]) <= bound):
+                if not symmetric_batch(data):
                     raise ShapeError("matrix point is not symmetric within tolerance")
                 data = 0.5 * (data + data.T)
         else:

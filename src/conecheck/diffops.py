@@ -163,10 +163,18 @@ def _completely_monotone(k: int, handle, r):
     return slack[k], scale[k]
 
 
+class _Roles(dict):
+    """The role arrays a form reads; a role with no point is a ShapeError."""
+
+    def __missing__(self, name):
+        raise ShapeError(f"no point is given for the role {name!r}")
+
+
 def _one_row(f: FunctionHandle, form, points: dict) -> tuple[float, float]:
     """``(slack, scale)`` of a form on the single row of the named points;
-    a non-finite value raises :class:`DomainError`."""
-    slack, scale = form(f, {name: f._point_data(p)[None] for name, p in points.items()})
+    a non-finite value raises :class:`DomainError`, a missing role
+    :class:`ShapeError`."""
+    slack, scale = form(f, _Roles((name, f._point_data(p)[None]) for name, p in points.items()))
     if not (np.isfinite(slack[0]) and np.isfinite(scale[0])):
         raise DomainError(f"{f.label!r} is undefined at one of {points!r}")
     return float(slack[0]), float(scale[0])

@@ -1,10 +1,8 @@
 """Certificates: Hessian signs, Topkis cross-partials, differential
 monotonicity, Laplace atoms, and the determinant quadrature identity."""
 
-import hashlib
 import math
 import os
-import statistics
 import subprocess
 import sys
 import tracemalloc
@@ -30,7 +28,7 @@ from conecheck.certify import (
 from conecheck.checkers import CheckConfig, check
 from conecheck.cones import Point, Rng, nonneg_orthant, psd_cone
 from conecheck.diffops import FunctionHandle, delta, second_diff, shift_and_center
-from conecheck.errors import CapabilityError, CertificateError, NumericFailure
+from conecheck.errors import CapabilityError, CertificateError, NumericFailure, ShapeError
 
 
 def _cfg(**kw):
@@ -179,9 +177,9 @@ def test_gaussian_detcert_check_passes():
     assert rep.worst_margin > 0
     with pytest.raises(CapabilityError):
         gaussian_detcert_check(5, _cfg(trials=1))
-    # one Halton base per coordinate: no order above len(_PRIMES) has nodes
+    # a slice of order 5 would hold 24^4 nodes
     with pytest.raises(CapabilityError):
-        gaussian_representation_margin(np.eye(len(certify._PRIMES) + 1))
+        gaussian_representation_margin(np.eye(certify._GH_MAX_ORDER + 1))
 
 
 def _random_psd(rng, n):
@@ -190,46 +188,99 @@ def _random_psd(rng, n):
     return a * (1.5 / np.linalg.eigvalsh(a)[-1])
 
 
+def _full_grid(n):
+    """The whole tensor grid of the order-n rule: nodes ``(n, 24^n)`` and
+    weights, the first coordinate varying slowest."""
+    x, w, rest, rest_w = certify._gauss_hermite(n)
+    nodes = np.vstack([np.repeat(x, rest.shape[1]), np.tile(rest, len(x))])
+    return nodes, np.outer(w, rest_w).ravel()
+
+
 def test_gaussian_representation_stack_matches_single_calls():
-    """The blocked monomial product agrees with one call per matrix and with
-    the direct quadratic form over all nodes, within 1e-13 relative: only the
-    order of the sums differs."""
+    """The sliced monomial product agrees with one call per matrix and with
+    the direct quadratic form summed over the full tensor grid, within 1e-13
+    relative: only the order of the sums differs."""
     rng = np.random.default_rng(7)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         mats = np.stack([_random_psd(rng, n) for _ in range(4)])
         est, exact, rel = gaussian_representation_margin(mats)
         assert est.shape == exact.shape == rel.shape == (4,)
-        z = certify._gaussian_nodes(n)
+        z, weights = _full_grid(n)
+        assert z.shape == (n, 24 ** n)
         for k, a in enumerate(mats):
             one = gaussian_representation_margin(a)
             assert all(isinstance(v, float) for v in one)
             assert abs(est[k] - one[0]) <= 1e-13 * one[0]
             assert exact[k] == one[1]
-            direct = float(np.mean(np.exp(-np.einsum("it,ij,jt->t", z, a, z))))
+            direct = float(weights @ np.exp(-np.einsum("it,ij,jt->t", z, a, z)))
             assert abs(est[k] - direct) <= 1e-13 * direct
     bad = np.stack([np.eye(2), -2.0 * np.eye(2)])
     with pytest.raises(NumericFailure), np.errstate(invalid="ignore"):
         gaussian_representation_margin(bad)
 
 
+def test_gauss_hermite_rule_integrates_fourth_moments_exactly():
+    """Under the density exp(-|z|^2) / pi^(n/2) each coordinate has
+    E[z^2] = 1/2 and E[z^4] = 3/4, and distinct coordinates are independent."""
+    for n in (1, 2, 3, 4):
+        z, weights = _full_grid(n)
+        assert abs(weights.sum() - 1.0) <= 1e-14
+        for i in range(n):
+            assert abs(weights @ z[i] ** 4 - 0.75) <= 1e-14, (n, i)
+            for j in range(i + 1, n):
+                assert abs(weights @ (z[i] ** 2 * z[j] ** 2) - 0.25) <= 1e-14, (n, i, j)
+
+
+def test_gaussian_representation_is_accurate_at_operator_norm_two():
+    """At the largest operator norm the check draws, the relative error
+    stays at or below 1e-6 at every order, far inside its 1e-3 tolerance."""
+    rng = np.random.default_rng(3)
+    for n in range(1, certify._GH_MAX_ORDER + 1):
+        mats = np.stack([_random_psd(rng, n) for _ in range(20)]) * (2.0 / 1.5)
+        np.testing.assert_allclose(np.linalg.eigvalsh(mats)[:, -1], 2.0, rtol=1e-12)
+        _, _, rel = gaussian_representation_margin(mats)
+        assert rel.max() <= 1e-6, n
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([1.0, 2.0]), np.ones((2, 3)), np.array(1.0), np.ones((2, 2, 3)),
+    np.ones((2, 2, 2, 2)), np.zeros((0, 0)), np.array([[1.0, 1e-6], [0.0, 1.0]]),
+    np.stack([np.eye(2), [[1.0, 2.0], [2.5, 1.0]]]),
+], ids=["vector", "rectangle", "scalar", "rectangles", "4-d", "empty", "asymmetric",
+        "asymmetric-in-stack"])
+def test_gaussian_representation_needs_symmetric_square_matrices(bad):
+    """The quadratic form reads both triangles and ``eigvalsh`` the lower
+    one, so a non-symmetric matrix would compare two different integrals."""
+    with pytest.raises(ShapeError):
+        gaussian_representation_margin(bad)
+
+
+def test_gaussian_representation_takes_symmetry_within_point_tolerance():
+    """A matrix that a matrix Point accepts, the quadrature accepts."""
+    a = np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]])
+    Point(cones.MATRIX, a)
+    assert gaussian_representation_margin(a)[2] <= 1e-6
+
+
 def test_gaussian_representation_memory_is_bounded_for_large_stacks():
     """A stack larger than one product is evaluated in slices of
-    ``_QMC_STACK`` matrices, so the per-block temporaries do not grow with
+    ``_GH_STACK`` matrices, so the per-slice temporaries do not grow with
     the stack; estimates still match one-at-a-time calls."""
     rng = np.random.default_rng(11)
-    mats = rng.uniform(0.1, 2.0, size=(64, 1, 1))
-    gaussian_representation_margin(mats[0])  # fills the node cache
-    tracemalloc.start()
-    try:
-        est, _, _ = gaussian_representation_margin(mats)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # about 8 MiB with slices of 16; one unsliced product peaks at 32 MiB
-    assert peak < 16 * 2 ** 20
-    for k in (0, 15, 16, 63):
-        one = gaussian_representation_margin(mats[k])[0]
-        assert abs(est[k] - one) <= 1e-13 * one
+    for mats, bound in ((rng.uniform(0.1, 2.0, size=(64, 1, 1)), 2 ** 20),
+                        (np.stack([_random_psd(rng, 4) for _ in range(64)]), 4 * 2 ** 20)):
+        tracemalloc.start()
+        try:
+            est, _, _ = gaussian_representation_margin(mats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # order 4: about 3.2 MiB; one product over all 64 matrices alone needs
+        # 64 * 24^3 doubles, 6.75 MiB
+        assert peak < bound, mats.shape
+        for k in (0, 15, 16, 63):
+            one = gaussian_representation_margin(mats[k])[0]
+            assert abs(est[k] - one) <= 1e-13 * one
 
 
 def test_gaussian_detcert_check_draws_documented_sequence():
@@ -245,99 +296,6 @@ def test_gaussian_detcert_check_draws_documented_sequence():
         _, _, rel = gaussian_representation_margin(mats)
         assert rep.worst_margin == 1e-3 - rel.max()
         assert rep.trials_run == 6 and rep.witness is None
-
-
-def test_qmc_nodes_are_fixed_halton_nodes():
-    u = certify._halton(3, 2)
-    assert u.shape == (2, 3)
-    np.testing.assert_allclose(u.T, [[1 / 2, 1 / 3], [1 / 4, 2 / 3], [3 / 4, 1 / 9]],
-                               rtol=1e-15, atol=0.0)
-    z = certify._gaussian_nodes(4)
-    assert z.shape == (4, certify._QMC_NODES)
-    assert np.isfinite(z).all()
-
-
-def test_gaussian_nodes_match_stdlib_normal_quantile():
-    """The nodes are the normal quantiles of the Halton nodes over sqrt(2),
-    the outermost nodes of both tails included; the far-tail form (below
-    about 1e-11, which no node reaches) is checked on probabilities of its
-    own."""
-    inv = statistics.NormalDist().inv_cdf
-    u = certify._halton(certify._QMC_NODES, 2)
-    z = certify._gaussian_nodes(2)
-    for d in range(2):
-        order = np.argsort(u[d])
-        picks = np.concatenate([order[:20], order[-20:], order[::4999]])
-        ref = np.array([inv(p) for p in u[d, picks]]) / math.sqrt(2.0)
-        np.testing.assert_allclose(z[d, picks], ref, rtol=1e-15, atol=1e-15)
-    p = np.array([1e-300, 1e-20, 1e-12, 0.02, 0.5, 0.6, 1.0 - 1e-12])
-    got = p.copy()
-    certify._normal_quantile_over_sqrt2(got)
-    ref = np.array([inv(v) for v in p]) / math.sqrt(2.0)
-    np.testing.assert_allclose(got, ref, rtol=1e-15, atol=1e-15)
-
-
-def _radical_inverse(i: int, b: int) -> float:
-    x, f = 0.0, 1.0
-    while i > 0:
-        f /= b
-        x += f * (i % b)
-        i //= b
-    return x
-
-
-def test_halton_matches_pure_python_radical_inverse():
-    """Spot checks against the scalar loop, and a hash of all 4e6 values.
-    Only IEEE add, multiply, divide and floor make them, so the hash holds on
-    every platform; the quantile-mapped nodes are not hashed, since ``log``
-    may differ by an ulp between platforms."""
-    u = certify._halton(certify._QMC_NODES, 4)
-    for d, b in enumerate((2, 3, 5, 7)):
-        for i in [*range(1, 2001), 10 ** 6]:
-            assert u[d, i - 1] == _radical_inverse(i, b), (b, i)
-    assert hashlib.sha256(u.tobytes()).hexdigest() == (
-        "2316b89ca756db206aa7b1ac0881416919d28aeb3d32405f63dd4bced95e0219")
-
-
-def _empty_node_table(monkeypatch):
-    monkeypatch.setattr(certify, "_GAUSS_NODES", None)
-    monkeypatch.setattr(certify, "_gauss_rows", 0)
-
-
-def test_gaussian_nodes_are_shared_read_only_rows():
-    """Every order reads the rows of the node table, so order 1 is row 0 of
-    order 2, and no caller can write into the nodes of later quadratures."""
-    z1, z2 = certify._gaussian_nodes(1), certify._gaussian_nodes(2)
-    np.testing.assert_array_equal(z1, z2[:1])
-    assert np.shares_memory(z1, z2[0])
-    with pytest.raises(ValueError):
-        z2[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        z2.flags.writeable = True
-
-
-def test_gaussian_nodes_do_not_depend_on_the_fill_order(monkeypatch):
-    top = len(certify._PRIMES)
-    filled = []
-    for orders in ((top, 1), (1, top)):
-        _empty_node_table(monkeypatch)
-        for n in orders:
-            certify._gaussian_nodes(n)
-        filled.append(certify._gaussian_nodes(top).tobytes())
-    assert filled[0] == filled[1]
-
-
-def test_gaussian_node_fill_makes_block_sized_temporaries(monkeypatch):
-    """A fresh fill of every row peaks at the table it keeps plus the work
-    arrays of one block; full-length work arrays would add tens of MiB."""
-    _empty_node_table(monkeypatch)
-    tracemalloc.start()
-    try:
-        z = certify._gaussian_nodes(len(certify._PRIMES))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= z.nbytes + 4 * 2 ** 20
 
 
 def test_import_keeps_scipy_stats_out():

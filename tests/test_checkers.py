@@ -29,7 +29,14 @@ from conecheck.checkers import (
 )
 from conecheck.cones import Point, Rng, nonneg_orthant
 from conecheck.diffops import FunctionHandle, compose
-from conecheck.errors import CapabilityError, DomainError, NumericFailure, PreconditionError
+from conecheck.errors import (
+    CapabilityError,
+    DomainError,
+    NumericFailure,
+    ParameterError,
+    PreconditionError,
+    ShapeError,
+)
 from conecheck.numkernel import (
     ScalarFunction,
     exp_fn,
@@ -474,6 +481,31 @@ def test_config_validation():
                 dict(order_cap=13), dict(boundary_prob=1.0)):
         with _pytest.raises(ParameterError):
             CheckConfig(**bad)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(trials=True), dict(trials=2.5), dict(seed=1.5), dict(seed=False),
+    dict(order_cap=2.0), dict(order_cap="3"),
+])
+def test_config_counts_must_be_integers(bad):
+    """A bool or a float count used to run (``trials=True`` ran 2 trials) or
+    to fail deep in sampling; numpy integers are taken as ints."""
+    with pytest.raises(ParameterError):
+        CheckConfig(**bad)
+    cfg = CheckConfig(trials=np.int64(7), seed=np.uint32(3), order_cap=np.int8(2))
+    assert cfg == CheckConfig(trials=7, seed=3, order_cap=2)
+    assert all(type(v) is int for v in (cfg.trials, cfg.seed, cfg.order_cap))
+    json.dumps(cfg.to_json())
+
+
+def test_witness_without_a_role_point_is_a_shape_error():
+    handle = catalog.instantiate("log1p")
+    witness = Witness({"x": Point.vector([1.0])}, -1.0, "subadd")
+    with pytest.raises(ShapeError, match="'y'"):
+        reevaluate_witness(handle, witness)
+    with pytest.raises(ShapeError, match="'base'"):
+        checkers.evaluate_expression(handle, "completely-monotone[k=1]",
+                                     {"x1": Point.vector([1.0])})
 
 
 def test_supermodular_paths():
