@@ -6,12 +6,22 @@ explicit finite Laplace representation) on sampled interior points.  A
 ``CERTIFIED_NUMERIC`` verdict is sampled evidence, never a proof; the
 vocabulary deliberately has no stronger word.  A certificate's verdict is
 derived from its refusal witness: ``REFUSED`` exactly when there is one.
-The finite-difference Hessians and directional derivatives are the
-difference forms of :mod:`.diffops`, and the origin sign condition is the
-checks' ``origin-nonneg``/``origin-nonpos`` form.  The Gaussian-integral
-representation of ``det(I + A)^(-1/2)`` is checked against a fixed
-tensor-product Gauss-Hermite rule, summed one slice at a time with no state
-kept between calls.
+
+Certificates run on the checks' trial path.  Each pointwise test is a form
+that :func:`.checkers.evaluate_expression` resolves: a Hessian entry
+``hessian-nonpos[ij=i,j]`` or ``hessian-nonneg[ij=i,j]`` over the point
+``p``, a directional comparison ``differential-nondecreasing`` or
+``differential-nonincreasing`` over ``U``, ``step`` and ``direction`` (the
+stencil forms of :mod:`.diffops`), and the origin sign condition is the
+checks' one-row ``origin-nonneg``/``origin-nonpos`` block.  The points are
+drawn, evaluated and folded one ``_BLOCK`` at a time by ``_reduce_trials``,
+so memory does not grow with their count; non-finite trials are skipped
+within the checks' 10% budget.  The refusal witness is the fold's shrunk
+:class:`.checkers.Witness`, which :func:`.checkers.reevaluate_witness`
+replays exactly.  The Gaussian-integral representation of ``det(I +
+A)^(-1/2)`` is checked on the same path, as the ``gaussian-det-representation``
+form, against a fixed tensor-product Gauss-Hermite rule summed one slice at
+a time with no state kept between calls.
 """
 
 from __future__ import annotations
@@ -24,33 +34,14 @@ import numpy as np
 
 from . import cones
 from .catalog import PropertyLabel, resolve_handle
-from .checkers import (
-    CheckConfig,
-    CheckReport,
-    Witness,
-    _blocks,
-    _component,
-    _reduce_trials,
-    evaluate_expression,
-)
-from .cones import MATRIX, VECTOR, ConeSpec, Point, Rng
-from .diffops import FunctionHandle, _first_diff, _second_diff
-from .errors import (
-    CapabilityError,
-    CertificateError,
-    DomainError,
-    NumericFailure,
-    ShapeError,
-)
+from .checkers import CheckConfig, CheckReport, Witness, _blocks, _component, _reduce_trials
+from .cones import VECTOR, ConeSpec, Point, Rng
+from .diffops import FunctionHandle
+from .errors import CapabilityError, CertificateError, NumericFailure, ShapeError
 
 CERTIFIED = "CERTIFIED_NUMERIC"
 REFUSED = "REFUSED"
 
-_RESAMPLE_BUDGET = 0.10
-# sign tests on finite-difference Hessians tolerate this much noise,
-# relative to the largest entry seen
-_HESS_SIGN_TOL = 1e-6
-_DIRECTIONAL_TOL = 1e-6
 _DUAL_TOL = 1e-12
 
 _STREAM_POINTS, _STREAM_V, _STREAM_W, _STREAM_MATS = 41, 42, 43, 44
@@ -64,7 +55,7 @@ class Certificate:
     property: str
     points: int
     seed: int
-    refusal_witness: dict | None = None
+    refusal_witness: Witness | None = None
 
     @property
     def verdict(self) -> str:
@@ -75,19 +66,13 @@ class Certificate:
         return self.refusal_witness is None
 
     def to_json(self) -> dict:
-        rw = None
-        if self.refusal_witness is not None:
-            rw = {
-                k: (v.to_json() if isinstance(v, Point) else v)
-                for k, v in sorted(self.refusal_witness.items())
-            }
         return {
             "method": self.method,
             "property": self.property,
             "verdict": self.verdict,
             "points": self.points,
             "seed": self.seed,
-            "refusal_witness": rw,
+            "refusal_witness": None if self.certified else self.refusal_witness.to_json(),
         }
 
     def json_line(self) -> str:
@@ -106,98 +91,38 @@ def _interior_batch(cone: ConeSpec, rng: Rng, count: int, scale: float) -> np.nd
     return out
 
 
-def _origin_refusal(handle: FunctionHandle, want_nonneg: bool, cfg: CheckConfig) -> dict | None:
-    """The refusal for a value of the wrong sign at the origin, when the
-    origin is in the cone and the handle is defined there; else None."""
-    if not handle.domain.contains_origin:
-        return None
-    zero = handle.domain.zero()
-    try:
-        slack, scale = evaluate_expression(
-            handle, "origin-nonneg" if want_nonneg else "origin-nonpos", {"zero": zero})
-    except DomainError:
-        return None
-    if slack >= -cfg.tolerance(scale):
-        return None
-    # the origin forms' slack is f(0) or -f(0)
-    value = slack if want_nonneg else -slack
-    return {"point": zero, "index": None, "value": value, "reason": "origin sign condition"}
+def _certify(handle, method, prop, points, cfg, origin, expressions, draw) -> Certificate:
+    """A certificate on the checks' trial path: the origin sign condition
+    ``origin`` as a one-row block when the cone holds the origin, then
+    ``points`` trials in blocks of at most ``_BLOCK``, block ``b`` drawing
+    its role arrays with ``draw(b, count)`` and evaluating every expression
+    on them, all folded by ``_reduce_trials``.  The refusal is the fold's
+    witness: the lowest violating slack, re-evaluated and shrunk."""
+    cone = handle.domain
+
+    def blocks():
+        if origin and cone.contains_origin:
+            yield cfg.scale, [_component(handle, origin, {"zero": cone.zero().data[None]})]
+        for b, count in _blocks(points if expressions else 0):
+            roles = draw(b, count)
+            yield cfg.scale, [_component(handle, e, roles) for e in expressions]
+
+    witness = _reduce_trials(handle, prop, blocks(), cfg).witness
+    return Certificate(method=method, property=prop, points=points, seed=cfg.seed,
+                       refusal_witness=witness)
 
 
-def _resampled(good: np.ndarray, count: int, failed: str, wanted: str) -> np.ndarray:
-    """Indices of the first ``count`` good rows of a pool drawn twice as
-    large; fails when more of the first ``count`` rows are bad than the
-    resample budget allows, or when fewer than ``count`` rows are good."""
-    failures = int((~good[:count]).sum())
-    if failures > _RESAMPLE_BUDGET * count:
-        raise NumericFailure(f"{failures}/{count} {failed}")
-    keep = np.flatnonzero(good)[:count]
-    if keep.size < count:
-        raise NumericFailure(f"could not collect {count} {wanted}")
-    return keep
-
-
-def _batched_hessians(handle: FunctionHandle, pts: np.ndarray) -> np.ndarray:
-    """Central-difference Hessians for a stack of interior points; rows with
-    domain failures come back as NaN matrices.  Entry (i, j) is the second
-    difference at ``p - h e_i - h e_j`` with steps ``2h e_i`` and ``2h e_j``,
-    divided by ``4h^2``."""
-    count, n = pts.shape
-    hs = 1e-4 * np.maximum(1.0, np.abs(pts).max(axis=1))
-    iu, ju = np.triu_indices(n)
-    # (pair, point, coordinate): the steps h e_i and h e_j of every pair i <= j
-    step_i = hs[:, None] * np.eye(n)[iu][:, None]
-    step_j = hs[:, None] * np.eye(n)[ju][:, None]
-    roles = {"x": 2.0 * step_i, "y": 2.0 * step_j, "z": pts - step_i - step_j}
-    sd, _ = _second_diff(handle, {k: v.reshape(-1, n) for k, v in roles.items()})
-    hij = (sd.reshape(iu.size, count) / (4.0 * hs * hs)).T
-    hess = np.empty((count, n, n))
-    hess[:, iu, ju] = hij
-    hess[:, ju, iu] = hij
-    return hess
-
-
-def _sampled_hessians(handle: FunctionHandle, points: int, cfg: CheckConfig):
-    """Interior points plus their FD Hessians, with the resample budget."""
+def _interior_points(handle: FunctionHandle, cfg: CheckConfig):
+    """The draw of the Hessian forms: interior points ``p`` of a vector
+    domain."""
     cone = handle.domain
     if cone.point_kind != VECTOR:
         raise CapabilityError(
             "entrywise Hessian certification is defined for vector domains; "
             "matrix domains use differential monotonicity instead"
         )
-    pool = _interior_batch(cone, Rng(cfg.seed, _STREAM_POINTS), 2 * points, cfg.scale)
-    hess = _batched_hessians(handle, pool)
-    keep = _resampled(np.isfinite(hess).all(axis=(1, 2)), points,
-                      f"Hessian stencils failed for {handle.label!r}",
-                      f"interior Hessians for {handle.label!r}")
-    return pool[keep], hess[keep]
-
-
-def _hessian_sign_certificate(
-    handle, points, cfg, *, off_diagonal_only: bool, nonneg: bool, method: str, prop: str,
-    origin_nonneg: bool | None,
-) -> Certificate:
-    pts, hess = _sampled_hessians(handle, points, cfg)
-    refusal = None if origin_nonneg is None else _origin_refusal(handle, origin_nonneg, cfg)
-    if refusal is None:
-        tol = _HESS_SIGN_TOL * np.maximum(1.0, np.abs(hess).reshape(len(hess), -1).max(axis=1))
-        tol = tol[:, None, None]
-        bad = (hess < -tol) if nonneg else (hess > tol)
-        if off_diagonal_only:
-            bad &= ~np.eye(hess.shape[1], dtype=bool)
-        # argwhere walks (k, i, j) in row-major order: the first bad entry
-        # of the first bad point
-        hits = np.argwhere(bad)
-        if hits.size:
-            k, i, j = (int(v) for v in hits[0])
-            refusal = {
-                "point": Point(VECTOR, pts[k], _validated=True),
-                "index": [i, j],
-                "value": float(hess[k, i, j]),
-                "reason": "second partial derivative of the wrong sign",
-            }
-    return Certificate(method=method, property=prop, points=points, seed=cfg.seed,
-                       refusal_witness=refusal)
+    return lambda b, count: {
+        "p": _interior_batch(cone, Rng(cfg.seed, _STREAM_POINTS, b), count, cfg.scale)}
 
 
 def certify_hessian_sign(
@@ -213,11 +138,11 @@ def certify_hessian_sign(
         raise CapabilityError(f"sign must be 'nonpos' or 'nonneg', got {sign!r}")
     nonneg = sign == "nonneg"
     prop = (PropertyLabel.STRONG_SUPERADD if nonneg else PropertyLabel.STRONG_SUBADD).value
-    return _hessian_sign_certificate(
-        handle, points, cfg,
-        off_diagonal_only=False, nonneg=nonneg, method="HESSIAN_SIGN", prop=prop,
-        origin_nonneg=not nonneg,
-    )
+    entries = zip(*np.triu_indices(handle.domain.dim))
+    return _certify(handle, "HESSIAN_SIGN", prop, points, cfg,
+                    "origin-nonpos" if nonneg else "origin-nonneg",
+                    [f"hessian-{sign}[ij={i},{j}]" for i, j in entries],
+                    _interior_points(handle, cfg))
 
 
 def certify_topkis(
@@ -230,24 +155,11 @@ def certify_topkis(
     handle = resolve_handle(target, params, dim)
     if mode not in ("submodular", "supermodular"):
         raise CapabilityError(f"mode must be 'submodular' or 'supermodular', got {mode!r}")
-    nonneg = mode == "supermodular"
-    return _hessian_sign_certificate(
-        handle, points, cfg,
-        off_diagonal_only=True, nonneg=nonneg, method="TOPKIS_CROSS", prop=mode,
-        origin_nonneg=None,
-    )
-
-
-def _directional_derivatives(handle: FunctionHandle, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Central-difference derivatives at a stack of points along the matching
-    directions of ``w``: the first difference from ``p - h w`` by the step
-    ``2h w``, divided by ``2h``.  The step is 1e-5 times ``max(1,
-    |point|_inf)``, and rows that leave the domain come back NaN."""
-    count = pts.shape[0]
-    h = 1e-5 * np.maximum(1.0, np.abs(pts.reshape(count, -1)).max(axis=1))
-    step = h.reshape((count,) + (1,) * (pts.ndim - 1)) * w
-    d, _ = _first_diff(handle, {"U": pts - step, "step": 2.0 * step})
-    return d / (2.0 * h)
+    sign = "nonneg" if mode == "supermodular" else "nonpos"
+    entries = zip(*np.triu_indices(handle.domain.dim, 1))
+    return _certify(handle, "TOPKIS_CROSS", mode, points, cfg, None,
+                    [f"hessian-{sign}[ij={i},{j}]" for i, j in entries],
+                    _interior_points(handle, cfg))
 
 
 def certify_differential_monotone(
@@ -255,8 +167,9 @@ def certify_differential_monotone(
     *, params=None, dim=None,
 ) -> Certificate:
     """Directional derivatives compared on ordered pairs u <= u + v along
-    positive directions w: nonincreasing differentials certify strong
-    subadditivity, nondecreasing ones strong superadditivity."""
+    positive directions w, plus the origin sign condition: nonincreasing
+    differentials certify strong subadditivity, nondecreasing ones strong
+    superadditivity."""
     cfg = cfg or CheckConfig()
     handle = resolve_handle(target, params, dim)
     if direction not in ("nonincreasing", "nondecreasing"):
@@ -267,35 +180,16 @@ def certify_differential_monotone(
     prop = (PropertyLabel.STRONG_SUPERADD if increasing else PropertyLabel.STRONG_SUBADD).value
     cone = handle.domain
 
-    count = 2 * pairs
-    u = _interior_batch(cone, Rng(cfg.seed, _STREAM_POINTS), count, cfg.scale)
-    v = cones.sample_batch(cone, Rng(cfg.seed, _STREAM_V), count, cfg.scale, 0.0)
-    w = _interior_batch(cone, Rng(cfg.seed, _STREAM_W), count, cfg.scale)
+    def draw(b, count):
+        return {
+            "U": _interior_batch(cone, Rng(cfg.seed, _STREAM_POINTS, b), count, cfg.scale),
+            "step": cones.sample_batch(cone, Rng(cfg.seed, _STREAM_V, b), count, cfg.scale, 0.0),
+            "direction": _interior_batch(cone, Rng(cfg.seed, _STREAM_W, b), count, cfg.scale),
+        }
 
-    g1, g2 = _directional_derivatives(
-        handle, np.concatenate([u, u + v]), np.concatenate([w, w])
-    ).reshape(2, count)
-    slack = (g2 - g1) if increasing else (g1 - g2)
-    keep = _resampled(np.isfinite(slack), pairs, "directional stencils failed",
-                      "directional comparisons")
-
-    refusal = _origin_refusal(handle, not increasing, cfg)
-    if refusal is None:
-        tol = _DIRECTIONAL_TOL * np.maximum(1.0, np.maximum(np.abs(g1[keep]), np.abs(g2[keep])))
-        bad = slack[keep] < -tol
-        if bad.any():
-            k = keep[int(np.flatnonzero(bad)[0])]
-            kind = cone.point_kind
-            refusal = {
-                "point": Point(kind, u[k], _validated=True),
-                "step": Point(kind, v[k], _validated=True),
-                "direction": Point(kind, w[k], _validated=True),
-                "index": None,
-                "value": float(slack[k]),
-                "reason": "directional derivative moved the wrong way along the order",
-            }
-    return Certificate(method="DIFFERENTIAL_MONOTONE", property=prop, points=pairs,
-                       seed=cfg.seed, refusal_witness=refusal)
+    return _certify(handle, "DIFFERENTIAL_MONOTONE", prop, pairs, cfg,
+                    "origin-nonpos" if increasing else "origin-nonneg",
+                    [f"differential-{direction}"], draw)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +274,10 @@ def laplace_as_handle(cert: LaplaceCertificate, cone: ConeSpec) -> FunctionHandl
 _GH_POINTS = 24
 # the highest order of the quadrature; a slice holds 24^(order - 1) nodes
 _GH_MAX_ORDER = 4
-# matrices per product of the quadrature, which bounds its temporaries to a
-# few MiB whatever the number of matrices
-_GH_STACK = 16
+# matrix elements per product of the quadrature, 16 matrices of 24^3 nodes:
+# each product holds ``_GH_PRODUCT // 24^(n-1)`` matrices, which bounds its
+# temporaries to a few MiB whatever the number of matrices
+_GH_PRODUCT = 16 * _GH_POINTS ** 3
 
 
 def _require_quadrature_order(n: int) -> None:
@@ -432,8 +327,8 @@ def gaussian_representation_margin(a: np.ndarray) -> tuple:
     one slice at a time: a slice fixes the first coordinate at one node and
     runs over the ``24^(n-1)`` nodes of the others.  Each quadratic form
     ``z^T A z`` is a linear map on the monomials ``z_i z_j`` (``i <= j``), so
-    one matrix product per slice evaluates the forms of up to ``_GH_STACK``
-    matrices.  Input other than symmetric square matrices is a
+    one matrix product per slice evaluates the forms of up to ``_GH_PRODUCT
+    // 24^(n-1)`` matrices.  Input other than symmetric square matrices is a
     ``ShapeError``; an order above ``_GH_MAX_ORDER`` a ``CapabilityError``.
     """
     mats = _square_stack(a)
@@ -449,14 +344,15 @@ def gaussian_representation_margin(a: np.ndarray) -> tuple:
     for k in range(n, len(iu)):
         np.multiply(rest[iu[k] - 1], rest[ju[k] - 1], out=monomials[k])
     total = np.zeros(len(mats))
+    stack = _GH_PRODUCT // rest.shape[1]
     for x1, w1 in zip(x, w):
         monomials[0] = x1 * x1
         np.multiply(rest, x1, out=monomials[1:n])
-        for lo in range(0, len(mats), _GH_STACK):
-            q = coef[lo : lo + _GH_STACK] @ monomials
+        for lo in range(0, len(mats), stack):
+            q = coef[lo : lo + stack] @ monomials
             np.negative(q, out=q)
             np.exp(q, out=q)
-            total[lo : lo + _GH_STACK] += w1 * (q @ rest_w)
+            total[lo : lo + stack] += w1 * (q @ rest_w)
             del q  # freed before the next product is made
     lam = np.linalg.eigvalsh(mats)
     exact = np.exp(-0.5 * np.sum(np.log1p(lam), axis=1))
@@ -470,38 +366,30 @@ def gaussian_representation_margin(a: np.ndarray) -> tuple:
 
 def gaussian_detcert_check(n: int, cfg: CheckConfig | None = None) -> CheckReport:
     """Quadrature validation of the square-root reciprocal determinant
-    representation on random PSD matrices with operator norm at most 2;
-    relative tolerance 1e-3 with the fixed tensor-product Gauss-Hermite rule
-    of ``_GH_POINTS`` points per coordinate, for orders up to
-    ``_GH_MAX_ORDER``.  The matrices are one PSD ``sample_batch``, each
-    scaled to an operator norm drawn uniformly from [0.1, 2], then checked
-    in one quadrature call."""
+    representation on random PSD matrices with operator norm at most 2: the
+    ``gaussian-det-representation`` form, the relative tolerance 1e-3 minus
+    the relative error of the fixed tensor-product Gauss-Hermite rule of
+    ``_GH_POINTS`` points per coordinate, for orders up to
+    ``_GH_MAX_ORDER``.  Block ``b`` of at most ``_BLOCK`` matrices is one
+    PSD ``sample_batch`` from ``Rng(seed, _STREAM_MATS, b)``, each matrix
+    scaled to an operator norm drawn uniformly from [0.1, 2] by the same
+    stream, and is folded by ``_reduce_trials``."""
     cfg = cfg or CheckConfig()
     _require_quadrature_order(n)
-    rng = Rng(cfg.seed, _STREAM_MATS)
-    tol = 1e-3
-    mats = cones.sample_batch(cones.psd_cone(n), rng, cfg.trials)
-    lam_max = np.linalg.eigvalsh(mats)[:, -1]
-    mats *= (2.0 * rng.generator.uniform(0.05, 1.0, size=cfg.trials) / lam_max)[:, None, None]
-    _, _, relerr = gaussian_representation_margin(mats)
-    slack = tol - relerr
-    k = int(np.argmin(slack))
-    worst = float(slack[k])
-    witness = None
-    if worst < 0:
-        witness = Witness(
-            points={"A": Point(MATRIX, mats[k])},
-            margin=worst,
-            expression="gaussian-det-representation",
-        )
-    return CheckReport(
-        property="gaussian-det-representation",
-        trials_run=cfg.trials,
-        worst_margin=worst,
-        witness=witness,
-        skipped=0,
-        config=cfg,
-    )
+    cone = cones.psd_cone(n)
+    handle = FunctionHandle(
+        "det(I+A)^(-1/2)", cone,
+        lambda mats: np.exp(-0.5 * np.sum(np.log1p(np.linalg.eigvalsh(mats)), axis=1)))
+
+    def blocks():
+        for b, count in _blocks(cfg.trials):
+            rng = Rng(cfg.seed, _STREAM_MATS, b)
+            mats = cones.sample_batch(cone, rng, count)
+            lam_max = np.linalg.eigvalsh(mats)[:, -1]
+            mats *= (2.0 * rng.generator.uniform(0.05, 1.0, size=count) / lam_max)[:, None, None]
+            yield cfg.scale, [_component(handle, "gaussian-det-representation", {"A": mats})]
+
+    return _reduce_trials(handle, "gaussian-det-representation", blocks(), cfg)
 
 
 def check_det_trace_monotone(n: int, cfg: CheckConfig | None = None) -> CheckReport:

@@ -41,7 +41,9 @@ from .diffops import (
     _abs_max,
     _completely_monotone,
     _completely_monotone_orders,
+    _derivative_change,
     _first_diff,
+    _hessian_entry,
     _one_row,
     _second_diff,
     compose,
@@ -184,12 +186,14 @@ class CheckReport:
 #
 # Each inequality is written once, as a form: a function of a handle and
 # named role arrays of R rows (``x``, ``y``, ``z``, ``base``, ``x1..xk``,
-# ``zero``) that returns ``(slack, scale)``, two arrays of R values, with
+# ``zero``, and the certificates' ``p``, ``U``, ``step``, ``direction`` and
+# ``A``) that returns ``(slack, scale)``, two arrays of R values, with
 # ``scale`` the largest absolute value the tolerance is relative to.  The
 # trials call a form on every sampled row, witness re-evaluation on one row,
 # and shrinking on every candidate of a sweep.  The difference forms,
-# ``_first_diff``, ``_second_diff`` and ``_completely_monotone``, live in
-# :mod:`.diffops`.
+# ``_first_diff``, ``_second_diff`` and ``_completely_monotone``, and the
+# certificates' stencil forms, ``_hessian_entry`` and ``_derivative_change``,
+# live in :mod:`.diffops`.
 # ---------------------------------------------------------------------------
 
 
@@ -260,6 +264,20 @@ def _symmetrized(sign: float, handle, r):
     return sign * slack, _abs_max(*vals)
 
 
+def _gaussian_representation(tol: float, handle, r):
+    """``tol`` minus the relative error of the Gauss-Hermite estimate of
+    ``det(I + A)^(-1/2)``; the slack is relative already, so its scale is 0."""
+    from .certify import gaussian_representation_margin  # certify imports this module
+
+    _, _, relerr = gaussian_representation_margin(r["A"])
+    return tol - relerr, np.zeros_like(relerr)
+
+
+def _entry(arg: str) -> tuple:
+    """The matrix entry ``(i, j)`` of the argument ``ij=i,j``."""
+    return tuple(int(v) for v in arg.split(","))
+
+
 # expression name -> (form, the argument bound to it)
 _FORMS = {
     "subadd": (_additivity, 1.0),
@@ -276,12 +294,17 @@ _FORMS = {
     "symmetrized-nonpos": (_symmetrized, -1.0),
     "double-bound-upper": (_double_bound, True),
     "double-bound-lower": (_double_bound, False),
+    "differential-nondecreasing": (_derivative_change, 1.0),
+    "differential-nonincreasing": (_derivative_change, -1.0),
+    "gaussian-det-representation": (_gaussian_representation, 1e-3),
 }
 # expression name -> (form, the parser of its bracketed argument)
 _PARAMETRIZED_FORMS = {
     "completely-monotone": (_completely_monotone, int),
     "alpha-strong": (_alpha_strong, float),
     "lipschitz-box": (_lipschitz_box, float),
+    "hessian-nonpos": (partial(_hessian_entry, -1.0), _entry),
+    "hessian-nonneg": (partial(_hessian_entry, 1.0), _entry),
 }
 # form -> the roles it evaluates the handle at by themselves, not only as a
 # step added to another point; a skipped trial whose non-finite value may
@@ -290,6 +313,7 @@ _POINT_ROLES = {
     _additivity: "xy", _modular: "xy", _signed_second_diff: "z", _comonotone: "z",
     _origin: ("zero",), _increment: ("U",), _alpha_strong: "z", _lipschitz_box: "z",
     _double_bound: (), _symmetrized: "xyz", _completely_monotone: ("base",),
+    _hessian_entry: (), _derivative_change: (), _gaussian_representation: (),
 }
 # property label -> its origin sign condition (checked when the cone holds the
 # origin), then each component's expression and the roles it reads; check()

@@ -110,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--method", required=True, choices=list(_CERTIFY_METHODS))
     for _, flag, choices in _CERTIFY_METHODS.values():
         cert.add_argument(f"--{flag}", choices=choices)
-    cert.add_argument("--points", type=int, default=200)
     _common(cert, with_property=False)
 
     ste = sub.add_parser("suite", help="run the acceptance suite and write its manifest")
@@ -188,7 +187,9 @@ def _cmd_certify(args) -> int:
     value = getattr(args, flag)
     if not value:
         raise ParameterError(f"--method {args.method} needs --{flag} {'|'.join(choices)}")
-    cert = certify(args.entry, value, args.points, cfg, params=params, dim=args.dim)
+    # --trials counts the sampled points, 200 when unset
+    points = 200 if args.trials is None else args.trials
+    cert = certify(args.entry, value, points, cfg, params=params, dim=args.dim)
     _output(cert, args)
     return EXIT_OK if cert.certified else EXIT_VIOLATION
 

@@ -6,7 +6,8 @@ subadditive functions from the strongly superadditive ones; ``kth_diff``
 generalizes to order k via inclusion-exclusion.  They are the one-row cases
 of the vectorized difference forms ``_first_diff``, ``_second_diff`` and
 ``_completely_monotone``, which the randomized checks evaluate on every
-trial and the certificates use as their finite-difference stencils.  Each
+trial; the certificates' stencil forms, a Hessian entry and the change of a
+directional derivative, are built on the first two.  Each
 row gets the same bits in any batch whenever the handle's ``batch`` does:
 rules built from + - * / do; numpy's transcendental and BLAS kernels may not.
 """
@@ -17,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .cones import ConeSpec, Point
+from .cones import ConeSpec, Point, member_batch
 from .errors import CapabilityError, DomainError, ShapeError
 
 # Beyond this order the 2^k alternating sum drowns in cancellation at double
@@ -113,6 +114,50 @@ def _second_diff(handle, r):
     vz, vxz, vyz = handle.batch(z), handle.batch(x + z), handle.batch(y + z)
     vxyz = handle.batch(x + y + z)
     return (vxyz + vz) - (vxz + vyz), _abs_max(vz, vxz, vyz, vxyz)
+
+
+# The certificates' stencil forms.  Their central differences carry rounding
+# and truncation error far above the checks' 1e-12 relative tolerance, so
+# their scale is 1e6 times the larger of 1 and the largest derivative they
+# compare: the checks' threshold ``1e-9 + 1e-12 s`` is then 1e-6 of it.  A
+# stencil that leaves the cone gives NaN, so a shrunk witness keeps it inside.
+
+
+def _hessian_entry(sign: float, ij: tuple, handle, r):
+    """``sign`` times entry ``(i, j)`` of the central-difference Hessian at
+    ``p``: the second difference at ``z = p - h e_i - h e_j`` with steps
+    ``2h e_i`` and ``2h e_j``, divided by ``4h^2``, where ``h = 1e-4
+    max(1, |p|_inf)``.  On a vector cone ``z`` is the lowest stencil point."""
+    p = r["p"]
+    h = 1e-4 * np.maximum(1.0, np.abs(p).max(axis=1))
+    step_i, step_j = np.zeros_like(p), np.zeros_like(p)
+    step_i[:, ij[0]] = h
+    step_j[:, ij[1]] = h
+    z = p - step_i - step_j
+    sd, _ = _second_diff(handle, {"x": 2.0 * step_i, "y": 2.0 * step_j, "z": z})
+    entry = sd / (4.0 * h * h)
+    inside = member_batch(handle.domain, z)
+    return np.where(inside, sign * entry, np.nan), 1e6 * np.maximum(1.0, np.abs(entry))
+
+
+def _derivative(handle, p, w):
+    """The central-difference derivative at the points ``p`` along ``w``:
+    the first difference from ``p - h w`` by the step ``2h w``, divided by
+    ``2h``, where ``h = 1e-5 max(1, |p|_inf)``.  ``p - h w`` is the lower
+    stencil point."""
+    t = p.shape[0]
+    h = 1e-5 * np.maximum(1.0, np.abs(p.reshape(t, -1)).max(axis=1))
+    step = h.reshape((t,) + (1,) * (p.ndim - 1)) * w
+    d, _ = _first_diff(handle, {"U": p - step, "step": 2.0 * step})
+    return np.where(member_batch(handle.domain, p - step), d / (2.0 * h), np.nan)
+
+
+def _derivative_change(sign: float, handle, r):
+    """``sign`` times ``D f(U + step) - D f(U)``, the change of the
+    :func:`_derivative` along ``direction``."""
+    d_u = _derivative(handle, r["U"], r["direction"])
+    d_v = _derivative(handle, r["U"] + r["step"], r["direction"])
+    return sign * (d_v - d_u), 1e6 * np.maximum(1.0, _abs_max(d_u, d_v))
 
 
 def _completely_monotone_orders(k: int, handle, r):

@@ -3,6 +3,7 @@ monotonicity, Laplace atoms, and the determinant quadrature identity."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import conecheck
-from conecheck import certify, cones
+from conecheck import certify, checkers, cones
 from conecheck.certify import (
     CERTIFIED,
     REFUSED,
@@ -25,10 +26,17 @@ from conecheck.certify import (
     gaussian_representation_margin,
     laplace_as_handle,
 )
-from conecheck.checkers import CheckConfig, check
+from conecheck.catalog import resolve_handle
+from conecheck.checkers import CheckConfig, Witness, check, evaluate_expression, reevaluate_witness
 from conecheck.cones import Point, Rng, nonneg_orthant, psd_cone
 from conecheck.diffops import FunctionHandle, delta, second_diff, shift_and_center
-from conecheck.errors import CapabilityError, CertificateError, NumericFailure, ShapeError
+from conecheck.errors import (
+    CapabilityError,
+    CertificateError,
+    DomainError,
+    NumericFailure,
+    ShapeError,
+)
 
 
 def _cfg(**kw):
@@ -36,14 +44,20 @@ def _cfg(**kw):
     return CheckConfig(**kw)
 
 
+def _entry(witness):
+    """The Hessian entry ``(i, j)`` a refusal names."""
+    i, j = re.fullmatch(r"hessian-non(?:pos|neg)\[ij=(\d+),(\d+)\]", witness.expression).groups()
+    return int(i), int(j)
+
+
 def test_hessian_sign_certificates():
     assert certify_hessian_sign("shannon-entropy", "nonpos", 200, _cfg()).certified
     assert certify_hessian_sign("sq-norm", "nonneg", 200, _cfg()).certified
     cert = certify_hessian_sign("lse", "nonpos", 200, _cfg())
     assert cert.verdict == REFUSED
-    i, j = cert.refusal_witness["index"]
+    i, j = _entry(cert.refusal_witness)
     assert i == j  # softmax weights make every diagonal entry positive
-    assert cert.refusal_witness["value"] > 0
+    assert cert.refusal_witness.margin < 0
 
 
 def test_hessian_sign_rejects_matrix_domain():
@@ -58,8 +72,7 @@ def test_topkis_certificates():
                           lambda rows: rows[:, 0] * rows[:, 1])
     cert = certify_topkis(prod, "submodular", 100, _cfg())
     assert cert.verdict == REFUSED
-    i, j = cert.refusal_witness["index"]
-    assert i != j
+    assert _entry(cert.refusal_witness) == (0, 1)
 
 
 def test_differential_monotone_certificates():
@@ -72,7 +85,8 @@ def test_differential_monotone_certificates():
     assert cert.verdict == REFUSED
     # the refusal is a genuine ordered pair with a rising directional derivative
     rw = cert.refusal_witness
-    assert rw["value"] < 0 and "direction" in rw
+    assert rw.expression == "differential-nonincreasing"
+    assert rw.margin < 0 and set(rw.points) == {"U", "step", "direction"}
 
 
 def test_certificate_checker_coherence():
@@ -264,8 +278,9 @@ def test_gaussian_representation_takes_symmetry_within_point_tolerance():
 
 def test_gaussian_representation_memory_is_bounded_for_large_stacks():
     """A stack larger than one product is evaluated in slices of
-    ``_GH_STACK`` matrices, so the per-slice temporaries do not grow with
-    the stack; estimates still match one-at-a-time calls."""
+    ``_GH_PRODUCT`` matrix elements (16 matrices at order 4), so the
+    per-slice temporaries do not grow with the stack; estimates still match
+    one-at-a-time calls."""
     rng = np.random.default_rng(11)
     for mats, bound in ((rng.uniform(0.1, 2.0, size=(64, 1, 1)), 2 ** 20),
                         (np.stack([_random_psd(rng, 4) for _ in range(64)]), 4 * 2 ** 20)):
@@ -332,8 +347,8 @@ def test_certificate_verdict_is_derived_from_the_refusal_witness():
     ]
     assert [c.certified for c in certs] == [True, False, False]
     # half-sq-plus-cos is 1 at the origin, the wrong sign for superadditivity
-    assert certs[1].refusal_witness["reason"] == "origin sign condition"
-    assert certs[1].refusal_witness["value"] == 1.0
+    assert certs[1].refusal_witness == Witness(
+        points={"zero": Point.vector([0.0])}, margin=-1.0, expression="origin-nonpos")
     for cert in certs:
         unrefused = cert.refusal_witness is None
         assert cert.certified == unrefused
@@ -341,65 +356,160 @@ def test_certificate_verdict_is_derived_from_the_refusal_witness():
         assert cert.to_json()["verdict"] == cert.verdict
 
 
-def _first_wrong_sign(hess, nonneg, off_diagonal_only):
-    """The first wrong-signed Hessian entry, as ``(k, i, j)``, by a plain
-    scan over points, rows and columns."""
-    tol = certify._HESS_SIGN_TOL * np.maximum(1.0, np.abs(hess).reshape(len(hess), -1).max(axis=1))
-    n = hess.shape[1]
-    for k in range(len(hess)):
-        for i in range(n):
-            for j in range(n):
-                if off_diagonal_only and i == j:
-                    continue
-                v = hess[k, i, j]
-                if (v < -tol[k]) if nonneg else (v > tol[k]):
-                    return k, i, j
-    return None
+def _plain_scan(handle, expressions, pts, cfg):
+    """The lowest violating ``(slack, expression)`` over the points and
+    expressions, by a plain loop of one-row evaluations; None when none
+    violates."""
+    worst = None
+    for p in pts:
+        for e in expressions:
+            slack, s = evaluate_expression(handle, e, {"p": Point(cones.VECTOR, p)})
+            if slack < -cfg.tolerance(s) and (worst is None or slack < worst[0]):
+                worst = (slack, e)
+    return worst
 
 
 @pytest.mark.parametrize("entry_id,method,mode,index", [
-    ("lse", "hessian", "nonpos", [0, 0]),
-    ("lse", "topkis", "supermodular", [0, 1]),
+    ("lse", "hessian", "nonpos", [2, 2]),
+    ("lse", "topkis", "supermodular", [0, 2]),
     # certified although every diagonal entry is +2
     ("sq-norm", "topkis", "submodular", None),
 ])
 def test_hessian_sign_scan_matches_the_plain_scan(entry_id, method, mode, index):
+    """The refusal names the entry of the lowest violating slack among the
+    sampled points, and shrinking only lowers it."""
     cfg = _cfg()
+    handle = conecheck.instantiate(entry_id)
+    n = handle.domain.dim
     if method == "hessian":
         cert = certify_hessian_sign(entry_id, mode, 200, cfg)
-        nonneg, off_diagonal_only = mode == "nonneg", False
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
     else:
         cert = certify_topkis(entry_id, mode, 200, cfg)
-        nonneg, off_diagonal_only = mode == "supermodular", True
-    pts, hess = certify._sampled_hessians(conecheck.instantiate(entry_id), 200, cfg)
-    first = _first_wrong_sign(hess, nonneg, off_diagonal_only)
+        mode = "nonneg" if mode == "supermodular" else "nonpos"
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pts = certify._interior_batch(handle.domain, Rng(0, certify._STREAM_POINTS), 200, 1.0)
+    first = _plain_scan(handle, [f"hessian-{mode}[ij={i},{j}]" for i, j in pairs], pts, cfg)
     if index is None:
         assert first is None and cert.certified
-        assert np.all(np.diagonal(hess, axis1=1, axis2=2) > 1.0)
+        diagonal = [f"hessian-nonpos[ij={i},{i}]" for i in range(n)]
+        assert _plain_scan(handle, diagonal, pts, _cfg()) is not None
+        for p in pts:
+            for e in diagonal:
+                assert evaluate_expression(handle, e, {"p": Point(cones.VECTOR, p)})[0] < -1.0
         return
-    k, i, j = first
     rw = cert.refusal_witness
-    assert rw["index"] == [i, j] == index
-    assert rw["value"] == hess[k, i, j]
-    np.testing.assert_array_equal(rw["point"].data, pts[k])
+    assert rw.expression == first[1] == f"hessian-{mode}[ij={index[0]},{index[1]}]"
+    assert rw.margin <= first[0] + 1e-12 * abs(first[0])
 
 
 def test_certificate_stencils_are_the_difference_forms():
-    """Hessian entries and directional derivatives are one-row difference
-    forms scaled by the step, bit for bit."""
+    """A Hessian-entry trial is the one-row second difference divided by
+    ``4h^2``, and a directional trial the change of one-row first
+    differences divided by ``2h``, bit for bit."""
     h = conecheck.instantiate("lse", dim=3)
     pts = certify._interior_batch(h.domain, Rng(5, 1), 4, 1.0)
+    v = certify._interior_batch(h.domain, Rng(5, 3), 4, 1.0)
     w = certify._interior_batch(h.domain, Rng(5, 2), 4, 1.0)
-    hess = certify._batched_hessians(h, pts)
-    deriv = certify._directional_derivatives(h, pts, w)
     vec = lambda a: Point(cones.VECTOR, a, _validated=True)  # noqa: E731
-    for k, p in enumerate(pts):
-        step = 1e-4 * max(1.0, np.abs(p).max())
-        for i in range(3):
-            for j in range(3):
+
+    def derivative(p, d):
+        step = 1e-5 * max(1.0, np.abs(p).max())
+        return delta(h, vec(2.0 * (step * d)), vec(p - step * d)) / (2.0 * step)
+
+    change, _ = checkers._form("differential-nondecreasing")(
+        h, {"U": pts, "step": v, "direction": w})
+    falling, _ = checkers._form("differential-nonincreasing")(
+        h, {"U": pts, "step": v, "direction": w})
+    for i in range(3):
+        for j in range(3):
+            entry, _ = checkers._form(f"hessian-nonneg[ij={i},{j}]")(h, {"p": pts})
+            negated, _ = checkers._form(f"hessian-nonpos[ij={i},{j}]")(h, {"p": pts})
+            for k, p in enumerate(pts):
+                step = 1e-4 * max(1.0, np.abs(p).max())
                 ei, ej = step * np.eye(3)[i], step * np.eye(3)[j]
                 sd = second_diff(h, vec(2.0 * ei), vec(2.0 * ej), vec(p - ei - ej))
-                assert hess[k, i, j] == sd / (4.0 * step * step)
-        step = 1e-5 * max(1.0, np.abs(p).max())
-        d = delta(h, vec(2.0 * (step * w[k])), vec(p - step * w[k]))
-        assert deriv[k] == d / (2.0 * step)
+                assert entry[k] == sd / (4.0 * step * step) == -negated[k]
+    for k, p in enumerate(pts):
+        assert change[k] == derivative(p + v[k], w[k]) - derivative(p, w[k]) == -falling[k]
+
+
+def test_certificate_stencils_stay_in_the_cone():
+    """A stencil that leaves the cone gives NaN even where the rule has a
+    value there, so a shrunk refusal never reads the function off its cone."""
+    sq = conecheck.instantiate("sq-norm", dim=2)
+    entry, _ = checkers._form("hessian-nonneg[ij=0,0]")(sq, {"p": np.array([[1e-5, 1.0],
+                                                                             [1.0, 1.0]])})
+    assert np.isnan(entry[0]) and abs(entry[1] - 2.0) <= 1e-6
+    with pytest.raises(DomainError):
+        evaluate_expression(sq, "hessian-nonneg[ij=0,0]", {"p": Point.vector([1e-5, 1.0])})
+    det = conecheck.instantiate("det", dim=2)
+    eye = np.stack([np.eye(2)] * 2)
+    u = np.stack([np.diag([1e-7, 1.0]), np.eye(2)])
+    change, _ = checkers._form("differential-nondecreasing")(
+        det, {"U": u, "step": eye, "direction": eye})
+    assert np.isnan(change[0]) and np.isfinite(change[1])
+
+
+_PRODUCT = FunctionHandle("coordinate-product", nonneg_orthant(2),
+                          lambda rows: rows[:, 0] * rows[:, 1])
+
+
+@pytest.mark.parametrize("certify_fn,target,arg,expression", [
+    (certify_hessian_sign, "lse", "nonpos", r"hessian-nonpos\[ij=(\d),\1\]"),
+    (certify_topkis, _PRODUCT, "submodular", r"hessian-nonpos\[ij=0,1\]"),
+    (certify_differential_monotone, "geomean2", "nonincreasing", "differential-nonincreasing"),
+    (certify_hessian_sign, "half-sq-plus-cos", "nonneg", "origin-nonpos"),
+], ids=["lse-hessian-nonpos", "product-topkis", "geomean2-diff-monotone", "half-sq-plus-cos-origin"])
+def test_certificate_refusals_are_real_witnesses(certify_fn, target, arg, expression):
+    """Every refusal is a checks' witness: its points are cone members, it
+    violates at its own scale, and it re-evaluates to its margin exactly."""
+    cfg = _cfg()
+    cert = certify_fn(target, arg, 200, cfg)
+    handle = resolve_handle(target)
+    w = cert.refusal_witness
+    assert isinstance(w, Witness) and re.fullmatch(expression, w.expression)
+    assert all(cones.member(handle.domain, p) for p in w.points.values())
+    slack, s = evaluate_expression(handle, w.expression, w.points)
+    assert reevaluate_witness(handle, w) == slack == w.margin < -cfg.tolerance(s)
+    assert cert.to_json()["refusal_witness"] == w.to_json()
+
+
+def test_gaussian_detcert_witness_reevaluates(monkeypatch):
+    """A rule 10^6 times less accurate fails the 1e-3 tolerance; the report's
+    witness is a PSD matrix whose one-row form gives the worst margin."""
+    rule = certify.gaussian_representation_margin
+
+    def coarse(a):
+        est, exact, relerr = rule(a)
+        return est, exact, 1e6 * relerr
+
+    monkeypatch.setattr(certify, "gaussian_representation_margin", coarse)
+    rep = gaussian_detcert_check(2, _cfg(trials=50))
+    assert rep.found_violation
+    a = rep.witness.points["A"]
+    assert cones.member(psd_cone(2), a)
+    any_handle = FunctionHandle("zero", psd_cone(2), lambda rows: np.zeros(len(rows)))
+    slack, _ = evaluate_expression(any_handle, "gaussian-det-representation", {"A": a})
+    assert slack == rep.worst_margin == rep.witness.margin < 0
+    assert slack == 1e-3 - coarse(a.data)[2]
+
+
+def test_certificate_memory_does_not_grow_with_the_points():
+    """Certificates and the quadrature check draw, evaluate and fold one
+    ``_BLOCK`` of points at a time: four blocks peak like one."""
+    def peak(run, count):
+        tracemalloc.start()
+        try:
+            run(count)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    runs = {
+        "lse hessian nonneg": lambda n: certify_hessian_sign("lse", "nonneg", n, _cfg(), dim=6),
+        "gaussian order 2": lambda n: gaussian_detcert_check(2, _cfg(trials=n)),
+    }
+    for name, run in runs.items():
+        one, four = peak(run, checkers._BLOCK), peak(run, 4 * checkers._BLOCK)
+        assert four < 1.5 * one, (name, one, four)

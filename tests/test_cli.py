@@ -107,17 +107,32 @@ def test_refute_command(capsys):
 
 def test_certify_commands(capsys):
     code, out, _ = _run(capsys, "certify", "shannon-entropy", "--method", "hessian-sign",
-                        "--sign", "nonpos", "--points", "50")
+                        "--sign", "nonpos", "--trials", "50")
     assert code == 0
     assert json.loads(out.strip())["verdict"] == "CERTIFIED_NUMERIC"
     code, out, _ = _run(capsys, "certify", "lse", "--method", "hessian-sign",
-                        "--sign", "nonpos", "--points", "50")
+                        "--sign", "nonpos", "--trials", "50")
     assert code == 1
     code, _, _ = _run(capsys, "certify", "lse", "--method", "hessian-sign")
     assert code == 2  # missing --sign
     code, out, _ = _run(capsys, "certify", "lse", "--method", "topkis",
-                        "--mode", "submodular", "--points", "50")
+                        "--mode", "submodular", "--trials", "50")
     assert code == 0
+
+
+def test_certify_counts_its_points_with_trials(tmp_path, capsys):
+    """``--trials`` (or a config file's ``trials``) is the certificate's
+    point count, 200 when unset; there is no ``--points``."""
+    args = ("certify", "sq-norm", "--method", "hessian-sign", "--sign", "nonneg")
+    for extra, points in ((("--trials", "5"), 5), ((), 200)):
+        code, out, _ = _run(capsys, *args, *extra)
+        assert (code, json.loads(out)["points"]) == (0, points)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 7}))
+    code, out, _ = _run(capsys, "--config", str(cfg), *args)
+    assert (code, json.loads(out)["points"]) == (0, 7)
+    code, out, _ = _run(capsys, *args, "--points", "5")
+    assert (code, out) == (2, "")
 
 
 @pytest.mark.parametrize("method,needs", [

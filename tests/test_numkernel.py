@@ -6,11 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from conecheck import catalog, numkernel as nk
-from conecheck.certify import _batched_hessians, _directional_derivatives
+from conecheck import catalog, checkers, numkernel as nk
 from conecheck.cones import Point, full_space
-from conecheck.diffops import FunctionHandle
+from conecheck.diffops import FunctionHandle, _derivative
 from conecheck.errors import DomainError
+
+
+def _hessians(handle, pts):
+    """Every entry of the central-difference Hessian at each point, from the
+    certificates' ``hessian-nonneg[ij=i,j]`` forms."""
+    n = pts.shape[1]
+    rows = [[checkers._form(f"hessian-nonneg[ij={i},{j}]")(handle, {"p": pts})[0]
+             for j in range(n)] for i in range(n)]
+    return np.array(rows).transpose(2, 0, 1)
 
 
 def _rand_sym(rng, n):
@@ -98,16 +106,16 @@ def test_fd_gradient_exact_for_linear():
     a = np.array([2.0, -1.0, 0.5])
     h = FunctionHandle("linear", full_space(3), lambda rows: rows @ a)
     x = np.array([0.3, 0.7, 1.1])
-    g = _directional_derivatives(h, np.tile(x, (3, 1)), np.eye(3))
+    g = _derivative(h, np.tile(x, (3, 1)), np.eye(3))
     assert np.allclose(g, a, atol=1e-9)
 
 
 def test_fd_hessian_quadratic_and_entropy():
     h = _handle("sq-norm", dim=3)
-    hess = _batched_hessians(h, np.array([[0.5, 1.0, 2.0]]))[0]
+    hess = _hessians(h, np.array([[0.5, 1.0, 2.0]]))[0]
     assert np.allclose(hess, 2 * np.eye(3), atol=1e-6)
     sh = _handle("shannon-entropy", dim=2)
-    hess = _batched_hessians(sh, np.array([[1.0, 1.0]]))[0]
+    hess = _hessians(sh, np.array([[1.0, 1.0]]))[0]
     assert np.allclose(hess, np.diag([-1.0, -1.0]), atol=1e-5)
 
 
@@ -130,7 +138,7 @@ def test_fd_hessian_matches_analytic(entry_id):
     handle = _handle(entry_id, dim=3)
     rng = np.random.default_rng(6)
     pts = rng.uniform(0.25, 2.0, size=(100, 3))
-    fd = _batched_hessians(handle, pts)
+    fd = _hessians(handle, pts)
     for x, h in zip(pts, fd):
         exact = _ANALYTIC_HESSIANS[entry_id](x)
         assert np.max(np.abs(h - exact)) <= 1e-5
@@ -142,13 +150,13 @@ def test_fd_directional_matrix_direction():
     w = np.eye(2)[None]
     # d/dt det(X + tI) = det(X) trace(X^-1) at t=0
     expected = 6.0 * (1 / 2 + 1 / 3)
-    assert _directional_derivatives(h, x, w)[0] == pytest.approx(expected, rel=1e-6)
+    assert _derivative(h, x, w)[0] == pytest.approx(expected, rel=1e-6)
 
 
 def test_fd_stencil_domain_error():
     # the 1e-4 step leaves the open half-line at 1e-7: the row comes back NaN
     h = _handle("reciprocal")
-    hess = _batched_hessians(h, np.array([[1e-7], [1.0]]))
+    hess = _hessians(h, np.array([[1e-7], [1.0]]))
     assert np.all(np.isnan(hess[0]))
     assert hess[1, 0, 0] == pytest.approx(2.0, rel=1e-6)
 
