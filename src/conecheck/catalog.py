@@ -24,7 +24,7 @@ from . import cones
 from .cones import ConeSpec, Rng
 from .diffops import FunctionHandle
 from .errors import ConeCheckError, ParameterError, UnknownEntryError
-from .numkernel import CLAMP_WINDOW, gamma, spectral
+from .numkernel import CLAMP_WINDOW, gamma, rowwise, spectral
 
 __all__ = [
     "PropertyLabel",
@@ -240,22 +240,22 @@ def _make_reciprocal(p: dict, n: int) -> FunctionHandle:
 def _make_shannon(p: dict, n: int) -> FunctionHandle:
     def batch(rows):
         t = np.where(rows > 0.0, rows * np.log(np.maximum(rows, 1e-300)), 0.0)
-        out = -np.sum(t, axis=1)
-        return np.where(np.any(rows < 0.0, axis=1), np.nan, out)
+        out = -rowwise(np.add, t)
+        return np.where(rowwise(np.logical_or, rows < 0.0), np.nan, out)
 
     return FunctionHandle("shannon-entropy", cones.nonneg_orthant(n), batch)
 
 
 def _make_sq_norm(p: dict, n: int) -> FunctionHandle:
     def batch(rows):
-        return np.sum(rows * rows, axis=1)
+        return rowwise(np.add, rows * rows)
 
     return FunctionHandle("sq-norm", cones.nonneg_orthant(n), batch)
 
 
 def _make_inner_product(p: dict, n: int) -> FunctionHandle:
     def batch(rows):
-        return np.sum(rows[:, :n] * rows[:, n:], axis=1)
+        return rowwise(np.add, rows[:, :n] * rows[:, n:])
 
     return FunctionHandle("inner-product", cones.nonneg_orthant(2 * n), batch)
 
@@ -297,7 +297,7 @@ def _make_pairwise_diff_convex(p: dict, n: int) -> FunctionHandle:
 
     def batch(rows):
         d = rows[:, iu] - rows[:, ju]
-        return np.sum(np.abs(d) ** q, axis=1)
+        return rowwise(np.add, np.abs(d) ** q)
 
     return FunctionHandle("pairwise-diff-convex", cones.nonneg_orthant(n), batch)
 
@@ -354,8 +354,8 @@ def _make_nonneg_poly(p: dict, n: int) -> FunctionHandle:
 
 def _make_lse(p: dict, n: int) -> FunctionHandle:
     def batch(rows):
-        m = np.max(rows, axis=1)
-        return m + np.log(np.mean(np.exp(rows - m[:, None]), axis=1))
+        m = rowwise(np.maximum, rows)
+        return m + np.log(rowwise(np.add, np.exp(rows - m[:, None])) / n)
 
     return FunctionHandle("lse", cones.full_space(n), batch)
 
@@ -368,7 +368,7 @@ def _make_lp_power_norm(p: dict, n: int) -> FunctionHandle:
         raise _param_error("lp-power-norm", f"grid step must be positive, got {h}")
 
     def batch(rows):
-        return h * np.sum(np.abs(rows) ** pw, axis=1)
+        return h * rowwise(np.add, np.abs(rows) ** pw)
 
     return FunctionHandle("lp-power-norm", cones.nonneg_orthant(n), batch)
 
@@ -509,7 +509,7 @@ def _make_inv_power_product(p: dict, n: int) -> FunctionHandle:
         raise _param_error("inv-power-product", "alpha must be strictly positive")
 
     def batch(rows):
-        ok = np.all(rows > 0.0, axis=1)
+        ok = rowwise(np.logical_and, rows > 0.0)
         logs = np.log(np.where(rows > 0.0, rows, 1.0))
         return np.where(ok, np.exp(-(logs @ alpha)), np.nan)
 
@@ -527,8 +527,8 @@ def _make_logistic_pow(p: dict, n: int) -> FunctionHandle:
 
 
 def _elem_sym_2(rows: np.ndarray) -> np.ndarray:
-    s1 = np.sum(rows, axis=1)
-    s2 = np.sum(rows * rows, axis=1)
+    s1 = rowwise(np.add, rows)
+    s2 = rowwise(np.add, rows * rows)
     return 0.5 * (s1 * s1 - s2)
 
 

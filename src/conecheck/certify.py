@@ -37,6 +37,7 @@ from .catalog import PropertyLabel, resolve_handle
 from .checkers import CheckConfig, CheckReport, Witness, _blocks, _component, _reduce_trials
 from .cones import VECTOR, ConeSpec, Point, Rng
 from .diffops import FunctionHandle
+from .numkernel import rowwise
 from .errors import CapabilityError, CertificateError, NumericFailure, ShapeError
 
 CERTIFIED = "CERTIFIED_NUMERIC"
@@ -355,7 +356,7 @@ def gaussian_representation_margin(a: np.ndarray) -> tuple:
             total[lo : lo + stack] += w1 * (q @ rest_w)
             del q  # freed before the next product is made
     lam = np.linalg.eigvalsh(mats)
-    exact = np.exp(-0.5 * np.sum(np.log1p(lam), axis=1))
+    exact = np.exp(-0.5 * rowwise(np.add, np.log1p(lam)))
     if not (np.isfinite(total).all() and np.isfinite(exact).all()) or (exact <= 0).any():
         raise NumericFailure("quadrature produced a non-finite value")
     relerr = np.abs(total - exact) / exact
@@ -379,7 +380,7 @@ def gaussian_detcert_check(n: int, cfg: CheckConfig | None = None) -> CheckRepor
     cone = cones.psd_cone(n)
     handle = FunctionHandle(
         "det(I+A)^(-1/2)", cone,
-        lambda mats: np.exp(-0.5 * np.sum(np.log1p(np.linalg.eigvalsh(mats)), axis=1)))
+        lambda mats: np.exp(-0.5 * rowwise(np.add, np.log1p(np.linalg.eigvalsh(mats)))))
 
     def blocks():
         for b, count in _blocks(cfg.trials):
@@ -402,7 +403,7 @@ def check_det_trace_monotone(n: int, cfg: CheckConfig | None = None) -> CheckRep
 
     def phi(mats):
         lam = np.linalg.eigvalsh(mats)
-        return np.prod(lam, axis=1) * np.sum(1.0 / lam, axis=1)
+        return rowwise(np.multiply, lam) * rowwise(np.add, 1.0 / lam)
 
     handle = FunctionHandle("det-trace-inverse", cone, phi)
 

@@ -56,7 +56,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .numkernel import ScalarFunction
+from .numkernel import ScalarFunction, rowwise
 
 NO_VIOLATION = "NO_VIOLATION_FOUND"
 VIOLATION = "VIOLATION_FOUND"
@@ -499,7 +499,7 @@ def _at_undefined_apex(handle: FunctionHandle, comps: list[_Component]) -> np.nd
     for c in comps:
         for role in _POINT_ROLES[_form(c.expression).func]:
             arr = c.roles[role]
-            at |= ~arr.reshape(arr.shape[0], -1).any(axis=1)
+            at |= ~rowwise(np.logical_or, arr.reshape(arr.shape[0], -1))
     return at
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, ParameterError, ShapeError
+from .numkernel import rowwise
 
 VECTOR = "vector"
 MATRIX = "symmetric-matrix"
@@ -240,9 +241,9 @@ def member_batch(cone: ConeSpec, rows: np.ndarray, tol: float = 0.0) -> np.ndarr
         )
     fam = cone.family
     if fam == NONNEG_ORTHANT:
-        return np.all(rows >= -tol, axis=1)
+        return rowwise(np.logical_and, rows >= -tol)
     if fam == POSITIVE_ORTHANT:
-        return np.all(rows > tol, axis=1)
+        return rowwise(np.logical_and, rows > tol)
     if fam == FULL_SPACE:
         return np.ones(rows.shape[0], dtype=bool)
     if fam == PSD_CONE:
@@ -300,7 +301,7 @@ def comonotonic_batch(u: np.ndarray, v: np.ndarray, tol: float = 0.0) -> np.ndar
         raise ShapeError("comonotonicity needs two vectors of equal length")
     out = np.ones(u.shape[0], dtype=bool)
     for i in range(u.shape[1]):
-        out &= np.all((u[:, i, None] - u) * (v[:, i, None] - v) >= -tol, axis=1)
+        out &= rowwise(np.logical_and, (u[:, i, None] - u) * (v[:, i, None] - v) >= -tol)
     return out
 
 

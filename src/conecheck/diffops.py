@@ -20,6 +20,7 @@ import numpy as np
 
 from .cones import ConeSpec, Point, member_batch
 from .errors import CapabilityError, DomainError, ShapeError
+from .numkernel import rowwise
 
 # Beyond this order the 2^k alternating sum drowns in cancellation at double
 # precision, and the evaluation count explodes.
@@ -129,7 +130,7 @@ def _hessian_entry(sign: float, ij: tuple, handle, r):
     ``2h e_i`` and ``2h e_j``, divided by ``4h^2``, where ``h = 1e-4
     max(1, |p|_inf)``.  On a vector cone ``z`` is the lowest stencil point."""
     p = r["p"]
-    h = 1e-4 * np.maximum(1.0, np.abs(p).max(axis=1))
+    h = 1e-4 * np.maximum(1.0, rowwise(np.maximum, np.abs(p)))
     step_i, step_j = np.zeros_like(p), np.zeros_like(p)
     step_i[:, ij[0]] = h
     step_j[:, ij[1]] = h
@@ -146,7 +147,7 @@ def _derivative(handle, p, w):
     ``2h``, where ``h = 1e-5 max(1, |p|_inf)``.  ``p - h w`` is the lower
     stencil point."""
     t = p.shape[0]
-    h = 1e-5 * np.maximum(1.0, np.abs(p.reshape(t, -1)).max(axis=1))
+    h = 1e-5 * np.maximum(1.0, rowwise(np.maximum, np.abs(p.reshape(t, -1))))
     step = h.reshape((t,) + (1,) * (p.ndim - 1)) * w
     d, _ = _first_diff(handle, {"U": p - step, "step": 2.0 * step})
     return np.where(member_batch(handle.domain, p - step), d / (2.0 * h), np.nan)

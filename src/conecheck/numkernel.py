@@ -1,4 +1,9 @@
-"""The spectral core, scalar rules and the gamma function.
+"""The row fold, the spectral core, scalar rules and the gamma function.
+
+``rowwise`` reduces each row of a ``(T, n)`` array, such as the coordinates
+of stacked points or their eigenvalues, with a binary ufunc: a left fold
+over the columns for short rows, where it is several times faster than
+``ufunc.reduce(..., axis=1)`` and gives the same bits.
 
 ``spectral`` evaluates every eigenvalue-based functional of the catalog:
 batched eigenvalues, one domain rule on the smallest eigenvalue, a clamp,
@@ -29,6 +34,30 @@ from .errors import DomainError
 CLAMP_WINDOW = 1e-12
 
 
+# Rows shorter than this are folded column by column; from 8 values on,
+# numpy's add reduction sums a contiguous row pairwise, and is fast.
+_FOLD_COLUMNS = 8
+
+
+def rowwise(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1)`` of a 2-d array, the same bits whatever
+    its memory layout and row count.  Rows shorter than ``_FOLD_COLUMNS``
+    fold left to right, one column at a time, as numpy's reduction of a
+    C-contiguous array does; an add fold then adds the identity +0.0, as the
+    reduction starts from it, so a row of -0.0 sums to +0.0.  Longer rows
+    are made C-contiguous and reduced by ``ufunc.reduce``, which sums each
+    row pairwise, so a row gets the same bits alone and in a block."""
+    n = a.shape[1]
+    if not 1 < n < _FOLD_COLUMNS:
+        return ufunc.reduce(np.ascontiguousarray(a), axis=1)
+    out = ufunc(a[:, 0], a[:, 1])
+    for j in range(2, n):
+        ufunc(out, a[:, j], out=out)
+    if ufunc is np.add:
+        out += 0.0
+    return out
+
+
 # The closed form is kept on a row only when its smallest eigenvalue exceeds
 # max(lo, _CLOSED_FLOOR) by more than _CLOSED_GAP times its largest.  Its
 # absolute error stays below about 1e-13 of the largest eigenvalue, so the
@@ -54,7 +83,7 @@ def spectral(
     if rows.shape[-1] in (2, 3):
         w = _closed_form_eigvals(rows)
         redo = ~(
-            np.isfinite(w).all(axis=1)
+            rowwise(np.logical_and, np.isfinite(w))
             & (w[:, 0] > max(lo, _CLOSED_FLOOR) + _CLOSED_GAP * w[:, -1])
         )
         if redo.any():
@@ -63,7 +92,7 @@ def spectral(
         w = _finite_eigvalsh(rows)
     # written so that a NaN eigenvalue fails the domain rule
     inside = w[:, 0] > lo if open else w[:, 0] >= lo
-    return np.where(inside, np.sum(term(np.maximum(w, clamp)), axis=1), np.nan)
+    return np.where(inside, rowwise(np.add, term(np.maximum(w, clamp))), np.nan)
 
 
 def _finite_eigvalsh(rows: np.ndarray) -> np.ndarray:
@@ -71,7 +100,7 @@ def _finite_eigvalsh(rows: np.ndarray) -> np.ndarray:
     eigenvalues on the others (where ``eigvalsh`` would raise for the whole
     stack or return finite values)."""
     il, jl = np.tril_indices(rows.shape[-1])
-    finite = np.isfinite(rows[:, il, jl]).all(axis=1)
+    finite = rowwise(np.logical_and, np.isfinite(rows[:, il, jl]))
     if finite.all():
         return np.linalg.eigvalsh(rows)
     w = np.full(rows.shape[:2], np.nan)

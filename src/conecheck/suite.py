@@ -42,7 +42,7 @@ from .checkers import (
 )
 from .cones import Point, Rng
 from .diffops import _second_diff, second_diff
-from .numkernel import power_fn
+from .numkernel import power_fn, rowwise
 
 SCALAR_STRONG_SUBADD = (
     "affine-power",
@@ -158,7 +158,7 @@ def criterion_3(seed: int) -> CriterionResult:
         y = cones.sample_batch(cone, Rng(seed, 200 + n), 1000, cfg.scale, cfg.boundary_prob)
         z = cones.sample_batch(cone, Rng(seed, 300 + n), 1000, cfg.scale, cfg.boundary_prob)
         sd, _ = _second_diff(handle, {"x": x, "y": y, "z": z})
-        dev = float(np.max(np.abs(sd - 2.0 * np.sum(x * y, axis=1))))
+        dev = float(np.max(np.abs(sd - 2.0 * rowwise(np.add, x * y))))
         checks.append(
             SubCheck(
                 f"squared-norm second-difference identity, dim {n}",
@@ -222,7 +222,7 @@ def criterion_5(seed: int) -> CriterionResult:
     cone = cones.psd_cone(4)
     a = cones.sample_batch(cone, Rng(seed, 400), 1000)
     b = a + cones.sample_batch(cone, Rng(seed, 401), 1000)
-    bad = np.flatnonzero(~np.all(np.linalg.eigvalsh(a) <= np.linalg.eigvalsh(b) + 1e-9, axis=1))
+    bad = np.flatnonzero(~rowwise(np.logical_and, np.linalg.eigvalsh(a) <= np.linalg.eigvalsh(b) + 1e-9))
     failing_pair = (a[bad[0]].tolist(), b[bad[0]].tolist()) if bad.size else None
     checks.append(
         SubCheck(

@@ -1,6 +1,7 @@
 """The spectral core through the catalog's eigenvalue handles, certify's
 finite-difference stencils, and gamma."""
 
+import functools
 import math
 
 import numpy as np
@@ -189,3 +190,46 @@ def test_gamma_matches_math_gamma():
     # so x-gamma-minus-1 is exactly 0 at the origin, where its sign is checked
     assert nk.gamma(1.0) == 1.0
     assert nk.gamma(np.ones((2, 3))).shape == (2, 3)
+
+
+def _python_fold(ufunc, row):
+    """The row folded left to right one value at a time, from the ufunc's
+    reduction identity where it has one."""
+    if ufunc.identity is None:
+        return functools.reduce(ufunc, row[1:], row[0])
+    return functools.reduce(ufunc, row, ufunc.identity)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("ufunc", [np.add, np.maximum, np.logical_and, np.logical_or],
+                         ids=lambda u: u.__name__)
+@pytest.mark.parametrize("t", [1, 7, 2 ** 14])
+def test_rowwise_is_the_left_fold_of_each_row(ufunc, t):
+    """Bit for bit, on values over 16 decades with signed zeros (a row of
+    -0.0 sums to +0.0, as numpy's reduction does) and NaNs, in C and Fortran
+    layout.  Rows of 8 or more values are summed pairwise, so there each
+    row is compared with its own reduction alone; the other ufuncs do not
+    depend on the order."""
+    g = np.random.default_rng(t)
+    checked = min(t, 64)
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 36):
+        a = g.standard_normal((t, n)) * 10.0 ** g.integers(-8, 8, size=(t, n))
+        a[g.random((t, n)) < 0.2] = 0.0
+        a[g.random((t, n)) < 0.2] = -0.0
+        a[g.random((t, n)) < 0.01] = np.nan
+        a[0] = -0.0
+        if ufunc in (np.logical_and, np.logical_or):
+            a = a > 0.0
+        if n < 8 or ufunc is not np.add:
+            want = [_python_fold(ufunc, row) for row in a[:checked]]
+        else:
+            want = [ufunc.reduce(row[None], axis=1)[0] for row in a[:checked]]
+        for arr in (a, np.asfortranarray(a)):
+            got = nk.rowwise(ufunc, arr)
+            assert _same_bits(got[:checked], np.array(want, dtype=got.dtype)), (n, t)
+            if n < 8:  # numpy's own reduction of a C-contiguous array folds too
+                assert _same_bits(got, ufunc.reduce(a, axis=1)), (n, t)
