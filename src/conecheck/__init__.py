@@ -39,14 +39,10 @@ from .cones import (
     Rng,
     comonotonic,
     full_space,
-    leq,
-    meet_join,
     member,
     nonneg_orthant,
     positive_orthant,
     psd_cone,
-    sample,
-    sample_comonotone_pair,
 )
 from .diffops import FunctionHandle, compose, delta, kth_diff, second_diff, shift_and_center
 from .numkernel import ScalarFunction, gamma

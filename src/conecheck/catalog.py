@@ -10,6 +10,10 @@ labels with a status, and a short source note.  Status semantics:
 * ``refuted-candidate`` -- the claim fails spot checks; the refuter is
                        expected to produce a witness, and the entry is
                        excluded from the must-pass suite.
+
+Entries reduce a point's coordinates (and the spectral core its
+eigenvalues) with :func:`.numkernel.rowwise` and fold their linear forms
+with ``_linear``, so a row gets the same bits alone and in a block.
 """
 
 from __future__ import annotations
@@ -121,6 +125,15 @@ def _entry(
 
 def _param_error(entry_id: str, message: str) -> ParameterError:
     return ParameterError(f"{entry_id}: {message}")
+
+
+def _linear(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``rows @ w`` as a left fold over the columns, so a row gets the same
+    bits alone and in a block, which BLAS does not promise."""
+    out = rows[:, 0] * w[0]
+    for j in range(1, len(w)):
+        out += rows[:, j] * w[j]
+    return out
 
 
 def _vec_param(value, n: int, entry_id: str, name: str) -> np.ndarray:
@@ -276,7 +289,7 @@ def _make_concave_of_linear(p: dict, n: int) -> FunctionHandle:
     ih = instantiate(inner)
 
     def batch(rows):
-        return ih.batch((rows @ a)[:, None])
+        return ih.batch(_linear(rows, a)[:, None])
 
     return FunctionHandle(f"concave-of-linear[{inner_id}]", cones.nonneg_orthant(n), batch)
 
@@ -313,7 +326,7 @@ def _make_jensen_gap(p: dict, n: int) -> FunctionHandle:
         return -t * t
 
     def batch(rows):
-        return f(rows @ lam) - (f(rows) @ lam)
+        return f(_linear(rows, lam)) - _linear(f(rows), lam)
 
     return FunctionHandle("jensen-gap", cones.nonneg_orthant(n), batch)
 
@@ -497,7 +510,7 @@ def _make_exp_neg_linear(p: dict, n: int) -> FunctionHandle:
         raise _param_error("exp-neg-linear", "alpha must be strictly positive")
 
     def batch(rows):
-        return np.exp(-(rows @ alpha))
+        return np.exp(-_linear(rows, alpha))
 
     return FunctionHandle("exp-neg-linear", cones.nonneg_orthant(n), batch)
 
@@ -511,7 +524,7 @@ def _make_inv_power_product(p: dict, n: int) -> FunctionHandle:
     def batch(rows):
         ok = rowwise(np.logical_and, rows > 0.0)
         logs = np.log(np.where(rows > 0.0, rows, 1.0))
-        return np.where(ok, np.exp(-(logs @ alpha)), np.nan)
+        return np.where(ok, np.exp(-_linear(logs, alpha)), np.nan)
 
     return FunctionHandle("inv-power-product", cones.positive_orthant(n), batch)
 

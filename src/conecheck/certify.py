@@ -37,8 +37,8 @@ from .catalog import PropertyLabel, resolve_handle
 from .checkers import CheckConfig, CheckReport, Witness, _blocks, _component, _reduce_trials
 from .cones import VECTOR, ConeSpec, Point, Rng
 from .diffops import FunctionHandle
-from .numkernel import rowwise
 from .errors import CapabilityError, CertificateError, NumericFailure, ShapeError
+from .numkernel import rowwise
 
 CERTIFIED = "CERTIFIED_NUMERIC"
 REFUSED = "REFUSED"
@@ -275,10 +275,11 @@ def laplace_as_handle(cert: LaplaceCertificate, cone: ConeSpec) -> FunctionHandl
 _GH_POINTS = 24
 # the highest order of the quadrature; a slice holds 24^(order - 1) nodes
 _GH_MAX_ORDER = 4
-# matrix elements per product of the quadrature, 16 matrices of 24^3 nodes:
+# matrix elements per product of the quadrature, 4 matrices of 24^3 nodes:
 # each product holds ``_GH_PRODUCT // 24^(n-1)`` matrices, which bounds its
-# temporaries to a few MiB whatever the number of matrices
-_GH_PRODUCT = 16 * _GH_POINTS ** 3
+# temporaries to about 0.4 MiB whatever the number of matrices; larger
+# products ran orders 3 and 4 slower
+_GH_PRODUCT = 4 * _GH_POINTS ** 3
 
 
 def _require_quadrature_order(n: int) -> None:

@@ -1,14 +1,16 @@
 """Convex cones and their elements.
 
 A :class:`Point` is a dense real vector or a dense symmetric matrix; a
-:class:`ConeSpec` describes one of the supported cone families and provides
-membership, the induced partial order, lattice operations where they exist,
-and reproducible random sampling.
+:class:`ConeSpec` describes one of the supported cone families.  The module
+provides row-wise membership (its orthant tests fold each row with
+:func:`.numkernel.rowwise`), comonotonicity and reproducible random sampling.
 
 Randomness contract: every draw comes from a numpy ``Philox`` counter-based
 bit generator keyed by ``(master_seed, stream_index)`` whose counter starts
-at ``[0, 0, 0, block]``.  Philox is platform independent, so identical
-``Rng`` values replay identical samples anywhere.
+at ``[0, 0, 0, block]``.  The raw Philox words are platform independent, and
+so are the 16-bit boundary-mask words read from them as little-endian
+``<u2``; normals come from the same words through numpy's ziggurat, whose
+rare wedge and tail steps call ``exp`` and ``log1p``.
 """
 
 from __future__ import annotations
@@ -112,9 +114,6 @@ class Point:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Point":
-        return Point(self.kind, -self.data, _validated=True)
-
     def inner(self, other: "Point") -> float:
         """Euclidean dot product; trace pairing for matrices."""
         self._require_compatible(other)
@@ -131,9 +130,6 @@ class Point:
             and self.dim == other.dim
             and bool(np.array_equal(self.data, other.data))
         )
-
-    def __hash__(self):
-        return hash((self.kind, self.dim, self.data.tobytes()))
 
     def __repr__(self) -> str:
         return f"Point({self.kind}, {self.data.tolist()!r})"
@@ -272,25 +268,6 @@ def coordinate_floor(cone: ConeSpec, scale: float = 1.0) -> np.ndarray:
     return np.full(cone.zero().data.shape, -np.inf)
 
 
-def leq(cone: ConeSpec, x: Point, y: Point, tol: float = 0.0) -> bool:
-    """Partial order induced by the cone: ``x <= y`` iff ``y - x`` is a member.
-
-    The PSD cone therefore carries the Loewner order.
-    """
-    return member(cone, y - x, tol)
-
-
-def meet_join(cone: ConeSpec, x: Point, y: Point) -> tuple[Point, Point]:
-    """Coordinatewise ``(inf, sup)`` on lattice cones."""
-    if not cone.supports_lattice:
-        raise CapabilityError(f"cone family {cone.family!r} has no lattice operations")
-    _require_point(cone, x)
-    _require_point(cone, y)
-    lo = Point(VECTOR, np.minimum(x.data, y.data), _validated=True)
-    hi = Point(VECTOR, np.maximum(x.data, y.data), _validated=True)
-    return lo, hi
-
-
 def comonotonic_batch(u: np.ndarray, v: np.ndarray, tol: float = 0.0) -> np.ndarray:
     """Row-wise comonotonicity of stacked vector pairs ``(R, n)``: R booleans,
     each true iff ``(u_i - u_j) * (v_i - v_j) >= -tol`` for every index pair
@@ -320,7 +297,7 @@ class Rng:
     block]``.
 
     Streams with distinct keys are statistically independent; identical
-    values replay identical draws on every platform.  A check cuts its
+    values replay identical Philox words on every platform.  A check cuts its
     trials into fixed blocks and draws block ``b`` of a role stream from
     ``block=b``: the same key, with the top counter word set to the block
     index, so blocks never overlap (each would need 2^192 draws to reach
@@ -353,12 +330,17 @@ def sample_batch(
 ) -> np.ndarray:
     """Draw ``count`` cone members as a stacked array.
 
-    Orthant-like cones draw ``|N(0, scale)|`` coordinates and zero each one
-    with probability ``boundary_prob`` so checks exercise the boundary; the
-    open orthant then adds a small positive floor.  The PSD cone draws
-    ``G @ G.T * (scale / N)`` with Gaussian ``G``; the full space draws plain
-    Gaussians.  Consumes ``rng`` sequentially, so a fixed (seed, stream)
-    replays the same batch.
+    Orthant-like cones draw ``|N(0, scale)|`` coordinates, as ``scale``
+    times the absolute standard normals, and, when ``boundary_prob`` is
+    positive, zero each one so checks exercise the boundary.  The zero mask
+    comes after all the normals: one 16-bit word per coordinate, read as
+    little-endian ``<u2`` from ``g.bytes``, zeroes its coordinate when it is
+    below ``round(boundary_prob * 2^16)``, so the probability is quantized to
+    a multiple of 2^-16 (0.2 becomes 13107 / 65536).  The open orthant then
+    adds a small positive floor.  The PSD cone draws ``G @ G.T * (scale /
+    N)`` with Gaussian ``G``; the full space draws plain Gaussians.
+    Consumes ``rng`` sequentially, so a fixed (seed, stream) replays the
+    same batch.
     """
     if not scale > 0.0:
         raise ParameterError(f"scale must be positive, got {scale}")
@@ -366,9 +348,13 @@ def sample_batch(
     n = cone.dim
     fam = cone.family
     if fam in (NONNEG_ORTHANT, POSITIVE_ORTHANT):
-        out = np.abs(g.normal(0.0, scale, size=(count, n)))
+        out = g.standard_normal(size=(count, n))
+        np.abs(out, out=out)
         if boundary_prob > 0.0:
-            out[g.random(size=(count, n)) < boundary_prob] = 0.0
+            words = np.frombuffer(g.bytes(2 * count * n), "<u2").reshape(count, n)
+            # a product with the kept flags zeroes the others: |z| is finite
+            out *= words >= round(boundary_prob * 2 ** 16)
+        out *= scale
         if fam == POSITIVE_ORTHANT:
             out += _OPEN_ORTHANT_FLOOR * scale
         return out
@@ -381,32 +367,14 @@ def sample_batch(
     raise CapabilityError(f"sampling not implemented for {fam}")
 
 
-def sample(
-    cone: ConeSpec,
-    rng: Rng,
-    scale: float = 1.0,
-    boundary_prob: float = 0.2,
-) -> Point:
-    """Draw one member of the cone (see :func:`sample_batch` for the rules)."""
-    arr = sample_batch(cone, rng, 1, scale, boundary_prob)[0]
-    return Point(cone.point_kind, arr, _validated=True)
-
-
 def comonotone_pair_batch(
     n: int, rng: Rng, count: int, scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized twin of :func:`sample_comonotone_pair`."""
+    """``count`` pairs of nonnegative vectors, each pair ordered by one
+    shared permutation, so it passes :func:`comonotonic` with zero
+    tolerance."""
     orthant = nonneg_orthant(n)
     u = np.sort(sample_batch(orthant, rng, count, scale, 0.0), axis=1)
     v = np.sort(sample_batch(orthant, rng, count, scale, 0.0), axis=1)
     perm = np.argsort(rng.generator.random(size=(count, n)), axis=1)
     return np.take_along_axis(u, perm, axis=1), np.take_along_axis(v, perm, axis=1)
-
-
-def sample_comonotone_pair(n: int, rng: Rng, scale: float = 1.0) -> tuple[Point, Point]:
-    """Two nonnegative vectors ordered by one shared permutation; always
-    passes :func:`comonotonic` with zero tolerance."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    u, v = comonotone_pair_batch(n, rng, 1, scale)
-    return Point(VECTOR, u[0], _validated=True), Point(VECTOR, v[0], _validated=True)

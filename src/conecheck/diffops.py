@@ -8,8 +8,10 @@ of the vectorized difference forms ``_first_diff``, ``_second_diff`` and
 ``_completely_monotone``, which the randomized checks evaluate on every
 trial; the certificates' stencil forms, a Hessian entry and the change of a
 directional derivative, are built on the first two.  Each
-row gets the same bits in any batch whenever the handle's ``batch`` does:
-rules built from + - * / do; numpy's transcendental and BLAS kernels may not.
+row gets the same bits in any batch whenever the handle's ``batch`` does,
+as every catalog entry's does: they reduce through
+:func:`.numkernel.rowwise` and fold their linear forms, where BLAS's ``@``
+may round a row differently in a larger batch.
 """
 
 from __future__ import annotations

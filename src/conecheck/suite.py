@@ -222,7 +222,8 @@ def criterion_5(seed: int) -> CriterionResult:
     cone = cones.psd_cone(4)
     a = cones.sample_batch(cone, Rng(seed, 400), 1000)
     b = a + cones.sample_batch(cone, Rng(seed, 401), 1000)
-    bad = np.flatnonzero(~rowwise(np.logical_and, np.linalg.eigvalsh(a) <= np.linalg.eigvalsh(b) + 1e-9))
+    ordered = np.linalg.eigvalsh(a) <= np.linalg.eigvalsh(b) + 1e-9
+    bad = np.flatnonzero(~rowwise(np.logical_and, ordered))
     failing_pair = (a[bad[0]].tolist(), b[bad[0]].tolist()) if bad.size else None
     checks.append(
         SubCheck(

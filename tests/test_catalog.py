@@ -116,6 +116,29 @@ def test_every_entry_finite_on_interior_samples(entry):
     assert np.all(np.isfinite(vals)), entry.id
 
 
+def _block_cases():
+    """Every entry at its default dimension, and each entry whose dimension
+    is free at 9, where ``lse`` and the sums of squares have rows of 8 or
+    more values and ``pairwise-diff-convex`` 36 pair differences."""
+    for entry in builtin_entries():
+        yield pytest.param(entry, None, id=entry.id)
+        if not entry.fixed_dim:
+            yield pytest.param(entry, 9, id=f"{entry.id}-dim9")
+
+
+@pytest.mark.parametrize("entry, dim", _block_cases())
+def test_batch_rows_equal_one_row_values_bit_for_bit(entry, dim):
+    """A trial's value in a block is its one-row value, so a stored witness
+    margin, which comes from the one-row path, reproduces the block's bits.
+    The rows include boundary zeros and the origin."""
+    handle = instantiate(entry, dim=dim)
+    rows = cones.sample_batch(handle.domain, Rng(17, 2), 300, 1.0, boundary_prob=0.5)
+    rows[0] = 0.0
+    block = handle.batch(rows)
+    one = np.array([handle.batch(row[None])[0] for row in rows])
+    assert block.tobytes() == one.tobytes()
+
+
 # one out-of-range case per parameter check: (entry, params, dim, message part)
 _RANGE_ERRORS = [
     ("affine-power", {"alpha": 2.0}, None, "alpha must lie in [0, 1]"),

@@ -278,7 +278,7 @@ def test_gaussian_representation_takes_symmetry_within_point_tolerance():
 
 def test_gaussian_representation_memory_is_bounded_for_large_stacks():
     """A stack larger than one product is evaluated in slices of
-    ``_GH_PRODUCT`` matrix elements (16 matrices at order 4), so the
+    ``_GH_PRODUCT`` matrix elements (4 matrices at order 4), so the
     per-slice temporaries do not grow with the stack; estimates still match
     one-at-a-time calls."""
     rng = np.random.default_rng(11)
@@ -290,7 +290,7 @@ def test_gaussian_representation_memory_is_bounded_for_large_stacks():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # order 4: about 3.2 MiB; one product over all 64 matrices alone needs
+        # order 4: about 1.9 MiB; one product over all 64 matrices alone needs
         # 64 * 24^3 doubles, 6.75 MiB
         assert peak < bound, mats.shape
         for k in (0, 15, 16, 63):

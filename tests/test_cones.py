@@ -1,4 +1,6 @@
-"""Cone membership, order, lattice, comonotonicity, and sampling."""
+"""Cone membership, comonotonicity, and sampling."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from conecheck import cones
 from conecheck.catalog import builtin_entries, instantiate
 from conecheck.cones import Point, Rng
-from conecheck.errors import CapabilityError, ParameterError, ShapeError
+from conecheck.errors import ParameterError, ShapeError
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -79,47 +81,6 @@ def test_coordinate_floor_is_the_open_orthant_sampling_floor():
     assert np.all(cones.coordinate_floor(cones.psd_cone(3)) == -np.inf)
 
 
-def test_leq_orthant_and_loewner():
-    orth = cones.nonneg_orthant(2)
-    assert cones.leq(orth, Point.vector([1, 2]), Point.vector([1, 3]))
-    assert not cones.leq(orth, Point.vector([1, 3]), Point.vector([1, 2]))
-    psd = cones.psd_cone(2)
-    eye = Point.matrix(np.eye(2))
-    assert cones.leq(psd, eye, 2.0 * eye)
-    # diag(1,0) and diag(0,1) differ by a matrix with eigenvalues +-1
-    a, b = Point.matrix(np.diag([1.0, 0.0])), Point.matrix(np.diag([0.0, 1.0]))
-    assert not cones.leq(psd, a, b)
-    assert not cones.leq(psd, b, a)
-
-
-def test_meet_join_examples():
-    orth = cones.nonneg_orthant(2)
-    lo, hi = cones.meet_join(orth, Point.vector([1, 4]), Point.vector([3, 2]))
-    assert lo == Point.vector([1, 2]) and hi == Point.vector([3, 4])
-    x = Point.vector([2, 7])
-    assert cones.meet_join(orth, x, x) == (x, x)
-    lo, hi = cones.meet_join(orth, Point.vector([0, 5]), Point.vector([5, 0]))
-    assert lo == Point.vector([0, 0]) and hi == Point.vector([5, 5])
-
-
-def test_meet_join_needs_lattice():
-    with pytest.raises(CapabilityError):
-        cones.meet_join(cones.psd_cone(2), Point.matrix(np.eye(2)), Point.matrix(np.eye(2)))
-
-
-@given(
-    st.lists(finite_floats, min_size=1, max_size=8),
-    st.lists(finite_floats, min_size=1, max_size=8),
-)
-@settings(max_examples=100, deadline=None)
-def test_lattice_identity_exact(xs, ys):
-    n = min(len(xs), len(ys))
-    x, y = Point.vector(xs[:n]), Point.vector(ys[:n])
-    lo, hi = cones.meet_join(cones.full_space(n), x, y)
-    # min/max are exact in floating point, so this identity is bitwise
-    assert np.array_equal(lo.data + hi.data, x.data + y.data)
-
-
 def test_comonotonic_examples():
     pairs = [([1, 2, 3], [0, 0, 5]), ([1, 2], [2, 1]), ([4, 4, 4], [3, -1, 7])]
     assert [cones.comonotonic(u, v) for u, v in pairs] == [True, False, True]
@@ -175,52 +136,49 @@ def test_shared_sort_produces_comonotone_pairs(u, v):
     ],
 )
 def test_samples_are_members(cone):
-    rng = Rng(123, 0)
-    for _ in range(50):
-        pt = cones.sample(cone, rng, scale=1.0)
-        assert cones.member(cone, pt, tol=1e-10)
+    for row in cones.sample_batch(cone, Rng(123, 0), 50, scale=1.0):
+        assert cones.member(cone, Point(cone.point_kind, row), tol=1e-10)
 
 
 def test_psd_sample_eigenvalues_nonnegative():
-    rng = Rng(5, 1)
-    for _ in range(20):
-        pt = cones.sample(cones.psd_cone(3), rng, scale=1.0)
-        assert np.linalg.eigvalsh(pt.data)[0] >= -1e-10
+    for row in cones.sample_batch(cones.psd_cone(3), Rng(5, 1), 20, scale=1.0):
+        assert np.linalg.eigvalsh(row)[0] >= -1e-10
 
 
 def test_sample_determinism_and_stream_independence():
     cone = cones.nonneg_orthant(3)
-    a = cones.sample(cone, Rng(77, 4), scale=2.0)
-    b = cones.sample(cone, Rng(77, 4), scale=2.0)
-    c = cones.sample(cone, Rng(77, 5), scale=2.0)
-    assert a == b
-    assert a != c
+    a = cones.sample_batch(cone, Rng(77, 4), 1, scale=2.0)
+    b = cones.sample_batch(cone, Rng(77, 4), 1, scale=2.0)
+    c = cones.sample_batch(cone, Rng(77, 5), 1, scale=2.0)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_scale_must_be_positive():
     with pytest.raises(ParameterError):
-        cones.sample(cones.nonneg_orthant(1), Rng(0), scale=0.0)
+        cones.sample_batch(cones.nonneg_orthant(1), Rng(0), 1, scale=0.0)
 
 
 def test_comonotone_pair_postconditions():
     for n in (1, 2, 5):
-        u, v = cones.sample_comonotone_pair(n, Rng(9, n), scale=1.0)
-        assert cones.comonotonic(u, v, tol=0.0)
-        assert np.all(u.data >= 0) and np.all(v.data >= 0)
-    again = cones.sample_comonotone_pair(5, Rng(9, 5), scale=1.0)
-    assert again == cones.sample_comonotone_pair(5, Rng(9, 5), scale=1.0)
+        u, v = cones.comonotone_pair_batch(n, Rng(9, n), 1, scale=1.0)
+        assert cones.comonotonic(u[0], v[0], tol=0.0)
+        assert np.all(u >= 0) and np.all(v >= 0)
+    again = cones.comonotone_pair_batch(5, Rng(9, 5), 1, scale=1.0)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(again, cones.comonotone_pair_batch(5, Rng(9, 5), 1, scale=1.0)))
 
 
 def test_order_transitivity_on_random_triples():
+    """x <= y <= z in the Loewner order: each difference is a PSD member."""
     cone = cones.psd_cone(3)
     rng = Rng(31, 0)
     tol = 1e-9
-    for _ in range(1000):
-        x = cones.sample(cone, rng)
-        y = x + cones.sample(cone, rng)
-        z = y + cones.sample(cone, rng)
-        assert cones.leq(cone, x, y, tol) and cones.leq(cone, y, z, tol)
-        assert cones.leq(cone, x, z, 2 * tol)
+    x = cones.sample_batch(cone, rng, 1000)
+    y = x + cones.sample_batch(cone, rng, 1000)
+    z = y + cones.sample_batch(cone, rng, 1000)
+    assert cones.member_batch(cone, y - x, tol).all() and cones.member_batch(cone, z - y, tol).all()
+    assert cones.member_batch(cone, z - x, 2 * tol).all()
 
 
 def test_open_orthant_samples_have_positive_floor():
@@ -295,4 +253,44 @@ def test_boundary_probing_fraction():
     frac = float((arr == 0.0).mean())
     assert 0.15 <= frac <= 0.25  # boundary zeroing probability is 0.2 per coordinate
     interior = cones.sample_batch(cones.nonneg_orthant(4), Rng(99, 1), 500, 1.0, boundary_prob=0.0)
-    assert np.all(interior > 0.0) or np.all(interior >= 0.0)
+    assert np.all(interior > 0.0)
+
+
+@pytest.mark.parametrize("family", [cones.nonneg_orthant, cones.positive_orthant])
+@pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 3.7])
+@pytest.mark.parametrize("p", [0.2, 0.5])
+def test_orthant_draws_are_absolute_normals_under_a_16_bit_mask(family, scale, p):
+    """Every kept coordinate is ``|N(0, scale)|`` from ``Generator.normal``
+    on the same stream, bit for bit, plus the open orthant's floor; the
+    zeroed ones are exactly those whose 16-bit word, drawn after all the
+    normals, is below ``round(p * 2^16)``."""
+    cone, count = family(3), 1000
+    draws = cones.sample_batch(cone, Rng(41, 6), count, scale, p)
+    g = Rng(41, 6).generator
+    normals = np.abs(g.normal(0.0, scale, size=(count, 3)))
+    words = np.frombuffer(g.bytes(2 * count * 3), "<u2").reshape(count, 3)
+    zeroed = words < round(p * 2 ** 16)
+    floor = np.maximum(cones.coordinate_floor(cone, scale), 0.0)  # 0 on the closed orthant
+    assert np.array_equal(draws, np.where(zeroed, 0.0, normals) + floor)
+    assert np.all(draws[~zeroed] > floor[0]) and zeroed.any()
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5])
+def test_orthant_zero_fraction_is_the_quantized_probability(p):
+    """The zero fraction of 2^18 coordinates is within 5 binomial standard
+    deviations of ``round(p * 2^16) / 2^16``."""
+    draws = cones.sample_batch(cones.nonneg_orthant(4), Rng(7, 3), 2 ** 16, 1.0, p)
+    q = round(p * 2 ** 16) / 2 ** 16
+    assert abs(float((draws == 0.0).mean()) - q) <= 5.0 * math.sqrt(q * (1.0 - q) / draws.size)
+
+
+def test_orthant_mask_words_are_pinned():
+    """The mask reads little-endian 16-bit words after the normals, so every
+    platform zeroes the same coordinates."""
+    g = Rng(2026, 7).generator
+    g.standard_normal(size=(3, 4))
+    words = np.frombuffer(g.bytes(24), "<u2")
+    assert words.tolist() == [34436, 62295, 35794, 51704, 10097, 39410,
+                              50506, 8176, 21907, 37040, 14306, 9446]
+    draws = cones.sample_batch(cones.nonneg_orthant(4), Rng(2026, 7), 3, 1.0, 0.5)
+    assert (draws == 0.0).ravel().tolist() == (words < 2 ** 15).tolist()

@@ -1,5 +1,5 @@
-"""The spectral core through the catalog's eigenvalue handles, certify's
-finite-difference stencils, and gamma."""
+"""The row fold, the spectral core through the catalog's eigenvalue
+handles, certify's finite-difference stencils, and gamma."""
 
 import functools
 import math
