@@ -13,7 +13,8 @@ labels with a status, and a short source note.  Status semantics:
 
 Entries reduce a point's coordinates (and the spectral core its
 eigenvalues) with :func:`.numkernel.rowwise` and fold their linear forms
-with ``_linear``, so a row gets the same bits alone and in a block.
+with :func:`.numkernel.linear`, so a row gets the same bits alone and in a
+block.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import cones
 from .cones import ConeSpec, Rng
 from .diffops import FunctionHandle
 from .errors import ConeCheckError, ParameterError, UnknownEntryError
-from .numkernel import CLAMP_WINDOW, gamma, rowwise, spectral
+from .numkernel import CLAMP_WINDOW, gamma, linear, rowwise, spectral
 
 __all__ = [
     "PropertyLabel",
@@ -125,15 +126,6 @@ def _entry(
 
 def _param_error(entry_id: str, message: str) -> ParameterError:
     return ParameterError(f"{entry_id}: {message}")
-
-
-def _linear(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``rows @ w`` as a left fold over the columns, so a row gets the same
-    bits alone and in a block, which BLAS does not promise."""
-    out = rows[:, 0] * w[0]
-    for j in range(1, len(w)):
-        out += rows[:, j] * w[j]
-    return out
 
 
 def _vec_param(value, n: int, entry_id: str, name: str) -> np.ndarray:
@@ -289,7 +281,7 @@ def _make_concave_of_linear(p: dict, n: int) -> FunctionHandle:
     ih = instantiate(inner)
 
     def batch(rows):
-        return ih.batch(_linear(rows, a)[:, None])
+        return ih.batch(linear(rows, a)[:, None])
 
     return FunctionHandle(f"concave-of-linear[{inner_id}]", cones.nonneg_orthant(n), batch)
 
@@ -326,7 +318,7 @@ def _make_jensen_gap(p: dict, n: int) -> FunctionHandle:
         return -t * t
 
     def batch(rows):
-        return f(_linear(rows, lam)) - _linear(f(rows), lam)
+        return f(linear(rows, lam)) - linear(f(rows), lam)
 
     return FunctionHandle("jensen-gap", cones.nonneg_orthant(n), batch)
 
@@ -510,7 +502,7 @@ def _make_exp_neg_linear(p: dict, n: int) -> FunctionHandle:
         raise _param_error("exp-neg-linear", "alpha must be strictly positive")
 
     def batch(rows):
-        return np.exp(-_linear(rows, alpha))
+        return np.exp(-linear(rows, alpha))
 
     return FunctionHandle("exp-neg-linear", cones.nonneg_orthant(n), batch)
 
@@ -524,7 +516,7 @@ def _make_inv_power_product(p: dict, n: int) -> FunctionHandle:
     def batch(rows):
         ok = rowwise(np.logical_and, rows > 0.0)
         logs = np.log(np.where(rows > 0.0, rows, 1.0))
-        return np.where(ok, np.exp(-_linear(logs, alpha)), np.nan)
+        return np.where(ok, np.exp(-linear(logs, alpha)), np.nan)
 
     return FunctionHandle("inv-power-product", cones.positive_orthant(n), batch)
 

@@ -7,17 +7,18 @@ explicit finite Laplace representation) on sampled interior points.  A
 vocabulary deliberately has no stronger word.  A certificate's verdict is
 derived from its refusal witness: ``REFUSED`` exactly when there is one.
 
-Certificates run on the checks' trial path.  Each pointwise test is a form
-that :func:`.checkers.evaluate_expression` resolves: a Hessian entry
-``hessian-nonpos[ij=i,j]`` or ``hessian-nonneg[ij=i,j]`` over the point
-``p``, a directional comparison ``differential-nondecreasing`` or
-``differential-nonincreasing`` over ``U``, ``step`` and ``direction`` (the
-stencil forms of :mod:`.diffops`), and the origin sign condition is the
-checks' one-row ``origin-nonneg``/``origin-nonpos`` block.  The points are
-drawn, evaluated and folded one ``_BLOCK`` at a time by ``_reduce_trials``,
-so memory does not grow with their count; non-finite trials are skipped
-within the checks' 10% budget.  The refusal witness is the fold's shrunk
-:class:`.checkers.Witness`, which :func:`.checkers.reevaluate_witness`
+Certificates run on the checks' one trial path, ``checkers._run_trials``.
+Each pointwise test is a form that :func:`.checkers.evaluate_expression`
+resolves: a Hessian entry ``hessian-nonpos[ij=i,j]`` or
+``hessian-nonneg[ij=i,j]`` over the point ``p``, a directional comparison
+``differential-nondecreasing`` or ``differential-nonincreasing`` over ``U``,
+``step`` and ``direction`` (the stencil forms of :mod:`.diffops`), and the
+origin sign condition is the checks' one-row ``origin-nonneg`` or
+``origin-nonpos`` block.  Each role is drawn from its stream in the checks'
+role table, and the points are drawn, evaluated and folded one block at a
+time, so memory does not grow with their count; non-finite trials are
+skipped within the checks' 10% budget.  The refusal witness is the fold's
+shrunk :class:`.checkers.Witness`, which :func:`.checkers.reevaluate_witness`
 replays exactly.  The Gaussian-integral representation of ``det(I +
 A)^(-1/2)`` is checked on the same path, as the ``gaussian-det-representation``
 form, against a fixed tensor-product Gauss-Hermite rule summed one slice at
@@ -34,18 +35,16 @@ import numpy as np
 
 from . import cones
 from .catalog import PropertyLabel, resolve_handle
-from .checkers import CheckConfig, CheckReport, Witness, _blocks, _component, _reduce_trials
-from .cones import VECTOR, ConeSpec, Point, Rng
+from .checkers import CheckConfig, CheckReport, Witness, _run_trials
+from .cones import VECTOR, ConeSpec, Point
 from .diffops import FunctionHandle
 from .errors import CapabilityError, CertificateError, NumericFailure, ShapeError
-from .numkernel import rowwise
+from .numkernel import linear, rowwise
 
 CERTIFIED = "CERTIFIED_NUMERIC"
 REFUSED = "REFUSED"
 
 _DUAL_TOL = 1e-12
-
-_STREAM_POINTS, _STREAM_V, _STREAM_W, _STREAM_MATS = 41, 42, 43, 44
 
 
 @dataclass(frozen=True)
@@ -80,50 +79,22 @@ class Certificate:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _interior_batch(cone: ConeSpec, rng: Rng, count: int, scale: float) -> np.ndarray:
-    """Samples pushed away from the boundary so finite-difference stencils
-    stay inside the cone."""
-    out = cones.sample_batch(cone, rng, count, scale, boundary_prob=0.0)
-    pad = 0.05 * scale
-    if cone.family == cones.PSD_CONE:
-        out = out + pad * np.eye(cone.dim)
-    elif cone.family != cones.FULL_SPACE:
-        out = out + pad
-    return out
-
-
-def _certify(handle, method, prop, points, cfg, origin, expressions, draw) -> Certificate:
+def _certify(handle, method, prop, points, cfg, origin, expressions) -> Certificate:
     """A certificate on the checks' trial path: the origin sign condition
-    ``origin`` as a one-row block when the cone holds the origin, then
-    ``points`` trials in blocks of at most ``_BLOCK``, block ``b`` drawing
-    its role arrays with ``draw(b, count)`` and evaluating every expression
-    on them, all folded by ``_reduce_trials``.  The refusal is the fold's
-    witness: the lowest violating slack, re-evaluated and shrunk."""
-    cone = handle.domain
-
-    def blocks():
-        if origin and cone.contains_origin:
-            yield cfg.scale, [_component(handle, origin, {"zero": cone.zero().data[None]})]
-        for b, count in _blocks(points if expressions else 0):
-            roles = draw(b, count)
-            yield cfg.scale, [_component(handle, e, roles) for e in expressions]
-
-    witness = _reduce_trials(handle, prop, blocks(), cfg).witness
+    ``origin`` when the cone holds the origin, then ``points`` trials of
+    every expression.  The refusal is the fold's witness: the lowest
+    violating slack, re-evaluated and shrunk."""
+    rep = _run_trials(handle, prop, cfg, expressions, origin, lambda _: [(cfg, 0, points)])
     return Certificate(method=method, property=prop, points=points, seed=cfg.seed,
-                       refusal_witness=witness)
+                       refusal_witness=rep.witness)
 
 
-def _interior_points(handle: FunctionHandle, cfg: CheckConfig):
-    """The draw of the Hessian forms: interior points ``p`` of a vector
-    domain."""
-    cone = handle.domain
-    if cone.point_kind != VECTOR:
+def _require_vector_domain(handle: FunctionHandle) -> None:
+    if handle.domain.point_kind != VECTOR:
         raise CapabilityError(
             "entrywise Hessian certification is defined for vector domains; "
             "matrix domains use differential monotonicity instead"
         )
-    return lambda b, count: {
-        "p": _interior_batch(cone, Rng(cfg.seed, _STREAM_POINTS, b), count, cfg.scale)}
 
 
 def certify_hessian_sign(
@@ -139,11 +110,11 @@ def certify_hessian_sign(
         raise CapabilityError(f"sign must be 'nonpos' or 'nonneg', got {sign!r}")
     nonneg = sign == "nonneg"
     prop = (PropertyLabel.STRONG_SUPERADD if nonneg else PropertyLabel.STRONG_SUBADD).value
+    _require_vector_domain(handle)
     entries = zip(*np.triu_indices(handle.domain.dim))
     return _certify(handle, "HESSIAN_SIGN", prop, points, cfg,
                     "origin-nonpos" if nonneg else "origin-nonneg",
-                    [f"hessian-{sign}[ij={i},{j}]" for i, j in entries],
-                    _interior_points(handle, cfg))
+                    [f"hessian-{sign}[ij={i},{j}]" for i, j in entries])
 
 
 def certify_topkis(
@@ -157,10 +128,10 @@ def certify_topkis(
     if mode not in ("submodular", "supermodular"):
         raise CapabilityError(f"mode must be 'submodular' or 'supermodular', got {mode!r}")
     sign = "nonneg" if mode == "supermodular" else "nonpos"
+    _require_vector_domain(handle)
     entries = zip(*np.triu_indices(handle.domain.dim, 1))
     return _certify(handle, "TOPKIS_CROSS", mode, points, cfg, None,
-                    [f"hessian-{sign}[ij={i},{j}]" for i, j in entries],
-                    _interior_points(handle, cfg))
+                    [f"hessian-{sign}[ij={i},{j}]" for i, j in entries])
 
 
 def certify_differential_monotone(
@@ -179,18 +150,9 @@ def certify_differential_monotone(
         )
     increasing = direction == "nondecreasing"
     prop = (PropertyLabel.STRONG_SUPERADD if increasing else PropertyLabel.STRONG_SUBADD).value
-    cone = handle.domain
-
-    def draw(b, count):
-        return {
-            "U": _interior_batch(cone, Rng(cfg.seed, _STREAM_POINTS, b), count, cfg.scale),
-            "step": cones.sample_batch(cone, Rng(cfg.seed, _STREAM_V, b), count, cfg.scale, 0.0),
-            "direction": _interior_batch(cone, Rng(cfg.seed, _STREAM_W, b), count, cfg.scale),
-        }
-
     return _certify(handle, "DIFFERENTIAL_MONOTONE", prop, pairs, cfg,
                     "origin-nonpos" if increasing else "origin-nonneg",
-                    [f"differential-{direction}"], draw)
+                    [f"differential-{direction}"])
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +215,12 @@ def laplace_as_handle(cert: LaplaceCertificate, cone: ConeSpec) -> FunctionHandl
     against the cone's dual first."""
     cert.validate_for(cone)
     weights = np.array([w for w, _ in cert.atoms])
-    locs = np.stack([u.data for _, u in cert.atoms])
+    # a matrix atom pairs by the trace, the dot product of the flattened entries
+    locs = [u.data.ravel() for _, u in cert.atoms]
 
-    if cone.point_kind == VECTOR:
-        def batch(rows):
-            return np.exp(-(rows @ locs.T)) @ weights
-    else:
-        def batch(rows):
-            pair = np.einsum("tij,aij->ta", rows, locs)
-            return np.exp(-pair) @ weights
+    def batch(rows):
+        flat = rows.reshape(len(rows), -1)
+        return linear(np.stack([np.exp(-linear(flat, u)) for u in locs], axis=1), weights)
 
     return FunctionHandle(f"laplace-mixture[{len(cert.atoms)} atoms]", cone, batch)
 
@@ -372,33 +331,24 @@ def gaussian_detcert_check(n: int, cfg: CheckConfig | None = None) -> CheckRepor
     ``gaussian-det-representation`` form, the relative tolerance 1e-3 minus
     the relative error of the fixed tensor-product Gauss-Hermite rule of
     ``_GH_POINTS`` points per coordinate, for orders up to
-    ``_GH_MAX_ORDER``.  Block ``b`` of at most ``_BLOCK`` matrices is one
-    PSD ``sample_batch`` from ``Rng(seed, _STREAM_MATS, b)``, each matrix
-    scaled to an operator norm drawn uniformly from [0.1, 2] by the same
-    stream, and is folded by ``_reduce_trials``."""
+    ``_GH_MAX_ORDER``.  The matrices are the role ``A`` of the checks' trial
+    path: block ``b`` is one PSD ``sample_batch`` from stream 44 at Philox
+    block ``b``, each matrix scaled to an operator norm drawn uniformly from
+    [0.1, 2] by the same stream."""
     cfg = cfg or CheckConfig()
     _require_quadrature_order(n)
     cone = cones.psd_cone(n)
     handle = FunctionHandle(
         "det(I+A)^(-1/2)", cone,
         lambda mats: np.exp(-0.5 * rowwise(np.add, np.log1p(np.linalg.eigvalsh(mats)))))
-
-    def blocks():
-        for b, count in _blocks(cfg.trials):
-            rng = Rng(cfg.seed, _STREAM_MATS, b)
-            mats = cones.sample_batch(cone, rng, count)
-            lam_max = np.linalg.eigvalsh(mats)[:, -1]
-            mats *= (2.0 * rng.generator.uniform(0.05, 1.0, size=count) / lam_max)[:, None, None]
-            yield cfg.scale, [_component(handle, "gaussian-det-representation", {"A": mats})]
-
-    return _reduce_trials(handle, "gaussian-det-representation", blocks(), cfg)
+    return _run_trials(handle, "gaussian-det-representation", cfg, ["gaussian-det-representation"])
 
 
 def check_det_trace_monotone(n: int, cfg: CheckConfig | None = None) -> CheckReport:
     """``det(U) trace(U^-1) <= det(V) trace(V^-1)`` on random ordered pairs
     U <= V = U + step of positive-definite matrices: the ``nondecreasing``
     form over the roles ``U`` and ``step``, so a shrunk witness keeps its
-    order.  Drawn and folded one ``_BLOCK`` of trials at a time."""
+    order, on the checks' trial path."""
     cfg = cfg or CheckConfig()
     cone = cones.psd_cone(n)
 
@@ -407,11 +357,4 @@ def check_det_trace_monotone(n: int, cfg: CheckConfig | None = None) -> CheckRep
         return rowwise(np.multiply, lam) * rowwise(np.add, 1.0 / lam)
 
     handle = FunctionHandle("det-trace-inverse", cone, phi)
-
-    def blocks():
-        for b, count in _blocks(cfg.trials):
-            u = _interior_batch(cone, Rng(cfg.seed, _STREAM_POINTS, b), count, cfg.scale)
-            step = cones.sample_batch(cone, Rng(cfg.seed, _STREAM_V, b), count, cfg.scale, 0.0)
-            yield cfg.scale, [_component(handle, "nondecreasing", {"U": u, "step": step})]
-
-    return _reduce_trials(handle, "det-trace-inverse-monotone", blocks(), cfg)
+    return _run_trials(handle, "det-trace-inverse-monotone", cfg, ["nondecreasing"])

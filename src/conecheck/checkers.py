@@ -11,15 +11,20 @@ Slack convention: every inequality is normalized to ``slack >= 0``; a trial
 is a violation iff ``slack < -cfg.tolerance(s)`` where ``s`` is the largest
 absolute function value involved in that trial.
 
-Determinism: all draws derive from Philox streams keyed by
-``(config.seed, fixed stream ids)``, so identical configurations produce
+Every sampled check, certificate and quadrature check runs on one trial
+path, :func:`_run_trials`: an optional one-row origin block, then blocks of
+sampled trials, each drawing the roles its expressions read and folded by
+:func:`_reduce_trials`.  Each inequality is one vectorized form, evaluated on
+every trial, on one row to re-evaluate a witness, and on every candidate of a
+shrinking sweep; stored witness margins come from the one-row path, so they
+reproduce exactly.
+
+Determinism: every role is drawn from its own Philox stream, keyed by
+``(config.seed, its stream in _ROLES)``, so identical configurations produce
 byte-identical reports.  Trials are drawn, evaluated and folded in blocks of
 ``_BLOCK``; block ``b`` of a stream starts at Philox counter ``[0, 0, 0, b]``,
 so memory does not grow with the trial count and a check of at most
-``_BLOCK`` trials draws exactly what one unblocked stream would.  Each
-inequality is one vectorized form, evaluated on every trial, on one row to
-re-evaluate a witness, and on every candidate of a shrinking sweep; stored
-witness margins come from the one-row path, so they reproduce exactly.
+``_BLOCK`` trials draws exactly what one unblocked stream would.
 """
 
 from __future__ import annotations
@@ -61,9 +66,8 @@ from .numkernel import ScalarFunction, rowwise
 NO_VIOLATION = "NO_VIOLATION_FOUND"
 VIOLATION = "VIOLATION_FOUND"
 
-# stream ids for the sampling roles; refute offsets these per ladder rung
-_STREAM_X, _STREAM_Y, _STREAM_Z, _STREAM_BASE, _STREAM_PAIR = 1, 2, 3, 4, 5
-_STREAM_STEPS = 8
+# the streams of the Popoviciu check's monotonicity spot check; those of the
+# trials' roles are in ``_ROLES``
 _STREAM_SPOT_U, _STREAM_SPOT_V = 20, 21
 
 _SKIP_BUDGET = 0.10
@@ -185,12 +189,13 @@ class CheckReport:
 # inequality forms
 #
 # Each inequality is written once, as a form: a function of a handle and
-# named role arrays of R rows (``x``, ``y``, ``z``, ``base``, ``x1..xk``,
-# ``zero``, and the certificates' ``p``, ``U``, ``step``, ``direction`` and
-# ``A``) that returns ``(slack, scale)``, two arrays of R values, with
-# ``scale`` the largest absolute value the tolerance is relative to.  The
-# trials call a form on every sampled row, witness re-evaluation on one row,
-# and shrinking on every candidate of a sweep.  The difference forms,
+# named role arrays of R rows (``zero`` and the roles of ``_ROLES``: ``x``,
+# ``y``, ``z``, ``base``, ``x1..xk``, and the certificates' ``p``, ``U``,
+# ``step``, ``direction`` and ``A``) that returns ``(slack, scale)``, two
+# arrays of R values, with ``scale`` the largest absolute value the tolerance
+# is relative to.  The trials call a form on every sampled row, witness
+# re-evaluation on one row, and shrinking on every candidate of a sweep; a
+# form's row in ``_FORM_ROLES`` names the roles it reads.  The difference forms,
 # ``_first_diff``, ``_second_diff`` and ``_completely_monotone``, and the
 # certificates' stencil forms, ``_hessian_entry`` and ``_derivative_change``,
 # live in :mod:`.diffops`.
@@ -306,28 +311,39 @@ _PARAMETRIZED_FORMS = {
     "hessian-nonpos": (partial(_hessian_entry, -1.0), _entry),
     "hessian-nonneg": (partial(_hessian_entry, 1.0), _entry),
 }
-# form -> the roles it evaluates the handle at by themselves, not only as a
-# step added to another point; a skipped trial whose non-finite value may
-# come from the cone's apex is one with such a role there
-_POINT_ROLES = {
-    _additivity: "xy", _modular: "xy", _signed_second_diff: "z", _comonotone: "z",
-    _origin: ("zero",), _increment: ("U",), _alpha_strong: "z", _lipschitz_box: "z",
-    _double_bound: (), _symmetrized: "xyz", _completely_monotone: ("base",),
-    _hessian_entry: (), _derivative_change: (), _gaussian_representation: (),
+# form -> the roles it reads, as keys of ``_ROLES`` (a function of the order
+# for the completely-monotone form), and those it evaluates the handle at by
+# themselves, not only as a step added to another point: a skipped trial whose
+# non-finite value may come from the cone's apex is one with such a role there
+_FORM_ROLES = {
+    _additivity: (("x", "y"), ("x", "y")),
+    _modular: (("x", "y"), ("x", "y")),
+    _signed_second_diff: (("x", "y", "z"), ("z",)),
+    _comonotone: ((("x", "y"), "z"), ("z",)),
+    _origin: (("zero",), ("zero",)),
+    _increment: (("U", "step"), ("U",)),
+    _alpha_strong: (("x", "y", "z"), ("z",)),
+    _lipschitz_box: (("x", "y", "z"), ("z",)),
+    _double_bound: (("x", "y", "z"), ()),
+    _symmetrized: (("x", "y", "z"), ("x", "y", "z")),
+    _completely_monotone: (lambda k: ("base",) + tuple(f"x{i + 1}" for i in range(k)), ("base",)),
+    _hessian_entry: (("p",), ()),
+    _derivative_change: (("U", "step", "direction"), ()),
+    _gaussian_representation: (("A",), ()),
 }
 # property label -> its origin sign condition (checked when the cone holds the
-# origin), then each component's expression and the roles it reads; check()
-# draws the comonotone pair and the completely-monotone steps itself
+# origin), then its components' expressions; a completely-monotone check has
+# one per order up to ``order_cap``
 _LABELS = {
-    "subadd": ("origin-nonneg", ("subadd", "xy")),
-    "superadd": ("origin-nonpos", ("superadd", "xy")),
-    "strong-subadd": ("origin-nonneg", ("subadd", "xy"), ("second-diff-nonpos", "xyz")),
-    "strong-superadd": ("origin-nonpos", ("superadd", "xy"), ("second-diff-nonneg", "xyz")),
-    "second-diff-nonpos": (None, ("second-diff-nonpos", "xyz")),
-    "second-diff-nonneg": (None, ("second-diff-nonneg", "xyz")),
-    "submodular": (None, ("submodular", "xy")),
-    "supermodular": (None, ("supermodular", "xy")),
-    "comonotone-strong-superadd": ("origin-nonpos", ("comonotone-strong-superadd", "xyz")),
+    "subadd": ("origin-nonneg", "subadd"),
+    "superadd": ("origin-nonpos", "superadd"),
+    "strong-subadd": ("origin-nonneg", "subadd", "second-diff-nonpos"),
+    "strong-superadd": ("origin-nonpos", "superadd", "second-diff-nonneg"),
+    "second-diff-nonpos": (None, "second-diff-nonpos"),
+    "second-diff-nonneg": (None, "second-diff-nonneg"),
+    "submodular": (None, "submodular"),
+    "supermodular": (None, "supermodular"),
+    "comonotone-strong-superadd": ("origin-nonpos", "comonotone-strong-superadd"),
     "completely-monotone": (None,),
 }
 _EXPR_PARAM = re.compile(r"^(?P<name>[a-z0-9-]+)(\[(?P<arg>[^\]=]*=[^\]]*)\])?$")
@@ -346,6 +362,17 @@ def _form(expression: str):
         fn, parse = _PARAMETRIZED_FORMS[name]
         return partial(fn, parse(arg.split("=")[1]))
     raise ParameterError(f"unknown expression {expression!r}")
+
+
+def _roles_of(form) -> tuple:
+    """The ``_ROLES`` keys a bound form reads, and its point roles."""
+    reads, points = _FORM_ROLES[form.func]
+    return (reads(*form.args) if callable(reads) else reads), points
+
+
+def _names(keys) -> tuple:
+    """The role names of ``_ROLES`` keys: a pair key names both its roles."""
+    return tuple(n for key in keys for n in (key if isinstance(key, tuple) else (key,)))
 
 
 def evaluate_expression(handle: FunctionHandle, expression: str, points: dict):
@@ -452,25 +479,65 @@ def _shrink(handle, expression: str, points: dict, margin: float, scale: float):
 
 
 # ---------------------------------------------------------------------------
-# vectorized trial machinery
+# the trial path: the role table, blocks of trials and their fold
 # ---------------------------------------------------------------------------
 
 
-def _draw(cone: ConeSpec, cfg: CheckConfig, stream: int, count: int, block: int) -> np.ndarray:
-    rng = Rng(cfg.seed, stream, block)
+def _boundary(cone: ConeSpec, cfg: CheckConfig, rng: Rng, count: int) -> np.ndarray:
+    """Cone members with coordinates zeroed at the config's boundary
+    probability."""
     return cones.sample_batch(cone, rng, count, cfg.scale, cfg.boundary_prob)
 
 
-def _draw_xyz(cone: ConeSpec, cfg: CheckConfig, base: int, count: int, block: int,
-              names: str = "xyz"):
-    streams = {"x": _STREAM_X, "y": _STREAM_Y, "z": _STREAM_Z}
-    return {n: _draw(cone, cfg, base + streams[n], count, block) for n in names}
+def _no_boundary(cone: ConeSpec, cfg: CheckConfig, rng: Rng, count: int) -> np.ndarray:
+    """Cone members with no coordinate zeroed on purpose."""
+    return cones.sample_batch(cone, rng, count, cfg.scale, 0.0)
 
 
-def _blocks(count: int):
-    """``(block index, trials)`` of ``count`` trials cut into ``_BLOCK``s."""
-    for b, start in enumerate(range(0, count, _BLOCK)):
-        yield b, min(_BLOCK, count - start)
+def _interior_batch(cone: ConeSpec, cfg: CheckConfig, rng: Rng, count: int) -> np.ndarray:
+    """Samples pushed away from the boundary so finite-difference stencils
+    stay inside the cone."""
+    out = _no_boundary(cone, cfg, rng, count)
+    pad = 0.05 * cfg.scale
+    if cone.family == cones.PSD_CONE:
+        out = out + pad * np.eye(cone.dim)
+    elif cone.family != cones.FULL_SPACE:
+        out = out + pad
+    return out
+
+
+def _comonotone_pair(cone: ConeSpec, cfg: CheckConfig, rng: Rng, count: int) -> tuple:
+    """A comonotone pair ``(x, y)`` of each trial; raising both to the
+    open orthant's floor keeps it comonotone."""
+    floor = cones.coordinate_floor(cone, cfg.scale)
+    return tuple(np.maximum(a, floor)
+                 for a in cones.comonotone_pair_batch(cone.dim, rng, count, cfg.scale))
+
+
+def _scaled_psd(cone: ConeSpec, cfg: CheckConfig, rng: Rng, count: int) -> np.ndarray:
+    """One PSD ``sample_batch`` at scale 1, each matrix then scaled to an
+    operator norm drawn uniformly from [0.1, 2] by the same stream."""
+    mats = cones.sample_batch(cone, rng, count)
+    lam_max = np.linalg.eigvalsh(mats)[:, -1]
+    mats *= (2.0 * rng.generator.uniform(0.05, 1.0, size=count) / lam_max)[:, None, None]
+    return mats
+
+
+# role -> (its Philox stream, how it is drawn); the key ("x", "y") draws the
+# comonotone pair into both roles.  refute() offsets every stream per rung
+_ROLES = {
+    "x": (1, _boundary),
+    "y": (2, _boundary),
+    "z": (3, _boundary),
+    "base": (4, _boundary),
+    ("x", "y"): (5, _comonotone_pair),
+    **{f"x{i + 1}": (8 + i, _boundary) for i in range(MAX_DIFF_ORDER)},
+    "p": (41, _interior_batch),
+    "U": (41, _interior_batch),
+    "step": (42, _no_boundary),
+    "direction": (43, _interior_batch),
+    "A": (44, _scaled_psd),
+}
 
 
 @dataclass
@@ -481,11 +548,23 @@ class _Component:
     roles: dict  # role name -> (T, ...) point data
 
 
-def _component(handle, expression: str, roles: dict, form=None) -> _Component:
-    """The expression's form, or ``form`` in its place, on the role arrays."""
-    form = form or _form(expression)
-    slack, scale = form(handle, roles)
-    return _Component(expression, slack, scale, roles)
+def _components(handle, expressions, roles: dict) -> list[_Component]:
+    """Each expression's form on the role arrays, with the roles it reads.
+    The completely-monotone orders share one pass over their subset points,
+    which gives each order the bits of its own form."""
+    forms = [_form(e) for e in expressions]
+    orders = [f.args[0] for f in forms if f.func is _completely_monotone]
+    if orders:
+        cm = _completely_monotone_orders(max(orders), handle, roles)
+    comps = []
+    for expression, form in zip(expressions, forms):
+        if form.func is _completely_monotone:
+            slack, scale = cm[0][form.args[0]], cm[1][form.args[0]]
+        else:
+            slack, scale = form(handle, roles)
+        reads = _names(_roles_of(form)[0])
+        comps.append(_Component(expression, slack, scale, {n: roles[n] for n in reads}))
+    return comps
 
 
 def _at_undefined_apex(handle: FunctionHandle, comps: list[_Component]) -> np.ndarray:
@@ -497,7 +576,7 @@ def _at_undefined_apex(handle: FunctionHandle, comps: list[_Component]) -> np.nd
     if np.isfinite(handle.batch(handle.domain.zero().data[None]))[0]:
         return at
     for c in comps:
-        for role in _POINT_ROLES[_form(c.expression).func]:
+        for role in _roles_of(_form(c.expression))[1]:
             arr = c.roles[role]
             at |= ~rowwise(np.logical_or, arr.reshape(arr.shape[0], -1))
     return at
@@ -533,16 +612,13 @@ def _reduce_trials(handle: FunctionHandle, prop_name: str, blocks, cfg: CheckCon
     """Shared tail of every randomized check: thresholds, skip accounting,
     witness extraction, shrinking, report assembly.
 
-    ``blocks`` yields ``(sampling scale, components)``; a check of a property
-    label starts with the one-row origin block when the cone holds the
-    origin, then has one sampled block for ``check`` or one per rung of
-    :data:`SCALE_LADDER` for ``refute``, each cut into blocks of at most
-    ``_BLOCK`` trials.  Blocks fold one at a time into one skip count, one
-    worst margin and one best candidate, which keeps its block's scale for
-    the shrinking floor, so cutting the same trials into other blocks gives
-    the same report.  One skip budget covers all trials; skips with a role
-    point at the cone's apex, where the handle is undefined, count in
-    ``skipped`` but not against the budget.
+    ``blocks`` yields ``(sampling scale, components)``, as
+    :func:`_run_trials` makes them.  Blocks fold one at a time into one skip
+    count, one worst margin and one best candidate, which keeps its block's
+    scale for the shrinking floor, so cutting the same trials into other
+    blocks gives the same report.  One skip budget covers all trials; skips
+    with a role point at the cone's apex, where the handle is undefined,
+    count in ``skipped`` but not against the budget.
     """
     skipped, at_apex, total, worst = 0, 0, 0, np.inf
     best = None  # (slack, expression, witness points, sampling scale)
@@ -581,71 +657,61 @@ def _reduce_trials(handle: FunctionHandle, prop_name: str, blocks, cfg: CheckCon
     )
 
 
+def _run_trials(handle: FunctionHandle, prop: str, cfg: CheckConfig, expressions,
+                origin: str | None = None, rungs=None) -> CheckReport:
+    """The one trial path of every sampled check, certificate and quadrature
+    check, folded by :func:`_reduce_trials`.
+
+    When the cone holds the origin, the sign condition ``origin`` comes
+    first as a one-row block at ``cfg.scale``.  ``rungs(t)`` then splits the
+    ``t`` trials left of ``cfg.trials`` into ``(config, stream base, count)``
+    rungs, one rung ``(cfg, 0, t)`` by default.  Each rung is cut into
+    blocks of at most ``_BLOCK`` trials: block ``b`` draws each role that
+    the expressions read once, from ``Rng(seed, stream base + its stream,
+    b)`` as :data:`_ROLES` says, at the rung's config, and evaluates every
+    expression on them.
+    """
+    cone = handle.domain
+    origin = origin if cone.contains_origin else None
+    keys = dict.fromkeys(k for e in expressions for k in _roles_of(_form(e))[0])
+    rungs = rungs or (lambda t: [(cfg, 0, t)])
+
+    def blocks():
+        if origin:
+            yield cfg.scale, _components(handle, [origin], {"zero": cone.zero().data[None]})
+        for sub, base, count in rungs(cfg.trials - bool(origin)) if expressions else ():
+            for b, start in enumerate(range(0, count, _BLOCK)):
+                n, roles = min(_BLOCK, count - start), {}
+                for key in keys:
+                    stream, draw = _ROLES[key]
+                    drawn = draw(cone, sub, Rng(sub.seed, base + stream, b), n)
+                    roles.update(zip(key, drawn) if isinstance(key, tuple) else [(key, drawn)])
+                yield sub.scale, _components(handle, expressions, roles)
+
+    return _reduce_trials(handle, prop, blocks(), cfg)
+
+
 # ---------------------------------------------------------------------------
 # public checks
 # ---------------------------------------------------------------------------
 
 
-def _label_block(handle, prop: PropertyLabel, forms, cfg: CheckConfig, base: int, count: int,
-                 block: int):
-    """The evaluated components of ``count`` trials of a property label,
-    drawn from block ``block`` of the role streams offset by ``base``."""
-    cone = handle.domain
-    if prop == PropertyLabel.COMONOTONE_STRONG_SUPERADD:
-        rng = Rng(cfg.seed, base + _STREAM_PAIR, block)
-        x, y = cones.comonotone_pair_batch(cone.dim, rng, count, cfg.scale)
-        # raising both to one floor keeps the pair comonotone
-        floor = cones.coordinate_floor(cone, cfg.scale)
-        roles = {"x": np.maximum(x, floor), "y": np.maximum(y, floor),
-                 **_draw_xyz(cone, cfg, base, count, block, "z")}
-        # the drawn pairs are comonotone by construction, so the trials skip
-        # the hypothesis test of the form; a witness keeps it on re-evaluation
-        # and shrinking
-        (expr, _), = forms
-        return [_component(handle, expr, roles, partial(_signed_second_diff, _FORMS[expr][1]))]
-    drawn = _draw_xyz(cone, cfg, base, count, block,
-                      sorted({n for _, roles in forms for n in roles}))
-    comps = [_component(handle, expr, {n: drawn[n] for n in roles}) for expr, roles in forms]
-    if prop == PropertyLabel.COMPLETELY_MONOTONE:
-        # one pass evaluates every order; order j reads base and the first j shared steps
-        k = cfg.order_cap
-        roles = {"base": _draw(cone, cfg, base + _STREAM_BASE, count, block),
-                 **{f"x{i + 1}": _draw(cone, cfg, base + _STREAM_STEPS + i, count, block)
-                    for i in range(k)}}
-        slack, scale = _completely_monotone_orders(k, handle, roles)
-        comps += [_Component(f"completely-monotone[k={j}]", slack[j], scale[j],
-                             dict(list(roles.items())[:j + 1])) for j in range(k + 1)]
-    return comps
-
-
-def _check_label(target, property, cfg: CheckConfig, params, dim, rungs) -> CheckReport:
-    """The trial path of :func:`check` and :func:`refute`: the origin sign
-    condition as a one-row block at ``cfg.scale`` when the cone holds the
-    origin, then ``rungs(t)`` splits the ``t`` sampled trials into
-    ``(config, stream base, count)`` rungs, each cut into blocks of at most
-    ``_BLOCK`` trials that are drawn and reduced in turn."""
+def _check_label(target, property, cfg: CheckConfig, params, dim, rungs=None) -> CheckReport:
+    """The property label's components on the trial path of :func:`check`
+    and :func:`refute`."""
     handle = resolve_handle(target, params, dim)
     prop = PropertyLabel(property)
     cone = handle.domain
-    origin, *forms = _LABELS[prop.value]
-    if not cone.contains_origin:
-        origin = None
     if prop in (PropertyLabel.SUBMODULAR, PropertyLabel.SUPERMODULAR) and not cone.supports_lattice:
         raise CapabilityError(
             f"{cone.family!r} has no lattice operations; submodularity checks need them"
         )
     if prop == PropertyLabel.COMONOTONE_STRONG_SUPERADD and cone.point_kind != VECTOR:
         raise CapabilityError("comonotone checks need a vector-kind cone")
-    t = max(cfg.trials - (1 if origin else 0), 1)
-
-    def blocks():
-        if origin:
-            yield cfg.scale, [_component(handle, origin, {"zero": cone.zero().data[None]})]
-        for sub, base, count in rungs(t):
-            for block, n in _blocks(count):
-                yield sub.scale, _label_block(handle, prop, forms, sub, base, n, block)
-
-    return _reduce_trials(handle, prop.value, blocks(), cfg)
+    origin, *expressions = _LABELS[prop.value]
+    if prop == PropertyLabel.COMPLETELY_MONOTONE:
+        expressions = [f"completely-monotone[k={j}]" for j in range(cfg.order_cap + 1)]
+    return _run_trials(handle, prop.value, cfg, expressions, origin, rungs)
 
 
 def check(
@@ -658,7 +724,7 @@ def check(
 ) -> CheckReport:
     """Randomized check of a property label against a catalog entry or handle."""
     cfg = cfg or CheckConfig()
-    return _check_label(target, property, cfg, params, dim, lambda t: [(cfg, 0, t)])
+    return _check_label(target, property, cfg, params, dim)
 
 
 def refute(
@@ -679,8 +745,7 @@ def refute(
     def rungs(t):
         third = t // 3
         for rung, (mult, count) in enumerate(zip(SCALE_LADDER, (third, third, t - 2 * third))):
-            if count > 0:
-                yield replace(biased, scale=cfg.scale * mult), 1000 * (rung + 1), count
+            yield replace(biased, scale=cfg.scale * mult), 1000 * (rung + 1), count
 
     return replace(_check_label(target, property, cfg, params, dim, rungs), mode="refute")
 
@@ -698,7 +763,7 @@ def check_alpha_strong(target, alpha: float, cfg: CheckConfig | None = None) -> 
     handle = resolve_handle(target)
     _require_scalar_domain(handle)
     expression = f"alpha-strong[alpha={alpha!r}]"
-    return _check_xyz(handle, expression, [expression], cfg or CheckConfig())
+    return _run_trials(handle, expression, cfg or CheckConfig(), [expression])
 
 
 def check_lipschitz_box(target, lip: float, cfg: CheckConfig | None = None) -> CheckReport:
@@ -709,25 +774,14 @@ def check_lipschitz_box(target, lip: float, cfg: CheckConfig | None = None) -> C
     handle = resolve_handle(target)
     _require_scalar_domain(handle)
     expression = f"lipschitz-box[L={lip!r}]"
-    return _check_xyz(handle, expression, [expression], cfg or CheckConfig())
-
-
-def _check_xyz(handle: FunctionHandle, prop: str, expressions, cfg: CheckConfig) -> CheckReport:
-    """x, y and z drawn for ``cfg.trials`` trials, one block of at most
-    ``_BLOCK`` trials at a time, one component per expression."""
-    def blocks():
-        for block, n in _blocks(cfg.trials):
-            xyz = _draw_xyz(handle.domain, cfg, 0, n, block)
-            yield cfg.scale, [_component(handle, e, xyz) for e in expressions]
-
-    return _reduce_trials(handle, prop, blocks(), cfg)
+    return _run_trials(handle, expression, cfg or CheckConfig(), [expression])
 
 
 def check_remark_double_inequality(cfg: CheckConfig | None = None) -> CheckReport:
     """``exp(xy) >= (1+z)(1+x+y+z) / ((1+x+z)(1+y+z)) >= exp(-xy)`` on
     nonnegative triples, tested in the log domain."""
-    return _check_xyz(_LOG1P, "exp-poly-double-bound", ("double-bound-upper", "double-bound-lower"),
-                      cfg or CheckConfig())
+    return _run_trials(_LOG1P, "exp-poly-double-bound", cfg or CheckConfig(),
+                       ["double-bound-upper", "double-bound-lower"])
 
 
 def _one_trial(prop: str, vectors: dict, margin: float, s: float, cfg: CheckConfig) -> CheckReport:
@@ -886,5 +940,5 @@ def check_popoviciu(
     _spot_check_shape(f, lo_f, hi_f, nondecreasing=not concave, convex=not concave)
 
     sign = "nonpos" if concave else "nonneg"
-    return _check_xyz(compose(f, handle), f"popoviciu[{handle.label};f={f.label}]",
-                      [f"{form}-{sign}" for form in ("second-diff", "symmetrized")], cfg)
+    return _run_trials(compose(f, handle), f"popoviciu[{handle.label};f={f.label}]", cfg,
+                       [f"{form}-{sign}" for form in ("second-diff", "symmetrized")])

@@ -46,12 +46,7 @@ _OPEN_ORTHANT_FLOOR = 1e-6
 
 
 class Point:
-    """An element of a cone: a vector or a symmetric matrix.
-
-    Immutable; arithmetic is defined only between points of equal kind and
-    dimension.  Matrix points use the trace inner product ``<A,B> =
-    trace(AB)`` so that all norms are Euclidean/Frobenius.
-    """
+    """An element of a cone, immutable: a vector or a symmetric matrix."""
 
     __slots__ = ("kind", "data", "dim")
 
@@ -92,32 +87,6 @@ class Point:
     def zero(kind: str, dim: int) -> "Point":
         shape = (dim,) if kind == VECTOR else (dim, dim)
         return Point(kind, np.zeros(shape), _validated=True)
-
-    def _require_compatible(self, other: "Point") -> None:
-        if not isinstance(other, Point):
-            raise ShapeError(f"expected a Point, got {type(other).__name__}")
-        if self.kind != other.kind or self.dim != other.dim:
-            raise ShapeError(
-                f"incompatible points: {self.kind}/{self.dim} vs {other.kind}/{other.dim}"
-            )
-
-    def __add__(self, other: "Point") -> "Point":
-        self._require_compatible(other)
-        return Point(self.kind, self.data + other.data, _validated=True)
-
-    def __sub__(self, other: "Point") -> "Point":
-        self._require_compatible(other)
-        return Point(self.kind, self.data - other.data, _validated=True)
-
-    def __mul__(self, scalar: float) -> "Point":
-        return Point(self.kind, self.data * float(scalar), _validated=True)
-
-    __rmul__ = __mul__
-
-    def inner(self, other: "Point") -> float:
-        """Euclidean dot product; trace pairing for matrices."""
-        self._require_compatible(other)
-        return float(np.sum(self.data * other.data))
 
     def to_json(self):
         """Vectors serialize as arrays, matrices as arrays of row arrays."""
@@ -198,19 +167,6 @@ def full_space(n: int) -> ConeSpec:
 
 def psd_cone(n: int) -> ConeSpec:
     return ConeSpec(PSD_CONE, _check_dim(n))
-
-
-def cone_from_json(obj: dict) -> ConeSpec:
-    fam = obj["family"]
-    maker = {
-        NONNEG_ORTHANT: nonneg_orthant,
-        POSITIVE_ORTHANT: positive_orthant,
-        FULL_SPACE: full_space,
-        PSD_CONE: psd_cone,
-    }.get(fam)
-    if maker is None:
-        raise ParameterError(f"unknown cone family {fam!r}")
-    return maker(obj["dim"])
 
 
 def _require_point(cone: ConeSpec, x: Point) -> None:

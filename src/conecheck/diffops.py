@@ -57,22 +57,6 @@ class FunctionHandle:
 
         return run
 
-    @classmethod
-    def from_pointwise(cls, label: str, domain: ConeSpec, fn) -> "FunctionHandle":
-        """Wrap a Point -> float rule (evaluated row by row in batches)."""
-        kind = domain.point_kind
-
-        def batch(rows: np.ndarray) -> np.ndarray:
-            out = np.empty(rows.shape[0])
-            for i, r in enumerate(rows):
-                try:
-                    out[i] = fn(Point(kind, r, _validated=True))
-                except DomainError:
-                    out[i] = np.nan
-            return out
-
-        return cls(label, domain, batch)
-
     def _point_data(self, x: Point) -> np.ndarray:
         if x.kind != self.domain.point_kind or x.dim != self.domain.dim:
             raise ShapeError(

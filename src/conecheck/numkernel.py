@@ -1,9 +1,11 @@
-"""The row fold, the spectral core, scalar rules and the gamma function.
+"""The row folds, the spectral core, scalar rules and the gamma function.
 
 ``rowwise`` reduces each row of a ``(T, n)`` array, such as the coordinates
 of stacked points or their eigenvalues, with a binary ufunc: a left fold
 over the columns for short rows, where it is several times faster than
-``ufunc.reduce(..., axis=1)`` and gives the same bits.
+``ufunc.reduce(..., axis=1)`` and gives the same bits.  ``linear`` folds
+the linear form ``rows @ w`` over the columns, so a row gets the same bits
+alone and in a block, which BLAS does not promise.
 
 ``spectral`` evaluates every eigenvalue-based functional of the catalog:
 batched eigenvalues, one domain rule on the smallest eigenvalue, a clamp,
@@ -55,6 +57,15 @@ def rowwise(ufunc, a: np.ndarray) -> np.ndarray:
         ufunc(out, a[:, j], out=out)
     if ufunc is np.add:
         out += 0.0
+    return out
+
+
+def linear(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``rows @ w`` of a 2-d array as a left fold over the columns, so a row
+    gets the same bits alone and in a block."""
+    out = rows[:, 0] * w[0]
+    for j in range(1, len(w)):
+        out += rows[:, j] * w[j]
     return out
 
 

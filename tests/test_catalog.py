@@ -93,8 +93,9 @@ def test_sq_norm_second_diff_equals_bilinear_form():
     rng = Rng(11, 0)
     g = rng.generator
     for _ in range(1000):
-        x, y, z = (Point.vector(np.abs(g.normal(size=4))) for _ in range(3))
-        assert abs(second_diff(handle, x, y, z) - 2.0 * x.inner(y)) <= 1e-9
+        x, y, z = (np.abs(g.normal(size=4)) for _ in range(3))
+        sd = second_diff(handle, Point.vector(x), Point.vector(y), Point.vector(z))
+        assert abs(sd - 2.0 * float(x @ y)) <= 1e-9
 
 
 def test_trace_pow_linear_boundary_has_vanishing_second_diff():

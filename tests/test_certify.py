@@ -141,6 +141,19 @@ def test_laplace_psd_atom_uses_trace_pairing():
     assert handle(a) == pytest.approx(math.exp(-np.trace(a.data)))
 
 
+@pytest.mark.parametrize("cone,locs", [
+    (nonneg_orthant(3), [Point.vector(u) for u in ([1.0, 2.0, 0.3], [0.2, 0.1, 3.0], [1.0, 1.0, 1.0])]),
+    (psd_cone(3), [Point.matrix(u) for u in (np.eye(3), np.diag([1.0, 2.0, 3.0]), np.ones((3, 3)))]),
+], ids=["vector", "psd"])
+def test_laplace_handle_gives_a_row_the_same_bits_alone_and_in_a_block(cone, locs):
+    """The pairings and the weighted sum fold over their terms, so a check's
+    block values are the values its one-row witness re-evaluation gives."""
+    handle = laplace_as_handle(LaplaceCertificate(zip((0.5, 1.5, 0.7), locs)), cone)
+    rows = cones.sample_batch(cone, Rng(0, 1), 2000)
+    alone = np.concatenate([handle.batch(rows[i:i + 1]) for i in range(len(rows))])
+    assert handle.batch(rows).tobytes() == alone.tobytes()
+
+
 def test_laplace_mixture_is_completely_monotone():
     cert = LaplaceCertificate([(0.5, Point.vector([1.0])), (0.5, Point.vector([3.0]))])
     handle = laplace_as_handle(cert, nonneg_orthant(1))
@@ -304,7 +317,7 @@ def test_gaussian_detcert_check_draws_documented_sequence():
     margin is the tolerance minus the largest relative error."""
     for n, seed in ((1, 0), (2, 3)):
         rep = gaussian_detcert_check(n, _cfg(trials=6, seed=seed))
-        rng = Rng(seed, certify._STREAM_MATS)
+        rng = Rng(seed, checkers._ROLES["A"][0])
         mats = cones.sample_batch(psd_cone(n), rng, 6)
         lam_max = np.linalg.eigvalsh(mats)[:, -1]
         mats *= (2.0 * rng.generator.uniform(0.05, 1.0, size=6) / lam_max)[:, None, None]
@@ -388,7 +401,7 @@ def test_hessian_sign_scan_matches_the_plain_scan(entry_id, method, mode, index)
         cert = certify_topkis(entry_id, mode, 200, cfg)
         mode = "nonneg" if mode == "supermodular" else "nonpos"
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pts = certify._interior_batch(handle.domain, Rng(0, certify._STREAM_POINTS), 200, 1.0)
+    pts = checkers._interior_batch(handle.domain, cfg, Rng(0, checkers._ROLES["p"][0]), 200)
     first = _plain_scan(handle, [f"hessian-{mode}[ij={i},{j}]" for i, j in pairs], pts, cfg)
     if index is None:
         assert first is None and cert.certified
@@ -408,9 +421,7 @@ def test_certificate_stencils_are_the_difference_forms():
     ``4h^2``, and a directional trial the change of one-row first
     differences divided by ``2h``, bit for bit."""
     h = conecheck.instantiate("lse", dim=3)
-    pts = certify._interior_batch(h.domain, Rng(5, 1), 4, 1.0)
-    v = certify._interior_batch(h.domain, Rng(5, 3), 4, 1.0)
-    w = certify._interior_batch(h.domain, Rng(5, 2), 4, 1.0)
+    pts, v, w = (checkers._interior_batch(h.domain, CheckConfig(), Rng(5, s), 4) for s in (1, 3, 2))
     vec = lambda a: Point(cones.VECTOR, a, _validated=True)  # noqa: E731
 
     def derivative(p, d):

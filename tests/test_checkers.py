@@ -325,37 +325,85 @@ def test_refuter_finds_pairwise_diff_witness():
     _assert_sound("pairwise-diff-convex", rep)
 
 
+def _recorded_blocks(monkeypatch) -> list:
+    """The components of every block the trial path evaluates, in order."""
+    blocks, components = [], checkers._components
+
+    def recorded(*args):
+        blocks.append(components(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(checkers, "_components", recorded)
+    return blocks
+
+
 def test_refute_evaluates_the_origin_once_and_shrinks_one_witness(monkeypatch):
     """Every rung of the ladder finds a violation here, and the one report
     still costs one origin evaluation and one shrink."""
-    shrinks, origins, rung_lows = [], [], []
-    shrink, component, label_block = (
-        checkers._shrink, checkers._component, checkers._label_block)
+    shrinks, shrink = [], checkers._shrink
 
     def counted_shrink(*args, **kwargs):
         shrinks.append(args[1])
         return shrink(*args, **kwargs)
 
-    def counted_component(handle, expression, *args, **kwargs):
-        if expression.startswith("origin-"):
-            origins.append(expression)
-        return component(handle, expression, *args, **kwargs)
-
-    def recorded_block(*args):
-        comps = label_block(*args)
-        rung_lows.append(min(float(np.nanmin(c.slack)) for c in comps))
-        return comps
-
     monkeypatch.setattr(checkers, "_shrink", counted_shrink)
-    monkeypatch.setattr(checkers, "_component", counted_component)
-    monkeypatch.setattr(checkers, "_label_block", recorded_block)
+    blocks = _recorded_blocks(monkeypatch)
     cfg = _cfg(trials=1000)
     rep = refute("geomean2", "strong-subadd", cfg)
+    origins = [c.expression for comps in blocks for c in comps if c.expression.startswith("origin-")]
+    rung_lows = [min(float(np.nanmin(c.slack)) for c in comps) for comps in blocks[1:]]
     assert len(rung_lows) == 3 and max(rung_lows) < -1e-3
     assert len(shrinks) == 1 and origins == ["origin-nonneg"]
     assert rep.found_violation and rep.mode == "refute"
     assert rep.trials_run == cfg.trials
     _assert_sound("geomean2", rep)
+
+
+@pytest.mark.parametrize("run", [check, refute])
+@pytest.mark.parametrize("target", ["log1p", "reciprocal"])
+def test_trials_run_is_the_trial_count(run, target):
+    """The origin block, on the closed orthant of log1p, is one of the
+    trials, and the open orthant of reciprocal has none; even one trial
+    runs as asked."""
+    for trials in (1, 2, 3):
+        assert run(target, "strong-subadd", _cfg(trials=trials)).trials_run == trials
+
+
+class _ReadRecorder(dict):
+    """Role arrays that record the names a form reads."""
+
+    def __init__(self, arrays):
+        super().__init__(arrays)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+# an argument for each parametrized form
+_FORM_ARGS = {"completely-monotone": "k=3", "alpha-strong": "alpha=0.5", "lipschitz-box": "L=2.0",
+              "hessian-nonpos": "ij=0,1", "hessian-nonneg": "ij=0,1"}
+
+
+def test_every_form_reads_exactly_the_roles_of_its_row():
+    """Each form has a row of the role table: on one row it reads exactly the
+    roles the row lists, each drawn by ``_ROLES`` (the origin block alone
+    gives ``zero``), and its point roles are among them."""
+    handle = FunctionHandle("sum", nonneg_orthant(2), lambda r: r.reshape(len(r), -1).sum(axis=1))
+    arrays = {n: np.ones((1, 2)) for n in checkers._names(checkers._ROLES) + ("zero",)}
+    arrays["A"] = np.eye(2)[None]
+    expressions = list(checkers._FORMS) + [
+        f"{name}[{_FORM_ARGS[name]}]" for name in checkers._PARAMETRIZED_FORMS]
+    for expression in expressions:
+        form = checkers._form(expression)
+        assert form.func in checkers._FORM_ROLES, expression
+        reads, points = checkers._roles_of(form)
+        roles = _ReadRecorder(arrays)
+        form(handle, roles)
+        assert roles.read == set(checkers._names(reads)), expression
+        assert set(points) <= roles.read, expression
+        assert set(reads) - {"zero"} <= set(checkers._ROLES), expression
 
 
 def test_refute_holds_one_rung_of_trials_at_a_time():
@@ -668,14 +716,16 @@ def _slice_block(comps, rows):
      PropertyLabel.SUPERADD),
     (catalog.instantiate("logdet-pencil"), PropertyLabel.SECOND_DIFF_NONPOS),
 ])
-def test_folding_the_same_trials_in_more_blocks_gives_the_same_report(handle, prop):
+def test_folding_the_same_trials_in_more_blocks_gives_the_same_report(monkeypatch, handle, prop):
     """Witness (ties keep the earlier trial), worst margin and skip counts do
     not depend on where the trials are cut."""
     cfg = _cfg(trials=900, boundary_prob=0.5)
-    forms = checkers._LABELS[prop.value][1:]
-    comps = checkers._label_block(handle, prop, forms, cfg, 0, cfg.trials, 0)
+    blocks = _recorded_blocks(monkeypatch)
+    check(handle, prop, cfg)
+    comps = blocks[-1]
     one = checkers._reduce_trials(handle, prop.value, [(cfg.scale, comps)], cfg)
-    cuts = (0, 1, 2, 300, 301, 899, 900)
+    t = comps[0].slack.size
+    cuts = (0, 1, 2, 300, 301, t - 1, t)
     several = checkers._reduce_trials(
         handle, prop.value,
         [(cfg.scale, _slice_block(comps, slice(a, b))) for a, b in zip(cuts, cuts[1:])], cfg)
@@ -751,7 +801,7 @@ def test_only_points_at_an_undefined_apex_excuse_a_skip(expression, at_apex, zer
         arrays = {r: np.ones((1000, 1)) for r in roles}
         for r, v in first_rows.items():
             arrays[r][:150] = v
-        comps = [checkers._component(_OPEN_INTERVAL, expression, arrays)]
+        comps = checkers._components(_OPEN_INTERVAL, [expression], arrays)
         return checkers._reduce_trials(_OPEN_INTERVAL, "p", [(1.0, comps)], _cfg(trials=1000))
 
     rep = reduce(at_apex)
@@ -761,17 +811,19 @@ def test_only_points_at_an_undefined_apex_excuse_a_skip(expression, at_apex, zer
 
 
 @pytest.mark.parametrize("target,dim", [("lse", 3), ("lse", 8), ("inv-power-product", 3)])
-def test_comonotone_trials_hold_the_hypothesis_they_skip(target, dim):
+def test_comonotone_trials_hold_the_hypothesis_they_skip(monkeypatch, target, dim):
     """Every drawn pair, at every rung's scale and in later blocks, passes the
-    zero-tolerance comonotone test, so evaluating the trials without it gives
-    the form's own slack and scale."""
+    zero-tolerance comonotone test, so the trials skip nothing and the form
+    gives the plain second difference's slack and scale."""
+    monkeypatch.setattr(checkers, "_BLOCK", 1500)
+    blocks = _recorded_blocks(monkeypatch)
+    rep = refute(target, "comonotone-strong-superadd", _cfg(trials=9001), dim=dim)
+    assert rep.skipped == 0 and not rep.found_violation
     handle = catalog.resolve_handle(target, None, dim)
-    prop = PropertyLabel.COMONOTONE_STRONG_SUPERADD
-    for scale in checkers.SCALE_LADDER:
-        cfg = _cfg(trials=3000, scale=scale)
-        for block in (0, 1):
-            comp, = checkers._label_block(handle, prop, checkers._LABELS[prop.value][1:],
-                                          cfg, 0, cfg.trials, block)
-            assert cones.comonotonic_batch(comp.roles["x"], comp.roles["y"]).all()
-            slack, s = checkers._form(comp.expression)(handle, comp.roles)
-            assert slack.tobytes() + s.tobytes() == comp.slack.tobytes() + comp.scale.tobytes()
+    sampled = [comp for comp, in blocks if comp.expression == "comonotone-strong-superadd"]
+    # two blocks or more per rung
+    assert len(sampled) >= 6 and sum(c.slack.size for c in sampled) >= 9000
+    for comp in sampled:
+        assert cones.comonotonic_batch(comp.roles["x"], comp.roles["y"]).all()
+        slack, s = checkers._form("second-diff-nonneg")(handle, comp.roles)
+        assert slack.tobytes() + s.tobytes() == comp.slack.tobytes() + comp.scale.tobytes()

@@ -103,14 +103,14 @@ def test_kth_diff_matches_recursive_delta():
 
     def recursive(fh, xs, base):
         if len(xs) == 1:
-            return delta(fh, xs[0], base)
+            return delta(fh, p(xs[0]), p(base))
         return recursive(fh, xs[:-1], xs[-1] + base) - recursive(fh, xs[:-1], base)
 
     rng = np.random.default_rng(3)
     for k in range(1, 7):
-        xs = [p(abs(rng.normal())) for _ in range(k)]
-        base = p(abs(rng.normal()))
-        a = kth_diff(f, xs, base)
+        xs = [abs(rng.normal()) for _ in range(k)]
+        base = abs(rng.normal())
+        a = kth_diff(f, [p(x) for x in xs], p(base))
         b = recursive(f, xs, base)
         assert a == pytest.approx(b, rel=1e-11, abs=1e-11)
 
@@ -193,19 +193,6 @@ def test_handle_rejects_incompatible_points():
         f(Point.vector([1.0, 2.0]))
 
 
-def test_from_pointwise_wraps_domain_errors_as_nan():
-    def fn(pt):
-        if pt.data[0] > 1.0:
-            raise DomainError("out")
-        return float(pt.data[0])
-
-    h = FunctionHandle.from_pointwise("partial", nonneg_orthant(1), fn)
-    vals = h.batch(np.array([[0.5], [2.0]]))
-    assert vals[0] == 0.5 and np.isnan(vals[1])
-    with pytest.raises(DomainError):
-        h(p(2.0))
-
-
 def test_second_diff_lse_at_unit_box_triple():
     """At x=(1,0), y=(0,1), z=(1,1) the four log-sum-exp terms simplify to
     1 - 2 log((1+e)/2), which is negative (no violation at this triple)."""
@@ -275,11 +262,15 @@ def test_one_row_completely_monotone_is_the_block_row(handle):
 
 
 @pytest.mark.parametrize("handle", [RECIP_1PX, RECIP_DET2], ids=lambda h: h.label)
-def test_every_order_of_a_block_is_its_own_form_on_shared_steps(handle):
+def test_every_order_of_a_block_is_its_own_form_on_shared_steps(monkeypatch, handle):
     """A completely-monotone block draws ``order_cap`` steps once; order j
     reads ``base, x1..xj`` of them and gets the bits of the order-j form."""
-    cfg = CheckConfig(trials=300, order_cap=8, boundary_prob=0.5)
-    comps = checkers._label_block(handle, PropertyLabel.COMPLETELY_MONOTONE, (), cfg, 0, 300, 0)
+    blocks, components = [], checkers._components
+    monkeypatch.setattr(checkers, "_components",
+                        lambda *args: blocks.append(components(*args)) or blocks[-1])
+    checkers.check(handle, PropertyLabel.COMPLETELY_MONOTONE,
+                   CheckConfig(trials=300, order_cap=8, boundary_prob=0.5))
+    comps, = blocks
     assert [c.expression for c in comps] == [f"completely-monotone[k={j}]" for j in range(9)]
     for j, c in enumerate(comps):
         assert list(c.roles) == ["base"] + [f"x{i + 1}" for i in range(j)]
