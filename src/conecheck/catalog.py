@@ -29,7 +29,7 @@ from . import cones
 from .cones import ConeSpec, Rng
 from .diffops import FunctionHandle
 from .errors import ConeCheckError, ParameterError, UnknownEntryError
-from .numkernel import CLAMP_WINDOW, gamma, linear, rowwise, spectral
+from .numkernel import CLAMP_WINDOW, det, gamma, linear, rowwise, spectral
 
 __all__ = [
     "PropertyLabel",
@@ -384,10 +384,7 @@ def _make_lp_power_norm(p: dict, n: int) -> FunctionHandle:
 
 
 def _make_det(p: dict, n: int) -> FunctionHandle:
-    def batch(rows):
-        return np.linalg.det(rows)
-
-    return FunctionHandle("det", cones.psd_cone(n), batch)
+    return FunctionHandle("det", cones.psd_cone(n), det)
 
 
 def _default_pencil_matrices(count: int, order: int) -> np.ndarray:

@@ -234,10 +234,10 @@ def laplace_as_handle(cert: LaplaceCertificate, cone: ConeSpec) -> FunctionHandl
 _GH_POINTS = 24
 # the highest order of the quadrature; a slice holds 24^(order - 1) nodes
 _GH_MAX_ORDER = 4
-# matrix elements per product of the quadrature, 4 matrices of 24^3 nodes:
-# each product holds ``_GH_PRODUCT // 24^(n-1)`` matrices, which bounds its
-# temporaries to about 0.4 MiB whatever the number of matrices; larger
-# products ran orders 3 and 4 slower
+# matrix elements per stack of the quadrature, 4 matrices of 24^3 nodes:
+# each stack holds ``_GH_PRODUCT // 24^(n-1)`` matrices, which bounds its
+# three temporaries to about 0.4 MiB each whatever the number of matrices;
+# larger stacks ran orders 3 and 4 slower
 _GH_PRODUCT = 4 * _GH_POINTS ** 3
 
 
@@ -285,36 +285,48 @@ def gaussian_representation_margin(a: np.ndarray) -> tuple:
 
     The estimate is the tensor-product Gauss-Hermite rule of ``_GH_POINTS``
     points per coordinate for the density ``exp(-|z|^2) / pi^(n/2)``, summed
-    one slice at a time: a slice fixes the first coordinate at one node and
-    runs over the ``24^(n-1)`` nodes of the others.  Each quadratic form
-    ``z^T A z`` is a linear map on the monomials ``z_i z_j`` (``i <= j``), so
-    one matrix product per slice evaluates the forms of up to ``_GH_PRODUCT
-    // 24^(n-1)`` matrices.  Input other than symmetric square matrices is a
-    ``ShapeError``; an order above ``_GH_MAX_ORDER`` a ``CapabilityError``.
+    one pair of slices at a time: a slice fixes the first coordinate at one
+    node and runs over the ``24^(n-1)`` nodes of the others, and the nodes
+    +-z_1 share all but a ``cosh``.  Each quadratic form ``z^T A z`` is a
+    linear map on the monomials ``z_i z_j`` (``i <= j``), folded over the
+    monomials for up to ``_GH_PRODUCT // 24^(n-1)`` matrices at once; each
+    matrix's weighted sum over the nodes is a reduction of its own row, so
+    its estimate has the same bits alone and in any stack.
+    Input other than symmetric square matrices is a ``ShapeError``; an order
+    above ``_GH_MAX_ORDER`` a ``CapabilityError``.
     """
     mats = _square_stack(a)
     n = mats.shape[-1]
     x, w, rest, rest_w = _gauss_hermite(n)
     iu, ju = np.triu_indices(n)
-    # a_ii on the diagonal, a_ij + a_ji off it
-    coef = mats[:, iu, ju] + mats[:, ju, iu]
-    coef[:, iu == ju] *= 0.5
-    # rows 0..n-1 are the monomials z_1 z_j, which change from slice to
-    # slice; the others involve coordinates 2..n only
-    monomials = np.empty((len(iu), rest.shape[1]))
-    for k in range(n, len(iu)):
-        np.multiply(rest[iu[k] - 1], rest[ju[k] - 1], out=monomials[k])
+    # -a_ii on the diagonal, -(a_ij + a_ji) off it; one row per monomial
+    coef = -0.5 * (mats[:, iu, ju] + mats[:, ju, iu]).T
+    coef[iu != ju] *= 2.0
     total = np.zeros(len(mats))
     stack = _GH_PRODUCT // rest.shape[1]
-    for x1, w1 in zip(x, w):
-        monomials[0] = x1 * x1
-        np.multiply(rest, x1, out=monomials[1:n])
-        for lo in range(0, len(mats), stack):
-            q = coef[lo : lo + stack] @ monomials
-            np.negative(q, out=q)
-            np.exp(q, out=q)
-            total[lo : lo + stack] += w1 * (q @ rest_w)
-            del q  # freed before the next product is made
+    parts = np.empty((2, min(stack, len(mats)), rest.shape[1]))
+    q, mono = np.empty_like(parts[0]), np.empty_like(rest_w)
+    for lo in range(0, len(mats), stack):
+        hi = min(lo + stack, len(mats))
+        # with z_1 fixed by a slice, -z^T A z = -a_11 z_1^2 + z_1 lin + quad,
+        # where lin and quad fold over the monomials, each taken without its
+        # z_1: z_j for k < n, a product of coordinates 2..n after that
+        ps, qs = parts[:, : hi - lo], q[: hi - lo]
+        ps.fill(0.0)
+        for k in range(1, len(iu)):
+            m_k = rest[k - 1] if k < n else np.multiply(rest[iu[k] - 1], rest[ju[k] - 1], out=mono)
+            ps[int(k >= n)] += np.multiply(coef[k, lo:hi, None], m_k, out=qs)
+        np.exp(ps[1], out=ps[1])
+        ps[1] *= rest_w
+        # the rule is symmetric, so the slices at +-z_1 add up to
+        # 2 exp(-a_11 z_1^2) sum(cosh(z_1 lin) exp(quad) w); each row's
+        # sum is its own reduction, so a matrix's estimate has the same
+        # bits in any stack
+        for x1, w1 in zip(x[_GH_POINTS // 2 :], w[_GH_POINTS // 2 :]):
+            np.multiply(ps[0], x1, out=qs)
+            np.cosh(qs, out=qs)
+            qs *= ps[1]
+            total[lo:hi] += 2.0 * w1 * np.exp(coef[0, lo:hi] * (x1 * x1)) * rowwise(np.add, qs)
     lam = np.linalg.eigvalsh(mats)
     exact = np.exp(-0.5 * rowwise(np.add, np.log1p(lam)))
     if not (np.isfinite(total).all() and np.isfinite(exact).all()) or (exact <= 0).any():

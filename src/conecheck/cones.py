@@ -10,7 +10,9 @@ bit generator keyed by ``(master_seed, stream_index)`` whose counter starts
 at ``[0, 0, 0, block]``.  The raw Philox words are platform independent, and
 so are the 16-bit boundary-mask words read from them as little-endian
 ``<u2``; normals come from the same words through numpy's ziggurat, whose
-rare wedge and tail steps call ``exp`` and ``log1p``.
+rare wedge and tail steps call ``exp`` and ``log1p``.  A PSD draw folds its
+normals over the lower triangle with elementwise arithmetic and no BLAS
+call, so its bits depend only on the normals, and it is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -294,7 +296,9 @@ def sample_batch(
     below ``round(boundary_prob * 2^16)``, so the probability is quantized to
     a multiple of 2^-16 (0.2 becomes 13107 / 65536).  The open orthant then
     adds a small positive floor.  The PSD cone draws ``G @ G.T * (scale /
-    N)`` with Gaussian ``G``; the full space draws plain Gaussians.
+    N)`` for ``G`` of standard normals, each lower-triangle entry a left fold
+    over ``k`` mirrored to the upper one, so the matrix is exactly symmetric
+    (:func:`_gram_fold`); the full space draws plain Gaussians.
     Consumes ``rng`` sequentially, so a fixed (seed, stream) replays the
     same batch.
     """
@@ -317,10 +321,30 @@ def sample_batch(
     if fam == FULL_SPACE:
         return g.normal(0.0, scale, size=(count, n))
     if fam == PSD_CONE:
-        gmat = g.normal(0.0, 1.0, size=(count, n, n))
-        out = (gmat @ gmat.transpose(0, 2, 1)) * (scale / n)
-        return 0.5 * (out + np.swapaxes(out, 1, 2))
+        return _gram_fold(g, count, n, scale / n)
     raise CapabilityError(f"sampling not implemented for {fam}")
+
+
+def _gram_fold(g: np.random.Generator, count: int, n: int, factor: float) -> np.ndarray:
+    """``G @ G.T * factor`` for ``count`` matrices ``G`` of standard normals
+    ``(count, n, n)`` from ``g``: each lower-triangle entry ``(i, j)`` is the
+    left fold ``sum_k G[i, k] G[j, k]`` over all rows at once, times
+    ``factor``, written to both ``(i, j)`` and ``(j, i)``.  The fold reads an
+    ``(n, n, count)`` copy of the normals and fills an ``(n, n, count)``
+    result, returned as its F-contiguous ``(count, n, n)`` view, exactly
+    symmetric."""
+    gt = np.moveaxis(g.standard_normal(size=(count, n, n)), 0, -1).copy()
+    out = np.empty((n, n, count))
+    term = np.empty(count)
+    for i in range(n):
+        for j in range(i + 1):
+            acc = out[i, j]
+            np.multiply(gt[i, 0], gt[j, 0], out=acc)
+            for k in range(1, n):
+                acc += np.multiply(gt[i, k], gt[j, k], out=term)
+            acc *= factor
+            out[j, i] = acc
+    return out.transpose(2, 1, 0)
 
 
 def comonotone_pair_batch(

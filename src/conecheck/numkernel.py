@@ -1,4 +1,5 @@
-"""The row folds, the spectral core, scalar rules and the gamma function.
+"""The row folds, the spectral and determinant cores, scalar rules and the
+gamma function.
 
 ``rowwise`` reduces each row of a ``(T, n)`` array, such as the coordinates
 of stacked points or their eigenvalues, with a binary ufunc: a left fold
@@ -16,6 +17,12 @@ others: non-finite rows, rows whose smallest eigenvalue is not clearly above
 both zero and the domain bound, and order-3 rows with near-repeated
 eigenvalues.  So ``eigvalsh`` still decides every domain rule and clamp near
 its boundary.  Other orders use ``eigvalsh`` for every row.
+
+``det`` follows the same pattern: Gaussian elimination without pivoting
+over the lower triangles, elementwise over the rows, on the rows where
+every pivot is finite and positive (positive definite, where elimination is
+backward stable), and ``np.linalg.det`` on the others.  Both give a row the
+same bits alone and in a block.
 
 ``ScalarFunction`` carries the scalar rules that the majorization and
 three-point checks compose with a handle, and ``gamma`` is the gamma
@@ -104,6 +111,36 @@ def spectral(
     # written so that a NaN eigenvalue fails the domain rule
     inside = w[:, 0] > lo if open else w[:, 0] >= lo
     return np.where(inside, rowwise(np.add, term(np.maximum(w, clamp))), np.nan)
+
+
+def det(rows: np.ndarray) -> np.ndarray:
+    """The determinant of each symmetric matrix of ``rows`` ``(T, N, N)``.
+    Gaussian elimination without pivoting runs over the lower triangles,
+    each entry for all T rows at once, and the determinant is the left fold
+    of the pivots' product.  A row keeps that value only when every pivot is
+    finite and positive, so the matrix is positive definite (Sylvester's
+    criterion) and elimination, which is then Cholesky's, is backward
+    stable.  The other rows (singular, indefinite or non-finite) are
+    ``redo`` rows and take ``np.linalg.det``.  Like ``spectral``, reads the
+    lower triangles of the rows it keeps."""
+    n = rows.shape[-1]
+    # low[i][j] is entry (i, j), j <= i, of the trailing Schur complement
+    low = [[rows[:, i, j].copy() for j in range(i + 1)] for i in range(n)]
+    out = low[0][0].copy()
+    ok = (out > 0.0) & (out < np.inf)
+    with np.errstate(all="ignore"):
+        for k in range(n - 1):
+            for i in range(k + 1, n):
+                ratio = low[i][k] / low[k][k]
+                for j in range(k + 1, i + 1):
+                    low[i][j] -= ratio * low[j][k]
+            pivot = low[k + 1][k + 1]
+            ok &= (pivot > 0.0) & (pivot < np.inf)
+            out *= pivot
+    redo = ~ok
+    if redo.any():
+        out[redo] = np.linalg.det(rows[redo])
+    return out
 
 
 def _finite_eigvalsh(rows: np.ndarray) -> np.ndarray:

@@ -292,8 +292,8 @@ def test_gaussian_representation_takes_symmetry_within_point_tolerance():
 def test_gaussian_representation_memory_is_bounded_for_large_stacks():
     """A stack larger than one product is evaluated in slices of
     ``_GH_PRODUCT`` matrix elements (4 matrices at order 4), so the
-    per-slice temporaries do not grow with the stack; estimates still match
-    one-at-a-time calls."""
+    per-slice temporaries do not grow with the stack; estimates equal
+    one-at-a-time calls bit for bit."""
     rng = np.random.default_rng(11)
     for mats, bound in ((rng.uniform(0.1, 2.0, size=(64, 1, 1)), 2 ** 20),
                         (np.stack([_random_psd(rng, 4) for _ in range(64)]), 4 * 2 ** 20)):
@@ -303,12 +303,21 @@ def test_gaussian_representation_memory_is_bounded_for_large_stacks():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # order 4: about 1.9 MiB; one product over all 64 matrices alone needs
+        # order 4: about 1.8 MiB; one stack of all 64 matrices alone needs
         # 64 * 24^3 doubles, 6.75 MiB
         assert peak < bound, mats.shape
         for k in (0, 15, 16, 63):
-            one = gaussian_representation_margin(mats[k])[0]
-            assert abs(est[k] - one) <= 1e-13 * one
+            assert est[k] == gaussian_representation_margin(mats[k])[0]
+
+
+def test_quadrature_estimate_does_not_depend_on_the_stack_size(monkeypatch):
+    """A matrix's estimate is the same whether its stack holds 1, 2 or 4
+    matrices of order 4, so a witness's one-row margin is its block's."""
+    margins = []
+    for budget in (1, 2, 4):
+        monkeypatch.setattr(certify, "_GH_PRODUCT", budget * 24 ** 3)
+        margins.append(gaussian_detcert_check(4, CheckConfig(trials=2 ** 12)).worst_margin)
+    assert [m.hex() for m in margins] == [margins[0].hex()] * 3
 
 
 def test_gaussian_detcert_check_draws_documented_sequence():

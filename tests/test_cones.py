@@ -270,3 +270,44 @@ def test_orthant_mask_words_are_pinned():
                               50506, 8176, 21907, 37040, 14306, 9446]
     draws = cones.sample_batch(cones.nonneg_orthant(4), Rng(2026, 7), 3, 1.0, 0.5)
     assert (draws == 0.0).ravel().tolist() == (words < 2 ** 15).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_psd_draws_are_exactly_symmetric(n):
+    draws = cones.sample_batch(cones.psd_cone(n), Rng(8, n), 500)
+    assert all(np.array_equal(m, m.T) for m in draws)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
+def test_psd_draws_fold_the_normals_left_to_right(n, scale):
+    """Every entry is the plain left fold ``sum_k G[i, k] G[j, k]`` over the
+    stream's ``standard_normal`` words, times ``scale / n``, bit for bit."""
+    count = 40
+    draws = cones.sample_batch(cones.psd_cone(n), Rng(23, n), count, scale)
+    normals = Rng(23, n).generator.standard_normal(size=(count, n, n)).tolist()
+    for t, gm in enumerate(normals):
+        for i in range(n):
+            for j in range(n):
+                acc = gm[i][0] * gm[j][0]
+                for k in range(1, n):
+                    acc += gm[i][k] * gm[j][k]
+                assert draws[t, i, j] == acc * (scale / n), (t, i, j)
+
+
+def test_psd_draws_extend_a_shorter_draw():
+    """The first rows of a larger draw are the smaller draw."""
+    cone = cones.psd_cone(4)
+    assert np.array_equal(cones.sample_batch(cone, Rng(5, 3), 100)[:7],
+                          cones.sample_batch(cone, Rng(5, 3), 7))
+
+
+def test_psd_draw_bits_are_pinned():
+    """The PSD draw reads only the Philox normals and elementwise arithmetic,
+    so every platform gives these bits."""
+    draw = cones.sample_batch(cones.psd_cone(3), Rng(2026, 7), 1)
+    assert [float(v).hex() for v in draw.ravel()] == [
+        "0x1.8ec9edefc9bcap-1", "-0x1.8af847563470dp-2", "-0x1.7109809268f48p-2",
+        "-0x1.8af847563470dp-2", "0x1.19b8c0417afa2p-1", "-0x1.b060a681dcd88p-5",
+        "-0x1.7109809268f48p-2", "-0x1.b060a681dcd88p-5", "0x1.43cced06f3f78p-2",
+    ]
