@@ -14,7 +14,9 @@ resolves: a Hessian entry ``hessian-nonpos[ij=i,j]`` or
 ``differential-nondecreasing`` or ``differential-nonincreasing`` over ``U``,
 ``step`` and ``direction`` (the stencil forms of :mod:`.diffops`), and the
 origin sign condition is the checks' one-row ``origin-nonneg`` or
-``origin-nonpos`` block.  Each role is drawn from its stream in the checks'
+``origin-nonpos`` block.  A certificate samples ``cfg.trials`` points, 200
+when no config is given, besides that block; a Hessian form's row needs a
+vector cone, which the trial path checks before it draws.  Each role is drawn from its stream in the checks'
 role table, and the points are drawn, evaluated and folded one block at a
 time, so memory does not grow with their count; non-finite trials are
 skipped within the checks' 10% budget.  The refusal witness is the fold's
@@ -36,9 +38,9 @@ import numpy as np
 from . import cones
 from .catalog import PropertyLabel, resolve_handle
 from .checkers import CheckConfig, CheckReport, Witness, _run_trials
-from .cones import VECTOR, ConeSpec, Point
+from .cones import ConeSpec, Point
 from .diffops import FunctionHandle
-from .errors import CapabilityError, CertificateError, NumericFailure, ShapeError
+from .errors import CapabilityError, CertificateError, NumericFailure, ParameterError, ShapeError
 from .numkernel import linear, rowwise
 
 CERTIFIED = "CERTIFIED_NUMERIC"
@@ -79,78 +81,68 @@ class Certificate:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _certify(handle, method, prop, points, cfg, origin, expressions) -> Certificate:
+def _certify(handle, method, prop, cfg, origin, expressions) -> Certificate:
     """A certificate on the checks' trial path: the origin sign condition
-    ``origin`` when the cone holds the origin, then ``points`` trials of
-    every expression.  The refusal is the fold's witness: the lowest
-    violating slack, re-evaluated and shrunk."""
-    rep = _run_trials(handle, prop, cfg, expressions, origin, lambda _: [(cfg, 0, points)])
-    return Certificate(method=method, property=prop, points=points, seed=cfg.seed,
+    ``origin`` when the cone holds the origin, then ``cfg.trials`` trials of
+    every expression, or 200 when ``cfg`` is None.  The refusal is the
+    fold's witness: the lowest violating slack, re-evaluated and shrunk."""
+    cfg = cfg or CheckConfig(trials=200)
+    rep = _run_trials(handle, prop, cfg, expressions, origin, lambda _: [(cfg, 0, cfg.trials)])
+    return Certificate(method=method, property=prop, points=cfg.trials, seed=cfg.seed,
                        refusal_witness=rep.witness)
 
 
-def _require_vector_domain(handle: FunctionHandle) -> None:
-    if handle.domain.point_kind != VECTOR:
-        raise CapabilityError(
-            "entrywise Hessian certification is defined for vector domains; "
-            "matrix domains use differential monotonicity instead"
-        )
-
-
 def certify_hessian_sign(
-    target, sign: str, points: int = 200, cfg: CheckConfig | None = None,
-    *, params=None, dim=None,
+    target, sign: str, cfg: CheckConfig | None = None, *, params=None, dim=None,
 ) -> Certificate:
     """All second partials share the requested sign at sampled interior
-    points, plus the origin sign condition; certifies the strong
-    subadditivity (nonpos) or superadditivity (nonneg) sufficient condition."""
-    cfg = cfg or CheckConfig()
+    points of a vector cone, plus the origin sign condition; certifies the
+    strong subadditivity (nonpos) or superadditivity (nonneg) sufficient
+    condition.  Matrix domains use differential monotonicity instead."""
     handle = resolve_handle(target, params, dim)
     if sign not in ("nonpos", "nonneg"):
-        raise CapabilityError(f"sign must be 'nonpos' or 'nonneg', got {sign!r}")
+        raise ParameterError(f"sign must be 'nonpos' or 'nonneg', got {sign!r}")
     nonneg = sign == "nonneg"
     prop = (PropertyLabel.STRONG_SUPERADD if nonneg else PropertyLabel.STRONG_SUBADD).value
-    _require_vector_domain(handle)
     entries = zip(*np.triu_indices(handle.domain.dim))
-    return _certify(handle, "HESSIAN_SIGN", prop, points, cfg,
+    return _certify(handle, "HESSIAN_SIGN", prop, cfg,
                     "origin-nonpos" if nonneg else "origin-nonneg",
                     [f"hessian-{sign}[ij={i},{j}]" for i, j in entries])
 
 
 def certify_topkis(
-    target, mode: str, points: int = 200, cfg: CheckConfig | None = None,
-    *, params=None, dim=None,
+    target, mode: str, cfg: CheckConfig | None = None, *, params=None, dim=None,
 ) -> Certificate:
-    """Cross-partial-only form: off-diagonal second partials nonpositive
-    certifies submodularity, nonnegative certifies supermodularity."""
-    cfg = cfg or CheckConfig()
+    """Cross-partial-only form on a vector cone: off-diagonal second partials
+    nonpositive certifies submodularity, nonnegative certifies
+    supermodularity."""
     handle = resolve_handle(target, params, dim)
     if mode not in ("submodular", "supermodular"):
-        raise CapabilityError(f"mode must be 'submodular' or 'supermodular', got {mode!r}")
+        raise ParameterError(f"mode must be 'submodular' or 'supermodular', got {mode!r}")
     sign = "nonneg" if mode == "supermodular" else "nonpos"
-    _require_vector_domain(handle)
-    entries = zip(*np.triu_indices(handle.domain.dim, 1))
-    return _certify(handle, "TOPKIS_CROSS", mode, points, cfg, None,
+    entries = list(zip(*np.triu_indices(handle.domain.dim, 1)))
+    if not entries:
+        # with no cross partial to sample, a certificate would rest on nothing
+        raise CapabilityError("a Topkis certificate needs a domain of dimension 2 or more")
+    return _certify(handle, "TOPKIS_CROSS", mode, cfg, None,
                     [f"hessian-{sign}[ij={i},{j}]" for i, j in entries])
 
 
 def certify_differential_monotone(
-    target, direction: str, pairs: int = 200, cfg: CheckConfig | None = None,
-    *, params=None, dim=None,
+    target, direction: str, cfg: CheckConfig | None = None, *, params=None, dim=None,
 ) -> Certificate:
     """Directional derivatives compared on ordered pairs u <= u + v along
     positive directions w, plus the origin sign condition: nonincreasing
     differentials certify strong subadditivity, nondecreasing ones strong
     superadditivity."""
-    cfg = cfg or CheckConfig()
     handle = resolve_handle(target, params, dim)
     if direction not in ("nonincreasing", "nondecreasing"):
-        raise CapabilityError(
+        raise ParameterError(
             f"direction must be 'nonincreasing' or 'nondecreasing', got {direction!r}"
         )
     increasing = direction == "nondecreasing"
     prop = (PropertyLabel.STRONG_SUPERADD if increasing else PropertyLabel.STRONG_SUBADD).value
-    return _certify(handle, "DIFFERENTIAL_MONOTONE", prop, pairs, cfg,
+    return _certify(handle, "DIFFERENTIAL_MONOTONE", prop, cfg,
                     "origin-nonpos" if increasing else "origin-nonneg",
                     [f"differential-{direction}"])
 

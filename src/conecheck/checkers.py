@@ -33,7 +33,7 @@ import json
 import numbers
 import re
 from dataclasses import dataclass, replace
-from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,46 +194,38 @@ class CheckReport:
 # ``step``, ``direction`` and ``A``) that returns ``(slack, scale)``, two
 # arrays of R values, with ``scale`` the largest absolute value the tolerance
 # is relative to.  The trials call a form on every sampled row, witness
-# re-evaluation on one row, and shrinking on every candidate of a sweep; a
-# form's row in ``_FORM_ROLES`` names the roles it reads.  The difference forms,
+# re-evaluation on one row, and shrinking on every candidate of a sweep.
+# Each expression name has one row of ``_FORMS``: its form, the sign of its
+# slack, the form's argument or the parser of its bracketed one, the roles it
+# reads, its point roles and the cone it needs.  The difference forms,
 # ``_first_diff``, ``_second_diff`` and ``_completely_monotone``, and the
 # certificates' stencil forms, ``_hessian_entry`` and ``_derivative_change``,
 # live in :mod:`.diffops`.
 # ---------------------------------------------------------------------------
 
 
-def _signed_second_diff(sign: float, handle, r):
+def _comonotone(handle, r):
+    """The second difference where ``(x, y)`` is comonotone, NaN elsewhere:
+    the hypothesis is part of the form."""
     sd, scale = _second_diff(handle, r)
-    return sign * sd, scale
-
-
-def _comonotone(sign: float, handle, r):
-    """The signed second difference where ``(x, y)`` is comonotone, NaN
-    elsewhere: the hypothesis is part of the form."""
-    sd, scale = _signed_second_diff(sign, handle, r)
     return np.where(cones.comonotonic_batch(r["x"], r["y"]), sd, np.nan), scale
 
 
-def _additivity(sign: float, handle, r):
+def _additivity(handle, r):
     vx, vy, vxy = handle.batch(r["x"]), handle.batch(r["y"]), handle.batch(r["x"] + r["y"])
-    return sign * (vx + vy - vxy), _abs_max(vx, vy, vxy)
+    return vx + vy - vxy, _abs_max(vx, vy, vxy)
 
 
-def _modular(sign: float, handle, r):
+def _modular(handle, r):
     x, y = r["x"], r["y"]
     vx, vy = handle.batch(x), handle.batch(y)
     vhi, vlo = handle.batch(np.maximum(x, y)), handle.batch(np.minimum(x, y))
-    return sign * ((vx + vy) - (vhi + vlo)), _abs_max(vx, vy, vhi, vlo)
+    return (vx + vy) - (vhi + vlo), _abs_max(vx, vy, vhi, vlo)
 
 
-def _origin(sign: float, handle, r):
+def _origin(handle, r):
     v = handle.batch(r["zero"])
-    return sign * v, np.abs(v)
-
-
-def _increment(sign: float, handle, r):
-    d, scale = _first_diff(handle, r)
-    return sign * d, scale
+    return v, np.abs(v)
 
 
 def _alpha_strong(alpha: float, handle, r):
@@ -248,17 +240,7 @@ def _lipschitz_box(lip: float, handle, r):
     return prod - np.abs(sd), _abs_max(sd, prod)
 
 
-# the log of (1+z)(1+x+y+z) / ((1+x+z)(1+y+z)) is the second difference of log1p
-_LOG1P = FunctionHandle("log1p", cones.nonneg_orthant(1), lambda rows: np.log1p(rows[:, 0]))
-
-
-def _double_bound(upper: bool, handle, r):
-    d, _ = _second_diff(_LOG1P, r)
-    prod = r["x"][:, 0] * r["y"][:, 0]
-    return (prod - d) if upper else (prod + d), _abs_max(prod, d)
-
-
-def _symmetrized(sign: float, handle, r):
+def _symmetrized(handle, r):
     """The symmetrized three-point combination ``(f(x) + f(y) + f(z)) / 3 +
     f(x+y+z) - 2/3 (f(x+y) + f(y+z) + f(x+z))``."""
     x, y, z = r["x"], r["y"], r["z"]
@@ -266,7 +248,7 @@ def _symmetrized(sign: float, handle, r):
     fxy, fyz, fxz = handle.batch(x + y), handle.batch(y + z), handle.batch(x + z)
     vals = (fx, fy, fz, fxyz, fxy, fyz, fxz)
     slack = (fx + fy + fz) / 3.0 + fxyz - (2.0 / 3.0) * (fxy + fyz + fxz)
-    return sign * slack, _abs_max(*vals)
+    return slack, _abs_max(*vals)
 
 
 def _gaussian_representation(tol: float, handle, r):
@@ -283,53 +265,55 @@ def _entry(arg: str) -> tuple:
     return tuple(int(v) for v in arg.split(","))
 
 
-# expression name -> (form, the argument bound to it)
+# the cones a row may need: a vector cone has coordinatewise order, minimum
+# and maximum; a one-dimensional one has scalar products of its points
+_VECTOR_CONE, _SCALAR_CONE = "a vector cone", "a one-dimensional vector cone"
+
+
+class _Row(NamedTuple):
+    """One inequality.  ``form(handle, r)``, or ``form(arg, handle, r)`` when
+    the row binds ``arg`` or parses it from the expression's brackets with
+    ``parse``, gives the slack, which is negated when ``sign`` is -1.
+    ``reads`` are the ``_ROLES`` keys it reads (a function of the argument for
+    the completely-monotone form); ``points`` the roles it evaluates the
+    handle at by themselves, not only as a step added to another point: a
+    skipped trial whose non-finite value may come from the cone's apex is one
+    with such a role there.  ``cone`` is the cone it needs, any when None."""
+
+    form: object
+    reads: object
+    points: tuple
+    sign: float = 1.0
+    arg: object = None
+    parse: object = None
+    cone: str | None = None
+
+
+_XY, _XYZ, _STEP = ("x", "y"), ("x", "y", "z"), ("U", "step")
+# expression name -> its row
 _FORMS = {
-    "subadd": (_additivity, 1.0),
-    "superadd": (_additivity, -1.0),
-    "second-diff-nonpos": (_signed_second_diff, -1.0),
-    "second-diff-nonneg": (_signed_second_diff, 1.0),
-    "comonotone-strong-superadd": (_comonotone, 1.0),
-    "submodular": (_modular, 1.0),
-    "supermodular": (_modular, -1.0),
-    "origin-nonneg": (_origin, 1.0),
-    "origin-nonpos": (_origin, -1.0),
-    "nondecreasing": (_increment, 1.0),
-    "symmetrized-nonneg": (_symmetrized, 1.0),
-    "symmetrized-nonpos": (_symmetrized, -1.0),
-    "double-bound-upper": (_double_bound, True),
-    "double-bound-lower": (_double_bound, False),
-    "differential-nondecreasing": (_derivative_change, 1.0),
-    "differential-nonincreasing": (_derivative_change, -1.0),
-    "gaussian-det-representation": (_gaussian_representation, 1e-3),
-}
-# expression name -> (form, the parser of its bracketed argument)
-_PARAMETRIZED_FORMS = {
-    "completely-monotone": (_completely_monotone, int),
-    "alpha-strong": (_alpha_strong, float),
-    "lipschitz-box": (_lipschitz_box, float),
-    "hessian-nonpos": (partial(_hessian_entry, -1.0), _entry),
-    "hessian-nonneg": (partial(_hessian_entry, 1.0), _entry),
-}
-# form -> the roles it reads, as keys of ``_ROLES`` (a function of the order
-# for the completely-monotone form), and those it evaluates the handle at by
-# themselves, not only as a step added to another point: a skipped trial whose
-# non-finite value may come from the cone's apex is one with such a role there
-_FORM_ROLES = {
-    _additivity: (("x", "y"), ("x", "y")),
-    _modular: (("x", "y"), ("x", "y")),
-    _signed_second_diff: (("x", "y", "z"), ("z",)),
-    _comonotone: ((("x", "y"), "z"), ("z",)),
-    _origin: (("zero",), ("zero",)),
-    _increment: (("U", "step"), ("U",)),
-    _alpha_strong: (("x", "y", "z"), ("z",)),
-    _lipschitz_box: (("x", "y", "z"), ("z",)),
-    _double_bound: (("x", "y", "z"), ()),
-    _symmetrized: (("x", "y", "z"), ("x", "y", "z")),
-    _completely_monotone: (lambda k: ("base",) + tuple(f"x{i + 1}" for i in range(k)), ("base",)),
-    _hessian_entry: (("p",), ()),
-    _derivative_change: (("U", "step", "direction"), ()),
-    _gaussian_representation: (("A",), ()),
+    "subadd": _Row(_additivity, _XY, _XY),
+    "superadd": _Row(_additivity, _XY, _XY, sign=-1.0),
+    "second-diff-nonpos": _Row(_second_diff, _XYZ, ("z",), sign=-1.0),
+    "second-diff-nonneg": _Row(_second_diff, _XYZ, ("z",)),
+    "comonotone-strong-superadd": _Row(_comonotone, (_XY, "z"), ("z",), cone=_VECTOR_CONE),
+    "submodular": _Row(_modular, _XY, _XY, cone=_VECTOR_CONE),
+    "supermodular": _Row(_modular, _XY, _XY, sign=-1.0, cone=_VECTOR_CONE),
+    "origin-nonneg": _Row(_origin, ("zero",), ("zero",)),
+    "origin-nonpos": _Row(_origin, ("zero",), ("zero",), sign=-1.0),
+    "nondecreasing": _Row(_first_diff, _STEP, ("U",)),
+    "symmetrized-nonneg": _Row(_symmetrized, _XYZ, _XYZ),
+    "symmetrized-nonpos": _Row(_symmetrized, _XYZ, _XYZ, sign=-1.0),
+    "differential-nondecreasing": _Row(_derivative_change, _STEP + ("direction",), ()),
+    "differential-nonincreasing": _Row(_derivative_change, _STEP + ("direction",), (), sign=-1.0),
+    "gaussian-det-representation": _Row(_gaussian_representation, ("A",), (), arg=1e-3),
+    "completely-monotone": _Row(
+        _completely_monotone, lambda k: ("base",) + tuple(f"x{i + 1}" for i in range(k)),
+        ("base",), parse=int),
+    "alpha-strong": _Row(_alpha_strong, _XYZ, ("z",), parse=float, cone=_SCALAR_CONE),
+    "lipschitz-box": _Row(_lipschitz_box, _XYZ, ("z",), parse=float, cone=_SCALAR_CONE),
+    "hessian-nonpos": _Row(_hessian_entry, ("p",), (), sign=-1.0, parse=_entry, cone=_VECTOR_CONE),
+    "hessian-nonneg": _Row(_hessian_entry, ("p",), (), parse=_entry, cone=_VECTOR_CONE),
 }
 # property label -> its origin sign condition (checked when the cone holds the
 # origin), then its components' expressions; a completely-monotone check has
@@ -349,30 +333,45 @@ _LABELS = {
 _EXPR_PARAM = re.compile(r"^(?P<name>[a-z0-9-]+)(\[(?P<arg>[^\]=]*=[^\]]*)\])?$")
 
 
-def _form(expression: str):
+class _Form(NamedTuple):
+    """A parsed expression: its row, with the argument bound."""
+
+    expression: str
+    row: _Row
+    arg: object
+
+    def __call__(self, handle, r):
+        row = self.row
+        slack, scale = row.form(handle, r) if self.arg is None else row.form(self.arg, handle, r)
+        return (-slack if row.sign < 0 else slack), scale
+
+    @property
+    def keys(self) -> tuple:
+        """The ``_ROLES`` keys it reads."""
+        reads = self.row.reads
+        return reads(self.arg) if callable(reads) else reads
+
+    @property
+    def names(self) -> tuple:
+        """The roles it reads: a pair key names both its roles."""
+        return tuple(n for key in self.keys for n in (key if isinstance(key, tuple) else (key,)))
+
+
+def _form(expression: str) -> _Form:
     """The form of a witness expression, with its parameters bound."""
     m = _EXPR_PARAM.match(expression)
     if not m:
         raise ParameterError(f"malformed expression {expression!r}")
-    name, arg = m.group("name"), m.group("arg")
-    if arg is None and name in _FORMS:
-        fn, param = _FORMS[name]
-        return partial(fn, param)
-    if arg is not None and name in _PARAMETRIZED_FORMS:
-        fn, parse = _PARAMETRIZED_FORMS[name]
-        return partial(fn, parse(arg.split("=")[1]))
-    raise ParameterError(f"unknown expression {expression!r}")
-
-
-def _roles_of(form) -> tuple:
-    """The ``_ROLES`` keys a bound form reads, and its point roles."""
-    reads, points = _FORM_ROLES[form.func]
-    return (reads(*form.args) if callable(reads) else reads), points
-
-
-def _names(keys) -> tuple:
-    """The role names of ``_ROLES`` keys: a pair key names both its roles."""
-    return tuple(n for key in keys for n in (key if isinstance(key, tuple) else (key,)))
+    row, arg = _FORMS.get(m.group("name")), m.group("arg")
+    if row is None or (arg is None) != (row.parse is None):
+        raise ParameterError(f"unknown expression {expression!r}")
+    if arg is None:
+        return _Form(expression, row, row.arg)
+    try:
+        value = row.parse(arg.split("=")[1])
+    except ValueError:
+        raise ParameterError(f"malformed argument in the expression {expression!r}") from None
+    return _Form(expression, row, value)
 
 
 def evaluate_expression(handle: FunctionHandle, expression: str, points: dict):
@@ -542,28 +541,26 @@ _ROLES = {
 
 @dataclass
 class _Component:
-    expression: str
+    form: _Form
     slack: np.ndarray  # (T,)
     scale: np.ndarray  # (T,)
     roles: dict  # role name -> (T, ...) point data
 
 
-def _components(handle, expressions, roles: dict) -> list[_Component]:
-    """Each expression's form on the role arrays, with the roles it reads.
-    The completely-monotone orders share one pass over their subset points,
+def _components(handle, forms: list[_Form], roles: dict) -> list[_Component]:
+    """Each form on the role arrays, with the roles it reads.  The
+    completely-monotone orders share one pass over their subset points,
     which gives each order the bits of its own form."""
-    forms = [_form(e) for e in expressions]
-    orders = [f.args[0] for f in forms if f.func is _completely_monotone]
+    orders = [f.arg for f in forms if f.row.form is _completely_monotone]
     if orders:
         cm = _completely_monotone_orders(max(orders), handle, roles)
     comps = []
-    for expression, form in zip(expressions, forms):
-        if form.func is _completely_monotone:
-            slack, scale = cm[0][form.args[0]], cm[1][form.args[0]]
+    for form in forms:
+        if form.row.form is _completely_monotone:
+            slack, scale = cm[0][form.arg], cm[1][form.arg]
         else:
             slack, scale = form(handle, roles)
-        reads = _names(_roles_of(form)[0])
-        comps.append(_Component(expression, slack, scale, {n: roles[n] for n in reads}))
+        comps.append(_Component(form, slack, scale, {n: roles[n] for n in form.names}))
     return comps
 
 
@@ -576,7 +573,7 @@ def _at_undefined_apex(handle: FunctionHandle, comps: list[_Component]) -> np.nd
     if np.isfinite(handle.batch(handle.domain.zero().data[None]))[0]:
         return at
     for c in comps:
-        for role in _roles_of(_form(c.expression))[1]:
+        for role in c.form.row.points:
             arr = c.roles[role]
             at |= ~rowwise(np.logical_or, arr.reshape(arr.shape[0], -1))
     return at
@@ -604,7 +601,7 @@ def _fold_block(comps: list[_Component], cfg: CheckConfig, handle: FunctionHandl
             if best is None or sl[idx] < best[0]:
                 pts = {role: Point(cone.point_kind, arr[idx], _validated=True)
                        for role, arr in c.roles.items()}
-                best = (float(sl[idx]), c.expression, pts, scale)
+                best = (float(sl[idx]), c.form.expression, pts, scale)
     return finite.size, skipped, at_apex, worst, best
 
 
@@ -662,23 +659,32 @@ def _run_trials(handle: FunctionHandle, prop: str, cfg: CheckConfig, expressions
     """The one trial path of every sampled check, certificate and quadrature
     check, folded by :func:`_reduce_trials`.
 
-    When the cone holds the origin, the sign condition ``origin`` comes
-    first as a one-row block at ``cfg.scale``.  ``rungs(t)`` then splits the
-    ``t`` trials left of ``cfg.trials`` into ``(config, stream base, count)``
-    rungs, one rung ``(cfg, 0, t)`` by default.  Each rung is cut into
+    Each expression is parsed once, and one whose row needs a kind of cone
+    that the handle's domain is not raises :class:`CapabilityError` before
+    anything is drawn.  When the cone holds the origin, the sign condition
+    ``origin`` comes first as a one-row block at ``cfg.scale``.
+    ``rungs(t)`` then splits the ``t`` trials left of ``cfg.trials`` into
+    ``(config, stream base, count)`` rungs, one rung ``(cfg, 0, t)`` by
+    default.  Each rung is cut into
     blocks of at most ``_BLOCK`` trials: block ``b`` draws each role that
     the expressions read once, from ``Rng(seed, stream base + its stream,
     b)`` as :data:`_ROLES` says, at the rung's config, and evaluates every
     expression on them.
     """
     cone = handle.domain
-    origin = origin if cone.contains_origin else None
-    keys = dict.fromkeys(k for e in expressions for k in _roles_of(_form(e))[0])
+    origin = [_form(origin)] if origin and cone.contains_origin else []
+    forms = [_form(e) for e in expressions]
+    for form in origin + forms:
+        need = form.row.cone
+        if need and (cone.point_kind != VECTOR or (need == _SCALAR_CONE and cone.dim != 1)):
+            raise CapabilityError(
+                f"{form.expression!r} needs {need}, not {cone.family}({cone.dim})")
+    keys = dict.fromkeys(k for f in forms for k in f.keys)
     rungs = rungs or (lambda t: [(cfg, 0, t)])
 
     def blocks():
         if origin:
-            yield cfg.scale, _components(handle, [origin], {"zero": cone.zero().data[None]})
+            yield cfg.scale, _components(handle, origin, {"zero": cone.zero().data[None]})
         for sub, base, count in rungs(cfg.trials - bool(origin)) if expressions else ():
             for b, start in enumerate(range(0, count, _BLOCK)):
                 n, roles = min(_BLOCK, count - start), {}
@@ -686,7 +692,7 @@ def _run_trials(handle: FunctionHandle, prop: str, cfg: CheckConfig, expressions
                     stream, draw = _ROLES[key]
                     drawn = draw(cone, sub, Rng(sub.seed, base + stream, b), n)
                     roles.update(zip(key, drawn) if isinstance(key, tuple) else [(key, drawn)])
-                yield sub.scale, _components(handle, expressions, roles)
+                yield sub.scale, _components(handle, forms, roles)
 
     return _reduce_trials(handle, prop, blocks(), cfg)
 
@@ -700,14 +706,12 @@ def _check_label(target, property, cfg: CheckConfig, params, dim, rungs=None) ->
     """The property label's components on the trial path of :func:`check`
     and :func:`refute`."""
     handle = resolve_handle(target, params, dim)
-    prop = PropertyLabel(property)
-    cone = handle.domain
-    if prop in (PropertyLabel.SUBMODULAR, PropertyLabel.SUPERMODULAR) and not cone.supports_lattice:
-        raise CapabilityError(
-            f"{cone.family!r} has no lattice operations; submodularity checks need them"
-        )
-    if prop == PropertyLabel.COMONOTONE_STRONG_SUPERADD and cone.point_kind != VECTOR:
-        raise CapabilityError("comonotone checks need a vector-kind cone")
+    try:
+        prop = PropertyLabel(property)
+    except ValueError:
+        raise ParameterError(
+            f"unknown property {property!r}; the labels are "
+            + ", ".join(label.value for label in PropertyLabel)) from None
     origin, *expressions = _LABELS[prop.value]
     if prop == PropertyLabel.COMPLETELY_MONOTONE:
         expressions = [f"completely-monotone[k={j}]" for j in range(cfg.order_cap + 1)]
@@ -750,38 +754,32 @@ def refute(
     return replace(_check_label(target, property, cfg, params, dim, rungs), mode="refute")
 
 
-def _require_scalar_domain(handle: FunctionHandle):
-    if handle.domain.point_kind != VECTOR or handle.domain.dim != 1:
-        raise CapabilityError("this check needs a scalar (one-dimensional) domain")
-
-
 def check_alpha_strong(target, alpha: float, cfg: CheckConfig | None = None) -> CheckReport:
-    """Second differences of an alpha-strongly convex rule dominate
-    ``alpha * x * y``."""
+    """Second differences of an alpha-strongly convex rule on a
+    one-dimensional vector cone dominate ``alpha * x * y``."""
     if not alpha > 0:
         raise ParameterError("alpha must be positive")
-    handle = resolve_handle(target)
-    _require_scalar_domain(handle)
     expression = f"alpha-strong[alpha={alpha!r}]"
-    return _run_trials(handle, expression, cfg or CheckConfig(), [expression])
+    return _run_trials(resolve_handle(target), expression, cfg or CheckConfig(), [expression])
 
 
 def check_lipschitz_box(target, lip: float, cfg: CheckConfig | None = None) -> CheckReport:
-    """|second difference| is boxed by ``L * x * y`` when the derivative is
-    L-Lipschitz."""
+    """|second difference| is boxed by ``L * x * y`` when the derivative of a
+    rule on a one-dimensional vector cone is L-Lipschitz."""
     if not lip > 0:
         raise ParameterError("L must be positive")
-    handle = resolve_handle(target)
-    _require_scalar_domain(handle)
     expression = f"lipschitz-box[L={lip!r}]"
-    return _run_trials(handle, expression, cfg or CheckConfig(), [expression])
+    return _run_trials(resolve_handle(target), expression, cfg or CheckConfig(), [expression])
 
 
 def check_remark_double_inequality(cfg: CheckConfig | None = None) -> CheckReport:
     """``exp(xy) >= (1+z)(1+x+y+z) / ((1+x+z)(1+y+z)) >= exp(-xy)`` on
     nonnegative triples, tested in the log domain."""
-    return _run_trials(_LOG1P, "exp-poly-double-bound", cfg or CheckConfig(),
-                       ["double-bound-upper", "double-bound-lower"])
+    # the log of the middle term is the second difference of log1p, so the
+    # two bounds are |second difference| <= 1 * xy: the Lipschitz box at
+    # L = 1, as log1p' = 1 / (1 + t) is 1-Lipschitz on t >= 0
+    return _run_trials(resolve_handle("log1p"), "exp-poly-double-bound", cfg or CheckConfig(),
+                       ["lipschitz-box[L=1.0]"])
 
 
 def _one_trial(prop: str, vectors: dict, margin: float, s: float, cfg: CheckConfig) -> CheckReport:

@@ -119,8 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> CheckConfig:
-    kwargs = {}
+def _config_from_args(args, **defaults) -> CheckConfig:
+    kwargs = defaults
     if getattr(args, "trials", None) is not None:
         kwargs["trials"] = args.trials
     if getattr(args, "seed", None) is not None:
@@ -181,15 +181,14 @@ def _cmd_check(args, refuting: bool) -> int:
 
 def _cmd_certify(args) -> int:
     lookup(args.entry)
-    cfg = _config_from_args(args)
+    # --trials counts the sampled points, 200 when unset
+    cfg = _config_from_args(args, trials=200)
     params = _collect_params(args)
     certify, flag, choices = _CERTIFY_METHODS[args.method]
     value = getattr(args, flag)
     if not value:
         raise ParameterError(f"--method {args.method} needs --{flag} {'|'.join(choices)}")
-    # --trials counts the sampled points, 200 when unset
-    points = 200 if args.trials is None else args.trials
-    cert = certify(args.entry, value, points, cfg, params=params, dim=args.dim)
+    cert = certify(args.entry, value, cfg, params=params, dim=args.dim)
     _output(cert, args)
     return EXIT_OK if cert.certified else EXIT_VIOLATION
 

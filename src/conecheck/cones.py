@@ -137,11 +137,6 @@ class ConeSpec:
     def contains_origin(self) -> bool:
         return self.family != POSITIVE_ORTHANT
 
-    @property
-    def supports_lattice(self) -> bool:
-        """Vector cones are closed under coordinatewise min and max."""
-        return self.point_kind == VECTOR
-
     def zero(self) -> Point:
         return Point.zero(self.point_kind, self.dim)
 

@@ -108,13 +108,15 @@ def _second_diff(handle, r):
 # their scale is 1e6 times the larger of 1 and the largest derivative they
 # compare: the checks' threshold ``1e-9 + 1e-12 s`` is then 1e-6 of it.  A
 # stencil that leaves the cone gives NaN, so a shrunk witness keeps it inside.
+# Each returns the stencil value itself; the checkers' row of a nonpositive or
+# nonincreasing condition negates it.
 
 
-def _hessian_entry(sign: float, ij: tuple, handle, r):
-    """``sign`` times entry ``(i, j)`` of the central-difference Hessian at
-    ``p``: the second difference at ``z = p - h e_i - h e_j`` with steps
-    ``2h e_i`` and ``2h e_j``, divided by ``4h^2``, where ``h = 1e-4
-    max(1, |p|_inf)``.  On a vector cone ``z`` is the lowest stencil point."""
+def _hessian_entry(ij: tuple, handle, r):
+    """Entry ``(i, j)`` of the central-difference Hessian at ``p``: the
+    second difference at ``z = p - h e_i - h e_j`` with steps ``2h e_i`` and
+    ``2h e_j``, divided by ``4h^2``, where ``h = 1e-4 max(1, |p|_inf)``.  On
+    a vector cone ``z`` is the lowest stencil point."""
     p = r["p"]
     h = 1e-4 * np.maximum(1.0, rowwise(np.maximum, np.abs(p)))
     step_i, step_j = np.zeros_like(p), np.zeros_like(p)
@@ -124,7 +126,7 @@ def _hessian_entry(sign: float, ij: tuple, handle, r):
     sd, _ = _second_diff(handle, {"x": 2.0 * step_i, "y": 2.0 * step_j, "z": z})
     entry = sd / (4.0 * h * h)
     inside = member_batch(handle.domain, z)
-    return np.where(inside, sign * entry, np.nan), 1e6 * np.maximum(1.0, np.abs(entry))
+    return np.where(inside, entry, np.nan), 1e6 * np.maximum(1.0, np.abs(entry))
 
 
 def _derivative(handle, p, w):
@@ -139,12 +141,12 @@ def _derivative(handle, p, w):
     return np.where(member_batch(handle.domain, p - step), d / (2.0 * h), np.nan)
 
 
-def _derivative_change(sign: float, handle, r):
-    """``sign`` times ``D f(U + step) - D f(U)``, the change of the
-    :func:`_derivative` along ``direction``."""
+def _derivative_change(handle, r):
+    """``D f(U + step) - D f(U)``, the change of the :func:`_derivative`
+    along ``direction``."""
     d_u = _derivative(handle, r["U"], r["direction"])
     d_v = _derivative(handle, r["U"] + r["step"], r["direction"])
-    return sign * (d_v - d_u), 1e6 * np.maximum(1.0, _abs_max(d_u, d_v))
+    return d_v - d_u, 1e6 * np.maximum(1.0, _abs_max(d_u, d_v))
 
 
 def _completely_monotone_orders(k: int, handle, r):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, cones
-from .catalog import instantiate
+from .catalog import PropertyLabel, SourceStatus, builtin_entries, instantiate
 from .certify import (
     Certificate,
     certify_differential_monotone,
@@ -43,25 +43,6 @@ from .checkers import (
 from .cones import Point, Rng
 from .diffops import _second_diff, second_diff
 from .numkernel import power_fn, rowwise
-
-SCALAR_STRONG_SUBADD = (
-    "affine-power",
-    "one-minus-sqrt1p",
-    "neg-xlogx-shift",
-    "log1p",
-    "neg-log-cosh",
-    "e-minus-1px-pow",
-    "one-minus-exp-neg",
-    "sigmoid",
-)
-SCALAR_STRONG_SUPERADD = (
-    "half-sq-plus-log1p",
-    "half-sq-minus-log1p",
-    "half-sq-plus-sin",
-    "half-sq-minus-sin",
-    "half-sq-minus-cos",
-    "x-gamma-minus-1",
-)
 
 GEOMEAN_SECOND_DIFF = 0.0117587268
 LSE_WITNESS_VALUE_FLOOR = 0.379
@@ -174,9 +155,11 @@ def criterion_4(seed: int) -> CriterionResult:
     scale ladder; the reciprocal control passes subadd and fails the strong
     form with a witness."""
     checks = []
-    for eid, prop in [(e, "strong-subadd") for e in SCALAR_STRONG_SUBADD] + [
-        (e, "strong-superadd") for e in SCALAR_STRONG_SUPERADD
-    ]:
+    claims = [(e.id, label.value)
+              for label in (PropertyLabel.STRONG_SUBADD, PropertyLabel.STRONG_SUPERADD)
+              for e in builtin_entries()
+              if e.default_dim == 1 and e.labels.get(label) == SourceStatus.ASSERTED]
+    for eid, prop in claims:
         worst = math.inf
         violated = None
         for scale in SCALE_LADDER:
@@ -274,20 +257,20 @@ def criterion_7(seed: int) -> CriterionResult:
 
 def criterion_8(seed: int) -> CriterionResult:
     """Certificates plus certificate/checker coherence."""
-    cfg = CheckConfig(seed=seed)
+    cfg = CheckConfig(trials=200, seed=seed)
     checks = [
         _from_cert("shannon-entropy certified by Hessian sign",
-                   certify_hessian_sign("shannon-entropy", "nonpos", 200, cfg)),
+                   certify_hessian_sign("shannon-entropy", "nonpos", cfg)),
         _from_cert("sq-norm certified by Hessian sign",
-                   certify_hessian_sign("sq-norm", "nonneg", 200, cfg)),
+                   certify_hessian_sign("sq-norm", "nonneg", cfg)),
         _from_cert("lse refused for Hessian sign",
-                   certify_hessian_sign("lse", "nonpos", 200, cfg), want="REFUSED"),
+                   certify_hessian_sign("lse", "nonpos", cfg), want="REFUSED"),
         _from_cert("lse certified Topkis-submodular",
-                   certify_topkis("lse", "submodular", 200, cfg)),
+                   certify_topkis("lse", "submodular", cfg)),
         _from_cert("lp-power-norm certified by differential monotonicity",
-                   certify_differential_monotone("lp-power-norm", "nondecreasing", 200, cfg)),
+                   certify_differential_monotone("lp-power-norm", "nondecreasing", cfg)),
         _from_cert("det certified by differential monotonicity",
-                   certify_differential_monotone("det", "nondecreasing", 200, cfg, dim=3)),
+                   certify_differential_monotone("det", "nondecreasing", cfg, dim=3)),
     ]
     coherence = [
         ("shannon-entropy", "strong-subadd", {}),

@@ -35,6 +35,7 @@ from conecheck.errors import (
     CertificateError,
     DomainError,
     NumericFailure,
+    ParameterError,
     ShapeError,
 )
 
@@ -51,9 +52,9 @@ def _entry(witness):
 
 
 def test_hessian_sign_certificates():
-    assert certify_hessian_sign("shannon-entropy", "nonpos", 200, _cfg()).certified
-    assert certify_hessian_sign("sq-norm", "nonneg", 200, _cfg()).certified
-    cert = certify_hessian_sign("lse", "nonpos", 200, _cfg())
+    assert certify_hessian_sign("shannon-entropy", "nonpos", _cfg(trials=200)).certified
+    assert certify_hessian_sign("sq-norm", "nonneg", _cfg(trials=200)).certified
+    cert = certify_hessian_sign("lse", "nonpos", _cfg(trials=200))
     assert cert.verdict == REFUSED
     i, j = _entry(cert.refusal_witness)
     assert i == j  # softmax weights make every diagonal entry positive
@@ -62,26 +63,65 @@ def test_hessian_sign_certificates():
 
 def test_hessian_sign_rejects_matrix_domain():
     with pytest.raises(CapabilityError):
-        certify_hessian_sign("det", "nonneg", 50, _cfg(), dim=2)
+        certify_hessian_sign("det", "nonneg", _cfg(trials=50), dim=2)
+
+
+@pytest.mark.parametrize("certify_fn,arg", [
+    (certify_hessian_sign, "nonpositive"),
+    (certify_topkis, "modular"),
+    (certify_differential_monotone, "increasing"),
+])
+def test_an_unknown_sign_mode_or_direction_is_a_parameter_error(certify_fn, arg):
+    with pytest.raises(ParameterError, match=repr(arg)):
+        certify_fn("sq-norm", arg, _cfg(trials=10))
+
+
+@pytest.mark.parametrize("cfg,points", [(None, 200), (CheckConfig(trials=7), 7),
+                                        (CheckConfig(trials=20000, seed=3), 20000)])
+def test_a_certificate_samples_cfg_trials_points(monkeypatch, cfg, points):
+    """A certificate draws ``cfg.trials`` points for its role ``p``, 200
+    without a config, and reports that count; the origin block draws none."""
+    drawn, sample_batch = [], cones.sample_batch
+
+    def counted(cone, rng, count, *args):
+        drawn.append(count)
+        return sample_batch(cone, rng, count, *args)
+
+    monkeypatch.setattr(cones, "sample_batch", counted)
+    for certify_fn, arg in ((certify_hessian_sign, "nonneg"), (certify_topkis, "supermodular")):
+        drawn.clear()
+        cert = certify_fn("sq-norm", arg, cfg)
+        assert cert.certified and sum(drawn) == cert.points == points
+    for trials in (0, -5, 2.5):
+        with pytest.raises(ParameterError):
+            certify_topkis("sq-norm", "supermodular", CheckConfig(trials=trials))
+
+
+@pytest.mark.parametrize("target,dim", [("log1p", None), ("det", 1)])
+def test_topkis_needs_a_cross_partial(target, dim):
+    """A one-dimensional domain has no cross partial, so there is nothing to
+    certify on."""
+    with pytest.raises(CapabilityError, match="dimension 2 or more"):
+        certify_topkis(target, "submodular", dim=dim)
 
 
 def test_topkis_certificates():
-    assert certify_topkis("lse", "submodular", 200, _cfg()).certified
-    assert certify_topkis("sq-norm", "supermodular", 200, _cfg()).certified
+    assert certify_topkis("lse", "submodular", _cfg(trials=200)).certified
+    assert certify_topkis("sq-norm", "supermodular", _cfg(trials=200)).certified
     prod = FunctionHandle("coordinate-product", nonneg_orthant(2),
                           lambda rows: rows[:, 0] * rows[:, 1])
-    cert = certify_topkis(prod, "submodular", 100, _cfg())
+    cert = certify_topkis(prod, "submodular", _cfg(trials=100))
     assert cert.verdict == REFUSED
     assert _entry(cert.refusal_witness) == (0, 1)
 
 
 def test_differential_monotone_certificates():
     cert = certify_differential_monotone(
-        "lp-power-norm", "nondecreasing", 200, _cfg(), params={"p": 2.0, "h": 0.125}, dim=8
+        "lp-power-norm", "nondecreasing", _cfg(trials=200), params={"p": 2.0, "h": 0.125}, dim=8
     )
     assert cert.certified
-    assert certify_differential_monotone("det", "nondecreasing", 200, _cfg(), dim=3).certified
-    cert = certify_differential_monotone("geomean2", "nonincreasing", 200, _cfg())
+    assert certify_differential_monotone("det", "nondecreasing", _cfg(trials=200), dim=3).certified
+    cert = certify_differential_monotone("geomean2", "nonincreasing", _cfg(trials=200))
     assert cert.verdict == REFUSED
     # the refusal is a genuine ordered pair with a rising directional derivative
     rw = cert.refusal_witness
@@ -91,12 +131,12 @@ def test_differential_monotone_certificates():
 
 def test_certificate_checker_coherence():
     cases = [
-        (certify_hessian_sign("shannon-entropy", "nonpos", 100, _cfg()),
+        (certify_hessian_sign("shannon-entropy", "nonpos", _cfg(trials=100)),
          ("shannon-entropy", "strong-subadd", {})),
-        (certify_hessian_sign("sq-norm", "nonneg", 100, _cfg()),
+        (certify_hessian_sign("sq-norm", "nonneg", _cfg(trials=100)),
          ("sq-norm", "strong-superadd", {})),
-        (certify_topkis("lse", "submodular", 100, _cfg()), ("lse", "submodular", {})),
-        (certify_differential_monotone("det", "nondecreasing", 100, _cfg(), dim=3),
+        (certify_topkis("lse", "submodular", _cfg(trials=100)), ("lse", "submodular", {})),
+        (certify_differential_monotone("det", "nondecreasing", _cfg(trials=100), dim=3),
          ("det", "strong-superadd", {"dim": 3})),
     ]
     for cert, (eid, prop, kw) in cases:
@@ -108,8 +148,8 @@ def test_certificate_checker_coherence():
 def test_hessian_nonpos_implies_topkis_submodular():
     """Off-diagonal sign checks are a subset of the full sign check."""
     for eid in ("shannon-entropy", "sq-norm"):
-        full = certify_hessian_sign(eid, "nonpos", 100, _cfg())
-        cross = certify_topkis(eid, "submodular", 100, _cfg())
+        full = certify_hessian_sign(eid, "nonpos", _cfg(trials=100))
+        cross = certify_topkis(eid, "submodular", _cfg(trials=100))
         if full.certified:
             assert cross.certified
 
@@ -354,7 +394,7 @@ def test_det_trace_inverse_monotone():
 
 
 def test_certificate_json_shape():
-    cert = certify_hessian_sign("sq-norm", "nonneg", 50, _cfg())
+    cert = certify_hessian_sign("sq-norm", "nonneg", _cfg(trials=50))
     obj = cert.to_json()
     assert set(obj) == {"method", "property", "verdict", "points", "seed", "refusal_witness"}
     assert obj["method"] == "HESSIAN_SIGN"
@@ -363,9 +403,9 @@ def test_certificate_json_shape():
 
 def test_certificate_verdict_is_derived_from_the_refusal_witness():
     certs = [
-        certify_hessian_sign("shannon-entropy", "nonpos", 200, _cfg()),
-        certify_hessian_sign("half-sq-plus-cos", "nonneg", 200, _cfg()),
-        certify_differential_monotone("geomean2", "nonincreasing", 200, _cfg()),
+        certify_hessian_sign("shannon-entropy", "nonpos", _cfg(trials=200)),
+        certify_hessian_sign("half-sq-plus-cos", "nonneg", _cfg(trials=200)),
+        certify_differential_monotone("geomean2", "nonincreasing", _cfg(trials=200)),
     ]
     assert [c.certified for c in certs] == [True, False, False]
     # half-sq-plus-cos is 1 at the origin, the wrong sign for superadditivity
@@ -400,14 +440,14 @@ def _plain_scan(handle, expressions, pts, cfg):
 def test_hessian_sign_scan_matches_the_plain_scan(entry_id, method, mode, index):
     """The refusal names the entry of the lowest violating slack among the
     sampled points, and shrinking only lowers it."""
-    cfg = _cfg()
+    cfg = _cfg(trials=200)
     handle = conecheck.instantiate(entry_id)
     n = handle.domain.dim
     if method == "hessian":
-        cert = certify_hessian_sign(entry_id, mode, 200, cfg)
+        cert = certify_hessian_sign(entry_id, mode, cfg)
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
     else:
-        cert = certify_topkis(entry_id, mode, 200, cfg)
+        cert = certify_topkis(entry_id, mode, cfg)
         mode = "nonneg" if mode == "supermodular" else "nonpos"
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     pts = checkers._interior_batch(handle.domain, cfg, Rng(0, checkers._ROLES["p"][0]), 200)
@@ -484,8 +524,8 @@ _PRODUCT = FunctionHandle("coordinate-product", nonneg_orthant(2),
 def test_certificate_refusals_are_real_witnesses(certify_fn, target, arg, expression):
     """Every refusal is a checks' witness: its points are cone members, it
     violates at its own scale, and it re-evaluates to its margin exactly."""
-    cfg = _cfg()
-    cert = certify_fn(target, arg, 200, cfg)
+    cfg = _cfg(trials=200)
+    cert = certify_fn(target, arg, cfg)
     handle = resolve_handle(target)
     w = cert.refusal_witness
     assert isinstance(w, Witness) and re.fullmatch(expression, w.expression)
@@ -527,7 +567,7 @@ def test_certificate_memory_does_not_grow_with_the_points():
             tracemalloc.stop()
 
     runs = {
-        "lse hessian nonneg": lambda n: certify_hessian_sign("lse", "nonneg", n, _cfg(), dim=6),
+        "lse hessian nonneg": lambda n: certify_hessian_sign("lse", "nonneg", _cfg(trials=n), dim=6),
         "gaussian order 2": lambda n: gaussian_detcert_check(2, _cfg(trials=n)),
     }
     for name, run in runs.items():

@@ -12,7 +12,12 @@ import pytest
 
 from conecheck import catalog, checkers, cones
 from conecheck.catalog import PropertyLabel
-from conecheck.certify import check_det_trace_monotone, gaussian_detcert_check
+from conecheck.certify import (
+    certify_hessian_sign,
+    certify_topkis,
+    check_det_trace_monotone,
+    gaussian_detcert_check,
+)
 from conecheck.checkers import (
     CheckConfig,
     MajorizationPair,
@@ -136,10 +141,55 @@ def test_submodular_needs_lattice():
 def test_open_orthant_has_lattice_operations():
     # the positive orthant is closed under coordinatewise min and max, which
     # the submodular form evaluates
-    assert cones.positive_orthant(3).supports_lattice
     sum_log = FunctionHandle("sum-log", cones.positive_orthant(3),
                              lambda rows: np.sum(np.log(rows), axis=1))
     assert check(sum_log, "submodular", _cfg()).verdict == "NO_VIOLATION_FOUND"
+
+
+def _undrawable(*args, **kwargs):
+    raise AssertionError("a point was drawn")
+
+
+def _unevaluable(rows):
+    raise AssertionError("the handle was evaluated")
+
+
+_PSD2 = FunctionHandle("psd-2", cones.psd_cone(2), _unevaluable)
+_ORTHANT2 = FunctionHandle("orthant-2", nonneg_orthant(2), _unevaluable)
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(partial(check, _PSD2, "submodular"), id="check-submodular-psd"),
+    pytest.param(partial(check, _PSD2, "supermodular"), id="check-supermodular-psd"),
+    pytest.param(partial(check, _PSD2, "comonotone-strong-superadd"), id="check-comonotone-psd"),
+    pytest.param(partial(certify_hessian_sign, _PSD2, "nonneg"), id="hessian-sign-psd"),
+    pytest.param(partial(certify_topkis, _PSD2, "submodular"), id="topkis-psd"),
+    pytest.param(partial(check_alpha_strong, _ORTHANT2, 1.0), id="alpha-strong-orthant-2"),
+    pytest.param(partial(check_lipschitz_box, _ORTHANT2, 1.0), id="lipschitz-box-orthant-2"),
+])
+def test_a_cone_requirement_is_checked_before_anything_is_drawn(monkeypatch, run):
+    """A row's cone requirement raises CapabilityError on the trial path
+    before it draws a point or evaluates the handle, even at the origin."""
+    monkeypatch.setattr(cones, "sample_batch", _undrawable)
+    monkeypatch.setattr(cones, "comonotone_pair_batch", _undrawable)
+    with pytest.raises(CapabilityError, match=r"needs a (one-dimensional )?vector cone"):
+        run(cfg=_cfg(trials=10))
+
+
+@pytest.mark.parametrize("expression", [
+    "bogus", "Subadd", "subadd[k=1]", "completely-monotone", "completely-monotone[k=two]",
+    "alpha-strong[alpha=]", "hessian-nonneg[ij=a,b]",
+])
+def test_an_unknown_or_malformed_expression_is_a_parameter_error(expression):
+    with pytest.raises(ParameterError, match="expression"):
+        checkers.evaluate_expression(catalog.instantiate("log1p"), expression, {})
+
+
+@pytest.mark.parametrize("run", [check, refute])
+def test_an_unknown_property_label_is_a_parameter_error(run):
+    """The error names the label it was given and the valid ones."""
+    with pytest.raises(ParameterError, match=r"'bogus'.*\bsubadd, superadd, strong-subadd"):
+        run("log1p", "bogus", _cfg(trials=10))
 
 
 def test_det_strong_superadd_small_orders():
@@ -350,7 +400,8 @@ def test_refute_evaluates_the_origin_once_and_shrinks_one_witness(monkeypatch):
     blocks = _recorded_blocks(monkeypatch)
     cfg = _cfg(trials=1000)
     rep = refute("geomean2", "strong-subadd", cfg)
-    origins = [c.expression for comps in blocks for c in comps if c.expression.startswith("origin-")]
+    origins = [c.form.expression for comps in blocks for c in comps
+               if c.form.expression.startswith("origin-")]
     rung_lows = [min(float(np.nanmin(c.slack)) for c in comps) for comps in blocks[1:]]
     assert len(rung_lows) == 3 and max(rung_lows) < -1e-3
     assert len(shrinks) == 1 and origins == ["origin-nonneg"]
@@ -387,23 +438,22 @@ _FORM_ARGS = {"completely-monotone": "k=3", "alpha-strong": "alpha=0.5", "lipsch
 
 
 def test_every_form_reads_exactly_the_roles_of_its_row():
-    """Each form has a row of the role table: on one row it reads exactly the
-    roles the row lists, each drawn by ``_ROLES`` (the origin block alone
-    gives ``zero``), and its point roles are among them."""
+    """Each expression has a row of the form table: on one row its form reads
+    exactly the roles the row lists, each drawn by ``_ROLES`` (the origin
+    block alone gives ``zero``), and its point roles are among them."""
     handle = FunctionHandle("sum", nonneg_orthant(2), lambda r: r.reshape(len(r), -1).sum(axis=1))
-    arrays = {n: np.ones((1, 2)) for n in checkers._names(checkers._ROLES) + ("zero",)}
+    drawn = {n for key in checkers._ROLES for n in (key if isinstance(key, tuple) else (key,))}
+    arrays = {n: np.ones((1, 2)) for n in drawn | {"zero"}}
     arrays["A"] = np.eye(2)[None]
-    expressions = list(checkers._FORMS) + [
-        f"{name}[{_FORM_ARGS[name]}]" for name in checkers._PARAMETRIZED_FORMS]
-    for expression in expressions:
+    for name, row in checkers._FORMS.items():
+        expression = name if row.parse is None else f"{name}[{_FORM_ARGS[name]}]"
         form = checkers._form(expression)
-        assert form.func in checkers._FORM_ROLES, expression
-        reads, points = checkers._roles_of(form)
+        assert form.row is row, expression
         roles = _ReadRecorder(arrays)
         form(handle, roles)
-        assert roles.read == set(checkers._names(reads)), expression
-        assert set(points) <= roles.read, expression
-        assert set(reads) - {"zero"} <= set(checkers._ROLES), expression
+        assert roles.read == set(form.names), expression
+        assert set(row.points) <= roles.read, expression
+        assert set(form.keys) - {"zero"} <= set(checkers._ROLES), expression
 
 
 def test_refute_holds_one_rung_of_trials_at_a_time():
@@ -706,7 +756,7 @@ def test_reports_of_one_block_draw_the_unblocked_streams(monkeypatch, run, targe
 
 
 def _slice_block(comps, rows):
-    return [checkers._Component(c.expression, c.slack[rows], c.scale[rows],
+    return [checkers._Component(c.form, c.slack[rows], c.scale[rows],
                                 {r: a[rows] for r, a in c.roles.items()}) for c in comps]
 
 
@@ -801,7 +851,7 @@ def test_only_points_at_an_undefined_apex_excuse_a_skip(expression, at_apex, zer
         arrays = {r: np.ones((1000, 1)) for r in roles}
         for r, v in first_rows.items():
             arrays[r][:150] = v
-        comps = checkers._components(_OPEN_INTERVAL, [expression], arrays)
+        comps = checkers._components(_OPEN_INTERVAL, [checkers._form(expression)], arrays)
         return checkers._reduce_trials(_OPEN_INTERVAL, "p", [(1.0, comps)], _cfg(trials=1000))
 
     rep = reduce(at_apex)
@@ -820,7 +870,7 @@ def test_comonotone_trials_hold_the_hypothesis_they_skip(monkeypatch, target, di
     rep = refute(target, "comonotone-strong-superadd", _cfg(trials=9001), dim=dim)
     assert rep.skipped == 0 and not rep.found_violation
     handle = catalog.resolve_handle(target, None, dim)
-    sampled = [comp for comp, in blocks if comp.expression == "comonotone-strong-superadd"]
+    sampled = [comp for comp, in blocks if comp.form.expression == "comonotone-strong-superadd"]
     # two blocks or more per rung
     assert len(sampled) >= 6 and sum(c.slack.size for c in sampled) >= 9000
     for comp in sampled:

@@ -133,6 +133,10 @@ def test_certify_counts_its_points_with_trials(tmp_path, capsys):
     assert (code, json.loads(out)["points"]) == (0, 7)
     code, out, _ = _run(capsys, *args, "--points", "5")
     assert (code, out) == (2, "")
+    # a certificate on no sampled points would certify on no evidence
+    for trials in ("0", "-5"):
+        code, out, err = _run(capsys, *args, "--trials", trials)
+        assert (code, out) == (2, "") and "trials must be >= 1" in err
 
 
 @pytest.mark.parametrize("method,needs", [

@@ -271,7 +271,7 @@ def test_every_order_of_a_block_is_its_own_form_on_shared_steps(monkeypatch, han
     checkers.check(handle, PropertyLabel.COMPLETELY_MONOTONE,
                    CheckConfig(trials=300, order_cap=8, boundary_prob=0.5))
     comps, = blocks
-    assert [c.expression for c in comps] == [f"completely-monotone[k={j}]" for j in range(9)]
+    assert [c.form.expression for c in comps] == [f"completely-monotone[k={j}]" for j in range(9)]
     for j, c in enumerate(comps):
         assert list(c.roles) == ["base"] + [f"x{i + 1}" for i in range(j)]
         assert all(c.roles[n] is comps[-1].roles[n] for n in c.roles)
