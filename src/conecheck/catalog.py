@@ -421,28 +421,107 @@ def _make_trace_pow(p: dict, n: int) -> FunctionHandle:
     return FunctionHandle(f"trace-pow[p={pw!r}]", cones.psd_cone(n), batch)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_GL_X = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
+# trace-hansen: the most nodes of its Gauss-Jacobi rule, the switch U0 of T = t^p
+# between the rule and the tail series, and the series' length beyond a
+_HANSEN_NODES = 16
+_HANSEN_SWITCH = 4.0
+_HANSEN_TAIL = 30
+
+
+def _gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [0, 1] and weights, summing to 1, of the n-point Gauss rule
+    for the weight y^b (b >= 0).  Golub-Welsch: the nodes are the
+    eigenvalues of the Jacobi matrix of (1 + x)^b on [-1, 1], mapped to
+    [0, 1], and the weights the squared first components of its
+    eigenvectors."""
+    k = np.arange(1.0, n)
+    s = 2.0 * k + b
+    diag = np.concatenate(([b / (b + 2.0)], b * b / (s * (s + 2.0))))
+    off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))
+    return 0.5 * (x + 1.0), vec[0] ** 2
 
 
 def _make_trace_hansen(p: dict, n: int) -> FunctionHandle:
     pw = p["p"]
     if not 0.0 < pw <= 1.0:
         raise _param_error("trace-hansen", f"exponent must lie in (0, 1], got {pw}")
-    # F(t) = int_0^t (1 + s^p)^(1/p) ds via Gauss-Legendre after s = t*w^(1/p),
-    # which regularizes the s^p kink at the origin
-    wsub = _GL_X ** (1.0 / pw)
-    jac = (1.0 / pw) * _GL_X ** ((1.0 - pw) / pw)
+    # F(t) = int_0^t (1 + s^p)^a ds with a = 1/p.  With T = t^p and s = t y^a,
+    # F(t) = (t/p) int_0^1 y^(a-1) (1 + T y)^a dy, so for T <= U0 a
+    # Gauss-Jacobi rule in the weight y^(a-1) takes one power per node.  For
+    # integer a the integrand is a polynomial, which a // 2 + 1 nodes
+    # integrate exactly
+    a = 1.0 / pw
+    count = _HANSEN_NODES if a % 1.0 else min(_HANSEN_NODES, int(a) // 2 + 1)
+    nodes, weights = _gauss_jacobi(count, a - 1.0)
+
+    def near(t, big_t):
+        pts = np.multiply.outer(nodes, big_t)
+        pts += 1.0
+        pts **= a
+        return t * linear(pts.T, weights)
+
+    tail = _hansen_tail(pw, near)
 
     def hansen(w):
-        lam = w[..., None]
-        return ((1.0 + (lam * wsub) ** pw) ** (1.0 / pw) * lam * jac) @ _GL_W
+        t = w.ravel()
+        big_t = t ** pw
+        far = big_t > _HANSEN_SWITCH
+        if tail is None or not far.any():
+            return near(t, big_t).reshape(w.shape)
+        out = np.empty_like(t)
+        out[~far] = near(t[~far], big_t[~far])
+        out[far] = tail(t[far], big_t[far])
+        return out.reshape(w.shape)
 
     def batch(rows):
         return spectral(rows, hansen, lo=-CLAMP_WINDOW)
 
     return FunctionHandle(f"trace-hansen[p={pw!r}]", cones.psd_cone(n), batch)
+
+
+def _hansen_tail(pw: float, near):
+    """``trace-hansen``'s F for T = t^p > U0, or None when F overflows
+    there.  There (1 + s^p)^a = s (1 + s^-p)^a = sum_k binom(a, k) s^(1-pk)
+    integrates term by term from t0 = U0^a:
+    F(t) = C + sum_k binom(a, k) t^2 T^-k / (p (2a - k)) + binom(a, k*) g(t),
+    with k* the integer nearest 2a, g(t) = (t^e - t0^e) / e for
+    e = p (2a - k*) (ln(t / t0) at e = 0) and C set by the rule ``near`` at
+    t0.  The terms shrink by about 1/T > 1/U0; for integer a the series
+    ends at k = a."""
+    a = 1.0 / pw
+    if a * np.log(_HANSEN_SWITCH) > 345.0:
+        # t0 > 1e150, and F(t) >= t^2 / 2 overflows past t0
+        return None
+    t0 = _HANSEN_SWITCH ** a
+    binom = [1.0]
+    for k in range(1, int(a) + _HANSEN_TAIL):
+        binom.append(binom[-1] * (a - k + 1) / k)
+    kstar = round(2.0 * a)
+    bstar = binom[kstar] if kstar < len(binom) else 0.0
+    estar = pw * (2.0 * a - kstar)
+    coef = [0.0 if k == kstar else b / (pw * (2.0 * a - k)) for k, b in enumerate(binom)]
+    while coef[-1] == 0.0:
+        coef.pop()
+
+    def series(t, big_t):
+        x = 1.0 / big_t
+        out = coef[-1]
+        for c in coef[-2::-1]:
+            out = out * x + c
+        return t * t * out
+
+    const = near(np.array([t0]), np.array([t0 ** pw]))[0] - series(t0, t0 ** pw)
+
+    def tail(t, big_t):
+        out = const + series(t, big_t)
+        if bstar != 0.0:
+            log_ratio = np.log(t / t0)
+            out += bstar * (log_ratio if estar == 0.0
+                            else t0 ** estar * np.expm1(estar * log_ratio) / estar)
+        return out
+
+    return tail
 
 
 def _xlogx(w):
@@ -665,7 +744,9 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
     add(_entry("trace-hansen", _make_trace_hansen, {L.STRONG_SUPERADD: A},
                "F. Hansen: (1+t^p)^(1/p) is operator monotone for p in (0,1]",
                default_dim=3, fixed_dim=False, default_params={"p": 0.5},
-               notes="trace F(A) with F(t) the antiderivative of (1+s^p)^(1/p)"))
+               notes="trace F(A) with F(t) the antiderivative of (1+s^p)^(1/p): a 16-node "
+                     "Gauss-Jacobi rule (Golub-Welsch) in y^(1/p-1) after s = t y^(1/p) for "
+                     "t^p <= 4, its binomial tail series beyond"))
     add(_entry("vn-entropy", _make_vn_entropy, {L.STRONG_SUBADD: A},
                "von Neumann entropy -trace(A log A); log is operator monotone",
                default_dim=3, fixed_dim=False))

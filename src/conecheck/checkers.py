@@ -262,7 +262,10 @@ def _gaussian_representation(tol: float, handle, r):
 
 def _entry(arg: str) -> tuple:
     """The matrix entry ``(i, j)`` of the argument ``ij=i,j``."""
-    return tuple(int(v) for v in arg.split(","))
+    ij = tuple(int(v) for v in arg.split(","))
+    if len(ij) != 2:
+        raise ValueError(arg)
+    return ij
 
 
 # the cones a row may need: a vector cone has coordinatewise order, minimum
@@ -357,32 +360,43 @@ class _Form(NamedTuple):
         return tuple(n for key in self.keys for n in (key if isinstance(key, tuple) else (key,)))
 
 
-def _form(expression: str) -> _Form:
-    """The form of a witness expression, with its parameters bound."""
+def _form(expression: str, cone: ConeSpec | None = None) -> _Form:
+    """The form of a witness expression, with its parameters bound.  Given
+    a ``cone``, a row that needs a kind of cone that it is not raises
+    :class:`CapabilityError`, and a Hessian entry outside its coordinates
+    :class:`ParameterError`."""
     m = _EXPR_PARAM.match(expression)
     if not m:
         raise ParameterError(f"malformed expression {expression!r}")
     row, arg = _FORMS.get(m.group("name")), m.group("arg")
     if row is None or (arg is None) != (row.parse is None):
         raise ParameterError(f"unknown expression {expression!r}")
-    if arg is None:
-        return _Form(expression, row, row.arg)
-    try:
-        value = row.parse(arg.split("=")[1])
-    except ValueError:
-        raise ParameterError(f"malformed argument in the expression {expression!r}") from None
+    value = row.arg
+    if arg is not None:
+        try:
+            value = row.parse(arg.split("=")[1])
+        except ValueError:
+            raise ParameterError(f"malformed argument in the expression {expression!r}") from None
+    if cone is None:
+        return _Form(expression, row, value)
+    need = row.cone
+    if need and (cone.point_kind != VECTOR or (need == _SCALAR_CONE and cone.dim != 1)):
+        raise CapabilityError(f"{expression!r} needs {need}, not {cone.family}({cone.dim})")
+    if row.parse is _entry and not all(0 <= i < cone.dim for i in value):
+        raise ParameterError(f"{expression!r} names an entry outside {cone.family}({cone.dim})")
     return _Form(expression, row, value)
 
 
 def evaluate_expression(handle: FunctionHandle, expression: str, points: dict):
     """Evaluate a witness expression at named points: returns ``(slack, s)``
-    and raises :class:`DomainError` on a non-finite value.
+    and raises :class:`DomainError` on a non-finite value.  The expression
+    must fit the handle's domain as on the trial path (see :func:`_form`).
 
     This is the one-row case of the expression's form and the authoritative
     witness path: check() re-evaluates every found violation through it, so
     stored witness margins reproduce exactly.
     """
-    return _one_row(handle, _form(expression), points)
+    return _one_row(handle, _form(expression, handle.domain), points)
 
 
 def reevaluate_witness(handle: FunctionHandle, witness: Witness) -> float:
@@ -441,7 +455,7 @@ def _shrink(handle, expression: str, points: dict, margin: float, scale: float):
     :func:`reevaluate_witness` gives.
     """
     cone = handle.domain
-    form = _form(expression)
+    form = _form(expression, cone)
     floor = cones.coordinate_floor(cone, scale)
     ceiling = margin + 1e-12 * max(1.0, abs(margin))
     names = sorted(points)
@@ -659,10 +673,11 @@ def _run_trials(handle: FunctionHandle, prop: str, cfg: CheckConfig, expressions
     """The one trial path of every sampled check, certificate and quadrature
     check, folded by :func:`_reduce_trials`.
 
-    Each expression is parsed once, and one whose row needs a kind of cone
-    that the handle's domain is not raises :class:`CapabilityError` before
-    anything is drawn.  When the cone holds the origin, the sign condition
-    ``origin`` comes first as a one-row block at ``cfg.scale``.
+    Each expression is parsed once on the handle's domain, so one whose row
+    needs a kind of cone that the domain is not raises
+    :class:`CapabilityError` before anything is drawn.  When the cone holds
+    the origin, the sign condition ``origin`` comes first as a one-row block
+    at ``cfg.scale``.
     ``rungs(t)`` then splits the ``t`` trials left of ``cfg.trials`` into
     ``(config, stream base, count)`` rungs, one rung ``(cfg, 0, t)`` by
     default.  Each rung is cut into
@@ -672,13 +687,8 @@ def _run_trials(handle: FunctionHandle, prop: str, cfg: CheckConfig, expressions
     expression on them.
     """
     cone = handle.domain
-    origin = [_form(origin)] if origin and cone.contains_origin else []
-    forms = [_form(e) for e in expressions]
-    for form in origin + forms:
-        need = form.row.cone
-        if need and (cone.point_kind != VECTOR or (need == _SCALAR_CONE and cone.dim != 1)):
-            raise CapabilityError(
-                f"{form.expression!r} needs {need}, not {cone.family}({cone.dim})")
+    origin = [_form(origin, cone)] if origin and cone.contains_origin else []
+    forms = [_form(e, cone) for e in expressions]
     keys = dict.fromkeys(k for f in forms for k in f.keys)
     rungs = rungs or (lambda t: [(cfg, 0, t)])
 

@@ -1,6 +1,9 @@
 """Catalog integrity: required entries, label closure, curvature consistency,
 parameter validation, and evaluation smoke tests."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -117,27 +120,49 @@ def test_every_entry_finite_on_interior_samples(entry):
     assert np.all(np.isfinite(vals)), entry.id
 
 
+# trace-hansen at p = 0.7 on rows drawn at scale 4, whose eigenvalues lie on
+# both sides of its switch from the Gauss-Jacobi rule to the tail series
+_HANSEN_BLOCK = ({"p": 0.7}, 4.0)
+
+
+def _block_rows(handle, scale=1.0):
+    rows = cones.sample_batch(handle.domain, Rng(17, 2), 300, scale, boundary_prob=0.5)
+    rows[0] = 0.0
+    return rows
+
+
 def _block_cases():
-    """Every entry at its default dimension, and each entry whose dimension
-    is free at 9, where ``lse`` and the sums of squares have rows of 8 or
-    more values and ``pairwise-diff-convex`` 36 pair differences."""
+    """Every entry at its default dimension, each entry whose dimension is
+    free at 9, where ``lse`` and the sums of squares have rows of 8 or more
+    values and ``pairwise-diff-convex`` 36 pair differences, and
+    ``trace-hansen`` on both of its branches."""
     for entry in builtin_entries():
-        yield pytest.param(entry, None, id=entry.id)
+        yield pytest.param(entry, None, None, 1.0, id=entry.id)
         if not entry.fixed_dim:
-            yield pytest.param(entry, 9, id=f"{entry.id}-dim9")
+            yield pytest.param(entry, 9, None, 1.0, id=f"{entry.id}-dim9")
+    yield pytest.param("trace-hansen", None, *_HANSEN_BLOCK, id="trace-hansen-p0.7-both-branches")
 
 
-@pytest.mark.parametrize("entry, dim", _block_cases())
-def test_batch_rows_equal_one_row_values_bit_for_bit(entry, dim):
+@pytest.mark.parametrize("entry, dim, params, scale", _block_cases())
+def test_batch_rows_equal_one_row_values_bit_for_bit(entry, dim, params, scale):
     """A trial's value in a block is its one-row value, so a stored witness
     margin, which comes from the one-row path, reproduces the block's bits.
     The rows include boundary zeros and the origin."""
-    handle = instantiate(entry, dim=dim)
-    rows = cones.sample_batch(handle.domain, Rng(17, 2), 300, 1.0, boundary_prob=0.5)
-    rows[0] = 0.0
+    handle = instantiate(entry, params=params, dim=dim)
+    rows = _block_rows(handle, scale)
     block = handle.batch(rows)
     one = np.array([handle.batch(row[None])[0] for row in rows])
     assert block.tobytes() == one.tobytes()
+
+
+def test_trace_hansen_block_rows_reach_both_branches():
+    """The bit-for-bit case of ``trace-hansen`` has rows whose eigenvalues
+    are all on the rule's side of t = 4^(1/p) and rows with eigenvalues on
+    both sides."""
+    params, scale = _HANSEN_BLOCK
+    rows = _block_rows(instantiate("trace-hansen", params=params), scale)
+    far = np.linalg.eigvalsh(rows) > 4.0 ** (1.0 / params["p"])
+    assert (~far.any(axis=1)).sum() >= 50 and (far.any(axis=1) & ~far.all(axis=1)).sum() >= 50
 
 
 # one out-of-range case per parameter check: (entry, params, dim, message part)
@@ -242,6 +267,73 @@ def test_trace_hansen_closed_form_p_one():
     a = Point.matrix(np.diag([0.5, 2.0]))
     expected = sum(t + t * t / 2.0 for t in (0.5, 2.0))
     assert handle(Point.matrix(np.diag([0.5, 2.0]))) == pytest.approx(expected, rel=1e-13)
+
+
+def _hansen_reference(t: float, p: Decimal) -> Decimal:
+    """F(t) = int_0^t (1 + s^p)^a ds, a = 1/p, to about 40 digits in decimal
+    arithmetic.  With T = t^p, F(t) = t 2F1(-a, a; 1 + a; -T), which Pfaff's
+    transformation turns into t (1 + T)^a 2F1(-a, 1; 1 + a; w), a series in
+    w = T / (1 + T) <= 2/3 for T <= 2.  Beyond, (1 + s^p)^a = s (1 + s^-p)^a
+    integrates term by term from t2 = 2^a: F(t) = F(t2) + sum_k binom(a, k)
+    (t^(2-pk) - t2^(2-pk)) / (2 - pk), a series in 1/T < 1/2."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        tiny = Decimal("1e-45")
+        a, t = 1 / p, Decimal(t)
+
+        def pfaff(t, big_t):
+            w = big_t / (1 + big_t)
+            term = total = Decimal(1)
+            k = 0
+            while abs(term) > tiny:
+                term *= (k - a) / (k + 1 + a) * w
+                total += term
+                k += 1
+            return t * (1 + big_t) ** a * total
+
+        big_t = t ** p
+        if big_t <= 2:
+            return pfaff(t, big_t)
+        t2 = 2 ** a
+        total = pfaff(t2, Decimal(2))
+        binom, at_t, at_t2 = Decimal(1), t * t, t2 * t2
+        k = 0
+        while abs(binom * at_t2) > tiny * total:
+            e = 2 - p * k
+            total += binom * ((at_t - at_t2) / e if e else (t / t2).ln())
+            binom *= (a - k) / (k + 1)
+            at_t, at_t2 = at_t / big_t, at_t2 / 2
+            k += 1
+        return total
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
+def test_hansen_reference_matches_the_closed_forms(m):
+    """At p = 1/m, (1 + s^p)^m is a polynomial in s^p, so
+    F(t) = sum_j binom(m, j) t^(1 + j/m) / (1 + j/m)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for x in (1e-6, 0.3, 1.0, 7.0, 1.5 * 2 ** m, 1e3, 1e6):
+            t = Decimal(x)
+            want = sum(math.comb(m, j) * t ** (1 + Decimal(j) / m) / (1 + Decimal(j) / m)
+                       for j in range(m + 1))
+            got = _hansen_reference(x, 1 / Decimal(m))
+            assert abs(got - want) <= Decimal("1e-35") * want, (m, t)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 2 / 3, 0.7, 0.8, 0.9, 1.0])
+def test_trace_hansen_within_1e13_of_the_reference(p):
+    """The rule and the tail series are within 1e-13 relative of F for
+    eigenvalues from 1e-8 to 1e4, and next to the switch t = 4^(1/p) on both
+    sides; at p = 0.4 and 2/3 the series has its logarithmic term."""
+    switch = 4.0 ** (1.0 / p)
+    lam = np.concatenate([np.logspace(-8, 4, 49),
+                          switch * np.array([0.99, 1 - 1e-12, 1.0, 1 + 1e-12, 1.01, 3.0])])
+    handle = instantiate("trace-hansen", params={"p": p}, dim=1)
+    got = handle.batch(lam[:, None, None])
+    for t, v in zip(lam, got):
+        want = _hansen_reference(float(t), Decimal(p))
+        assert abs(Decimal(float(v)) - want) <= Decimal("1e-13") * want, (p, t)
 
 
 def _eigvalsh_spectral(rows, term, lo, open=False, clamp=0.0):

@@ -176,6 +176,47 @@ def test_a_cone_requirement_is_checked_before_anything_is_drawn(monkeypatch, run
         run(cfg=_cfg(trials=10))
 
 
+_MATRIX_PAIR = {"x": Point.matrix(np.eye(2)), "y": Point.matrix(np.array([[1.0, 2.0], [2.0, 5.0]]))}
+_SCALARS = {name: Point.vector([1.0, 1.0]) for name in ("x", "y", "z")}
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(partial(checkers.evaluate_expression, _PSD2, "submodular", _MATRIX_PAIR),
+                 id="evaluate-submodular-psd"),
+    pytest.param(partial(reevaluate_witness, _PSD2, Witness(_MATRIX_PAIR, -1.0, "supermodular")),
+                 id="reevaluate-supermodular-psd"),
+    pytest.param(partial(checkers._shrink, _PSD2, "submodular", _MATRIX_PAIR, -1.0, 1.0),
+                 id="shrink-submodular-psd"),
+    pytest.param(partial(checkers.evaluate_expression, _ORTHANT2, "alpha-strong[alpha=1]",
+                         _SCALARS), id="evaluate-alpha-strong-orthant-2"),
+])
+def test_a_witness_expression_off_its_cone_is_refused_before_evaluation(run):
+    """Witness evaluation, re-evaluation and shrinking apply a row's cone
+    requirement as the trial path does, before evaluating the handle."""
+    with pytest.raises(CapabilityError, match=r"needs a (one-dimensional )?vector cone"):
+        run()
+
+
+def test_a_lattice_witness_on_det_is_a_capability_error():
+    """The entrywise max and min of two matrices are no lattice operations
+    on the PSD cone, so ``submodular`` has no value for ``det``."""
+    with pytest.raises(CapabilityError, match="needs a vector cone, not psd-cone"):
+        checkers.evaluate_expression(catalog.instantiate("det", dim=2), "submodular", _MATRIX_PAIR)
+
+
+@pytest.mark.parametrize("expression", [
+    "hessian-nonneg[ij=5,5]", "hessian-nonpos[ij=0,3]", "hessian-nonneg[ij=-1,0]",
+    "hessian-nonneg[ij=1]", "hessian-nonneg[ij=0,1,2]",
+])
+def test_a_hessian_entry_outside_the_domain_is_a_parameter_error(expression):
+    """An entry needs two indices, each a coordinate of the domain."""
+    sq = catalog.instantiate("sq-norm", dim=3)
+    with pytest.raises(ParameterError, match=r"entry outside|malformed argument"):
+        checkers.evaluate_expression(sq, expression, {"p": Point.vector([1.0, 2.0, 3.0])})
+    assert checkers.evaluate_expression(sq, "hessian-nonneg[ij=2,2]",
+                                        {"p": Point.vector([1.0, 2.0, 3.0])})[0] == pytest.approx(2.0)
+
+
 @pytest.mark.parametrize("expression", [
     "bogus", "Subadd", "subadd[k=1]", "completely-monotone", "completely-monotone[k=two]",
     "alpha-strong[alpha=]", "hessian-nonneg[ij=a,b]",
