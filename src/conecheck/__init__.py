@@ -21,11 +21,13 @@ from .certify import (
 from .checkers import (
     CheckConfig,
     CheckReport,
+    Claim,
     MajorizationPair,
     Witness,
     check,
     check_alpha_strong,
     check_chebyshev,
+    check_claims,
     check_lipschitz_box,
     check_popoviciu,
     check_remark_double_inequality,

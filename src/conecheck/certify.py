@@ -37,7 +37,7 @@ import numpy as np
 
 from . import cones
 from .catalog import PropertyLabel, resolve_handle
-from .checkers import CheckConfig, CheckReport, Witness, _run_trials
+from .checkers import CheckConfig, CheckReport, Witness, _run_trials, _Target
 from .cones import ConeSpec, Point
 from .diffops import FunctionHandle
 from .errors import CapabilityError, CertificateError, NumericFailure, ParameterError, ShapeError
@@ -87,7 +87,8 @@ def _certify(handle, method, prop, cfg, origin, expressions) -> Certificate:
     every expression, or 200 when ``cfg`` is None.  The refusal is the
     fold's witness: the lowest violating slack, re-evaluated and shrunk."""
     cfg = cfg or CheckConfig(trials=200)
-    rep = _run_trials(handle, prop, cfg, expressions, origin, lambda _: [(cfg, 0, cfg.trials)])
+    rep = _run_trials([_Target(handle, prop, expressions, origin)], cfg,
+                      lambda _: [(cfg, 0, cfg.trials)])[0]
     return Certificate(method=method, property=prop, points=cfg.trials, seed=cfg.seed,
                        refusal_witness=rep.witness)
 
@@ -345,7 +346,8 @@ def gaussian_detcert_check(n: int, cfg: CheckConfig | None = None) -> CheckRepor
     handle = FunctionHandle(
         "det(I+A)^(-1/2)", cone,
         lambda mats: np.exp(-0.5 * rowwise(np.add, np.log1p(np.linalg.eigvalsh(mats)))))
-    return _run_trials(handle, "gaussian-det-representation", cfg, ["gaussian-det-representation"])
+    target = _Target(handle, "gaussian-det-representation", ["gaussian-det-representation"])
+    return _run_trials([target], cfg)[0]
 
 
 def check_det_trace_monotone(n: int, cfg: CheckConfig | None = None) -> CheckReport:
@@ -361,4 +363,4 @@ def check_det_trace_monotone(n: int, cfg: CheckConfig | None = None) -> CheckRep
         return rowwise(np.multiply, lam) * rowwise(np.add, 1.0 / lam)
 
     handle = FunctionHandle("det-trace-inverse", cone, phi)
-    return _run_trials(handle, "det-trace-inverse-monotone", cfg, ["nondecreasing"])
+    return _run_trials([_Target(handle, "det-trace-inverse-monotone", ["nondecreasing"])], cfg)[0]

@@ -13,11 +13,14 @@ absolute function value involved in that trial.
 
 Every sampled check, certificate and quadrature check runs on one trial
 path, :func:`_run_trials`: an optional one-row origin block, then blocks of
-sampled trials, each drawing the roles its expressions read and folded by
-:func:`_reduce_trials`.  Each inequality is one vectorized form, evaluated on
-every trial, on one row to re-evaluate a witness, and on every candidate of a
-shrinking sweep; stored witness margins come from the one-row path, so they
-reproduce exactly.
+sampled trials, each drawing the roles its expressions read and folded into
+a :class:`_Fold`.  The same path serves several claims on one cone at once,
+as :func:`check_claims` runs them: each block of a role is drawn once, and
+every claim's components are evaluated on it and folded into that claim's
+own fold, so each claim gets the report its own check would.  Each
+inequality is one vectorized form, evaluated on every trial, on one row to
+re-evaluate a witness, and on every candidate of a shrinking sweep; stored
+witness margins come from the one-row path, so they reproduce exactly.
 
 Determinism: every role is drawn from its own Philox stream, keyed by
 ``(config.seed, its stream in _ROLES)``, so identical configurations produce
@@ -101,8 +104,8 @@ class CheckConfig:
             object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
-        if not self.scale > 0:
-            raise ParameterError("scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise ParameterError(f"scale must be finite and positive, got {self.scale!r}")
         if not 1 <= self.order_cap <= MAX_DIFF_ORDER:
             raise ParameterError(f"order_cap must lie in 1..{MAX_DIFF_ORDER}")
         if not 0.0 <= self.boundary_prob < 1.0:
@@ -593,118 +596,131 @@ def _at_undefined_apex(handle: FunctionHandle, comps: list[_Component]) -> np.nd
     return at
 
 
-def _fold_block(comps: list[_Component], cfg: CheckConfig, handle: FunctionHandle, scale: float,
-                worst: float, best):
-    """Fold one block into the lowest finite slack and the lowest violating
-    candidate ``(slack, expression, points, scale)`` so far; returns the
-    block's trial count, skips and skips at an undefined apex with them.  A
-    trial is skipped when any component is non-finite on it; ties keep the
-    earlier candidate."""
-    cone = handle.domain
-    finite = np.ones(comps[0].slack.shape, dtype=bool)
-    for c in comps:
-        finite &= np.isfinite(c.slack) & np.isfinite(c.scale)
-    skipped = int(finite.size - finite.sum())
-    at_apex = int((~finite & _at_undefined_apex(handle, comps)).sum()) if skipped else 0
-    for c in comps:
-        sl = np.where(finite, c.slack, np.inf)
-        worst = min(worst, float(sl.min()))
-        viol = sl < -cfg.tolerance(c.scale)
-        if viol.any():
-            idx = int(np.argmin(np.where(viol, sl, np.inf)))
-            if best is None or sl[idx] < best[0]:
-                pts = {role: Point(cone.point_kind, arr[idx], _validated=True)
-                       for role, arr in c.roles.items()}
-                best = (float(sl[idx]), c.form.expression, pts, scale)
-    return finite.size, skipped, at_apex, worst, best
+@dataclass
+class _Fold:
+    """One target's trials folded so far: the trial, skip and undefined-apex
+    skip counts, the lowest finite slack, and the lowest violating candidate
+    ``(slack, expression, points, sampling scale)``, which keeps its block's
+    scale for the shrinking floor.  Blocks fold one at a time, so cutting
+    the same trials into other blocks gives the same report."""
 
+    handle: FunctionHandle
+    total: int = 0
+    skipped: int = 0
+    at_apex: int = 0
+    worst: float = np.inf
+    best: tuple | None = None
 
-def _reduce_trials(handle: FunctionHandle, prop_name: str, blocks, cfg: CheckConfig) -> CheckReport:
-    """Shared tail of every randomized check: thresholds, skip accounting,
-    witness extraction, shrinking, report assembly.
+    def add(self, comps: list[_Component], cfg: CheckConfig, scale: float) -> None:
+        """Fold one block of components drawn at sampling scale ``scale``.  A
+        trial is skipped when any component is non-finite on it; ties keep
+        the earlier candidate."""
+        handle = self.handle
+        finite = np.ones(comps[0].slack.shape, dtype=bool)
+        for c in comps:
+            finite &= np.isfinite(c.slack) & np.isfinite(c.scale)
+        skipped = int(finite.size - finite.sum())
+        self.total += finite.size
+        self.skipped += skipped
+        if skipped:
+            self.at_apex += int((~finite & _at_undefined_apex(handle, comps)).sum())
+        for c in comps:
+            sl = np.where(finite, c.slack, np.inf)
+            self.worst = min(self.worst, float(sl.min()))
+            viol = sl < -cfg.tolerance(c.scale)
+            if viol.any():
+                idx = int(np.argmin(np.where(viol, sl, np.inf)))
+                if self.best is None or sl[idx] < self.best[0]:
+                    pts = {role: Point(handle.domain.point_kind, arr[idx], _validated=True)
+                           for role, arr in c.roles.items()}
+                    self.best = (float(sl[idx]), c.form.expression, pts, scale)
 
-    ``blocks`` yields ``(sampling scale, components)``, as
-    :func:`_run_trials` makes them.  Blocks fold one at a time into one skip
-    count, one worst margin and one best candidate, which keeps its block's
-    scale for the shrinking floor, so cutting the same trials into other
-    blocks gives the same report.  One skip budget covers all trials; skips
-    with a role point at the cone's apex, where the handle is undefined,
-    count in ``skipped`` but not against the budget.
-    """
-    skipped, at_apex, total, worst = 0, 0, 0, np.inf
-    best = None  # (slack, expression, witness points, sampling scale)
-    for scale, comps in blocks:
-        count, block_skipped, block_at_apex, worst, best = _fold_block(
-            comps, cfg, handle, scale, worst, best)
-        del comps  # free this block before the next one is drawn
-        total += count
-        skipped += block_skipped
-        at_apex += block_at_apex
+    def finish(self, prop_name: str, cfg: CheckConfig) -> CheckReport:
+        """The report: the best candidate re-evaluated and shrunk into the
+        witness, or the skip budget enforced.  One skip budget covers all
+        trials; skips with a role point at the cone's apex, where the handle
+        is undefined, count in ``skipped`` but not against the budget."""
+        handle, worst, witness = self.handle, self.worst, None
+        if self.best is not None:
+            # a re-evaluated witness is sound whatever the skip count
+            _, expression, pts, scale = self.best
+            margin, _ = evaluate_expression(handle, expression, pts)
+            pts, margin = _shrink(handle, expression, pts, margin, scale)
+            witness = Witness(points=pts, margin=margin, expression=expression)
+            worst = margin
+        elif self.skipped - self.at_apex > _SKIP_BUDGET * self.total:
+            raise NumericFailure(
+                f"{self.skipped - self.at_apex}/{self.total} trials skipped on domain errors for "
+                f"{handle.label!r}; budget is {_SKIP_BUDGET:.0%}"
+            )
 
-    witness = None
-    if best is not None:
-        # a re-evaluated witness is sound whatever the skip count
-        _, expression, pts, scale = best
-        margin, _ = evaluate_expression(handle, expression, pts)
-        pts, margin = _shrink(handle, expression, pts, margin, scale)
-        witness = Witness(points=pts, margin=margin, expression=expression)
-        worst = margin
-    elif skipped - at_apex > _SKIP_BUDGET * total:
-        raise NumericFailure(
-            f"{skipped - at_apex}/{total} trials skipped on domain errors for {handle.label!r}; "
-            f"budget is {_SKIP_BUDGET:.0%}"
+        if not np.isfinite(worst):
+            worst = float("inf") if self.skipped == 0 else float("nan")
+
+        return CheckReport(
+            property=prop_name,
+            trials_run=self.total,
+            worst_margin=float(worst),
+            witness=witness,
+            skipped=self.skipped,
+            config=cfg,
         )
 
-    if not np.isfinite(worst):
-        worst = float("inf") if skipped == 0 else float("nan")
 
-    return CheckReport(
-        property=prop_name,
-        trials_run=total,
-        worst_margin=float(worst),
-        witness=witness,
-        skipped=skipped,
-        config=cfg,
-    )
+class _Target(NamedTuple):
+    """One claim on the trial path: its handle, the property its report
+    names, its components' expressions and its origin sign condition."""
+
+    handle: FunctionHandle
+    prop: str
+    expressions: list
+    origin: str | None = None
 
 
-def _run_trials(handle: FunctionHandle, prop: str, cfg: CheckConfig, expressions,
-                origin: str | None = None, rungs=None) -> CheckReport:
+def _run_trials(targets: list[_Target], cfg: CheckConfig, rungs=None) -> list[CheckReport]:
     """The one trial path of every sampled check, certificate and quadrature
-    check, folded by :func:`_reduce_trials`.
+    check: the targets' reports, in order.  The targets share a cone and a
+    sampled trial count, so either all or none of them has an origin block.
 
-    Each expression is parsed once on the handle's domain, so one whose row
-    needs a kind of cone that the domain is not raises
-    :class:`CapabilityError` before anything is drawn.  When the cone holds
-    the origin, the sign condition ``origin`` comes first as a one-row block
-    at ``cfg.scale``.
-    ``rungs(t)`` then splits the ``t`` trials left of ``cfg.trials`` into
-    ``(config, stream base, count)`` rungs, one rung ``(cfg, 0, t)`` by
-    default.  Each rung is cut into
-    blocks of at most ``_BLOCK`` trials: block ``b`` draws each role that
-    the expressions read once, from ``Rng(seed, stream base + its stream,
-    b)`` as :data:`_ROLES` says, at the rung's config, and evaluates every
-    expression on them.
+    Each expression is parsed once on the cone, so one whose row needs a
+    kind of cone that the domain is not raises :class:`CapabilityError`
+    before anything is drawn.  When the cone holds the origin, a target's
+    sign condition ``origin`` comes first as a one-row block at
+    ``cfg.scale``.  ``rungs(t)`` then splits the ``t`` trials left of
+    ``cfg.trials`` into ``(config, stream base, count)`` rungs, one rung
+    ``(cfg, 0, t)`` by default.  Each rung is cut into blocks of at most
+    ``_BLOCK`` trials: block ``b`` draws each role that some target reads
+    once, from ``Rng(seed, stream base + its stream, b)`` as :data:`_ROLES`
+    says, at the rung's config.  A role's draw depends on nothing else, so
+    every target sees the draws its own check would make.  Each target's
+    components are then evaluated and folded into its :class:`_Fold`, and
+    freed before the next target's are evaluated.
     """
-    cone = handle.domain
-    origin = [_form(origin, cone)] if origin and cone.contains_origin else []
-    forms = [_form(e, cone) for e in expressions]
-    keys = dict.fromkeys(k for f in forms for k in f.keys)
-    rungs = rungs or (lambda t: [(cfg, 0, t)])
-
-    def blocks():
+    cone = targets[0].handle.domain
+    origins = [[_form(t.origin, cone)] if t.origin and cone.contains_origin else []
+               for t in targets]
+    forms = [[_form(e, cone) for e in t.expressions] for t in targets]
+    reads = [dict.fromkeys(k for f in fs for k in f.keys) for fs in forms]
+    keys = dict.fromkeys(k for r in reads for k in r)
+    folds = [_Fold(t.handle) for t in targets]
+    for t, origin, fold in zip(targets, origins, folds):
         if origin:
-            yield cfg.scale, _components(handle, origin, {"zero": cone.zero().data[None]})
-        for sub, base, count in rungs(cfg.trials - bool(origin)) if expressions else ():
-            for b, start in enumerate(range(0, count, _BLOCK)):
-                n, roles = min(_BLOCK, count - start), {}
-                for key in keys:
-                    stream, draw = _ROLES[key]
-                    drawn = draw(cone, sub, Rng(sub.seed, base + stream, b), n)
-                    roles.update(zip(key, drawn) if isinstance(key, tuple) else [(key, drawn)])
-                yield sub.scale, _components(handle, forms, roles)
-
-    return _reduce_trials(handle, prop, blocks(), cfg)
+            comps = _components(t.handle, origin, {"zero": cone.zero().data[None]})
+            fold.add(comps, cfg, cfg.scale)
+    rungs = rungs or (lambda t: [(cfg, 0, t)])
+    for sub, base, count in rungs(cfg.trials - bool(origins[0])):
+        for b, start in enumerate(range(0, count, _BLOCK)):
+            # rebinding frees the last block before this one is drawn
+            n, drawn = min(_BLOCK, count - start), {}
+            for key in keys:
+                stream, draw = _ROLES[key]
+                arrays = draw(cone, sub, Rng(sub.seed, base + stream, b), n)
+                drawn[key] = tuple(zip(key, arrays)) if isinstance(key, tuple) else ((key, arrays),)
+            for t, fs, r, fold in zip(targets, forms, reads, folds):
+                comps = _components(t.handle, fs, {name: a for k in r for name, a in drawn[k]})
+                fold.add(comps, cfg, sub.scale)
+                del comps  # free this target's arrays before the next target's
+    return [fold.finish(t.prop, cfg) for t, fold in zip(targets, folds)]
 
 
 # ---------------------------------------------------------------------------
@@ -712,9 +728,9 @@ def _run_trials(handle: FunctionHandle, prop: str, cfg: CheckConfig, expressions
 # ---------------------------------------------------------------------------
 
 
-def _check_label(target, property, cfg: CheckConfig, params, dim, rungs=None) -> CheckReport:
-    """The property label's components on the trial path of :func:`check`
-    and :func:`refute`."""
+def _label_target(target, property, cfg: CheckConfig, params, dim) -> _Target:
+    """The property label's components on a resolved handle, the target of
+    :func:`check`, :func:`refute` and :func:`check_claims`."""
     handle = resolve_handle(target, params, dim)
     try:
         prop = PropertyLabel(property)
@@ -725,7 +741,7 @@ def _check_label(target, property, cfg: CheckConfig, params, dim, rungs=None) ->
     origin, *expressions = _LABELS[prop.value]
     if prop == PropertyLabel.COMPLETELY_MONOTONE:
         expressions = [f"completely-monotone[k={j}]" for j in range(cfg.order_cap + 1)]
-    return _run_trials(handle, prop.value, cfg, expressions, origin, rungs)
+    return _Target(handle, prop.value, expressions, origin)
 
 
 def check(
@@ -738,7 +754,42 @@ def check(
 ) -> CheckReport:
     """Randomized check of a property label against a catalog entry or handle."""
     cfg = cfg or CheckConfig()
-    return _check_label(target, property, cfg, params, dim)
+    return _run_trials([_label_target(target, property, cfg, params, dim)], cfg)[0]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One row of :func:`check_claims`: the arguments of one :func:`check`."""
+
+    target: object
+    property: PropertyLabel | str
+    params: dict | None = None
+    dim: int | None = None
+
+
+def check_claims(claims, cfg: CheckConfig | None = None) -> list[CheckReport]:
+    """The reports of :func:`check` on each claim at one config, in claim
+    order, each byte-identical to its own ``check``.
+
+    Claims whose handles share a cone and a sampled trial count, ``trials``
+    less the origin block when the claim has one on that cone, run on the
+    trial path together, so each block of a role is drawn once for all of
+    them.  The origin block matters: an orthant draw's mask words follow all
+    of its normals, so draws of different lengths share no prefix.  An entry
+    or a label that :func:`check` would refuse raises before any trial runs,
+    and an expression that does not fit its cone before its cone's trials.
+    """
+    cfg = cfg or CheckConfig()
+    targets = [_label_target(c.target, c.property, cfg, c.params, c.dim) for c in claims]
+    groups = {}
+    for i, t in enumerate(targets):
+        cone = t.handle.domain
+        groups.setdefault((cone, bool(t.origin and cone.contains_origin)), []).append(i)
+    reports = [None] * len(targets)
+    for members in groups.values():
+        for i, rep in zip(members, _run_trials([targets[i] for i in members], cfg)):
+            reports[i] = rep
+    return reports
 
 
 def refute(
@@ -761,7 +812,8 @@ def refute(
         for rung, (mult, count) in enumerate(zip(SCALE_LADDER, (third, third, t - 2 * third))):
             yield replace(biased, scale=cfg.scale * mult), 1000 * (rung + 1), count
 
-    return replace(_check_label(target, property, cfg, params, dim, rungs), mode="refute")
+    target = _label_target(target, property, cfg, params, dim)
+    return replace(_run_trials([target], cfg, rungs)[0], mode="refute")
 
 
 def check_alpha_strong(target, alpha: float, cfg: CheckConfig | None = None) -> CheckReport:
@@ -770,7 +822,8 @@ def check_alpha_strong(target, alpha: float, cfg: CheckConfig | None = None) -> 
     if not alpha > 0:
         raise ParameterError("alpha must be positive")
     expression = f"alpha-strong[alpha={alpha!r}]"
-    return _run_trials(resolve_handle(target), expression, cfg or CheckConfig(), [expression])
+    return _run_trials([_Target(resolve_handle(target), expression, [expression])],
+                       cfg or CheckConfig())[0]
 
 
 def check_lipschitz_box(target, lip: float, cfg: CheckConfig | None = None) -> CheckReport:
@@ -779,7 +832,8 @@ def check_lipschitz_box(target, lip: float, cfg: CheckConfig | None = None) -> C
     if not lip > 0:
         raise ParameterError("L must be positive")
     expression = f"lipschitz-box[L={lip!r}]"
-    return _run_trials(resolve_handle(target), expression, cfg or CheckConfig(), [expression])
+    return _run_trials([_Target(resolve_handle(target), expression, [expression])],
+                       cfg or CheckConfig())[0]
 
 
 def check_remark_double_inequality(cfg: CheckConfig | None = None) -> CheckReport:
@@ -788,8 +842,8 @@ def check_remark_double_inequality(cfg: CheckConfig | None = None) -> CheckRepor
     # the log of the middle term is the second difference of log1p, so the
     # two bounds are |second difference| <= 1 * xy: the Lipschitz box at
     # L = 1, as log1p' = 1 / (1 + t) is 1-Lipschitz on t >= 0
-    return _run_trials(resolve_handle("log1p"), "exp-poly-double-bound", cfg or CheckConfig(),
-                       ["lipschitz-box[L=1.0]"])
+    target = _Target(resolve_handle("log1p"), "exp-poly-double-bound", ["lipschitz-box[L=1.0]"])
+    return _run_trials([target], cfg or CheckConfig())[0]
 
 
 def _one_trial(prop: str, vectors: dict, margin: float, s: float, cfg: CheckConfig) -> CheckReport:
@@ -948,5 +1002,6 @@ def check_popoviciu(
     _spot_check_shape(f, lo_f, hi_f, nondecreasing=not concave, convex=not concave)
 
     sign = "nonpos" if concave else "nonneg"
-    return _run_trials(compose(f, handle), f"popoviciu[{handle.label};f={f.label}]", cfg,
-                       [f"{form}-{sign}" for form in ("second-diff", "symmetrized")])
+    target = _Target(compose(f, handle), f"popoviciu[{handle.label};f={f.label}]",
+                     [f"{form}-{sign}" for form in ("second-diff", "symmetrized")])
+    return _run_trials([target], cfg)[0]

@@ -136,7 +136,17 @@ def _collect_params(args) -> dict | None:
     return dict(_parse_param(p) for p in args.param)
 
 
-def _apply_config_file(args):
+def _flag_keys(parser: argparse.ArgumentParser) -> set:
+    """The destinations of every subcommand's arguments: the keys a config
+    file may set."""
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for p in subcommands.choices.values() for a in p._actions} - {"help"}
+
+
+def _apply_config_file(args, parser: argparse.ArgumentParser):
+    """Set the unset flags of ``args`` from ``--config``.  A key that no
+    subcommand takes is a usage error; one of another subcommand's flags is
+    ignored."""
     if not args.config:
         return
     try:
@@ -146,6 +156,10 @@ def _apply_config_file(args):
         raise ParameterError(f"cannot read config file {args.config!r}: {exc}") from exc
     if not isinstance(defaults, dict):
         raise ParameterError(f"config file {args.config!r} must hold a JSON object")
+    unknown = sorted(set(defaults) - _flag_keys(parser))
+    if unknown:
+        raise ParameterError(
+            f"config file {args.config!r}: no subcommand takes the key(s) {', '.join(unknown)}")
     for key, value in defaults.items():
         if hasattr(args, key) and getattr(args, key) is None:
             want = _CONFIG_TYPES.get(key)
@@ -222,7 +236,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         if args.command == "catalog":
             return _cmd_catalog(args)
         if args.command == "check":

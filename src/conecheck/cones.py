@@ -297,8 +297,8 @@ def sample_batch(
     Consumes ``rng`` sequentially, so a fixed (seed, stream) replays the
     same batch.
     """
-    if not scale > 0.0:
-        raise ParameterError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < np.inf:
+        raise ParameterError(f"scale must be finite and positive, got {scale}")
     g = rng.generator
     n = cone.dim
     fam = cone.family

@@ -35,7 +35,9 @@ from .checkers import (
     SCALE_LADDER,
     CheckConfig,
     CheckReport,
+    Claim,
     check,
+    check_claims,
     check_popoviciu,
     refute,
     reevaluate_witness,
@@ -155,26 +157,29 @@ def criterion_4(seed: int) -> CriterionResult:
     scale ladder; the reciprocal control passes subadd and fails the strong
     form with a witness."""
     checks = []
-    claims = [(e.id, label.value)
+    claims = [Claim(e.id, label.value)
               for label in (PropertyLabel.STRONG_SUBADD, PropertyLabel.STRONG_SUPERADD)
               for e in builtin_entries()
               if e.default_dim == 1 and e.labels.get(label) == SourceStatus.ASSERTED]
-    for eid, prop in claims:
-        worst = math.inf
-        violated = None
-        for scale in SCALE_LADDER:
-            rep = check(eid, prop, CheckConfig(trials=10000, scale=scale, seed=seed))
-            worst = min(worst, rep.worst_margin)
+    worst = [math.inf] * len(claims)
+    violated = [None] * len(claims)
+    for scale in SCALE_LADDER:
+        live = [i for i, rep in enumerate(violated) if rep is None]
+        cfg = CheckConfig(trials=10000, scale=scale, seed=seed)
+        for i, rep in zip(live, check_claims([claims[i] for i in live], cfg)):
+            worst[i] = min(worst[i], rep.worst_margin)
             if rep.found_violation:
-                violated = rep
-                break
-        detail = violated.to_json() if violated is not None else dict(
-            worst_margin=worst, scales=list(SCALE_LADDER), trials=10000)
-        checks.append(SubCheck(f"{eid} {prop} on the scale ladder", violated is None, detail))
-    rep = check("reciprocal", "subadd", CheckConfig(trials=10000, seed=seed))
-    checks.append(_from_report("reciprocal subadd holds", rep))
-    rep = check("reciprocal", "strong-subadd", CheckConfig(trials=10000, seed=seed))
-    checks.append(_from_report("reciprocal strong-subadd refuted with a witness", rep,
+                violated[i] = rep
+    for claim, low, rep in zip(claims, worst, violated):
+        detail = rep.to_json() if rep is not None else dict(
+            worst_margin=low, scales=list(SCALE_LADDER), trials=10000)
+        checks.append(SubCheck(f"{claim.target} {claim.property} on the scale ladder",
+                               rep is None, detail))
+    subadd, strong = check_claims([Claim("reciprocal", "subadd"),
+                                   Claim("reciprocal", "strong-subadd")],
+                                  CheckConfig(trials=10000, seed=seed))
+    checks.append(_from_report("reciprocal subadd holds", subadd))
+    checks.append(_from_report("reciprocal strong-subadd refuted with a witness", strong,
                                want_violation=True))
     return CriterionResult(4, "scalar catalog suite", tuple(checks))
 
@@ -182,25 +187,20 @@ def criterion_4(seed: int) -> CriterionResult:
 def criterion_5(seed: int) -> CriterionResult:
     """Matrix suite: determinant, trace powers, entropy, logdet (as stated),
     and Weyl monotonicity on constructed ordered pairs."""
-    checks = []
-    for n in range(1, 6):
-        rep = check("det", "strong-superadd", CheckConfig(trials=1000, seed=seed), dim=n)
-        checks.append(_from_report(f"det strong-superadd, order {n}", rep))
-    for p in (0.3, 0.7, 1.0):
-        rep = check("trace-pow", "strong-subadd", CheckConfig(trials=1000, seed=seed),
-                    params={"p": p}, dim=3)
-        checks.append(_from_report(f"trace-pow strong-subadd, p={p}", rep))
-    for p in (1.0, 1.5, 2.0):
-        rep = check("trace-pow", "strong-superadd", CheckConfig(trials=1000, seed=seed),
-                    params={"p": p}, dim=3)
-        checks.append(_from_report(f"trace-pow strong-superadd, p={p}", rep))
-    for n in (1, 2, 3, 4):
-        rep = check("vn-entropy", "strong-subadd", CheckConfig(trials=1000, seed=seed), dim=n)
-        checks.append(_from_report(f"vn-entropy strong-subadd, order {n}", rep))
+    named = [(f"det strong-superadd, order {n}", Claim("det", "strong-superadd", dim=n))
+             for n in range(1, 6)]
+    named += [(f"trace-pow {prop}, p={p}", Claim("trace-pow", prop, {"p": p}, 3))
+              for prop, powers in (("strong-subadd", (0.3, 0.7, 1.0)),
+                                   ("strong-superadd", (1.0, 1.5, 2.0)))
+              for p in powers]
+    named += [(f"vn-entropy strong-subadd, order {n}", Claim("vn-entropy", "strong-subadd", dim=n))
+              for n in (1, 2, 3, 4)]
     # stated as nonnegative second differences; mathematically the sign is
     # the opposite, so this sub-check reports an honest failure
-    rep = check("logdet", "second-diff-nonneg", CheckConfig(trials=1000, seed=seed), dim=3)
-    checks.append(_from_report("logdet second-diff-nonneg (as stated)", rep))
+    named.append(("logdet second-diff-nonneg (as stated)",
+                  Claim("logdet", "second-diff-nonneg", dim=3)))
+    reports = check_claims([claim for _, claim in named], CheckConfig(trials=1000, seed=seed))
+    checks = [_from_report(name, rep) for (name, _), rep in zip(named, reports)]
 
     cone = cones.psd_cone(4)
     a = cones.sample_batch(cone, Rng(seed, 400), 1000)
@@ -246,11 +246,10 @@ def criterion_7(seed: int) -> CriterionResult:
     order_ok = rep.found_violation and rep.witness.expression.startswith("completely-monotone[k=")
     checks.append(SubCheck("logistic-pow beta=0.5 refuted at some order <= 5", order_ok,
                            rep.to_json()))
-    for beta in (1.0, 2.0):
-        rep = check(
-            "elem-sym-4-shifted", "strong-superadd",
-            CheckConfig(trials=1000, seed=seed), params={"beta": beta},
-        )
+    betas = (1.0, 2.0)
+    reports = check_claims([Claim("elem-sym-4-shifted", "strong-superadd", {"beta": beta})
+                            for beta in betas], CheckConfig(trials=1000, seed=seed))
+    for beta, rep in zip(betas, reports):
         checks.append(_from_report(f"elem-sym-4-shifted strong-superadd, beta={beta}", rep))
     return CriterionResult(7, "complete monotonicity suite", tuple(checks))
 

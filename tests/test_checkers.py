@@ -615,8 +615,8 @@ def test_config_validation():
     import pytest as _pytest
     from conecheck.errors import ParameterError
 
-    for bad in (dict(trials=0), dict(scale=-1.0), dict(order_cap=0),
-                dict(order_cap=13), dict(boundary_prob=1.0)):
+    for bad in (dict(trials=0), dict(scale=-1.0), dict(scale=math.inf), dict(scale=math.nan),
+                dict(order_cap=0), dict(order_cap=13), dict(boundary_prob=1.0)):
         with _pytest.raises(ParameterError):
             CheckConfig(**bad)
 
@@ -796,6 +796,14 @@ def test_reports_of_one_block_draw_the_unblocked_streams(monkeypatch, run, targe
     assert run(target, prop, CheckConfig(trials=trials, seed=0), dim=dim).json_line() == blocked
 
 
+def _fold(handle, prop, blocks, cfg):
+    """The report of the component blocks, folded in order at ``cfg.scale``."""
+    fold = checkers._Fold(handle)
+    for comps in blocks:
+        fold.add(comps, cfg, cfg.scale)
+    return fold.finish(prop, cfg)
+
+
 def _slice_block(comps, rows):
     return [checkers._Component(c.form, c.slack[rows], c.scale[rows],
                                 {r: a[rows] for r, a in c.roles.items()}) for c in comps]
@@ -814,12 +822,11 @@ def test_folding_the_same_trials_in_more_blocks_gives_the_same_report(monkeypatc
     blocks = _recorded_blocks(monkeypatch)
     check(handle, prop, cfg)
     comps = blocks[-1]
-    one = checkers._reduce_trials(handle, prop.value, [(cfg.scale, comps)], cfg)
+    one = _fold(handle, prop.value, [comps], cfg)
     t = comps[0].slack.size
     cuts = (0, 1, 2, 300, 301, t - 1, t)
-    several = checkers._reduce_trials(
-        handle, prop.value,
-        [(cfg.scale, _slice_block(comps, slice(a, b))) for a, b in zip(cuts, cuts[1:])], cfg)
+    several = _fold(handle, prop.value,
+                    [_slice_block(comps, slice(a, b)) for a, b in zip(cuts, cuts[1:])], cfg)
     assert several.json_line() == one.json_line()
 
 
@@ -893,7 +900,7 @@ def test_only_points_at_an_undefined_apex_excuse_a_skip(expression, at_apex, zer
         for r, v in first_rows.items():
             arrays[r][:150] = v
         comps = checkers._components(_OPEN_INTERVAL, [checkers._form(expression)], arrays)
-        return checkers._reduce_trials(_OPEN_INTERVAL, "p", [(1.0, comps)], _cfg(trials=1000))
+        return _fold(_OPEN_INTERVAL, "p", [comps], _cfg(trials=1000))
 
     rep = reduce(at_apex)
     assert rep.skipped == 150 and not rep.found_violation

@@ -1,6 +1,7 @@
 """Command-line surface: JSON-lines output, exit codes, flag handling."""
 
 import json
+import warnings
 
 import pytest
 
@@ -188,6 +189,33 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, content):
                           "--property", "subadd")
     assert (code, out) == (2, "")
     assert err.startswith(f"error: config file {str(cfg)!r}") and "Traceback" not in err
+
+
+def test_a_config_key_no_subcommand_takes_is_usage_error(tmp_path, capsys):
+    """``order_cap`` and a misspelt ``trials`` were dropped and the check
+    ran at its defaults; a key of another subcommand's flag is still taken
+    and ignored."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"order_cap": 12, "trails": 5}))
+    code, out, err = _run(capsys, "--config", str(cfg), "check", "log1p",
+                          "--property", "strong-subadd")
+    assert (code, out) == (2, "")
+    assert "order_cap, trails" in err and "Traceback" not in err
+    cfg.write_text(json.dumps({"method": "topkis", "trials": 50}))
+    code, out, _ = _run(capsys, "--config", str(cfg), "check", "log1p", "--property", "subadd")
+    assert code == 0 and json.loads(out)["config"]["trials"] == 50
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "-1"])
+def test_a_scale_that_is_not_finite_and_positive_is_usage_error(capsys, scale):
+    """``--scale inf`` used to warn of ``0 * inf`` in sampling and exit 3
+    with 99 of 100 trials skipped."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "check", "log1p", "--property", "strong-subadd",
+                              "--trials", "100", "--scale", scale)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: scale must be finite and positive")
 
 
 def test_pretty_check_output(capsys):

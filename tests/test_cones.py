@@ -154,8 +154,9 @@ def test_sample_determinism_and_stream_independence():
 
 
 def test_sample_scale_must_be_positive():
-    with pytest.raises(ParameterError):
-        cones.sample_batch(cones.nonneg_orthant(1), Rng(0), 1, scale=0.0)
+    for scale in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            cones.sample_batch(cones.nonneg_orthant(1), Rng(0), 1, scale=scale)
 
 
 def test_comonotone_pair_postconditions():
