@@ -199,8 +199,7 @@ def _make_neg_log_cosh(p: dict, n: int) -> FunctionHandle:
 def _make_e_minus_1px_pow(p: dict, n: int) -> FunctionHandle:
     # value at 0 is the limit of e - (1+x)^(1/x), which is exactly 0
     def fn(x):
-        with np.errstate(all="ignore"):
-            core = np.exp(np.log1p(x) / np.where(x > 0.0, x, 1.0))
+        core = np.exp(np.log1p(x) / np.where(x > 0.0, x, 1.0))
         return np.where(x > 0.0, np.e - core, 0.0)
 
     return _scalar_handle("e-minus-1px-pow", fn)

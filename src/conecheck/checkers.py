@@ -677,10 +677,12 @@ class _Target(NamedTuple):
     origin: str | None = None
 
 
+@np.errstate(all="ignore")
 def _run_trials(targets: list[_Target], cfg: CheckConfig, rungs=None) -> list[CheckReport]:
     """The one trial path of every sampled check, certificate and quadrature
     check: the targets' reports, in order.  The targets share a cone and a
     sampled trial count, so either all or none of them has an origin block.
+    No floating-point warning is raised: a non-finite value skips its trial.
 
     Each expression is parsed once on the cone, so one whose row needs a
     kind of cone that the domain is not raises :class:`CapabilityError`
@@ -803,8 +805,13 @@ def refute(
     """Counterexample search: the check's trials split in thirds over the
     scale ladder {0.1, 1, 10} with boundary-biased sampling, one block per
     rung on its own streams, and one origin evaluation, skip budget and
-    shrink for the whole search."""
+    shrink for the whole search.  Every rung's scale must be finite and
+    positive."""
     cfg = cfg or CheckConfig()
+    for mult in SCALE_LADDER:
+        if not 0 < cfg.scale * mult < np.inf:
+            raise ParameterError(f"scale {cfg.scale!r} leaves the float range on the "
+                                 f"{mult!r}x rung of refute's ladder")
     biased = replace(cfg, boundary_prob=max(cfg.boundary_prob, 0.5))
 
     def rungs(t):

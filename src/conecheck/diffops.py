@@ -204,6 +204,7 @@ class _Roles(dict):
         raise ShapeError(f"no point is given for the role {name!r}")
 
 
+@np.errstate(all="ignore")
 def _one_row(f: FunctionHandle, form, points: dict) -> tuple[float, float]:
     """``(slack, scale)`` of a form on the single row of the named points;
     a non-finite value raises :class:`DomainError`, a missing role

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -33,7 +34,7 @@ from conecheck.checkers import (
     tomic_weyl,
 )
 from conecheck.cones import Point, Rng, nonneg_orthant
-from conecheck.diffops import FunctionHandle, compose
+from conecheck.diffops import FunctionHandle, compose, second_diff
 from conecheck.errors import (
     CapabilityError,
     DomainError,
@@ -619,6 +620,21 @@ def test_config_validation():
                 dict(order_cap=0), dict(order_cap=13), dict(boundary_prob=1.0)):
         with _pytest.raises(ParameterError):
             CheckConfig(**bad)
+
+
+def test_overflowing_trials_are_skipped_without_a_warning():
+    """At scale 1e308 the sampler's product and the forms' role sums
+    overflow; those trials are skipped, and the check fails its skip budget
+    with no floating-point warning.  The one-row path is as quiet."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericFailure, match="15/30 trials skipped"):
+            check("log1p", "strong-subadd", CheckConfig(trials=30, scale=1e308))
+        rep = refute("log1p", "strong-subadd", CheckConfig(trials=30, scale=1e307))
+        assert (rep.verdict, rep.skipped) == ("NO_VIOLATION_FOUND", 1)
+        huge = Point.vector([1e308])
+        with pytest.raises(DomainError):
+            second_diff(catalog.instantiate("log1p"), huge, huge, huge)
 
 
 @pytest.mark.parametrize("bad", [

@@ -218,6 +218,23 @@ def test_a_scale_that_is_not_finite_and_positive_is_usage_error(capsys, scale):
     assert err.startswith("error: scale must be finite and positive")
 
 
+@pytest.mark.parametrize("scale,rung", [("1e308", "10.0x"), ("1e-323", "0.1x")])
+def test_refute_checks_every_rung_scale_before_any_trial(capsys, monkeypatch, scale, rung):
+    """``refute --scale 1e308`` ran two rungs, warned of overflows and
+    exited 2 on a scale of inf, which the user never gave: its last rung is
+    10 times the scale."""
+    from conecheck import cones
+
+    drawn = []
+    monkeypatch.setattr(cones, "sample_batch", lambda *a, **kw: drawn.append(a) or 1 / 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "refute", "log1p", "--property", "strong-subadd",
+                              "--trials", "30", "--scale", scale)
+    assert (code, out, drawn) == (2, "", [])
+    assert err.startswith(f"error: scale {float(scale)!r} ") and f"{rung} rung" in err
+
+
 def test_pretty_check_output(capsys):
     code, out, _ = _run(capsys, "check", "log1p", "--property", "subadd",
                         "--trials", "50", "--pretty")
