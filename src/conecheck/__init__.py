@@ -15,7 +15,6 @@ from .certify import (
     certify_differential_monotone,
     certify_hessian_sign,
     certify_topkis,
-    gaussian_detcert_check,
     laplace_as_handle,
 )
 from .checkers import (
@@ -25,12 +24,9 @@ from .checkers import (
     MajorizationPair,
     Witness,
     check,
-    check_alpha_strong,
     check_chebyshev,
     check_claims,
-    check_lipschitz_box,
     check_popoviciu,
-    check_remark_double_inequality,
     refute,
     reevaluate_witness,
     tomic_weyl,

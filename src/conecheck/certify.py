@@ -22,9 +22,10 @@ time, so memory does not grow with their count; non-finite trials are
 skipped within the checks' 10% budget.  The refusal witness is the fold's
 shrunk :class:`.checkers.Witness`, which :func:`.checkers.reevaluate_witness`
 replays exactly.  The Gaussian-integral representation of ``det(I +
-A)^(-1/2)`` is checked on the same path, as the ``gaussian-det-representation``
-form, against a fixed tensor-product Gauss-Hermite rule summed one slice at
-a time with no state kept between calls.
+A)^(-1/2)`` is the ``gaussian-det-representation`` expression, as in
+``check("det-shift-recip", "gaussian-det-representation", dim=n)``: its role
+``A`` holds PSD matrices scaled to operator norms in [0.1, 2], and a fixed
+tensor-product Gauss-Hermite rule is summed one slice at a time.
 """
 
 from __future__ import annotations
@@ -234,19 +235,13 @@ _GH_MAX_ORDER = 4
 _GH_PRODUCT = 4 * _GH_POINTS ** 3
 
 
-def _require_quadrature_order(n: int) -> None:
-    if n > _GH_MAX_ORDER:
-        raise CapabilityError(
-            f"the quadrature validation supports orders up to {_GH_MAX_ORDER}"
-        )
-
-
 def _gauss_hermite(n: int) -> tuple:
     """The order-``n`` tensor-product Gauss-Hermite rule for the density
     ``exp(-|z|^2) / pi^(n/2)``, split into slices: the ``_GH_POINTS`` nodes
     and weights of the first coordinate, then the ``(n - 1, 24^(n-1))``
     nodes of the others and their product weights, shared by every slice."""
-    _require_quadrature_order(n)
+    if n > _GH_MAX_ORDER:
+        raise CapabilityError(f"the quadrature validation supports orders up to {_GH_MAX_ORDER}")
     x, w = np.polynomial.hermite.hermgauss(_GH_POINTS)
     w /= math.sqrt(math.pi)
     grid = np.indices((_GH_POINTS,) * (n - 1)).reshape(n - 1, _GH_POINTS ** (n - 1))
@@ -328,26 +323,6 @@ def gaussian_representation_margin(a: np.ndarray) -> tuple:
     if np.ndim(a) == 2:
         return float(total[0]), float(exact[0]), float(relerr[0])
     return total, exact, relerr
-
-
-def gaussian_detcert_check(n: int, cfg: CheckConfig | None = None) -> CheckReport:
-    """Quadrature validation of the square-root reciprocal determinant
-    representation on random PSD matrices with operator norm at most 2: the
-    ``gaussian-det-representation`` form, the relative tolerance 1e-3 minus
-    the relative error of the fixed tensor-product Gauss-Hermite rule of
-    ``_GH_POINTS`` points per coordinate, for orders up to
-    ``_GH_MAX_ORDER``.  The matrices are the role ``A`` of the checks' trial
-    path: block ``b`` is one PSD ``sample_batch`` from stream 44 at Philox
-    block ``b``, each matrix scaled to an operator norm drawn uniformly from
-    [0.1, 2] by the same stream."""
-    cfg = cfg or CheckConfig()
-    _require_quadrature_order(n)
-    cone = cones.psd_cone(n)
-    handle = FunctionHandle(
-        "det(I+A)^(-1/2)", cone,
-        lambda mats: np.exp(-0.5 * rowwise(np.add, np.log1p(np.linalg.eigvalsh(mats)))))
-    target = _Target(handle, "gaussian-det-representation", ["gaussian-det-representation"])
-    return _run_trials([target], cfg)[0]
 
 
 def check_det_trace_monotone(n: int, cfg: CheckConfig | None = None) -> CheckReport:

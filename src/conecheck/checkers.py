@@ -267,13 +267,31 @@ def _entry(arg: str) -> tuple:
     """The matrix entry ``(i, j)`` of the argument ``ij=i,j``."""
     ij = tuple(int(v) for v in arg.split(","))
     if len(ij) != 2:
-        raise ValueError(arg)
+        raise ValueError("an entry needs two indices")
     return ij
 
 
+def _positive(arg: str) -> float:
+    """The argument ``alpha`` or ``L``, finite and positive."""
+    value = float(arg)
+    if not 0 < value < np.inf:
+        raise ValueError("it must be finite and positive")
+    return value
+
+
+def _order(arg: str) -> int:
+    """The difference order ``k``, at most ``MAX_DIFF_ORDER``."""
+    k = int(arg)
+    if not 0 <= k <= MAX_DIFF_ORDER:
+        raise ValueError(f"it must lie in 0..{MAX_DIFF_ORDER}")
+    return k
+
+
 # the cones a row may need: a vector cone has coordinatewise order, minimum
-# and maximum; a one-dimensional one has scalar products of its points
-_VECTOR_CONE, _SCALAR_CONE = "a vector cone", "a one-dimensional vector cone"
+# and maximum; a one-dimensional one has scalar products of its points; the
+# PSD cone has the matrices the quadrature integrates over
+_VECTOR_CONE, _SCALAR_CONE, _PSD_CONE = (
+    "a vector cone", "a one-dimensional vector cone", "the PSD cone")
 
 
 class _Row(NamedTuple):
@@ -312,12 +330,13 @@ _FORMS = {
     "symmetrized-nonpos": _Row(_symmetrized, _XYZ, _XYZ, sign=-1.0),
     "differential-nondecreasing": _Row(_derivative_change, _STEP + ("direction",), ()),
     "differential-nonincreasing": _Row(_derivative_change, _STEP + ("direction",), (), sign=-1.0),
-    "gaussian-det-representation": _Row(_gaussian_representation, ("A",), (), arg=1e-3),
+    "gaussian-det-representation": _Row(
+        _gaussian_representation, ("A",), (), arg=1e-3, cone=_PSD_CONE),
     "completely-monotone": _Row(
         _completely_monotone, lambda k: ("base",) + tuple(f"x{i + 1}" for i in range(k)),
-        ("base",), parse=int),
-    "alpha-strong": _Row(_alpha_strong, _XYZ, ("z",), parse=float, cone=_SCALAR_CONE),
-    "lipschitz-box": _Row(_lipschitz_box, _XYZ, ("z",), parse=float, cone=_SCALAR_CONE),
+        ("base",), parse=_order),
+    "alpha-strong": _Row(_alpha_strong, _XYZ, ("z",), parse=_positive, cone=_SCALAR_CONE),
+    "lipschitz-box": _Row(_lipschitz_box, _XYZ, ("z",), parse=_positive, cone=_SCALAR_CONE),
     "hessian-nonpos": _Row(_hessian_entry, ("p",), (), sign=-1.0, parse=_entry, cone=_VECTOR_CONE),
     "hessian-nonneg": _Row(_hessian_entry, ("p",), (), parse=_entry, cone=_VECTOR_CONE),
 }
@@ -364,10 +383,11 @@ class _Form(NamedTuple):
 
 
 def _form(expression: str, cone: ConeSpec | None = None) -> _Form:
-    """The form of a witness expression, with its parameters bound.  Given
-    a ``cone``, a row that needs a kind of cone that it is not raises
-    :class:`CapabilityError`, and a Hessian entry outside its coordinates
-    :class:`ParameterError`."""
+    """The form of a witness expression, with its parameters bound; an
+    argument its row's parser refuses, as out of range or malformed, raises
+    :class:`ParameterError`.  Given a ``cone``, a row that needs a kind of
+    cone that it is not raises :class:`CapabilityError`, and a Hessian entry
+    outside its coordinates :class:`ParameterError`."""
     m = _EXPR_PARAM.match(expression)
     if not m:
         raise ParameterError(f"malformed expression {expression!r}")
@@ -378,12 +398,15 @@ def _form(expression: str, cone: ConeSpec | None = None) -> _Form:
     if arg is not None:
         try:
             value = row.parse(arg.split("=")[1])
-        except ValueError:
-            raise ParameterError(f"malformed argument in the expression {expression!r}") from None
+        except ValueError as exc:
+            raise ParameterError(
+                f"malformed argument in the expression {expression!r}: {exc}") from None
     if cone is None:
         return _Form(expression, row, value)
+    # the PSD cone is the one cone whose points are not vectors
     need = row.cone
-    if need and (cone.point_kind != VECTOR or (need == _SCALAR_CONE and cone.dim != 1)):
+    if need and ((cone.point_kind == VECTOR) == (need == _PSD_CONE)
+                 or (need == _SCALAR_CONE and cone.dim != 1)):
         raise CapabilityError(f"{expression!r} needs {need}, not {cone.family}({cone.dim})")
     if row.parse is _entry and not all(0 <= i < cone.dim for i in value):
         raise ParameterError(f"{expression!r} names an entry outside {cone.family}({cone.dim})")
@@ -730,20 +753,29 @@ def _run_trials(targets: list[_Target], cfg: CheckConfig, rungs=None) -> list[Ch
 # ---------------------------------------------------------------------------
 
 
-def _label_target(target, property, cfg: CheckConfig, params, dim) -> _Target:
-    """The property label's components on a resolved handle, the target of
-    :func:`check`, :func:`refute` and :func:`check_claims`."""
+def _claim_target(target, property, cfg: CheckConfig, params, dim) -> _Target:
+    """The claim of :func:`check`, :func:`refute` and :func:`check_claims` on
+    a resolved handle.  A property label gives its components and origin
+    sign condition; any other property is one expression of the form table,
+    parsed on the handle's cone, which is the claim's one component with no
+    origin block.  An origin condition cannot stand alone: it reads no
+    sampled role."""
     handle = resolve_handle(target, params, dim)
     try:
-        prop = PropertyLabel(property)
+        prop = PropertyLabel(property).value
     except ValueError:
-        raise ParameterError(
-            f"unknown property {property!r}; the labels are "
-            + ", ".join(label.value for label in PropertyLabel)) from None
-    origin, *expressions = _LABELS[prop.value]
-    if prop == PropertyLabel.COMPLETELY_MONOTONE:
+        if not (isinstance(property, str) and property.split("[")[0] in _FORMS):
+            raise ParameterError(
+                f"unknown property {property!r}; the labels are "
+                + ", ".join(label.value for label in PropertyLabel)
+                + ", and any other property is an expression of the form table") from None
+        if "zero" in _form(property, handle.domain).keys:
+            raise ParameterError(f"{property!r} is an origin condition, not a claim")
+        return _Target(handle, property, [property])
+    origin, *expressions = _LABELS[prop]
+    if prop == "completely-monotone":
         expressions = [f"completely-monotone[k={j}]" for j in range(cfg.order_cap + 1)]
-    return _Target(handle, prop.value, expressions, origin)
+    return _Target(handle, prop, expressions, origin)
 
 
 def check(
@@ -754,14 +786,16 @@ def check(
     params: dict | None = None,
     dim: int | None = None,
 ) -> CheckReport:
-    """Randomized check of a property label against a catalog entry or handle."""
+    """Randomized check of a property label, or of one form-table expression
+    such as ``alpha-strong[alpha=2.0]``, against a catalog entry or handle."""
     cfg = cfg or CheckConfig()
-    return _run_trials([_label_target(target, property, cfg, params, dim)], cfg)[0]
+    return _run_trials([_claim_target(target, property, cfg, params, dim)], cfg)[0]
 
 
 @dataclass(frozen=True)
 class Claim:
-    """One row of :func:`check_claims`: the arguments of one :func:`check`."""
+    """One row of :func:`check_claims`: the arguments of one :func:`check`,
+    whose ``property`` is a label or an expression."""
 
     target: object
     property: PropertyLabel | str
@@ -777,12 +811,13 @@ def check_claims(claims, cfg: CheckConfig | None = None) -> list[CheckReport]:
     less the origin block when the claim has one on that cone, run on the
     trial path together, so each block of a role is drawn once for all of
     them.  The origin block matters: an orthant draw's mask words follow all
-    of its normals, so draws of different lengths share no prefix.  An entry
-    or a label that :func:`check` would refuse raises before any trial runs,
-    and an expression that does not fit its cone before its cone's trials.
+    of its normals, so draws of different lengths share no prefix.  An
+    entry, label or expression claim that :func:`check` would refuse raises
+    before any trial runs, and a label whose component does not fit its cone
+    before its cone's trials.
     """
     cfg = cfg or CheckConfig()
-    targets = [_label_target(c.target, c.property, cfg, c.params, c.dim) for c in claims]
+    targets = [_claim_target(c.target, c.property, cfg, c.params, c.dim) for c in claims]
     groups = {}
     for i, t in enumerate(targets):
         cone = t.handle.domain
@@ -819,38 +854,8 @@ def refute(
         for rung, (mult, count) in enumerate(zip(SCALE_LADDER, (third, third, t - 2 * third))):
             yield replace(biased, scale=cfg.scale * mult), 1000 * (rung + 1), count
 
-    target = _label_target(target, property, cfg, params, dim)
+    target = _claim_target(target, property, cfg, params, dim)
     return replace(_run_trials([target], cfg, rungs)[0], mode="refute")
-
-
-def check_alpha_strong(target, alpha: float, cfg: CheckConfig | None = None) -> CheckReport:
-    """Second differences of an alpha-strongly convex rule on a
-    one-dimensional vector cone dominate ``alpha * x * y``."""
-    if not alpha > 0:
-        raise ParameterError("alpha must be positive")
-    expression = f"alpha-strong[alpha={alpha!r}]"
-    return _run_trials([_Target(resolve_handle(target), expression, [expression])],
-                       cfg or CheckConfig())[0]
-
-
-def check_lipschitz_box(target, lip: float, cfg: CheckConfig | None = None) -> CheckReport:
-    """|second difference| is boxed by ``L * x * y`` when the derivative of a
-    rule on a one-dimensional vector cone is L-Lipschitz."""
-    if not lip > 0:
-        raise ParameterError("L must be positive")
-    expression = f"lipschitz-box[L={lip!r}]"
-    return _run_trials([_Target(resolve_handle(target), expression, [expression])],
-                       cfg or CheckConfig())[0]
-
-
-def check_remark_double_inequality(cfg: CheckConfig | None = None) -> CheckReport:
-    """``exp(xy) >= (1+z)(1+x+y+z) / ((1+x+z)(1+y+z)) >= exp(-xy)`` on
-    nonnegative triples, tested in the log domain."""
-    # the log of the middle term is the second difference of log1p, so the
-    # two bounds are |second difference| <= 1 * xy: the Lipschitz box at
-    # L = 1, as log1p' = 1 / (1 + t) is 1-Lipschitz on t >= 0
-    target = _Target(resolve_handle("log1p"), "exp-poly-double-bound", ["lipschitz-box[L=1.0]"])
-    return _run_trials([target], cfg or CheckConfig())[0]
 
 
 def _one_trial(prop: str, vectors: dict, margin: float, s: float, cfg: CheckConfig) -> CheckReport:
@@ -991,11 +996,13 @@ def check_popoviciu(
 
     concave = f.nondecreasing is False and f.convex is False
 
-    # monotonicity and nonnegativity spot check on 100 ordered pairs
+    # monotonicity and nonnegativity spot check on 100 ordered pairs, where a
+    # non-finite value skips its pair quietly, as on the trial path
     spot = 100
-    u = cones.sample_batch(cone, Rng(cfg.seed, _STREAM_SPOT_U), spot, cfg.scale, 0.0)
-    v = cones.sample_batch(cone, Rng(cfg.seed, _STREAM_SPOT_V), spot, cfg.scale, 0.0)
-    fu, fuv = handle.batch(u), handle.batch(u + v)
+    with np.errstate(all="ignore"):
+        u = cones.sample_batch(cone, Rng(cfg.seed, _STREAM_SPOT_U), spot, cfg.scale, 0.0)
+        v = cones.sample_batch(cone, Rng(cfg.seed, _STREAM_SPOT_V), spot, cfg.scale, 0.0)
+        fu, fuv = handle.batch(u), handle.batch(u + v)
     ok = np.isfinite(fu) & np.isfinite(fuv)
     thr = cfg.tolerance(np.maximum(np.abs(fu), np.abs(fuv)))
     bad = ok & ((fu > fuv + thr) | (fu < -thr))

@@ -6,13 +6,14 @@ Results are fully deterministic for a fixed seed; wall-clock measurements
 are intentionally kept out of the result structures so replayed manifests
 are byte-identical.
 
-Criteria 4 to 8 and 10 are tables of claims, one :class:`_Row` per
-sub-check: its name, the call that decides it with its target, argument,
-trials, params and dim, and the verdict it must give.  To add a claim, add
-a row to its criterion's table.  :func:`_run` gives each row its sub-check
-in order, the report or certificate as detail; ``check`` rows that share a
-trial count run as one :func:`check_claims`.  Criteria 1, 2, 3, 9 and 11
-and the Weyl pairs of criterion 5 check printed numbers or build their own
+Criteria 4 to 10 are tables of claims, one :class:`_Row` per sub-check:
+its name, the call that decides it with its target, argument, trials,
+params and dim, and the verdict it must give.  A ``check`` row's argument
+is a property label or a form-table expression.  To add a claim, add a row
+to its criterion's table.  :func:`_run` gives each row its sub-check in
+order, the report or certificate as detail; ``check`` rows that share a
+trial count run as one :func:`check_claims`.  Criteria 1, 2, 3 and 11 and
+the Weyl pairs of criterion 5 check printed numbers or build their own
 inputs.
 
 Criterion 5 contains one sub-check that is expected to fail: the claimed
@@ -41,7 +42,6 @@ from .certify import (
     certify_differential_monotone,
     certify_hessian_sign,
     certify_topkis,
-    gaussian_detcert_check,
 )
 from .checkers import (
     NO_VIOLATION,
@@ -289,13 +289,12 @@ def criterion_8(seed: int) -> CriterionResult:
 
 def criterion_9(seed: int) -> CriterionResult:
     """Quadrature vs eigenvalue formula for the square-root reciprocal
-    determinant representation, 20 matrices of order at most 2."""
-    checks = []
-    for n, trials in ((1, 10), (2, 10)):
-        rep = gaussian_detcert_check(n, CheckConfig(trials=trials, seed=seed))
-        checks.append(SubCheck(f"Gaussian determinant representation, order {n}",
-                               rep.verdict == NO_VIOLATION, rep.to_json()))
-    return CriterionResult(9, "Gaussian determinant representation", tuple(checks))
+    determinant representation, 20 matrices of order at most 2: the
+    ``gaussian-det-representation`` expression, which reads no value of its
+    handle, on the PSD cone of ``det-shift-recip`` at its default beta 1/2."""
+    rows = [_Row(f"Gaussian determinant representation, order {n}", check, "det-shift-recip",
+                 "gaussian-det-representation", 10, dim=n) for n in (1, 2)]
+    return CriterionResult(9, "Gaussian determinant representation", tuple(_run(rows, seed)))
 
 
 def criterion_10(seed: int) -> CriterionResult:

@@ -22,7 +22,6 @@ from conecheck.certify import (
     certify_topkis,
     check_det_trace_monotone,
     dual_member,
-    gaussian_detcert_check,
     gaussian_representation_margin,
     laplace_as_handle,
 )
@@ -238,12 +237,18 @@ def test_gaussian_representation_exact_cases():
     assert rel <= 1e-3
 
 
+def _gaussian_check(n, cfg):
+    """The quadrature check of order n: the gaussian-det-representation
+    expression on a PSD-cone entry whose values it never reads."""
+    return check("det-shift-recip", "gaussian-det-representation", cfg, dim=n)
+
+
 def test_gaussian_detcert_check_passes():
-    rep = gaussian_detcert_check(2, _cfg(trials=5))
+    rep = _gaussian_check(2, _cfg(trials=5))
     assert not rep.found_violation
     assert rep.worst_margin > 0
     with pytest.raises(CapabilityError):
-        gaussian_detcert_check(5, _cfg(trials=1))
+        _gaussian_check(5, _cfg(trials=1))
     # a slice of order 5 would hold 24^4 nodes
     with pytest.raises(CapabilityError):
         gaussian_representation_margin(np.eye(certify._GH_MAX_ORDER + 1))
@@ -356,7 +361,7 @@ def test_quadrature_estimate_does_not_depend_on_the_stack_size(monkeypatch):
     margins = []
     for budget in (1, 2, 4):
         monkeypatch.setattr(certify, "_GH_PRODUCT", budget * 24 ** 3)
-        margins.append(gaussian_detcert_check(4, CheckConfig(trials=2 ** 12)).worst_margin)
+        margins.append(_gaussian_check(4, CheckConfig(trials=2 ** 12)).worst_margin)
     assert [m.hex() for m in margins] == [margins[0].hex()] * 3
 
 
@@ -365,7 +370,7 @@ def test_gaussian_detcert_check_draws_documented_sequence():
     from the same stream scales it to operator norm 2u, and the worst
     margin is the tolerance minus the largest relative error."""
     for n, seed in ((1, 0), (2, 3)):
-        rep = gaussian_detcert_check(n, _cfg(trials=6, seed=seed))
+        rep = _gaussian_check(n, _cfg(trials=6, seed=seed))
         rng = Rng(seed, checkers._ROLES["A"][0])
         mats = cones.sample_batch(psd_cone(n), rng, 6)
         lam_max = np.linalg.eigvalsh(mats)[:, -1]
@@ -545,7 +550,7 @@ def test_gaussian_detcert_witness_reevaluates(monkeypatch):
         return est, exact, 1e6 * relerr
 
     monkeypatch.setattr(certify, "gaussian_representation_margin", coarse)
-    rep = gaussian_detcert_check(2, _cfg(trials=50))
+    rep = _gaussian_check(2, _cfg(trials=50))
     assert rep.found_violation
     a = rep.witness.points["A"]
     assert cones.member(psd_cone(2), a)
@@ -568,7 +573,7 @@ def test_certificate_memory_does_not_grow_with_the_points():
 
     runs = {
         "lse hessian nonneg": lambda n: certify_hessian_sign("lse", "nonneg", _cfg(trials=n), dim=6),
-        "gaussian order 2": lambda n: gaussian_detcert_check(2, _cfg(trials=n)),
+        "gaussian order 2": lambda n: _gaussian_check(2, _cfg(trials=n)),
     }
     for name, run in runs.items():
         one, four = peak(run, checkers._BLOCK), peak(run, 4 * checkers._BLOCK)

@@ -17,18 +17,14 @@ from conecheck.certify import (
     certify_hessian_sign,
     certify_topkis,
     check_det_trace_monotone,
-    gaussian_detcert_check,
 )
 from conecheck.checkers import (
     CheckConfig,
     MajorizationPair,
     Witness,
     check,
-    check_alpha_strong,
     check_chebyshev,
-    check_lipschitz_box,
     check_popoviciu,
-    check_remark_double_inequality,
     refute,
     reevaluate_witness,
     tomic_weyl,
@@ -37,6 +33,7 @@ from conecheck.cones import Point, Rng, nonneg_orthant
 from conecheck.diffops import FunctionHandle, compose, second_diff
 from conecheck.errors import (
     CapabilityError,
+    ConeCheckError,
     DomainError,
     NumericFailure,
     ParameterError,
@@ -165,8 +162,8 @@ _ORTHANT2 = FunctionHandle("orthant-2", nonneg_orthant(2), _unevaluable)
     pytest.param(partial(check, _PSD2, "comonotone-strong-superadd"), id="check-comonotone-psd"),
     pytest.param(partial(certify_hessian_sign, _PSD2, "nonneg"), id="hessian-sign-psd"),
     pytest.param(partial(certify_topkis, _PSD2, "submodular"), id="topkis-psd"),
-    pytest.param(partial(check_alpha_strong, _ORTHANT2, 1.0), id="alpha-strong-orthant-2"),
-    pytest.param(partial(check_lipschitz_box, _ORTHANT2, 1.0), id="lipschitz-box-orthant-2"),
+    pytest.param(partial(check, _ORTHANT2, "alpha-strong[alpha=1.0]"), id="alpha-strong-orthant-2"),
+    pytest.param(partial(check, _ORTHANT2, "lipschitz-box[L=1.0]"), id="lipschitz-box-orthant-2"),
 ])
 def test_a_cone_requirement_is_checked_before_anything_is_drawn(monkeypatch, run):
     """A row's cone requirement raises CapabilityError on the trial path
@@ -234,6 +231,29 @@ def test_an_unknown_property_label_is_a_parameter_error(run):
         run("log1p", "bogus", _cfg(trials=10))
 
 
+_ORTHANT1 = FunctionHandle("orthant-1", nonneg_orthant(1), _unevaluable)
+_TRIPLE = {name: Point.vector([1.0]) for name in ("x", "y", "z")}
+
+
+@pytest.mark.parametrize("expression", [
+    "alpha-strong[alpha=-1.0]", "alpha-strong[alpha=nan]", "lipschitz-box[L=inf]",
+    "completely-monotone[k=-1]", "completely-monotone[k=13]",
+])
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda e: checkers.evaluate_expression(_ORTHANT1, e, _TRIPLE), id="evaluate"),
+    pytest.param(lambda e: reevaluate_witness(_ORTHANT1, Witness(_TRIPLE, -1.0, e)),
+                 id="reevaluate"),
+    pytest.param(lambda e: check(_ORTHANT1, e, _cfg(trials=10)), id="check"),
+])
+def test_an_argument_out_of_its_range_is_refused_before_evaluation(monkeypatch, run, expression):
+    """alpha and L must be finite and positive, and k must lie in
+    0..MAX_DIFF_ORDER, on every path that parses an expression; the row's
+    parser refuses the argument before a point is drawn or evaluated."""
+    monkeypatch.setattr(cones, "sample_batch", _undrawable)
+    with pytest.raises(ConeCheckError, match="malformed argument"):
+        run(expression)
+
+
 def test_det_strong_superadd_small_orders():
     for n in range(1, 6):
         rep = check("det", "strong-superadd", _cfg(trials=300), dim=n)
@@ -272,38 +292,42 @@ def test_origin_condition_triggers_for_shifted_cos():
 
 def test_alpha_strong():
     sq = FunctionHandle("square", nonneg_orthant(1), lambda rows: rows[:, 0] ** 2)
-    assert not check_alpha_strong(sq, 2.0, _cfg()).found_violation
+    assert not check(sq, "alpha-strong[alpha=2.0]", _cfg()).found_violation
 
     # double integral of a constant rate c gives c x^2 / 2, which is c-strongly convex
     c = 0.75
     f = FunctionHandle("double-integral", nonneg_orthant(1), lambda rows: c * rows[:, 0] ** 2 / 2)
-    assert not check_alpha_strong(f, c, _cfg()).found_violation
+    assert not check(f, f"alpha-strong[alpha={c!r}]", _cfg()).found_violation
 
     lin = FunctionHandle("linear", nonneg_orthant(1), lambda rows: rows[:, 0])
-    rep = check_alpha_strong(lin, 1.0, _cfg())
+    rep = check(lin, "alpha-strong[alpha=1.0]", _cfg())
     assert rep.found_violation
     _assert_sound(lin, rep)
 
 
 def test_alpha_strong_needs_scalar_domain():
     with pytest.raises(CapabilityError):
-        check_alpha_strong(catalog.instantiate("sq-norm", dim=2), 1.0, _cfg(trials=10))
+        check(catalog.instantiate("sq-norm", dim=2), "alpha-strong[alpha=1.0]", _cfg(trials=10))
 
 
 def test_lipschitz_box():
     half_sq = FunctionHandle("half-square", nonneg_orthant(1), lambda rows: rows[:, 0] ** 2 / 2)
-    assert not check_lipschitz_box(half_sq, 1.0, _cfg()).found_violation
+    assert not check(half_sq, "lipschitz-box[L=1.0]", _cfg()).found_violation
     sine = FunctionHandle("sine", nonneg_orthant(1), lambda rows: np.sin(rows[:, 0]))
-    assert not check_lipschitz_box(sine, 1.0, _cfg()).found_violation
+    assert not check(sine, "lipschitz-box[L=1.0]", _cfg()).found_violation
     cube = FunctionHandle("cube", nonneg_orthant(1), lambda rows: rows[:, 0] ** 3)
-    rep = check_lipschitz_box(cube, 1.0, _cfg())
+    rep = check(cube, "lipschitz-box[L=1.0]", _cfg())
     assert rep.found_violation
     _assert_sound(cube, rep)
 
 
 def test_double_inequality():
-    rep = check_remark_double_inequality(_cfg(trials=3000))
+    # the log of the remark's middle term is the second difference of log1p,
+    # so its two bounds are the Lipschitz box at L = 1: log1p' = 1 / (1 + t)
+    # is 1-Lipschitz on t >= 0
+    rep = check("log1p", "lipschitz-box[L=1.0]", _cfg(trials=3000))
     assert not rep.found_violation
+    assert rep.property == "lipschitz-box[L=1.0]"
     # at x = y = 0 both bounds meet the ratio at 1
     for z in (0.0, 1.0, 1e6):
         ratio = (1 + z) * (1 + z) / ((1 + z) * (1 + z))
@@ -402,6 +426,16 @@ def test_popoviciu_monotone_spot_check_fires():
     handle = FunctionHandle("anti", nonneg_orthant(2), lambda rows: -np.sum(rows, axis=1))
     with pytest.raises(PreconditionError, match="spot check"):
         check_popoviciu(handle, exp_fn, _cfg(trials=10))
+
+
+def test_popoviciu_spot_check_overflow_is_quiet():
+    """At scale 1e308 the spot check's PSD samples overflow; like the trial
+    path it raises no floating-point warning, and the check fails its skip
+    budget."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericFailure):
+            check_popoviciu("det", power_fn(1.5), CheckConfig(trials=30, scale=1e308), dim=2)
 
 
 def test_refuter_finds_jensen_gap_with_large_margin():
@@ -752,7 +786,7 @@ def test_report_biconditional_invariant():
         tomic_weyl(majorized, exp_fn, "a-nonincreasing"),
         tomic_weyl(majorized, dip, "a-nonincreasing"),
         check_det_trace_monotone(3, _cfg(trials=300)),
-        gaussian_detcert_check(2, _cfg(trials=3)),
+        check("det-shift-recip", "gaussian-det-representation", _cfg(trials=3), dim=2),
     ]
     assert [r.found_violation for r in reports[-5:]] == [False, False, True, False, False]
     for rep in reports:

@@ -33,7 +33,8 @@ _ONE_MINUS_EXP = FunctionHandle("one-minus-exp", nonneg_orthant(1),
 
 # claims on seven cones, with and without an origin block; the lse rows with
 # an origin block share their draws, and read x as the comonotone pair's and
-# as a boundary draw
+# as a boundary draw; the expression claims share the draws of the labels
+# with no origin block on their cones
 MIXED = [
     Claim("log1p", "strong-subadd"),
     Claim("reciprocal", "strong-subadd"),  # refuted, and its witness is shrunk
@@ -50,6 +51,11 @@ MIXED = [
     Claim("log1p", "strong-subadd"),  # repeated
     Claim("reciprocal", "subadd"),
     Claim("det", "strong-superadd", dim=2),
+    Claim("log1p", "lipschitz-box[L=1.0]"),
+    Claim("log1p", "alpha-strong[alpha=0.5]"),  # refuted: log1p is concave
+    Claim(_ONE_MINUS_EXP, "lipschitz-box[L=1.0]"),
+    Claim("exp-neg-linear", "completely-monotone[k=2]"),
+    Claim("det-shift-recip", "gaussian-det-representation", dim=2),
 ]
 
 
@@ -60,15 +66,16 @@ def _one_at_a_time(claims, cfg):
 
 @pytest.mark.parametrize("trials,block", [(1500, 2 ** 14), (1500, 400), (2 ** 14 + 3, 2 ** 14)])
 def test_each_claim_gets_the_bytes_of_its_own_check(monkeypatch, trials, block):
-    """Mixed cones, origin blocks, completely-monotone orders, a shrunk
-    witness, a hand-made handle and a repeated claim, over one block or
-    several: every report is the one ``check`` writes."""
+    """Mixed cones, origin blocks, completely-monotone orders, labels and
+    expressions, a shrunk witness, a hand-made handle and a repeated claim,
+    over one block or several: every report is the one ``check`` writes."""
     monkeypatch.setattr(checkers, "_BLOCK", block)
     cfg = CheckConfig(trials=trials, seed=7)
     reports = check_claims(MIXED, cfg)
     assert [r.json_line() for r in reports] == _one_at_a_time(MIXED, cfg)
     refuted = {c.target for c, r in zip(MIXED, reports) if r.found_violation}
-    assert refuted == {"reciprocal", "lse", "logdet"}
+    assert refuted == {"reciprocal", "lse", "logdet", "log1p"}
+    assert reports[-4].property == "alpha-strong[alpha=0.5]" and reports[-4].found_violation
 
 
 def test_no_claims_give_no_reports():
@@ -104,6 +111,25 @@ def test_an_entry_or_label_check_refuses_raises_before_any_trial_runs(monkeypatc
     with pytest.raises(CapabilityError, match="needs a vector cone"):
         check_claims([Claim("det", "second-diff-nonneg", dim=2), Claim("det", "submodular", dim=2)],
                      CheckConfig(trials=50))
+    assert drawn == []
+
+
+def test_a_row_that_cannot_stand_alone_is_refused_before_any_trial_runs(monkeypatch):
+    """An origin condition reads only the origin, and the quadrature needs
+    matrices: neither is a claim on its own, by ``check`` or among others."""
+    drawn = []
+    monkeypatch.setattr(cones, "sample_batch", lambda *a, **kw: drawn.append(a) or 1 / 0)
+    cfg = CheckConfig(trials=50)
+    for prop in ("origin-nonneg", "origin-nonpos"):
+        with pytest.raises(ParameterError, match="origin condition"):
+            check("log1p", prop, cfg)
+        with pytest.raises(ParameterError, match="origin condition"):
+            check_claims([Claim("log1p", "subadd"), Claim("log1p", prop)], cfg)
+    with pytest.raises(CapabilityError, match="needs the PSD cone"):
+        check("sq-norm", "gaussian-det-representation", cfg)
+    with pytest.raises(CapabilityError, match="needs the PSD cone"):
+        check_claims([Claim("det", "subadd", dim=2),
+                      Claim("sq-norm", "gaussian-det-representation")], cfg)
     assert drawn == []
 
 
@@ -234,6 +260,16 @@ def _criterion_8_by_check(seed):
     return checks
 
 
+def _criterion_9_by_check(seed):
+    checks = []
+    for n in (1, 2):
+        rep = check("det-shift-recip", "gaussian-det-representation",
+                    CheckConfig(trials=10, seed=seed), dim=n)
+        checks.append(SubCheck(f"Gaussian determinant representation, order {n}",
+                               not rep.found_violation, rep.to_json()))
+    return checks
+
+
 def _criterion_10_by_check(seed):
     checks = []
     for eid, prop in (("half-sq-plus-cos", "superadd"), ("pairwise-diff-convex", "strong-subadd"),
@@ -254,7 +290,8 @@ def _criterion_10_by_check(seed):
 
 
 BY_CHECK = {4: _criterion_4_by_check, 5: _criterion_5_by_check, 6: _criterion_6_by_check,
-            7: _criterion_7_by_check, 8: _criterion_8_by_check, 10: _criterion_10_by_check}
+            7: _criterion_7_by_check, 8: _criterion_8_by_check, 9: _criterion_9_by_check,
+            10: _criterion_10_by_check}
 
 
 @pytest.mark.parametrize("cid", list(BY_CHECK), ids=[f"criterion_{k}" for k in BY_CHECK])
@@ -269,12 +306,16 @@ def test_criteria_on_shared_draws_equal_their_per_claim_loops(cid, seed):
 
 def test_check_rows_of_one_trial_count_run_as_one_call(monkeypatch):
     """Criterion 8's five coherence rows share one ``check_claims`` call,
-    and criterion 7's rows one call per trial count."""
+    criterion 9's two quadrature rows another, and criterion 7's rows one
+    call per trial count."""
     calls = []
     monkeypatch.setattr(suite, "check_claims", lambda claims, cfg: calls.append(
         (len(claims), cfg.trials)) or check_claims(claims, cfg))
     suite.criterion_8(0)
     assert calls == [(5, 1000)]
+    calls.clear()
+    suite.criterion_9(0)
+    assert calls == [(2, 10)]
     calls.clear()
     suite.criterion_7(0)
     assert calls == [(2, 500), (2, 1000)]
