@@ -289,9 +289,20 @@ def _order(arg: str) -> int:
 
 # the cones a row may need: a vector cone has coordinatewise order, minimum
 # and maximum; a one-dimensional one has scalar products of its points; the
-# PSD cone has the matrices the quadrature integrates over
+# PSD cone has the matrices the quadrature integrates over, of an order its
+# rule supports
 _VECTOR_CONE, _SCALAR_CONE, _PSD_CONE = (
     "a vector cone", "a one-dimensional vector cone", "the PSD cone")
+
+
+def _cone_need(need: str) -> tuple:
+    """A row's cone requirement in words, and the largest dimension, or
+    matrix order, of a cone that meets it."""
+    if need == _PSD_CONE:
+        from .certify import _GH_MAX_ORDER  # certify imports this module
+
+        return f"{need} of order at most {_GH_MAX_ORDER}", _GH_MAX_ORDER
+    return need, 1 if need == _SCALAR_CONE else np.inf
 
 
 class _Row(NamedTuple):
@@ -385,9 +396,10 @@ class _Form(NamedTuple):
 def _form(expression: str, cone: ConeSpec | None = None) -> _Form:
     """The form of a witness expression, with its parameters bound; an
     argument its row's parser refuses, as out of range or malformed, raises
-    :class:`ParameterError`.  Given a ``cone``, a row that needs a kind of
-    cone that it is not raises :class:`CapabilityError`, and a Hessian entry
-    outside its coordinates :class:`ParameterError`."""
+    :class:`ParameterError`.  Given a ``cone``, a row that needs a kind or
+    size of cone that it is not, such as the quadrature on a PSD cone of an
+    order its rule does not support, raises :class:`CapabilityError`, and a
+    Hessian entry outside its coordinates :class:`ParameterError`."""
     m = _EXPR_PARAM.match(expression)
     if not m:
         raise ParameterError(f"malformed expression {expression!r}")
@@ -405,9 +417,10 @@ def _form(expression: str, cone: ConeSpec | None = None) -> _Form:
         return _Form(expression, row, value)
     # the PSD cone is the one cone whose points are not vectors
     need = row.cone
-    if need and ((cone.point_kind == VECTOR) == (need == _PSD_CONE)
-                 or (need == _SCALAR_CONE and cone.dim != 1)):
-        raise CapabilityError(f"{expression!r} needs {need}, not {cone.family}({cone.dim})")
+    if need:
+        words, largest = _cone_need(need)
+        if (cone.point_kind == VECTOR) == (need == _PSD_CONE) or cone.dim > largest:
+            raise CapabilityError(f"{expression!r} needs {words}, not {cone.family}({cone.dim})")
     if row.parse is _entry and not all(0 <= i < cone.dim for i in value):
         raise ParameterError(f"{expression!r} names an entry outside {cone.family}({cone.dim})")
     return _Form(expression, row, value)
@@ -810,11 +823,11 @@ def check_claims(claims, cfg: CheckConfig | None = None) -> list[CheckReport]:
     Claims whose handles share a cone and a sampled trial count, ``trials``
     less the origin block when the claim has one on that cone, run on the
     trial path together, so each block of a role is drawn once for all of
-    them.  The origin block matters: an orthant draw's mask words follow all
-    of its normals, so draws of different lengths share no prefix.  An
-    entry, label or expression claim that :func:`check` would refuse raises
-    before any trial runs, and a label whose component does not fit its cone
-    before its cone's trials.
+    them.  The origin block matters: the comonotone-pair and scaled-PSD
+    roles read a second array after the first, so their draws of different
+    lengths share no prefix.  An entry, label or expression claim that
+    :func:`check` would refuse raises before any trial runs, and a label
+    whose component does not fit its cone before its cone's trials.
     """
     cfg = cfg or CheckConfig()
     targets = [_claim_target(c.target, c.property, cfg, c.params, c.dim) for c in claims]

@@ -41,8 +41,9 @@ _CERTIFY_METHODS = {
 
 
 # the types argparse gives the numeric flags; a --config value is converted
-# to its flag's type, so a config file and the flag write the same report
-_CONFIG_TYPES = {"trials": int, "seed": int, "dim": int, "scale": float}
+# to its flag's type, so a config file and the flag write the same report.
+# ``order_cap`` has no flag: only a config file sets it, for check and refute
+_CONFIG_TYPES = {"trials": int, "seed": int, "dim": int, "scale": float, "order_cap": int}
 
 
 def _parse_param(text: str):
@@ -91,7 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_property:
             p.add_argument("entry", help="catalog entry id")
             p.add_argument("--property", required=True,
-                           choices=[label.value for label in PropertyLabel])
+                           help="a property label ("
+                           + ", ".join(label.value for label in PropertyLabel)
+                           + ") or a form-table expression such as 'completely-monotone[k=5]'")
+            p.set_defaults(order_cap=None)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--scale", type=float, default=None)
@@ -121,12 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args, **defaults) -> CheckConfig:
     kwargs = defaults
-    if getattr(args, "trials", None) is not None:
-        kwargs["trials"] = args.trials
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    if getattr(args, "scale", None) is not None:
-        kwargs["scale"] = args.scale
+    for key in ("trials", "seed", "scale", "order_cap"):
+        if getattr(args, key, None) is not None:
+            kwargs[key] = getattr(args, key)
     return CheckConfig(**kwargs)
 
 
@@ -137,10 +138,11 @@ def _collect_params(args) -> dict | None:
 
 
 def _flag_keys(parser: argparse.ArgumentParser) -> set:
-    """The destinations of every subcommand's arguments: the keys a config
-    file may set."""
+    """The destinations of every subcommand's arguments, and the defaults a
+    subcommand sets without a flag: the keys a config file may set."""
     subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for p in subcommands.choices.values() for a in p._actions} - {"help"}
+    return {key for p in subcommands.choices.values()
+            for key in [a.dest for a in p._actions] + list(p._defaults)} - {"help"}
 
 
 def _apply_config_file(args, parser: argparse.ArgumentParser):

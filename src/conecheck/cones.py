@@ -7,16 +7,18 @@ provides row-wise membership (its orthant tests fold each row with
 
 Randomness contract: every draw comes from a numpy ``Philox`` counter-based
 bit generator keyed by ``(master_seed, stream_index)`` whose counter starts
-at ``[0, 0, 0, block]``.  The raw Philox words are platform independent, and
-so are the 16-bit boundary-mask words read from them as little-endian
-``<u2``; normals come from the same words through numpy's ziggurat, whose
-rare wedge and tail steps call ``exp`` and ``log1p``.  A PSD draw folds its
-normals over the lower triangle with elementwise arithmetic and no BLAS
-call, so its bits depend only on the normals, and it is exactly symmetric.
+at ``[0, 0, 0, block]``.  The raw Philox words are platform independent;
+exponentials and normals come from them through numpy's ziggurats, whose
+rare wedge and tail steps call ``exp`` and ``log1p``.  An orthant
+draw shifts its exponentials by a boundary threshold on a 2^-32 grid, so
+its bits depend only on the exponentials.  A PSD draw folds its normals
+over the lower triangle with elementwise arithmetic and no BLAS call, so
+its bits depend only on the normals, and it is exactly symmetric.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -283,19 +285,19 @@ def sample_batch(
 ) -> np.ndarray:
     """Draw ``count`` cone members as a stacked array.
 
-    Orthant-like cones draw ``|N(0, scale)|`` coordinates, as ``scale``
-    times the absolute standard normals, and, when ``boundary_prob`` is
-    positive, zero each one so checks exercise the boundary.  The zero mask
-    comes after all the normals: one 16-bit word per coordinate, read as
-    little-endian ``<u2`` from ``g.bytes``, zeroes its coordinate when it is
-    below ``round(boundary_prob * 2^16)``, so the probability is quantized to
-    a multiple of 2^-16 (0.2 becomes 13107 / 65536).  The open orthant then
-    adds a small positive floor.  The PSD cone draws ``G @ G.T * (scale /
-    N)`` for ``G`` of standard normals, each lower-triangle entry a left fold
-    over ``k`` mirrored to the upper one, so the matrix is exactly symmetric
-    (:func:`_gram_fold`); the full space draws plain Gaussians.
-    Consumes ``rng`` sequentially, so a fixed (seed, stream) replays the
-    same batch.
+    Orthant-like cones draw ``max(E - t, 0) * scale`` per coordinate, for
+    ``E`` a standard exponential and ``t = -log1p(-boundary_prob)`` rounded
+    to a multiple of 2^-32 (no shift when ``boundary_prob`` is 0).  By
+    memorylessness each coordinate is then exactly 0 with probability
+    ``1 - exp(-t)``, within 2^-32 of ``boundary_prob``, so checks exercise
+    the boundary, and ``scale`` times a standard exponential otherwise: one
+    Philox word per coordinate.  The open orthant then adds a small positive floor.  The
+    PSD cone draws ``G @ G.T * (scale / N)`` for ``G`` of standard normals,
+    each lower-triangle entry a left fold over ``k`` mirrored to the upper
+    one, so the matrix is exactly symmetric (:func:`_gram_fold`); the full
+    space draws plain Gaussians.  Consumes ``rng`` sequentially, so a fixed
+    (seed, stream) replays the same batch, and the first rows of a larger
+    draw are the smaller draw.
     """
     if not 0.0 < scale < np.inf:
         raise ParameterError(f"scale must be finite and positive, got {scale}")
@@ -303,12 +305,10 @@ def sample_batch(
     n = cone.dim
     fam = cone.family
     if fam in (NONNEG_ORTHANT, POSITIVE_ORTHANT):
-        out = g.standard_normal(size=(count, n))
-        np.abs(out, out=out)
+        out = g.standard_exponential(size=(count, n))
         if boundary_prob > 0.0:
-            words = np.frombuffer(g.bytes(2 * count * n), "<u2").reshape(count, n)
-            # a product with the kept flags zeroes the others: |z| is finite
-            out *= words >= round(boundary_prob * 2 ** 16)
+            out -= round(-math.log1p(-boundary_prob) * 2 ** 32) / 2 ** 32
+            np.maximum(out, 0.0, out=out)
         out *= scale
         if fam == POSITIVE_ORTHANT:
             out += _OPEN_ORTHANT_FLOOR * scale

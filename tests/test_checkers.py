@@ -174,6 +174,23 @@ def test_a_cone_requirement_is_checked_before_anything_is_drawn(monkeypatch, run
         run(cfg=_cfg(trials=10))
 
 
+def test_an_unsupported_quadrature_order_is_refused_before_anything_is_drawn(monkeypatch):
+    """The quadrature row needs the PSD cone of an order its rule supports,
+    so a larger order raises on the trial path before a matrix is drawn, and
+    on the one-row path before the handle is evaluated."""
+    from conecheck.certify import _GH_MAX_ORDER
+
+    monkeypatch.setattr(cones, "sample_batch", _undrawable)
+    n = _GH_MAX_ORDER + 1
+    need = rf"needs the PSD cone of order at most {_GH_MAX_ORDER}, not psd-cone\({n}\)"
+    with pytest.raises(CapabilityError, match=need):
+        check("det-shift-recip", "gaussian-det-representation", CheckConfig(trials=5000), dim=n)
+    psd = FunctionHandle("psd-n", cones.psd_cone(n), _unevaluable)
+    with pytest.raises(CapabilityError, match=need):
+        checkers.evaluate_expression(psd, "gaussian-det-representation",
+                                     {"A": Point.matrix(np.eye(n))})
+
+
 _MATRIX_PAIR = {"x": Point.matrix(np.eye(2)), "y": Point.matrix(np.array([[1.0, 2.0], [2.0, 5.0]]))}
 _SCALARS = {name: Point.vector([1.0, 1.0]) for name in ("x", "y", "z")}
 
@@ -659,12 +676,16 @@ def test_config_validation():
 def test_overflowing_trials_are_skipped_without_a_warning():
     """At scale 1e308 the sampler's product and the forms' role sums
     overflow; those trials are skipped, and the check fails its skip budget
-    with no floating-point warning.  The one-row path is as quiet."""
+    with no floating-point warning.  ``refute``'s 10x rung overflows as
+    quietly, within the budget at 5e306 and past it at 1e307.  The one-row
+    path is as quiet."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericFailure, match="15/30 trials skipped"):
+        with pytest.raises(NumericFailure, match="12/30 trials skipped"):
             check("log1p", "strong-subadd", CheckConfig(trials=30, scale=1e308))
-        rep = refute("log1p", "strong-subadd", CheckConfig(trials=30, scale=1e307))
+        with pytest.raises(NumericFailure, match="4/30 trials skipped"):
+            refute("log1p", "strong-subadd", CheckConfig(trials=30, scale=1e307))
+        rep = refute("log1p", "strong-subadd", CheckConfig(trials=30, scale=5e306))
         assert (rep.verdict, rep.skipped) == ("NO_VIOLATION_FOUND", 1)
         huge = Point.vector([1e308])
         with pytest.raises(DomainError):

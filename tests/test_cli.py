@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from conecheck.checkers import CheckConfig, check, refute
 from conecheck.cli import main
 
 
@@ -192,18 +193,64 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, content):
 
 
 def test_a_config_key_no_subcommand_takes_is_usage_error(tmp_path, capsys):
-    """``order_cap`` and a misspelt ``trials`` were dropped and the check
-    ran at its defaults; a key of another subcommand's flag is still taken
-    and ignored."""
+    """``boundary_prob``, which no subcommand sets, and a misspelt
+    ``trials`` were dropped and the check ran at its defaults; a key of
+    another subcommand's flag is still taken and ignored."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"order_cap": 12, "trails": 5}))
+    cfg.write_text(json.dumps({"boundary_prob": 0.5, "trails": 5}))
     code, out, err = _run(capsys, "--config", str(cfg), "check", "log1p",
                           "--property", "strong-subadd")
     assert (code, out) == (2, "")
-    assert "order_cap, trails" in err and "Traceback" not in err
+    assert "boundary_prob, trails" in err and "Traceback" not in err
     cfg.write_text(json.dumps({"method": "topkis", "trials": 50}))
     code, out, _ = _run(capsys, "--config", str(cfg), "check", "log1p", "--property", "subadd")
     assert code == 0 and json.loads(out)["config"]["trials"] == 50
+
+
+def test_config_sets_the_order_cap_of_check_and_refute(tmp_path, capsys):
+    """``order_cap`` has no flag; a config file sets it for ``check`` and
+    ``refute``, with the report ``CheckConfig(order_cap=...)`` writes, and
+    ``certify``, which has no order, takes the key and ignores it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"order_cap": 7, "trials": 300}))
+    for command, run in (("check", check), ("refute", refute)):
+        code, out, _ = _run(capsys, "--config", str(cfg), command, "exp-neg-linear",
+                            "--property", "completely-monotone")
+        want = run("exp-neg-linear", "completely-monotone", CheckConfig(trials=300, order_cap=7))
+        assert (code, out) == (0, want.json_line() + "\n")
+    code, _, _ = _run(capsys, "--config", str(cfg), "certify", "sq-norm",
+                      "--method", "hessian-sign", "--sign", "nonneg")
+    assert code == 0
+    for bad in (13, 0, True, 2.0):
+        cfg.write_text(json.dumps({"order_cap": bad}))
+        code, out, err = _run(capsys, "--config", str(cfg), "refute", "exp-neg-linear",
+                              "--property", "completely-monotone")
+        assert (code, out) == (2, "") and "order_cap" in err, bad
+
+
+def test_property_takes_a_form_table_expression(capsys):
+    """``--property`` takes what ``check`` and ``refute`` take: a label or
+    an expression, whose report names the expression."""
+    args = ("logistic-pow", "--param", "beta=0.5", "--trials", "3000")
+    for k, want in ((3, 0), (5, 1)):
+        prop = f"completely-monotone[k={k}]"
+        code, out, _ = _run(capsys, "refute", *args, "--property", prop)
+        report = refute("logistic-pow", prop, CheckConfig(trials=3000), params={"beta": 0.5})
+        assert (code, out) == (want, report.json_line() + "\n")
+        assert report.to_json()["property"] == prop
+    assert json.loads(out)["witness"]["expression"] == "completely-monotone[k=5]"
+
+
+@pytest.mark.parametrize("prop,message", [
+    ("completely-monotone[k=13]", "it must lie in 0..12"),
+    ("alpha-strong[alpha=-1]", "it must be finite and positive"),
+    ("banana[k=3]", "unknown property 'banana[k=3]'"),
+    ("origin-nonneg", "is an origin condition, not a claim"),
+])
+def test_a_bad_expression_is_usage_error(capsys, prop, message):
+    code, out, err = _run(capsys, "refute", "log1p", "--property", prop, "--trials", "30")
+    assert (code, out) == (2, "")
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("scale", ["inf", "nan", "-1"])

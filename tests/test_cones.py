@@ -233,44 +233,58 @@ def test_boundary_probing_fraction():
     assert np.all(interior > 0.0)
 
 
+def _boundary_shift(p: float) -> float:
+    """The orthant sampler's boundary threshold: ``-log1p(-p)`` on a 2^-32
+    grid."""
+    return round(-math.log1p(-p) * 2 ** 32) / 2 ** 32
+
+
 @pytest.mark.parametrize("family", [cones.nonneg_orthant, cones.positive_orthant])
 @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 3.7])
-@pytest.mark.parametrize("p", [0.2, 0.5])
-def test_orthant_draws_are_absolute_normals_under_a_16_bit_mask(family, scale, p):
-    """Every kept coordinate is ``|N(0, scale)|`` from ``Generator.normal``
-    on the same stream, bit for bit, plus the open orthant's floor; the
-    zeroed ones are exactly those whose 16-bit word, drawn after all the
-    normals, is below ``round(p * 2^16)``."""
+@pytest.mark.parametrize("p", [0.0, 0.2, 0.5])
+def test_orthant_draws_are_shifted_exponentials(family, scale, p):
+    """Every coordinate is ``max(E - t, 0) * scale`` for ``E`` from
+    ``standard_exponential`` on the same stream, bit for bit, plus the open
+    orthant's floor; exactly those with ``E <= t`` sit on the floor, and
+    there are none when ``p`` is 0."""
     cone, count = family(3), 1000
     draws = cones.sample_batch(cone, Rng(41, 6), count, scale, p)
-    g = Rng(41, 6).generator
-    normals = np.abs(g.normal(0.0, scale, size=(count, 3)))
-    words = np.frombuffer(g.bytes(2 * count * 3), "<u2").reshape(count, 3)
-    zeroed = words < round(p * 2 ** 16)
+    exps = Rng(41, 6).generator.standard_exponential(size=(count, 3))
+    t = _boundary_shift(p)
     floor = np.maximum(cones.coordinate_floor(cone, scale), 0.0)  # 0 on the closed orthant
-    assert np.array_equal(draws, np.where(zeroed, 0.0, normals) + floor)
-    assert np.all(draws[~zeroed] > floor[0]) and zeroed.any()
+    assert np.array_equal(draws, np.maximum(exps - t, 0.0) * scale + floor)
+    zeroed = exps <= t
+    assert np.all(draws[zeroed] == floor[0]) and np.all(draws[~zeroed] > floor[0])
+    assert zeroed.any() == (p > 0)
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5])
-def test_orthant_zero_fraction_is_the_quantized_probability(p):
+def test_orthant_zero_fraction_is_the_shifted_probability(p):
     """The zero fraction of 2^18 coordinates is within 5 binomial standard
-    deviations of ``round(p * 2^16) / 2^16``."""
+    deviations of ``1 - exp(-t)``, which is within 2^-32 of ``p``."""
     draws = cones.sample_batch(cones.nonneg_orthant(4), Rng(7, 3), 2 ** 16, 1.0, p)
-    q = round(p * 2 ** 16) / 2 ** 16
+    q = -math.expm1(-_boundary_shift(p))
+    assert abs(q - p) <= 2 ** -32
     assert abs(float((draws == 0.0).mean()) - q) <= 5.0 * math.sqrt(q * (1.0 - q) / draws.size)
 
 
-def test_orthant_mask_words_are_pinned():
-    """The mask reads little-endian 16-bit words after the normals, so every
-    platform zeroes the same coordinates."""
-    g = Rng(2026, 7).generator
-    g.standard_normal(size=(3, 4))
-    words = np.frombuffer(g.bytes(24), "<u2")
-    assert words.tolist() == [34436, 62295, 35794, 51704, 10097, 39410,
-                              50506, 8176, 21907, 37040, 14306, 9446]
+def test_orthant_draw_bits_are_pinned():
+    """The orthant draw reads one Philox exponential per coordinate and
+    shifts it by a threshold on a 2^-32 grid, so every platform zeroes the
+    same coordinates and gives these bits."""
     draws = cones.sample_batch(cones.nonneg_orthant(4), Rng(2026, 7), 3, 1.0, 0.5)
-    assert (draws == 0.0).ravel().tolist() == (words < 2 ** 15).tolist()
+    assert (draws != 0.0).astype(int).tolist() == [[0, 1, 0, 1], [0, 1, 0, 0], [1, 0, 1, 1]]
+    assert [float(v).hex() for v in draws[draws != 0.0]] == [
+        "0x1.2f658d559d8c0p-7", "0x1.8be29bbb2e138p-3", "0x1.4782f56999211p+0",
+        "0x1.760a935405e36p-1", "0x1.5e605f7f6e5f0p+0", "0x1.df6eaeee0a090p-2",
+    ]
+
+
+def test_orthant_draws_extend_a_shorter_draw():
+    """The first rows of a larger orthant draw are the smaller draw."""
+    cone = cones.positive_orthant(3)
+    assert np.array_equal(cones.sample_batch(cone, Rng(5, 3), 100, 2.0, 0.2)[:7],
+                          cones.sample_batch(cone, Rng(5, 3), 7, 2.0, 0.2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
