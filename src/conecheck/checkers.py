@@ -853,8 +853,9 @@ def refute(
     """Counterexample search: the check's trials split in thirds over the
     scale ladder {0.1, 1, 10} with boundary-biased sampling, one block per
     rung on its own streams, and one origin evaluation, skip budget and
-    shrink for the whole search.  Every rung's scale must be finite and
-    positive."""
+    shrink for the whole search.  The bias raises ``boundary_prob`` to 0.5,
+    which only orthant draws read: on the PSD cone it does nothing.  Every
+    rung's scale must be finite and positive."""
     cfg = cfg or CheckConfig()
     for mult in SCALE_LADDER:
         if not 0 < cfg.scale * mult < np.inf:

@@ -11,9 +11,11 @@ at ``[0, 0, 0, block]``.  The raw Philox words are platform independent;
 exponentials and normals come from them through numpy's ziggurats, whose
 rare wedge and tail steps call ``exp`` and ``log1p``.  An orthant
 draw shifts its exponentials by a boundary threshold on a 2^-32 grid, so
-its bits depend only on the exponentials.  A PSD draw folds its normals
-over the lower triangle with elementwise arithmetic and no BLAS call, so
-its bits depend only on the normals, and it is exactly symmetric.
+its bits depend only on the exponentials.  A PSD draw folds a Bartlett
+factor over the lower triangle with elementwise arithmetic and no BLAS
+call: normals from the block's generator, exponentials from its second
+lane (:meth:`Rng.lane`) and IEEE ``sqrt``, so its bits depend only on
+those, and it is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -256,7 +258,10 @@ class Rng:
     trials into fixed blocks and draws block ``b`` of a role stream from
     ``block=b``: the same key, with the top counter word set to the block
     index, so blocks never overlap (each would need 2^192 draws to reach
-    the next) and block 0 is the stream from counter 0.
+    the next) and block 0 is the stream from counter 0.  :attr:`generator`
+    is lane 0 of the block; ``lane(1)``, from counter ``[0, 0, 1, block]``
+    (what ``Philox.jumped()`` gives on a fresh block, 2^128 draws on), feeds
+    the exponentials of a PSD draw, so they never overlap its normals.
     """
 
     master_seed: int
@@ -266,14 +271,19 @@ class Rng:
 
     @property
     def generator(self) -> np.random.Generator:
-        if not self._gen:
+        return self.lane(0)
+
+    def lane(self, index: int) -> np.random.Generator:
+        """The generator of lane ``index``, made on first use and then
+        consumed sequentially like the stream itself."""
+        while len(self._gen) <= index:
             key = np.array(
                 [self.master_seed & 0xFFFFFFFFFFFFFFFF, self.stream_index & 0xFFFFFFFFFFFFFFFF],
                 dtype=np.uint64,
             )
-            counter = np.array([0, 0, 0, self.block], dtype=np.uint64)
+            counter = np.array([0, 0, len(self._gen), self.block], dtype=np.uint64)
             self._gen.append(np.random.Generator(np.random.Philox(counter=counter, key=key)))
-        return self._gen[0]
+        return self._gen[index]
 
 
 def sample_batch(
@@ -292,12 +302,14 @@ def sample_batch(
     ``1 - exp(-t)``, within 2^-32 of ``boundary_prob``, so checks exercise
     the boundary, and ``scale`` times a standard exponential otherwise: one
     Philox word per coordinate.  The open orthant then adds a small positive floor.  The
-    PSD cone draws ``G @ G.T * (scale / N)`` for ``G`` of standard normals,
-    each lower-triangle entry a left fold over ``k`` mirrored to the upper
-    one, so the matrix is exactly symmetric (:func:`_gram_fold`); the full
-    space draws plain Gaussians.  Consumes ``rng`` sequentially, so a fixed
-    (seed, stream) replays the same batch, and the first rows of a larger
-    draw are the smaller draw.
+    PSD cone of order N draws ``L @ L.T * (scale / N)`` for a Bartlett factor
+    ``L``, Wishart like ``G @ G.T`` for ``G`` of N^2 normals but from about
+    half as many Philox words: normals from ``rng.generator`` and exponentials
+    from ``rng.lane(1)``, folded over the lower triangle and mirrored, so the
+    matrix is exactly symmetric (:func:`_bartlett_fold`).  PSD draws ignore
+    ``boundary_prob``.  The full space draws plain Gaussians.  Consumes each
+    lane of ``rng`` sequentially, so a fixed (seed, stream) replays the same
+    batch, and the first rows of a larger draw are the smaller draw.
     """
     if not 0.0 < scale < np.inf:
         raise ParameterError(f"scale must be finite and positive, got {scale}")
@@ -316,29 +328,44 @@ def sample_batch(
     if fam == FULL_SPACE:
         return g.normal(0.0, scale, size=(count, n))
     if fam == PSD_CONE:
-        return _gram_fold(g, count, n, scale / n)
+        return _bartlett_fold(rng, count, n, scale / n)
     raise CapabilityError(f"sampling not implemented for {fam}")
 
 
-def _gram_fold(g: np.random.Generator, count: int, n: int, factor: float) -> np.ndarray:
-    """``G @ G.T * factor`` for ``count`` matrices ``G`` of standard normals
-    ``(count, n, n)`` from ``g``: each lower-triangle entry ``(i, j)`` is the
-    left fold ``sum_k G[i, k] G[j, k]`` over all rows at once, times
-    ``factor``, written to both ``(i, j)`` and ``(j, i)``.  The fold reads an
-    ``(n, n, count)`` copy of the normals and fills an ``(n, n, count)``
-    result, returned as its F-contiguous ``(count, n, n)`` view, exactly
-    symmetric."""
-    gt = np.moveaxis(g.standard_normal(size=(count, n, n)), 0, -1).copy()
-    out = np.empty((n, n, count))
-    term = np.empty(count)
+def _bartlett_fold(rng: Rng, count: int, n: int, factor: float) -> np.ndarray:
+    """``L @ L.T * factor`` for ``count`` Bartlett factors ``L`` (Bartlett
+    1933), Wishart ``W_n(I, n)`` like ``G @ G.T`` for ``G`` of n^2 normals.
+    ``rng.generator`` gives each matrix ``L[i, j]`` (i > j) row by row, then
+    a normal for each odd ``n - i``; ``L[i, i]^2 = c_i ~ chi^2(n - i)`` is
+    twice the sum of the next ``(n - i) // 2`` exponentials of ``rng.lane(1)``,
+    plus that normal squared.  Entry ``(i, j)``, ``j <= i``, is the left fold over
+    ``k <= j`` of ``L[i, k] L[j, k]``, with ``c_i`` as the diagonal's last
+    term (so only the pivots ``L[j, j]``, j < n - 1, take a ``sqrt``), times
+    ``factor``, written to both halves of an ``(n, n, count)`` array
+    returned as its F-contiguous ``(count, n, n)`` view."""
+    low = n * (n - 1) // 2
+    z = rng.generator.standard_normal(size=(count, low + (n + 1) // 2)).T.copy()
+    exps = iter(rng.lane(1).standard_exponential(size=(count, n * n // 4)).T.copy())
+    odd = iter(z[low:])
+    out, term, pivots = np.empty((n, n, count)), np.empty(count), []
     for i in range(n):
+        c = 2.0 * sum([next(exps) for _ in range((n - i) // 2)], np.zeros(count))
+        if (n - i) % 2:
+            c += np.square(next(odd), out=term)
+        row = z[i * (i - 1) // 2:]
         for j in range(i + 1):
-            acc = out[i, j]
-            np.multiply(gt[i, 0], gt[j, 0], out=acc)
-            for k in range(1, n):
-                acc += np.multiply(gt[i, k], gt[j, k], out=term)
+            acc, col = out[i, j], z[j * (j - 1) // 2:]
+            last = c if i == j else np.multiply(row[j], pivots[j], out=out[j, i])
+            if j:
+                np.multiply(row[0], col[0], out=acc)
+                for k in range(1, j):
+                    acc += np.multiply(row[k], col[k], out=term)
+                acc += last
+            else:
+                np.copyto(acc, last)
             acc *= factor
             out[j, i] = acc
+        pivots.append(np.sqrt(c) if i < n - 1 else None)
     return out.transpose(2, 1, 0)
 
 

@@ -227,6 +227,21 @@ def test_pencil_evaluates_with_custom_matrices():
     assert val == pytest.approx(np.log(9.0))
 
 
+def test_default_pencil_is_pinned_without_the_sampler(monkeypatch):
+    """The default pencil matrices are constants, not draws: with the PSD
+    sampler disabled the default entry still gives these bits."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the default pencil must not be drawn")
+
+    monkeypatch.setattr(cones, "sample_batch", no_sampling)
+    handle = instantiate("logdet-pencil")
+    rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.25, 1.5, 0.125]])
+    assert [float(v).hex() for v in handle.batch(rows)] == [
+        "-0x1.9a3dbc213ef76p-2", "0x1.6a612d6a4c9f3p-2", "0x1.bd67bad403c4dp-2",
+        "0x1.2942cf6baadcap+1",
+    ]
+
+
 def test_domains_match_entry_families():
     assert instantiate("det", dim=4).domain == cones.psd_cone(4)
     assert instantiate("lse", dim=5).domain == cones.full_space(5)

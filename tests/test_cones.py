@@ -293,21 +293,85 @@ def test_psd_draws_are_exactly_symmetric(n):
     assert all(np.array_equal(m, m.T) for m in draws)
 
 
+def _bartlett_reference(rng_args, count, n, scale):
+    """The PSD draw built in pure Python from the stream's lane-0 normals
+    and lane-1 exponentials: ``L[i, j]`` (i > j) row by row, then one normal
+    per odd ``n - i``; ``c_i = L[i, i]^2`` twice a sum of ``(n - i) // 2``
+    exponentials plus that normal squared; each entry the left fold over
+    ``k <= min(i, j)`` whose last diagonal term is ``c_i``, times ``scale / n``."""
+    low = n * (n - 1) // 2
+    normals = Rng(*rng_args).generator.standard_normal(size=(count, low + (n + 1) // 2))
+    exps = Rng(*rng_args).lane(1).standard_exponential(size=(count, n * n // 4))
+    out = np.empty((count, n, n))
+    for t, (z, x) in enumerate(zip(normals.tolist(), exps.tolist())):
+        factor = [[z[i * (i - 1) // 2 + j] for j in range(i)] for i in range(n)]
+        chi, first, odd = [], 0, low
+        for i in range(n):
+            c = 0.0
+            for k in range(first, first + (n - i) // 2):
+                c += x[k]
+            c *= 2.0
+            if (n - i) % 2:
+                c += z[odd] * z[odd]
+                odd += 1
+            chi.append(c)
+            first += (n - i) // 2
+            factor[i].append(math.sqrt(c))
+        for i in range(n):
+            for j in range(i + 1):
+                terms = [factor[i][k] * factor[j][k] for k in range(j)]
+                terms.append(chi[i] if i == j else factor[i][j] * factor[j][j])
+                acc = terms[0]
+                for term in terms[1:]:
+                    acc += term
+                out[t, i, j] = out[t, j, i] = acc * (scale / n)
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
 def test_psd_draws_fold_the_normals_left_to_right(n, scale):
-    """Every entry is the plain left fold ``sum_k G[i, k] G[j, k]`` over the
-    stream's ``standard_normal`` words, times ``scale / n``, bit for bit."""
-    count = 40
-    draws = cones.sample_batch(cones.psd_cone(n), Rng(23, n), count, scale)
-    normals = Rng(23, n).generator.standard_normal(size=(count, n, n)).tolist()
-    for t, gm in enumerate(normals):
-        for i in range(n):
-            for j in range(n):
-                acc = gm[i][0] * gm[j][0]
-                for k in range(1, n):
-                    acc += gm[i][k] * gm[j][k]
-                assert draws[t, i, j] == acc * (scale / n), (t, i, j)
+    """Every entry is the left fold of the Bartlett factor ``L Lᵀ`` over the
+    stream's lane-0 ``standard_normal`` and lane-1 ``standard_exponential``
+    words, times ``scale / n``, bit for bit."""
+    draws = cones.sample_batch(cones.psd_cone(n), Rng(23, n), 40, scale)
+    assert np.array_equal(draws, _bartlett_reference((23, n), 40, n, scale))
+
+
+def test_order_one_psd_draws_are_squared_normals():
+    """At order 1 the factor is one chi-square with one degree of freedom,
+    ``g * g``, so the draw reads only normals and keeps the bits of the
+    ``G Gᵀ`` draw it replaced."""
+    draws = cones.sample_batch(cones.psd_cone(1), Rng(2026, 7), 4, 2.5)
+    g = Rng(2026, 7).generator.standard_normal(size=4)
+    assert np.array_equal(draws.ravel(), g * g * 2.5)
+    assert [float(v).hex() for v in draws.ravel()] == [
+        "0x1.7f6fdfbf4175bp-1", "0x1.cce06eb8e03a0p+1", "0x1.7dfc6ef1d354cp+0",
+        "0x1.2542e6c7a090ap-2",
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_psd_draws_have_the_wishart_moments(n):
+    """Over 2^16 draws each entry's mean and variance match ``W_n(I, n) *
+    scale / n``: mean ``scale * delta_ij`` and variance ``(1 + delta_ij) *
+    scale^2 / n``, within 5 standard errors."""
+    scale, count = 2.5, 2 ** 16
+    draws = cones.sample_batch(cones.psd_cone(n), Rng(97, n), count, scale)
+    eye = np.eye(n)
+    mean, var = scale * eye, (1.0 + eye) * scale ** 2 / n
+    dev = draws - draws.mean(axis=0)
+    fourth = (dev ** 4).mean(axis=0)
+    assert np.all(np.abs(draws.mean(axis=0) - mean) <= 5.0 * np.sqrt(var / count))
+    assert np.all(np.abs(draws.var(axis=0) - var) <= 5.0 * np.sqrt((fourth - var ** 2) / count))
+
+
+def test_lane_one_is_the_jumped_block():
+    """Lane 1 of a block starts at counter ``[0, 0, 1, block]``, the words
+    ``Philox.jumped()`` gives on the fresh block."""
+    key = np.array([2026, 7], dtype=np.uint64)
+    jumped = np.random.Philox(counter=[0, 0, 0, 3], key=key).jumped().random_raw(64)
+    assert np.array_equal(Rng(2026, 7, 3).lane(1).bit_generator.random_raw(64), jumped)
 
 
 def test_psd_draws_extend_a_shorter_draw():
@@ -318,11 +382,11 @@ def test_psd_draws_extend_a_shorter_draw():
 
 
 def test_psd_draw_bits_are_pinned():
-    """The PSD draw reads only the Philox normals and elementwise arithmetic,
-    so every platform gives these bits."""
+    """The PSD draw reads only the Philox normals and exponentials, IEEE
+    ``sqrt`` and elementwise arithmetic, so every platform gives these bits."""
     draw = cones.sample_batch(cones.psd_cone(3), Rng(2026, 7), 1)
     assert [float(v).hex() for v in draw.ravel()] == [
-        "0x1.8ec9edefc9bcap-1", "-0x1.8af847563470dp-2", "-0x1.7109809268f48p-2",
-        "-0x1.8af847563470dp-2", "0x1.19b8c0417afa2p-1", "-0x1.b060a681dcd88p-5",
-        "-0x1.7109809268f48p-2", "-0x1.b060a681dcd88p-5", "0x1.43cced06f3f78p-2",
+        "0x1.911aa9c75c4dcp-1", "-0x1.1e66ba620d97dp-2", "-0x1.39fe45c21b052p-1",
+        "-0x1.1e66ba620d97dp-2", "0x1.c8faa62bce3e5p-2", "0x1.ed070a981bc12p-2",
+        "-0x1.39fe45c21b052p-1", "0x1.ed070a981bc12p-2", "0x1.1b65b0ba6b988p+0",
     ]

@@ -51,11 +51,22 @@ def test_witnesses_are_on_cone_and_replay_exactly(eid, prop, dim, seed, refuting
         (check, "logdet", "second-diff-nonneg", 1000, 3),
     ],
 )
-def test_psd_witnesses_that_used_to_leave_the_cone(run, eid, prop, trials, seed):
+def test_psd_witnesses_that_used_to_leave_the_cone(monkeypatch, run, eid, prop, trials, seed):
     """Halving single off-diagonal entries once made these witnesses
-    indefinite; candidates now pass a membership test first."""
+    indefinite; candidates now pass a membership test first, and that test
+    still rejects off-cone candidates here."""
+    member_batch, rejected = cones.member_batch, []
+
+    def counting(*args, **kwargs):
+        inside = member_batch(*args, **kwargs)
+        rejected.append(int((~inside).sum()))
+        return inside
+
+    monkeypatch.setattr(cones, "member_batch", counting)
     handle = catalog.instantiate(eid, dim=3)
-    _assert_sound_on_cone(handle, run(handle, prop, CheckConfig(trials=trials, seed=seed)))
+    report = run(handle, prop, CheckConfig(trials=trials, seed=seed))
+    assert sum(rejected) > 0
+    _assert_sound_on_cone(handle, report)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -102,6 +113,27 @@ def test_completely_monotone_scale_covers_every_subset_point():
     ]
     expected = max(abs(np.sin(np.pi * t)) for t in subset_points)
     assert scale == expected == 1.0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_det_recip_pow_is_refuted_on_the_psd_cone(seed):
+    """Sampling power on the PSD cone: ``det(A)^-0.2`` at order 2 is not
+    completely monotone, and ``refute`` at 3000 trials and order cap 5 finds
+    it at every seed 0-9, with a witness on the cone that replays exactly."""
+    handle = catalog.instantiate("det-recip-pow", {"beta": 0.2}, dim=2)
+    _assert_sound_on_cone(handle, refute(handle, "completely-monotone",
+                                         CheckConfig(trials=3000, seed=seed)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_det_recip_pow_controls_stay_clean(n, beta):
+    """``det(A)^-beta`` is completely monotone on the PSD cone for every
+    half-integer beta (Scott-Sokal, thm 1.3); no seed 0-9 refutes it."""
+    handle = catalog.instantiate("det-recip-pow", {"beta": beta}, dim=n)
+    for seed in range(10):
+        rep = refute(handle, "completely-monotone", CheckConfig(trials=3000, seed=seed))
+        assert rep.verdict == "NO_VIOLATION_FOUND", seed
 
 
 # the orthant and full-space refuted candidates of the benchmark's refute jobs
