@@ -10,7 +10,6 @@ from .catalog import (
     lookup,
 )
 from .certify import (
-    Certificate,
     LaplaceCertificate,
     certify_differential_monotone,
     certify_hessian_sign,

@@ -26,7 +26,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import cones
-from .cones import ConeSpec, Rng
+from .cones import ConeSpec
 from .diffops import FunctionHandle
 from .errors import ConeCheckError, ParameterError, UnknownEntryError
 from .numkernel import CLAMP_WINDOW, det, gamma, linear, rowwise, spectral
@@ -403,9 +403,14 @@ _PENCIL = np.moveaxis(np.array([[float.fromhex(v) for v in entry] for entry in [
 
 
 def _default_pencil_matrices(count: int, order: int) -> np.ndarray:
+    """The pinned pencil for up to three matrices of order 3; otherwise
+    matrix k is ``0.5 I + [1 / (i + j + k + 1)]_ij``, a shifted Hilbert-type
+    Gram matrix: positive definite, drawn from no random stream, and the
+    same bits on every platform from IEEE division."""
     if order == 3 and count <= len(_PENCIL):
         return _PENCIL[:count].copy(order="K")
-    return cones.sample_batch(cones.psd_cone(order), Rng(0xC0DE, 7), count) + 0.5 * np.eye(order)
+    k, i, j = np.ogrid[:count, :order, :order]
+    return 1.0 / (i + j + k + 1) + 0.5 * np.eye(order)
 
 
 def _make_logdet_pencil(p: dict, n: int) -> FunctionHandle:

@@ -4,23 +4,30 @@ Unlike the randomized checks, these verify a *sufficient* condition (Hessian
 entry signs, cross partials only, monotonicity of the differential, or an
 explicit finite Laplace representation) on sampled interior points.  A
 ``CERTIFIED_NUMERIC`` verdict is sampled evidence, never a proof; the
-vocabulary deliberately has no stronger word.  A certificate's verdict is
-derived from its refusal witness: ``REFUSED`` exactly when there is one.
+vocabulary deliberately has no stronger word.
 
-Certificates run on the checks' one trial path, ``checkers._run_trials``.
-Each pointwise test is a form that :func:`.checkers.evaluate_expression`
-resolves: a Hessian entry ``hessian-nonpos[ij=i,j]`` or
-``hessian-nonneg[ij=i,j]`` over the point ``p``, a directional comparison
-``differential-nondecreasing`` or ``differential-nonincreasing`` over ``U``,
-``step`` and ``direction`` (the stencil forms of :mod:`.diffops`), and the
-origin sign condition is the checks' one-row ``origin-nonneg`` or
+A sampled certificate is a check on the checks' one trial path,
+``checkers._run_trials``, and gives its :class:`.checkers.CheckReport`, whose
+``mode`` is the certificate's method: ``hessian-sign``, ``topkis`` or
+``diff-monotone``, the keys of :data:`METHODS`.  The verdict of such a report
+is derived from its witness as any report's is: ``REFUSED`` exactly when
+there is one, ``CERTIFIED_NUMERIC`` otherwise.  Each pointwise test is a form
+that :func:`.checkers.evaluate_expression` resolves: a Hessian entry
+``hessian-nonpos[ij=i,j]`` or ``hessian-nonneg[ij=i,j]`` over the point
+``p``, or a directional comparison ``differential-nondecreasing`` or
+``differential-nonincreasing`` over ``U``, ``step`` and ``direction`` (the
+stencil forms of :mod:`.diffops`); the origin sign condition of the
+certified property is the checks' one-row ``origin-nonneg`` or
 ``origin-nonpos`` block.  A certificate samples ``cfg.trials`` points, 200
-when no config is given, besides that block; a Hessian form's row needs a
-vector cone, which the trial path checks before it draws.  Each role is drawn from its stream in the checks'
-role table, and the points are drawn, evaluated and folded one block at a
-time, so memory does not grow with their count; non-finite trials are
-skipped within the checks' 10% budget.  The refusal witness is the fold's
-shrunk :class:`.checkers.Witness`, which :func:`.checkers.reevaluate_witness`
+when no config is given, besides that block, so the report's ``trials``
+counts the origin row too: 201 for a 200-point ``hessian-sign`` certificate
+on a cone that holds the origin.  A Hessian form's row needs a vector cone,
+which the trial path checks before it draws.  Each role is drawn from its
+stream in the checks' role table, and the points are drawn, evaluated and
+folded one block at a time, so memory does not grow with their count;
+non-finite trials are skipped within the checks' 10% budget and counted in
+the report's ``skipped``.  The witness is the fold's shrunk
+:class:`.checkers.Witness`, which :func:`.checkers.reevaluate_witness`
 replays exactly.  The Gaussian-integral representation of ``det(I +
 A)^(-1/2)`` is the ``gaussian-det-representation`` expression, as in
 ``check("det-shift-recip", "gaussian-det-representation", dim=n)``: its role
@@ -30,123 +37,102 @@ tensor-product Gauss-Hermite rule is summed one slice at a time.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cones
-from .catalog import PropertyLabel, resolve_handle
-from .checkers import CheckConfig, CheckReport, Witness, _run_trials, _Target
+from .catalog import resolve_handle
+from .checkers import (  # CERTIFIED and REFUSED are re-exported beside the methods
+    _LABELS,
+    CERTIFIED,
+    REFUSED,
+    CheckConfig,
+    CheckReport,
+    _run_trials,
+    _Target,
+)
 from .cones import ConeSpec, Point
 from .diffops import FunctionHandle
 from .errors import CapabilityError, CertificateError, NumericFailure, ParameterError, ShapeError
 from .numkernel import linear, rowwise
 
-CERTIFIED = "CERTIFIED_NUMERIC"
-REFUSED = "REFUSED"
-
 _DUAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Outcome of a sampled sufficient-condition verification."""
-
-    method: str
-    property: str
-    points: int
-    seed: int
-    refusal_witness: Witness | None = None
-
-    @property
-    def verdict(self) -> str:
-        return CERTIFIED if self.refusal_witness is None else REFUSED
-
-    @property
-    def certified(self) -> bool:
-        return self.refusal_witness is None
-
-    def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "property": self.property,
-            "verdict": self.verdict,
-            "points": self.points,
-            "seed": self.seed,
-            "refusal_witness": None if self.certified else self.refusal_witness.to_json(),
-        }
-
-    def json_line(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
+def _claim(method: str, target, arg: str, params, dim) -> tuple:
+    """The handle of ``target`` and the property that ``arg`` certifies by
+    ``method``; a ``ParameterError`` unless ``arg`` is one of its choices."""
+    handle = resolve_handle(target, params, dim)
+    _, name, props = METHODS[method]
+    if arg not in props:
+        raise ParameterError(f"{name} must be {' or '.join(map(repr, props))}, got {arg!r}")
+    return handle, props[arg]
 
 
-def _certify(handle, method, prop, cfg, origin, expressions) -> Certificate:
-    """A certificate on the checks' trial path: the origin sign condition
-    ``origin`` when the cone holds the origin, then ``cfg.trials`` trials of
-    every expression, or 200 when ``cfg`` is None.  The refusal is the
-    fold's witness: the lowest violating slack, re-evaluated and shrunk."""
+def _certify(handle, method: str, prop: str, cfg, expressions) -> CheckReport:
+    """The report of a certificate on the checks' trial path: the origin sign
+    condition of ``prop`` when the cone holds the origin, then ``cfg.trials``
+    trials of every expression, or 200 when ``cfg`` is None, all in one
+    rung.  The witness is the fold's: the lowest violating slack,
+    re-evaluated and shrunk."""
     cfg = cfg or CheckConfig(trials=200)
-    rep = _run_trials([_Target(handle, prop, expressions, origin)], cfg,
+    rep = _run_trials([_Target(handle, prop, expressions, _LABELS[prop][0])], cfg,
                       lambda _: [(cfg, 0, cfg.trials)])[0]
-    return Certificate(method=method, property=prop, points=cfg.trials, seed=cfg.seed,
-                       refusal_witness=rep.witness)
+    return replace(rep, mode=method)
 
 
 def certify_hessian_sign(
     target, sign: str, cfg: CheckConfig | None = None, *, params=None, dim=None,
-) -> Certificate:
+) -> CheckReport:
     """All second partials share the requested sign at sampled interior
     points of a vector cone, plus the origin sign condition; certifies the
     strong subadditivity (nonpos) or superadditivity (nonneg) sufficient
     condition.  Matrix domains use differential monotonicity instead."""
-    handle = resolve_handle(target, params, dim)
-    if sign not in ("nonpos", "nonneg"):
-        raise ParameterError(f"sign must be 'nonpos' or 'nonneg', got {sign!r}")
-    nonneg = sign == "nonneg"
-    prop = (PropertyLabel.STRONG_SUPERADD if nonneg else PropertyLabel.STRONG_SUBADD).value
+    handle, prop = _claim("hessian-sign", target, sign, params, dim)
     entries = zip(*np.triu_indices(handle.domain.dim))
-    return _certify(handle, "HESSIAN_SIGN", prop, cfg,
-                    "origin-nonpos" if nonneg else "origin-nonneg",
+    return _certify(handle, "hessian-sign", prop, cfg,
                     [f"hessian-{sign}[ij={i},{j}]" for i, j in entries])
 
 
 def certify_topkis(
     target, mode: str, cfg: CheckConfig | None = None, *, params=None, dim=None,
-) -> Certificate:
+) -> CheckReport:
     """Cross-partial-only form on a vector cone: off-diagonal second partials
     nonpositive certifies submodularity, nonnegative certifies
     supermodularity."""
-    handle = resolve_handle(target, params, dim)
-    if mode not in ("submodular", "supermodular"):
-        raise ParameterError(f"mode must be 'submodular' or 'supermodular', got {mode!r}")
+    handle, prop = _claim("topkis", target, mode, params, dim)
     sign = "nonneg" if mode == "supermodular" else "nonpos"
     entries = list(zip(*np.triu_indices(handle.domain.dim, 1)))
     if not entries:
         # with no cross partial to sample, a certificate would rest on nothing
         raise CapabilityError("a Topkis certificate needs a domain of dimension 2 or more")
-    return _certify(handle, "TOPKIS_CROSS", mode, cfg, None,
+    return _certify(handle, "topkis", prop, cfg,
                     [f"hessian-{sign}[ij={i},{j}]" for i, j in entries])
 
 
 def certify_differential_monotone(
     target, direction: str, cfg: CheckConfig | None = None, *, params=None, dim=None,
-) -> Certificate:
+) -> CheckReport:
     """Directional derivatives compared on ordered pairs u <= u + v along
     positive directions w, plus the origin sign condition: nonincreasing
     differentials certify strong subadditivity, nondecreasing ones strong
     superadditivity."""
-    handle = resolve_handle(target, params, dim)
-    if direction not in ("nonincreasing", "nondecreasing"):
-        raise ParameterError(
-            f"direction must be 'nonincreasing' or 'nondecreasing', got {direction!r}"
-        )
-    increasing = direction == "nondecreasing"
-    prop = (PropertyLabel.STRONG_SUPERADD if increasing else PropertyLabel.STRONG_SUBADD).value
-    return _certify(handle, "DIFFERENTIAL_MONOTONE", prop, cfg,
-                    "origin-nonpos" if increasing else "origin-nonneg",
-                    [f"differential-{direction}"])
+    handle, prop = _claim("diff-monotone", target, direction, params, dim)
+    return _certify(handle, "diff-monotone", prop, cfg, [f"differential-{direction}"])
+
+
+# each method, the mode of its reports: its function, the name of that
+# function's argument, and the argument's choices with the property each certifies
+METHODS = {
+    "hessian-sign": (certify_hessian_sign, "sign",
+                     {"nonpos": "strong-subadd", "nonneg": "strong-superadd"}),
+    "topkis": (certify_topkis, "mode",
+               {"submodular": "submodular", "supermodular": "supermodular"}),
+    "diff-monotone": (certify_differential_monotone, "direction",
+                      {"nonincreasing": "strong-subadd", "nondecreasing": "strong-superadd"}),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 A check draws trial points from the target's domain cone, evaluates the
 inequality components of the requested property on every trial, and reports
-the worst slack seen.  A verdict is only ever ``NO_VIOLATION_FOUND`` or
-``VIOLATION_FOUND``: sampling cannot prove a universally quantified
-inequality, so certified verdicts live in :mod:`conecheck.certify`.  The
-verdict is derived from the report's witness, so the two cannot disagree.
+the worst slack seen.  A check's verdict is only ever ``NO_VIOLATION_FOUND``
+or ``VIOLATION_FOUND``: sampling cannot prove a universally quantified
+inequality.  The sampled certificates of :mod:`conecheck.certify` give the
+same report, which reads ``CERTIFIED_NUMERIC`` or ``REFUSED``.  The verdict
+is derived from the report's witness, so the two cannot disagree.
 
 Slack convention: every inequality is normalized to ``slack >= 0``; a trial
 is a violation iff ``slack < -cfg.tolerance(s)`` where ``s`` is the largest
@@ -68,6 +69,9 @@ from .numkernel import ScalarFunction, rowwise
 
 NO_VIOLATION = "NO_VIOLATION_FOUND"
 VIOLATION = "VIOLATION_FOUND"
+# the verdicts of a report whose mode is a certificate method
+CERTIFIED = "CERTIFIED_NUMERIC"
+REFUSED = "REFUSED"
 
 # the streams of the Popoviciu check's monotonicity spot check; those of the
 # trials' roles are in ``_ROLES``
@@ -96,12 +100,17 @@ class CheckConfig:
     boundary_prob: float = 0.2
 
     def __post_init__(self):
-        for name in ("trials", "seed", "order_cap"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            # numpy integers become ints, which reports serialize
-            object.__setattr__(self, name, int(value))
+        for name in ("trials", "seed", "order_cap", "scale", "boundary_prob"):
+            value, whole = getattr(self, name), name not in ("scale", "boundary_prob")
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if whole else numbers.Real):
+                raise ParameterError(
+                    f"{name} must be {'an integer' if whole else 'a number'}, got {value!r}")
+            try:
+                # numpy numbers become ints and floats, which reports serialize
+                object.__setattr__(self, name, int(value) if whole else float(value))
+            except OverflowError:
+                raise ParameterError(f"{name} is too large for a float") from None
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
         if not 0 < self.scale < np.inf:
@@ -149,11 +158,16 @@ class Witness:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of a randomized check.
+    """Outcome of a randomized check, refutation or sampled certificate.
 
     ``worst_margin`` is the most negative slack seen; when a violation is
-    found it equals the witness margin (after shrinking).  The verdict is
-    derived from the witness: ``VIOLATION_FOUND`` exactly when there is one.
+    found it equals the witness margin (after shrinking).  ``trials_run``
+    counts every folded trial, the origin row included, and ``skipped`` the
+    non-finite ones among them.  ``mode`` is ``check``, ``refute`` or the
+    certificate method of :mod:`.certify` that made the report.  The verdict
+    is derived from the witness: ``VIOLATION_FOUND`` exactly when there is
+    one, read ``REFUSED`` (and ``NO_VIOLATION_FOUND`` read
+    ``CERTIFIED_NUMERIC``) when the mode is a certificate method.
     """
 
     property: str
@@ -166,7 +180,9 @@ class CheckReport:
 
     @property
     def verdict(self) -> str:
-        return NO_VIOLATION if self.witness is None else VIOLATION
+        held, broken = ((NO_VIOLATION, VIOLATION) if self.mode in ("check", "refute")
+                        else (CERTIFIED, REFUSED))
+        return held if self.witness is None else broken
 
     @property
     def found_violation(self) -> bool:

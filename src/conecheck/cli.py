@@ -2,9 +2,9 @@
 
 JSON-lines on stdout (one report per line) so shell pipelines can filter
 verdicts; a human-readable rendering sits behind ``--pretty``.  Exit codes:
-0 no violation / certified / all criteria pass, 1 violation or refusal,
-2 usage error, 3 numeric failure.  Seeds come only from flags or a config
-file, never from the environment.
+0 no violation / certified / all criteria pass, 1 violation or refusal (a
+report with a witness), 2 usage error, 3 numeric failure.  Seeds come only
+from flags or a config file, never from the environment.
 """
 
 from __future__ import annotations
@@ -16,11 +16,7 @@ import time
 
 from . import __version__
 from .catalog import PropertyLabel, builtin_entries, lookup
-from .certify import (
-    certify_differential_monotone,
-    certify_hessian_sign,
-    certify_topkis,
-)
+from .certify import METHODS
 from .checkers import CheckConfig, check, refute
 from .errors import ConeCheckError, NumericFailure, ParameterError
 from .suite import build_manifest, manifest_bytes
@@ -29,16 +25,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-# --method -> (its certify function, the flag it needs, that flag's choices)
-_CERTIFY_METHODS = {
-    "hessian-sign": (certify_hessian_sign, "sign", ("nonpos", "nonneg")),
-    "topkis": (certify_topkis, "mode", ("submodular", "supermodular")),
-    "diff-monotone": (
-        certify_differential_monotone, "direction", ("nonincreasing", "nondecreasing")
-    ),
-}
-
 
 # the types argparse gives the numeric flags; a --config value is converted
 # to its flag's type, so a config file and the flag write the same report.
@@ -111,9 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cert = sub.add_parser("certify", help="sampled sufficient-condition certificate")
     cert.add_argument("entry")
-    cert.add_argument("--method", required=True, choices=list(_CERTIFY_METHODS))
-    for _, flag, choices in _CERTIFY_METHODS.values():
-        cert.add_argument(f"--{flag}", choices=choices)
+    cert.add_argument("--method", required=True, choices=list(METHODS))
+    for _, flag, choices in METHODS.values():
+        cert.add_argument(f"--{flag}", choices=list(choices))
     _common(cert, with_property=False)
 
     ste = sub.add_parser("suite", help="run the acceptance suite and write its manifest")
@@ -186,27 +172,23 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args, refuting: bool) -> int:
+def _cmd_run(args) -> int:
+    """``check``, ``refute`` or ``certify``: the report to the output, and
+    exit 1 when it holds a witness."""
     lookup(args.entry)  # surfaces unknown ids as usage errors before running
-    cfg = _config_from_args(args)
-    fn = refute if refuting else check
-    report = fn(args.entry, args.property, cfg, params=_collect_params(args), dim=args.dim)
+    if args.command == "certify":
+        run, flag, choices = METHODS[args.method]
+        arg = getattr(args, flag)
+        if not arg:
+            raise ParameterError(f"--method {args.method} needs --{flag} {'|'.join(choices)}")
+        # --trials counts the sampled points, 200 when unset
+        cfg = _config_from_args(args, trials=200)
+    else:
+        run = refute if args.command == "refute" else check
+        arg, cfg = args.property, _config_from_args(args)
+    report = run(args.entry, arg, cfg, params=_collect_params(args), dim=args.dim)
     _output(report, args)
     return EXIT_VIOLATION if report.found_violation else EXIT_OK
-
-
-def _cmd_certify(args) -> int:
-    lookup(args.entry)
-    # --trials counts the sampled points, 200 when unset
-    cfg = _config_from_args(args, trials=200)
-    params = _collect_params(args)
-    certify, flag, choices = _CERTIFY_METHODS[args.method]
-    value = getattr(args, flag)
-    if not value:
-        raise ParameterError(f"--method {args.method} needs --{flag} {'|'.join(choices)}")
-    cert = certify(args.entry, value, cfg, params=params, dim=args.dim)
-    _output(cert, args)
-    return EXIT_OK if cert.certified else EXIT_VIOLATION
 
 
 def _cmd_suite(args) -> int:
@@ -241,12 +223,8 @@ def main(argv=None) -> int:
         _apply_config_file(args, parser)
         if args.command == "catalog":
             return _cmd_catalog(args)
-        if args.command == "check":
-            return _cmd_check(args, refuting=False)
-        if args.command == "refute":
-            return _cmd_check(args, refuting=True)
-        if args.command == "certify":
-            return _cmd_certify(args)
+        if args.command in ("check", "refute", "certify"):
+            return _cmd_run(args)
         if args.command == "suite":
             return _cmd_suite(args)
         parser.error(f"unknown command {args.command!r}")

@@ -11,8 +11,9 @@ its name, the call that decides it with its target, argument, trials,
 params and dim, and the verdict it must give.  A ``check`` row's argument
 is a property label or a form-table expression.  To add a claim, add a row
 to its criterion's table.  :func:`_run` gives each row its sub-check in
-order, the report or certificate as detail; ``check`` rows that share a
-trial count run as one :func:`check_claims`.  Criteria 1, 2, 3 and 11 and
+order, the row's report as detail (a certificate's too: its mode names its
+method); ``check`` rows that share a trial count run as one
+:func:`check_claims`.  Criteria 1, 2, 3 and 11 and
 the Weyl pairs of criterion 5 check printed numbers or build their own
 inputs.
 
@@ -93,8 +94,9 @@ class CriterionResult:
 
 
 class _Row(NamedTuple):
-    """Sub-check ``name`` passes when ``fn(target, arg, cfg, params=params,
-    dim=dim)`` at ``trials`` trials gives the verdict ``want``."""
+    """Sub-check ``name`` passes when the report of ``fn(target, arg, cfg,
+    params=params, dim=dim)`` at ``trials`` trials reads the verdict
+    ``want``; every ``fn`` gives a :class:`.checkers.CheckReport`."""
 
     name: str
     fn: Callable  # check, refute, a certify_* method or check_popoviciu
@@ -107,9 +109,9 @@ class _Row(NamedTuple):
 
 
 def _reports(rows, cfg: CheckConfig) -> list:
-    """Each row's report or certificate at ``cfg`` and the row's trials, in
-    row order; ``check`` rows that share a trial count run as one
-    :func:`check_claims`, so rows on one cone share their draws."""
+    """Each row's report at ``cfg`` and the row's trials, in row order;
+    ``check`` rows that share a trial count run as one :func:`check_claims`,
+    so rows on one cone share their draws."""
     out, shared = [None] * len(rows), {}
     for i, row in enumerate(rows):
         if row.fn is check:

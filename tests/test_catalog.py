@@ -228,10 +228,11 @@ def test_pencil_evaluates_with_custom_matrices():
 
 
 def test_default_pencil_is_pinned_without_the_sampler(monkeypatch):
-    """The default pencil matrices are constants, not draws: with the PSD
-    sampler disabled the default entry still gives these bits."""
+    """The pencil matrices are constants, not draws: with the PSD sampler
+    disabled the default entry still gives these bits, and any other shape
+    gives matrix k = 0.5 I + [1 / (i + j + k + 1)]_ij."""
     def no_sampling(*args, **kwargs):
-        raise AssertionError("the default pencil must not be drawn")
+        raise AssertionError("the pencil must not be drawn")
 
     monkeypatch.setattr(cones, "sample_batch", no_sampling)
     handle = instantiate("logdet-pencil")
@@ -240,6 +241,12 @@ def test_default_pencil_is_pinned_without_the_sampler(monkeypatch):
         "-0x1.9a3dbc213ef76p-2", "0x1.6a612d6a4c9f3p-2", "0x1.bd67bad403c4dp-2",
         "0x1.2942cf6baadcap+1",
     ]
+    for params, dim, order in ((None, 4, 3), ({"order": 2}, 3, 2)):
+        handle = instantiate("logdet-pencil", params=params, dim=dim)
+        for k in range(dim):
+            want = np.array([[1.0 / (i + j + k + 1) + 0.5 * (i == j) for j in range(order)]
+                             for i in range(order)])
+            assert handle.batch(np.eye(dim)[k:k + 1])[0] == np.linalg.slogdet(want[None])[1][0]
 
 
 def test_domains_match_entry_families():

@@ -51,13 +51,13 @@ def _entry(witness):
 
 
 def test_hessian_sign_certificates():
-    assert certify_hessian_sign("shannon-entropy", "nonpos", _cfg(trials=200)).certified
-    assert certify_hessian_sign("sq-norm", "nonneg", _cfg(trials=200)).certified
+    assert not certify_hessian_sign("shannon-entropy", "nonpos", _cfg(trials=200)).found_violation
+    assert not certify_hessian_sign("sq-norm", "nonneg", _cfg(trials=200)).found_violation
     cert = certify_hessian_sign("lse", "nonpos", _cfg(trials=200))
     assert cert.verdict == REFUSED
-    i, j = _entry(cert.refusal_witness)
+    i, j = _entry(cert.witness)
     assert i == j  # softmax weights make every diagonal entry positive
-    assert cert.refusal_witness.margin < 0
+    assert cert.witness.margin < 0
 
 
 def test_hessian_sign_rejects_matrix_domain():
@@ -87,13 +87,47 @@ def test_a_certificate_samples_cfg_trials_points(monkeypatch, cfg, points):
         return sample_batch(cone, rng, count, *args)
 
     monkeypatch.setattr(cones, "sample_batch", counted)
-    for certify_fn, arg in ((certify_hessian_sign, "nonneg"), (certify_topkis, "supermodular")):
+    # the Hessian sign's origin row counts in the report's trials; Topkis has none
+    for certify_fn, arg, origin in ((certify_hessian_sign, "nonneg", 1),
+                                    (certify_topkis, "supermodular", 0)):
         drawn.clear()
         cert = certify_fn("sq-norm", arg, cfg)
-        assert cert.certified and sum(drawn) == cert.points == points
+        assert not cert.found_violation and sum(drawn) == cert.config.trials == points
+        assert cert.trials_run == points + origin
     for trials in (0, -5, 2.5):
         with pytest.raises(ParameterError):
             certify_topkis("sq-norm", "supermodular", CheckConfig(trials=trials))
+
+
+def test_a_certificate_reports_its_skips():
+    """A certificate's report keeps what its fold counted: a handle that is
+    NaN past x_0 = 4, on 4 of the 400 sampled points at seed 0, is certified
+    with those 4 trials skipped, a finite worst margin and its point count."""
+    cfg = _cfg(trials=400)
+    holed = FunctionHandle("sq-norm-with-a-hole", nonneg_orthant(2),
+                           lambda rows: np.where(rows[:, 0] > 4.0, np.nan, (rows * rows).sum(1)))
+    pts = checkers._interior_batch(holed.domain, cfg, Rng(0, checkers._ROLES["p"][0]), 400)
+    past = int((pts[:, 0] > 4.0).sum())
+    assert 0 < past < 0.1 * cfg.trials
+    for certify_fn, arg in ((certify_hessian_sign, "nonneg"), (certify_topkis, "supermodular")):
+        rep = certify_fn(holed, arg, cfg)
+        assert rep.verdict == CERTIFIED and rep.skipped == past
+        assert np.isfinite(rep.worst_margin) and rep.config.trials == 400
+        assert rep.to_json()["skipped"] == past
+
+
+def test_a_certificate_report_has_the_keys_of_a_check_report():
+    """Certificates and checks give one report type: the same JSON keys, the
+    mode naming the certificate method."""
+    keys = set(check("log1p", "subadd", _cfg(trials=50)).to_json())
+    for certify_fn, arg, mode in ((certify_hessian_sign, "nonneg", "hessian-sign"),
+                                  (certify_topkis, "supermodular", "topkis"),
+                                  (certify_differential_monotone, "nondecreasing",
+                                   "diff-monotone")):
+        rep = certify_fn("sq-norm", arg, _cfg(trials=50))
+        assert isinstance(rep, checkers.CheckReport)
+        assert set(rep.to_json()) == keys and rep.to_json()["mode"] == mode
+    assert not hasattr(certify, "Certificate") and "Certificate" not in conecheck.__all__
 
 
 @pytest.mark.parametrize("target,dim", [("log1p", None), ("det", 1)])
@@ -105,25 +139,26 @@ def test_topkis_needs_a_cross_partial(target, dim):
 
 
 def test_topkis_certificates():
-    assert certify_topkis("lse", "submodular", _cfg(trials=200)).certified
-    assert certify_topkis("sq-norm", "supermodular", _cfg(trials=200)).certified
+    assert not certify_topkis("lse", "submodular", _cfg(trials=200)).found_violation
+    assert not certify_topkis("sq-norm", "supermodular", _cfg(trials=200)).found_violation
     prod = FunctionHandle("coordinate-product", nonneg_orthant(2),
                           lambda rows: rows[:, 0] * rows[:, 1])
     cert = certify_topkis(prod, "submodular", _cfg(trials=100))
     assert cert.verdict == REFUSED
-    assert _entry(cert.refusal_witness) == (0, 1)
+    assert _entry(cert.witness) == (0, 1)
 
 
 def test_differential_monotone_certificates():
     cert = certify_differential_monotone(
         "lp-power-norm", "nondecreasing", _cfg(trials=200), params={"p": 2.0, "h": 0.125}, dim=8
     )
-    assert cert.certified
-    assert certify_differential_monotone("det", "nondecreasing", _cfg(trials=200), dim=3).certified
+    assert not cert.found_violation
+    assert not certify_differential_monotone("det", "nondecreasing", _cfg(trials=200),
+                                             dim=3).found_violation
     cert = certify_differential_monotone("geomean2", "nonincreasing", _cfg(trials=200))
     assert cert.verdict == REFUSED
     # the refusal is a genuine ordered pair with a rising directional derivative
-    rw = cert.refusal_witness
+    rw = cert.witness
     assert rw.expression == "differential-nonincreasing"
     assert rw.margin < 0 and set(rw.points) == {"U", "step", "direction"}
 
@@ -139,7 +174,7 @@ def test_certificate_checker_coherence():
          ("det", "strong-superadd", {"dim": 3})),
     ]
     for cert, (eid, prop, kw) in cases:
-        assert cert.certified
+        assert not cert.found_violation
         rep = check(eid, prop, _cfg(trials=500), **kw)
         assert not rep.found_violation, (eid, prop)
 
@@ -149,8 +184,8 @@ def test_hessian_nonpos_implies_topkis_submodular():
     for eid in ("shannon-entropy", "sq-norm"):
         full = certify_hessian_sign(eid, "nonpos", _cfg(trials=100))
         cross = certify_topkis(eid, "submodular", _cfg(trials=100))
-        if full.certified:
-            assert cross.certified
+        if not full.found_violation:
+            assert not cross.found_violation
 
 
 def test_dual_membership_rules():
@@ -401,8 +436,9 @@ def test_det_trace_inverse_monotone():
 def test_certificate_json_shape():
     cert = certify_hessian_sign("sq-norm", "nonneg", _cfg(trials=50))
     obj = cert.to_json()
-    assert set(obj) == {"method", "property", "verdict", "points", "seed", "refusal_witness"}
-    assert obj["method"] == "HESSIAN_SIGN"
+    assert set(obj) == {"mode", "property", "verdict", "trials", "worst_margin", "witness",
+                        "skipped", "config"}
+    assert obj["mode"] == "hessian-sign"
     assert obj["verdict"] == CERTIFIED
 
 
@@ -412,13 +448,13 @@ def test_certificate_verdict_is_derived_from_the_refusal_witness():
         certify_hessian_sign("half-sq-plus-cos", "nonneg", _cfg(trials=200)),
         certify_differential_monotone("geomean2", "nonincreasing", _cfg(trials=200)),
     ]
-    assert [c.certified for c in certs] == [True, False, False]
+    assert [not c.found_violation for c in certs] == [True, False, False]
     # half-sq-plus-cos is 1 at the origin, the wrong sign for superadditivity
-    assert certs[1].refusal_witness == Witness(
+    assert certs[1].witness == Witness(
         points={"zero": Point.vector([0.0])}, margin=-1.0, expression="origin-nonpos")
     for cert in certs:
-        unrefused = cert.refusal_witness is None
-        assert cert.certified == unrefused
+        unrefused = cert.witness is None
+        assert (not cert.found_violation) == unrefused
         assert cert.verdict == (CERTIFIED if unrefused else REFUSED)
         assert cert.to_json()["verdict"] == cert.verdict
 
@@ -458,14 +494,14 @@ def test_hessian_sign_scan_matches_the_plain_scan(entry_id, method, mode, index)
     pts = checkers._interior_batch(handle.domain, cfg, Rng(0, checkers._ROLES["p"][0]), 200)
     first = _plain_scan(handle, [f"hessian-{mode}[ij={i},{j}]" for i, j in pairs], pts, cfg)
     if index is None:
-        assert first is None and cert.certified
+        assert first is None and not cert.found_violation
         diagonal = [f"hessian-nonpos[ij={i},{i}]" for i in range(n)]
         assert _plain_scan(handle, diagonal, pts, _cfg()) is not None
         for p in pts:
             for e in diagonal:
                 assert evaluate_expression(handle, e, {"p": Point(cones.VECTOR, p)})[0] < -1.0
         return
-    rw = cert.refusal_witness
+    rw = cert.witness
     assert rw.expression == first[1] == f"hessian-{mode}[ij={index[0]},{index[1]}]"
     assert rw.margin <= first[0] + 1e-12 * abs(first[0])
 
@@ -532,12 +568,12 @@ def test_certificate_refusals_are_real_witnesses(certify_fn, target, arg, expres
     cfg = _cfg(trials=200)
     cert = certify_fn(target, arg, cfg)
     handle = resolve_handle(target)
-    w = cert.refusal_witness
+    w = cert.witness
     assert isinstance(w, Witness) and re.fullmatch(expression, w.expression)
     assert all(cones.member(handle.domain, p) for p in w.points.values())
     slack, s = evaluate_expression(handle, w.expression, w.points)
     assert reevaluate_witness(handle, w) == slack == w.margin < -cfg.tolerance(s)
-    assert cert.to_json()["refusal_witness"] == w.to_json()
+    assert cert.to_json()["witness"] == w.to_json()
 
 
 def test_gaussian_detcert_witness_reevaluates(monkeypatch):

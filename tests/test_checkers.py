@@ -668,9 +668,17 @@ def test_config_validation():
     from conecheck.errors import ParameterError
 
     for bad in (dict(trials=0), dict(scale=-1.0), dict(scale=math.inf), dict(scale=math.nan),
-                dict(order_cap=0), dict(order_cap=13), dict(boundary_prob=1.0)):
+                dict(order_cap=0), dict(order_cap=13), dict(boundary_prob=1.0),
+                # a bool or a non-number is no scale or probability
+                dict(scale=True), dict(boundary_prob=False), dict(scale="2"),
+                dict(boundary_prob="0.2"), dict(scale=None), dict(scale=10 ** 400)):
         with _pytest.raises(ParameterError):
             CheckConfig(**bad)
+    # the real-valued fields are stored, and written, as floats
+    cfg = CheckConfig(scale=2, boundary_prob=np.float32(0.25))
+    assert type(cfg.scale) is float and type(cfg.boundary_prob) is float
+    assert cfg == CheckConfig(scale=2.0, boundary_prob=0.25)
+    assert '"scale": 2.0' in json.dumps(cfg.to_json())
 
 
 def test_overflowing_trials_are_skipped_without_a_warning():

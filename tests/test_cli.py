@@ -128,11 +128,11 @@ def test_certify_counts_its_points_with_trials(tmp_path, capsys):
     args = ("certify", "sq-norm", "--method", "hessian-sign", "--sign", "nonneg")
     for extra, points in ((("--trials", "5"), 5), ((), 200)):
         code, out, _ = _run(capsys, *args, *extra)
-        assert (code, json.loads(out)["points"]) == (0, points)
+        assert (code, json.loads(out)["config"]["trials"]) == (0, points)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 7}))
     code, out, _ = _run(capsys, "--config", str(cfg), *args)
-    assert (code, json.loads(out)["points"]) == (0, 7)
+    assert (code, json.loads(out)["config"]["trials"]) == (0, 7)
     code, out, _ = _run(capsys, *args, "--points", "5")
     assert (code, out) == (2, "")
     # a certificate on no sampled points would certify on no evidence
