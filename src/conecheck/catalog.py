@@ -1,7 +1,8 @@
 """Built-in catalog of functions on cones with their claimed properties.
 
-Every entry carries a domain cone, default parameters, a set of property
-labels with a status, and a short source note.  Status semantics:
+Every entry carries a domain cone, default parameters with the interval of
+each numeric one, a set of property labels with a status, and a short
+source note.  Status semantics:
 
 * ``asserted``      -- the cited source claims the property; these entries
                        form the must-pass randomized suite.
@@ -19,6 +20,7 @@ block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -80,12 +82,15 @@ def _closure(labels: dict) -> dict:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named function with parameters, domain, labels and a source note."""
+    """A named function with parameters, domain, labels and a source note.
+    ``domains`` maps each numeric parameter to its interval, as written
+    (``"[0, inf)"``; a trailing ``^n`` checks each element of a vector)."""
 
     id: str
     default_dim: int
     fixed_dim: bool
     default_params: MappingProxyType
+    domains: MappingProxyType
     labels: MappingProxyType
     source: str
     notes: str = ""
@@ -109,14 +114,22 @@ def _entry(
     source: str,
     default_dim: int = 1,
     fixed_dim: bool = True,
-    default_params: dict | None = None,
+    params: dict | None = None,
     notes: str = "",
 ) -> CatalogEntry:
+    """``params`` maps a numeric parameter to ``(default, interval)`` and
+    any other parameter to its default."""
+    defaults, domains = {}, {}
+    for name, spec in (params or {}).items():
+        if isinstance(spec, tuple):
+            spec, domains[name] = spec[0], _interval(spec[1])
+        defaults[name] = spec
     return CatalogEntry(
         id=id,
         default_dim=default_dim,
         fixed_dim=fixed_dim,
-        default_params=MappingProxyType(dict(default_params or {})),
+        default_params=MappingProxyType(defaults),
+        domains=MappingProxyType(domains),
         labels=MappingProxyType(_closure(labels)),
         source=source,
         notes=notes,
@@ -124,8 +137,29 @@ def _entry(
     )
 
 
+def _interval(text: str) -> tuple:
+    """``"[0, inf)"`` as (text, lo, hi, lo open, hi open, per element)."""
+    core = text.removesuffix("^n")
+    lo, hi = core[1:-1].split(", ")
+    return text, float(lo), float(hi), core[0] == "(", core[-1] == ")", core != text
+
+
 def _param_error(entry_id: str, message: str) -> ParameterError:
     return ParameterError(f"{entry_id}: {message}")
+
+
+def _check_domains(entry: CatalogEntry, params: dict) -> None:
+    """Every declared parameter finite and inside its interval, with plain
+    float comparisons for a scalar; a None left at its None default is the
+    factory's to fill."""
+    for name, (text, lo, hi, lo_open, hi_open, each) in entry.domains.items():
+        value = params[name]
+        if value is None and entry.default_params[name] is None:
+            continue
+        for v in np.ravel(np.asarray(value, dtype=np.float64)) if each else (value,):
+            if not (math.isfinite(v) and (lo < v if lo_open else lo <= v)
+                    and (v < hi if hi_open else v <= hi)):
+                raise _param_error(entry.id, f"{name} must lie in {text}, got {value}")
 
 
 def _vec_param(value, n: int, entry_id: str, name: str) -> np.ndarray:
@@ -153,10 +187,6 @@ def _scalar_handle(entry_id: str, fn, domain: ConeSpec | None = None) -> Functio
 
 def _make_affine_power(p: dict, n: int) -> FunctionHandle:
     m, nn, pp, alpha = p["m"], p["n"], p["p"], p["alpha"]
-    if not 0.0 <= alpha <= 1.0:
-        raise _param_error("affine-power", f"alpha must lie in [0, 1], got {alpha}")
-    if nn < 0 or pp < 0:
-        raise _param_error("affine-power", "n and p must be nonnegative")
 
     def fn(x):
         return m * x + nn + pp * np.where(x > 0, x, 0.0) ** alpha
@@ -166,15 +196,11 @@ def _make_affine_power(p: dict, n: int) -> FunctionHandle:
 
 def _make_one_minus_sqrt1p(p: dict, n: int) -> FunctionHandle:
     alpha = p["alpha"]
-    if not alpha > 0:
-        raise _param_error("one-minus-sqrt1p", f"alpha must be positive, got {alpha}")
     return _scalar_handle("one-minus-sqrt1p", lambda x: 1.0 - np.sqrt(1.0 + alpha * x * x))
 
 
 def _make_neg_xlogx_shift(p: dict, n: int) -> FunctionHandle:
     alpha = p["alpha"]
-    if not 0.0 <= alpha <= 1.0:
-        raise _param_error("neg-xlogx-shift", f"alpha must lie in [0, 1], got {alpha}")
 
     def fn(x):
         t = x + alpha
@@ -275,8 +301,6 @@ def _make_concave_of_linear(p: dict, n: int) -> FunctionHandle:
             "concave-of-linear", f"inner entry {inner_id!r} must be a scalar strong-subadd entry"
         )
     a = _vec_param(p["a"], n, "concave-of-linear", "a")
-    if np.any(a < 0):
-        raise _param_error("concave-of-linear", "weight vector a must be nonnegative")
     ih = instantiate(inner)
 
     def batch(rows):
@@ -295,8 +319,6 @@ def _make_geomean2(p: dict, n: int) -> FunctionHandle:
 
 def _make_pairwise_diff_convex(p: dict, n: int) -> FunctionHandle:
     q = p["q"]
-    if not q >= 2.0:
-        raise _param_error("pairwise-diff-convex", f"exponent q must be >= 2 for a C^2 rule, got {q}")
     iu, ju = np.triu_indices(n, k=1)
 
     def batch(rows):
@@ -308,8 +330,6 @@ def _make_pairwise_diff_convex(p: dict, n: int) -> FunctionHandle:
 
 def _make_jensen_gap(p: dict, n: int) -> FunctionHandle:
     lam = _vec_param(p["weights"], n, "jensen-gap", "weights")
-    if np.any(lam < 0):
-        raise _param_error("jensen-gap", "weights must be nonnegative")
     if p["inner"] != "neg-square":
         raise _param_error("jensen-gap", f"unsupported inner rule {p['inner']!r} (only neg-square)")
 
@@ -366,10 +386,6 @@ def _make_lse(p: dict, n: int) -> FunctionHandle:
 
 def _make_lp_power_norm(p: dict, n: int) -> FunctionHandle:
     pw, h = p["p"], p["h"]
-    if not pw > 1.0:
-        raise _param_error("lp-power-norm", f"exponent must satisfy p > 1, got {pw}")
-    if not h > 0.0:
-        raise _param_error("lp-power-norm", f"grid step must be positive, got {h}")
 
     def batch(rows):
         return h * rowwise(np.add, np.abs(rows) ** pw)
@@ -386,37 +402,15 @@ def _make_det(p: dict, n: int) -> FunctionHandle:
     return FunctionHandle("det", cones.psd_cone(n), det)
 
 
-# The default pencil, G G^T / 3 + I / 2 for three G of standard normals, as
-# exact constants: row 3i + j lists entry (i, j) of each matrix.  The array
-# keeps the memory order of the draw, since the einsum's rounding depends on it.
-_PENCIL = np.moveaxis(np.array([[float.fromhex(v) for v in entry] for entry in [
-    ["0x1.1be171e2bb759p-1", "0x1.56696a49728d6p+0", "0x1.61199cce0c39cp-1"],
-    ["0x1.48ec2e8ead7b4p-4", "-0x1.0c2a7102b5819p-2", "0x1.506a7d49a4d8bp-2"],
-    ["-0x1.8fdd34416c180p-4", "0x1.448bb50c9417fp-3", "-0x1.51b91826ade60p-4"],
-    ["0x1.48ec2e8ead7b4p-4", "-0x1.0c2a7102b5819p-2", "0x1.506a7d49a4d8bp-2"],
-    ["0x1.dd35ccab1b146p-1", "0x1.c0c7ab46e6dacp+0", "0x1.1a46a20818b9ap+1"],
-    ["0x1.586d981bd81e5p-2", "-0x1.591f67efb3b90p-2", "-0x1.c7be3b2b05575p-3"],
-    ["-0x1.8fdd34416c180p-4", "0x1.448bb50c9417fp-3", "-0x1.51b91826ade60p-4"],
-    ["0x1.586d981bd81e5p-2", "-0x1.591f67efb3b90p-2", "-0x1.c7be3b2b05575p-3"],
-    ["0x1.769d12dc1b0b0p+0", "0x1.663a82c889efap-1", "0x1.1ea19ab07c974p+0"],
-]]).reshape(3, 3, 3), -1, 0)
-
-
-def _default_pencil_matrices(count: int, order: int) -> np.ndarray:
-    """The pinned pencil for up to three matrices of order 3; otherwise
-    matrix k is ``0.5 I + [1 / (i + j + k + 1)]_ij``, a shifted Hilbert-type
-    Gram matrix: positive definite, drawn from no random stream, and the
-    same bits on every platform from IEEE division."""
-    if order == 3 and count <= len(_PENCIL):
-        return _PENCIL[:count].copy(order="K")
-    k, i, j = np.ogrid[:count, :order, :order]
-    return 1.0 / (i + j + k + 1) + 0.5 * np.eye(order)
-
-
 def _make_logdet_pencil(p: dict, n: int) -> FunctionHandle:
     order = int(p["order"])
     mats = p.get("matrices")
-    mats = _default_pencil_matrices(n, order) if mats is None else np.asarray(mats, dtype=np.float64)
+    if mats is None:
+        # matrix k is 0.5 I + [1 / (i + j + k + 1)]_ij, a shifted Hilbert-type
+        # Gram matrix: positive definite, and the same bits on every platform
+        k, i, j = np.ogrid[:n, :order, :order]
+        mats = 1.0 / (i + j + k + 1) + 0.5 * np.eye(order)
+    mats = np.asarray(mats, dtype=np.float64)
     if mats.shape != (n, order, order):
         raise _param_error("logdet-pencil", f"need {n} matrices of order {order}")
     for i, m in enumerate(mats):
@@ -433,8 +427,6 @@ def _make_logdet_pencil(p: dict, n: int) -> FunctionHandle:
 
 def _make_trace_pow(p: dict, n: int) -> FunctionHandle:
     pw = p["p"]
-    if not 0.0 <= pw <= 2.0:
-        raise _param_error("trace-pow", f"exponent must lie in [0, 2], got {pw}")
 
     def batch(rows):
         # 0 ** p := 0, so p = 0 counts the strictly positive eigenvalues
@@ -466,8 +458,6 @@ def _gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _make_trace_hansen(p: dict, n: int) -> FunctionHandle:
     pw = p["p"]
-    if not 0.0 < pw <= 1.0:
-        raise _param_error("trace-hansen", f"exponent must lie in (0, 1], got {pw}")
     # F(t) = int_0^t (1 + s^p)^a ds with a = 1/p.  With T = t^p and s = t y^a,
     # F(t) = (t/p) int_0^1 y^(a-1) (1 + T y)^a dy, so for T <= U0 a
     # Gauss-Jacobi rule in the weight y^(a-1) takes one power per node.  For
@@ -567,8 +557,6 @@ def _make_logdet(p: dict, n: int) -> FunctionHandle:
 
 def _make_det_recip_pow(p: dict, n: int) -> FunctionHandle:
     beta = p["beta"]
-    if beta < 0:
-        raise _param_error("det-recip-pow", f"beta must be nonnegative, got {beta}")
 
     def batch(rows):
         return np.exp(-beta * spectral(rows, np.log, lo=CLAMP_WINDOW, open=True))
@@ -578,14 +566,20 @@ def _make_det_recip_pow(p: dict, n: int) -> FunctionHandle:
 
 def _make_det_shift_recip(p: dict, n: int) -> FunctionHandle:
     beta = p["beta"]
-    if beta < 0:
-        raise _param_error("det-shift-recip", f"beta must be nonnegative, got {beta}")
 
     def batch(rows):
         # I + A must stay PD; PSD inputs are fine
         return np.expm1(-beta * spectral(rows, np.log1p, lo=-0.5, clamp=-0.5))
 
     return FunctionHandle(f"det-shift-recip[beta={beta!r}]", cones.psd_cone(n), batch)
+
+
+def _make_det_trace_inverse(p: dict, n: int) -> FunctionHandle:
+    def batch(rows):
+        lam = np.linalg.eigvalsh(rows)
+        return rowwise(np.multiply, lam) * rowwise(np.add, 1.0 / lam)
+
+    return FunctionHandle("det-trace-inverse", cones.psd_cone(n), batch)
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +590,6 @@ def _make_det_shift_recip(p: dict, n: int) -> FunctionHandle:
 def _make_exp_neg_linear(p: dict, n: int) -> FunctionHandle:
     alpha = p["alpha"] if p["alpha"] is not None else 0.5 + np.arange(n) / n
     alpha = _vec_param(alpha, n, "exp-neg-linear", "alpha")
-    if np.any(alpha <= 0):
-        raise _param_error("exp-neg-linear", "alpha must be strictly positive")
 
     def batch(rows):
         return np.exp(-linear(rows, alpha))
@@ -608,8 +600,6 @@ def _make_exp_neg_linear(p: dict, n: int) -> FunctionHandle:
 def _make_inv_power_product(p: dict, n: int) -> FunctionHandle:
     alpha = p["alpha"] if p["alpha"] is not None else 0.5 + 0.5 * np.arange(n)
     alpha = _vec_param(alpha, n, "inv-power-product", "alpha")
-    if np.any(alpha <= 0):
-        raise _param_error("inv-power-product", "alpha must be strictly positive")
 
     def batch(rows):
         ok = rowwise(np.logical_and, rows > 0.0)
@@ -621,10 +611,6 @@ def _make_inv_power_product(p: dict, n: int) -> FunctionHandle:
 
 def _make_logistic_pow(p: dict, n: int) -> FunctionHandle:
     a, beta = p["a"], p["beta"]
-    if not a > 0:
-        raise _param_error("logistic-pow", f"a must be positive, got {a}")
-    if beta < 0:
-        raise _param_error("logistic-pow", f"beta must be nonnegative, got {beta}")
     return _scalar_handle(f"logistic-pow[a={a!r},beta={beta!r}]",
                           lambda x: (1.0 + a * np.exp(-x)) ** beta)
 
@@ -637,8 +623,6 @@ def _elem_sym_2(rows: np.ndarray) -> np.ndarray:
 
 def _make_elem_sym_4(p: dict, n: int) -> FunctionHandle:
     beta = p["beta"]
-    if beta < 0:
-        raise _param_error("elem-sym-4", f"beta must be nonnegative, got {beta}")
 
     def batch(rows):
         e2 = _elem_sym_2(rows)
@@ -649,8 +633,6 @@ def _make_elem_sym_4(p: dict, n: int) -> FunctionHandle:
 
 def _make_elem_sym_4_shifted(p: dict, n: int) -> FunctionHandle:
     beta = p["beta"]
-    if beta < 0:
-        raise _param_error("elem-sym-4-shifted", f"beta must be nonnegative, got {beta}")
     center = 6.0 ** (-beta)  # value of the unshifted rule at the all-ones point
 
     def batch(rows):
@@ -676,12 +658,13 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
     convex_src = "convex on the half-line with a nonpositive value at 0"
 
     add(_entry("affine-power", _make_affine_power, {L.STRONG_SUBADD: A}, concave_src,
-               default_params={"m": 1.0, "n": 0.5, "p": 2.0, "alpha": 0.5},
+               params={"m": (1.0, "(-inf, inf)"), "n": (0.5, "[0, inf)"), "p": (2.0, "[0, inf)"),
+                       "alpha": (0.5, "[0, 1]")},
                notes="m*x + n + p*x^alpha with alpha in [0,1], n, p >= 0"))
     add(_entry("one-minus-sqrt1p", _make_one_minus_sqrt1p, {L.STRONG_SUBADD: A}, concave_src,
-               default_params={"alpha": 1.0}, notes="1 - sqrt(1 + alpha x^2), alpha > 0"))
+               params={"alpha": (1.0, "(0, inf)")}, notes="1 - sqrt(1 + alpha x^2), alpha > 0"))
     add(_entry("neg-xlogx-shift", _make_neg_xlogx_shift, {L.STRONG_SUBADD: A}, concave_src,
-               default_params={"alpha": 0.5}, notes="-(x+alpha) log(x+alpha), alpha in [0,1]"))
+               params={"alpha": (0.5, "[0, 1]")}, notes="-(x+alpha) log(x+alpha), alpha in [0,1]"))
     add(_entry("log1p", _make_log1p, {L.STRONG_SUBADD: A}, concave_src))
     add(_entry("neg-log-cosh", _make_neg_log_cosh, {L.STRONG_SUBADD: A}, concave_src))
     add(_entry("e-minus-1px-pow", _make_e_minus_1px_pow, {L.STRONG_SUBADD: A}, concave_src,
@@ -716,7 +699,7 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
     add(_entry("concave-of-linear", _make_concave_of_linear, {L.STRONG_SUBADD: A},
                "Hardy-Littlewood-Polya majorization: concave of a positive linear form",
                default_dim=3, fixed_dim=False,
-               default_params={"inner": "log1p", "a": 1.0},
+               params={"inner": "log1p", "a": (1.0, "[0, inf)^n")},
                notes="f(<x, a>) for a scalar strong-subadd entry f and a >= 0"))
     add(_entry("geomean2", _make_geomean2, {L.SUPERADD: C, L.STRONG_SUBADD: R},
                "bivariate geometric mean: concave and 0 at the origin, yet its "
@@ -725,17 +708,17 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
     add(_entry("pairwise-diff-convex", _make_pairwise_diff_convex, {L.STRONG_SUBADD: R},
                "sum of convex functions of coordinate differences; off-diagonal "
                "curvature is nonpositive but the diagonal is positive",
-               default_dim=3, fixed_dim=False, default_params={"q": 2.0},
+               default_dim=3, fixed_dim=False, params={"q": (2.0, "[2, inf)")},
                notes="sum over i<j of |x_i - x_j|^q, q >= 2"))
     add(_entry("jensen-gap", _make_jensen_gap, {L.STRONG_SUBADD: R},
                "Jensen gap of a concave rule; the gap of -t^2 equals a positive "
                "semidefinite quadratic, so second differences can be positive",
                default_dim=2, fixed_dim=False,
-               default_params={"inner": "neg-square", "weights": 0.5},
+               params={"inner": "neg-square", "weights": (0.5, "[0, inf)^n")},
                notes="f(sum lam_i x_i) - sum lam_i f(x_i) with f = -t^2"))
     add(_entry("nonneg-poly", _make_nonneg_poly, {L.STRONG_SUPERADD: A},
                "polynomial with nonnegative coefficients and zero constant term",
-               default_dim=3, fixed_dim=False, default_params={"monomials": None},
+               default_dim=3, fixed_dim=False, params={"monomials": None},
                notes="monomials parameter rows are (coeff, e_1, ..., e_N)"))
     add(_entry("lse", _make_lse,
                {L.SUBMODULAR: A, L.COMONOTONE_STRONG_SUPERADD: A, L.STRONG_SUBADD: R},
@@ -746,7 +729,8 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
     add(_entry("lp-power-norm", _make_lp_power_norm, {L.STRONG_SUPERADD: A},
                "p-th power of the grid L^p norm; its differential is monotone "
                "on the positive cone",
-               default_dim=16, fixed_dim=False, default_params={"p": 2.0, "h": 1.0 / 16.0},
+               default_dim=16, fixed_dim=False,
+               params={"p": (2.0, "(1, inf)"), "h": (1.0 / 16.0, "(0, inf)")},
                notes="h * sum |f_i|^p on M grid points, p > 1; dim parameter is M"))
 
     add(_entry("det", _make_det, {L.STRONG_SUPERADD: A},
@@ -757,15 +741,15 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
                "log det of a positive-definite pencil: concave with antitone "
                "differential, but two-point subadditivity fails near 0 "
                "(already for one matrix: log(x+y) vs log x + log y)",
-               default_dim=3, fixed_dim=False, default_params={"order": 3, "matrices": None},
+               default_dim=3, fixed_dim=False, params={"order": (3, "[1, inf)"), "matrices": None},
                notes="x -> log det(sum x_i A_i) for PD A_i; dim parameter is the weight count"))
     add(_entry("trace-pow", _make_trace_pow, {L.STRONG_SUBADD: A, L.STRONG_SUPERADD: A},
                "Bouhtou-Gaubert-Sagnol, lemma 5.3 (trace of matrix powers)",
-               default_dim=3, fixed_dim=False, default_params={"p": 0.5},
+               default_dim=3, fixed_dim=False, params={"p": (0.5, "[0, 2]")},
                notes="strong-subadd needs p in [0,1]; strong-superadd needs p in [1,2]"))
     add(_entry("trace-hansen", _make_trace_hansen, {L.STRONG_SUPERADD: A},
                "F. Hansen: (1+t^p)^(1/p) is operator monotone for p in (0,1]",
-               default_dim=3, fixed_dim=False, default_params={"p": 0.5},
+               default_dim=3, fixed_dim=False, params={"p": (0.5, "(0, 1]")},
                notes="trace F(A) with F(t) the antiderivative of (1+s^p)^(1/p): a 16-node "
                      "Gauss-Jacobi rule (Golub-Welsch) in y^(1/p-1) after s = t y^(1/p) for "
                      "t^p <= 4, its binomial tail series beyond"))
@@ -780,33 +764,38 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
     add(_entry("det-recip-pow", _make_det_recip_pow, {L.COMPLETELY_MONOTONE: A},
                "Scott-Sokal, thm 1.3: (det A)^(-beta) is completely monotone "
                "iff beta is in {0, 1/2, 1, ...} or beta >= (N-1)/2",
-               default_dim=2, fixed_dim=False, default_params={"beta": 0.5}))
+               default_dim=2, fixed_dim=False, params={"beta": (0.5, "[0, inf)")}))
     add(_entry("det-shift-recip", _make_det_shift_recip, {L.STRONG_SUPERADD: A},
                "(det(I+A))^(-beta) - 1: shift-and-center of a completely "
                "monotone rule, for the same beta values",
-               default_dim=2, fixed_dim=False, default_params={"beta": 0.5},
+               default_dim=2, fixed_dim=False, params={"beta": (0.5, "[0, inf)")},
                notes="must-pass values of beta match the completely monotone range"))
+    add(_entry("det-trace-inverse", _make_det_trace_inverse, {},
+               "det(A) trace(A^-1), the sum of the principal minors of order N-1, "
+               "is nondecreasing in the Loewner order",
+               default_dim=3, fixed_dim=False,
+               notes="its claim is the nondecreasing expression, f(U + step) >= f(U)"))
 
     add(_entry("exp-neg-linear", _make_exp_neg_linear, {L.COMPLETELY_MONOTONE: A},
                "exponential of a negative linear form, the prototype Laplace atom",
-               default_dim=3, fixed_dim=False, default_params={"alpha": None},
+               default_dim=3, fixed_dim=False, params={"alpha": (None, "(0, inf)^n")},
                notes="exp(-<alpha, x>) with alpha > 0 (default alpha varies by coordinate)"))
     add(_entry("inv-power-product", _make_inv_power_product, {L.COMPLETELY_MONOTONE: A},
                "product of negative coordinate powers on the open orthant",
-               default_dim=3, fixed_dim=False, default_params={"alpha": None},
+               default_dim=3, fixed_dim=False, params={"alpha": (None, "(0, inf)^n")},
                notes="prod x_i^(-alpha_i) with alpha_i > 0"))
     add(_entry("logistic-pow", _make_logistic_pow, {L.COMPLETELY_MONOTONE: A},
                "Scott-Sokal, ex. 2.5: (1 + a e^{-x})^beta is completely monotone "
                "iff beta is a nonnegative integer",
-               default_params={"a": 1.0, "beta": 1.0},
+               params={"a": (1.0, "(0, inf)"), "beta": (1.0, "[0, inf)")},
                notes="non-integer beta is the designated refutation target"))
     add(_entry("elem-sym-4", _make_elem_sym_4, {L.COMPLETELY_MONOTONE: A},
                "Scott-Sokal, cor. 1.6: negative powers of the second elementary "
                "symmetric polynomial in four variables, beta = 0 or beta >= 1",
-               default_dim=4, default_params={"beta": 1.0}))
+               default_dim=4, params={"beta": (1.0, "[0, inf)")}))
     add(_entry("elem-sym-4-shifted", _make_elem_sym_4_shifted, {L.STRONG_SUPERADD: A},
                "shift-and-center of the four-variable elementary symmetric rule",
-               default_dim=4, default_params={"beta": 1.0},
+               default_dim=4, params={"beta": (1.0, "[0, inf)")},
                notes="Phi(x + 1) - Phi(1) for the same beta range"))
 
     return tuple(entries)
@@ -835,8 +824,8 @@ def lookup(entry_id: str) -> CatalogEntry:
 def instantiate(
     entry: CatalogEntry | str, params: dict | None = None, dim: int | None = None
 ) -> FunctionHandle:
-    """Concrete handle on a concrete cone; parameters are validated against
-    the entry's documented ranges."""
+    """Concrete handle on a concrete cone; every declared parameter is
+    checked against its interval before the factory runs."""
     if isinstance(entry, str):
         entry = lookup(entry)
     merged = dict(entry.default_params)
@@ -851,6 +840,7 @@ def instantiate(
     if entry.fixed_dim and n != entry.default_dim:
         raise _param_error(entry.id, f"dimension is fixed at {entry.default_dim}")
     try:
+        _check_domains(entry, merged)
         return entry._factory(merged, n)
     except ConeCheckError:
         raise

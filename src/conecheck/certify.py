@@ -309,19 +309,3 @@ def gaussian_representation_margin(a: np.ndarray) -> tuple:
     if np.ndim(a) == 2:
         return float(total[0]), float(exact[0]), float(relerr[0])
     return total, exact, relerr
-
-
-def check_det_trace_monotone(n: int, cfg: CheckConfig | None = None) -> CheckReport:
-    """``det(U) trace(U^-1) <= det(V) trace(V^-1)`` on random ordered pairs
-    U <= V = U + step of positive-definite matrices: the ``nondecreasing``
-    form over the roles ``U`` and ``step``, so a shrunk witness keeps its
-    order, on the checks' trial path."""
-    cfg = cfg or CheckConfig()
-    cone = cones.psd_cone(n)
-
-    def phi(mats):
-        lam = np.linalg.eigvalsh(mats)
-        return rowwise(np.multiply, lam) * rowwise(np.add, 1.0 / lam)
-
-    handle = FunctionHandle("det-trace-inverse", cone, phi)
-    return _run_trials([_Target(handle, "det-trace-inverse-monotone", ["nondecreasing"])], cfg)[0]

@@ -167,34 +167,36 @@ def test_trace_hansen_block_rows_reach_both_branches():
 
 # one out-of-range case per parameter check: (entry, params, dim, message part)
 _RANGE_ERRORS = [
-    ("affine-power", {"alpha": 2.0}, None, "alpha must lie in [0, 1]"),
-    ("affine-power", {"n": -1.0}, None, "n and p must be nonnegative"),
-    ("affine-power", {"p": -1.0}, None, "n and p must be nonnegative"),
-    ("one-minus-sqrt1p", {"alpha": 0.0}, None, "alpha must be positive"),
-    ("neg-xlogx-shift", {"alpha": 1.5}, None, "alpha must lie in [0, 1]"),
+    ("affine-power", {"alpha": 2.0}, None, "alpha must lie in [0, 1], got 2.0"),
+    ("affine-power", {"n": -1.0}, None, "n must lie in [0, inf), got -1.0"),
+    ("affine-power", {"p": -1.0}, None, "p must lie in [0, inf), got -1.0"),
+    ("one-minus-sqrt1p", {"alpha": 0.0}, None, "alpha must lie in (0, inf), got 0.0"),
+    ("neg-xlogx-shift", {"alpha": 1.5}, None, "alpha must lie in [0, 1], got 1.5"),
     ("concave-of-linear", {"inner": "sq-norm"}, None, "must be a scalar strong-subadd entry"),
-    ("concave-of-linear", {"a": [1.0, -1.0]}, 2, "weight vector a must be nonnegative"),
+    ("concave-of-linear", {"a": [1.0, -1.0]}, 2,
+     "a must lie in [0, inf)^n, got [1.0, -1.0]"),
     ("concave-of-linear", {"a": [1.0, 1.0]}, 3, "parameter 'a' must have length 3"),
-    ("pairwise-diff-convex", {"q": 1.5}, None, "exponent q must be >= 2"),
-    ("jensen-gap", {"weights": -0.5}, None, "weights must be nonnegative"),
+    ("pairwise-diff-convex", {"q": 1.5}, None, "q must lie in [2, inf), got 1.5"),
+    ("jensen-gap", {"weights": -0.5}, None, "weights must lie in [0, inf)^n, got -0.5"),
     ("jensen-gap", {"inner": "log1p"}, None, "only neg-square"),
     ("nonneg-poly", {"monomials": [[1.0, 2.0]]}, 3, "each monomial needs 1 + 3 numbers"),
     ("nonneg-poly", {"monomials": [[-1.0, 2.0, 0.0]]}, 2, "coefficients must be nonnegative"),
     ("nonneg-poly", {"monomials": [[1.0, 0.0, 0.0]]}, 2, "constant term must be zero"),
-    ("lp-power-norm", {"p": 1.0}, None, "exponent must satisfy p > 1"),
-    ("lp-power-norm", {"h": 0.0}, None, "grid step must be positive"),
+    ("lp-power-norm", {"p": 1.0}, None, "p must lie in (1, inf), got 1.0"),
+    ("lp-power-norm", {"h": 0.0}, None, "h must lie in (0, inf), got 0.0"),
     ("logdet-pencil", {"order": 2, "matrices": np.stack([np.eye(2)] * 2)}, 3,
      "need 3 matrices of order 2"),
-    ("trace-pow", {"p": 3.0}, None, "exponent must lie in [0, 2]"),
-    ("trace-hansen", {"p": 0.0}, None, "exponent must lie in (0, 1]"),
-    ("det-recip-pow", {"beta": -0.5}, None, "beta must be nonnegative"),
-    ("det-shift-recip", {"beta": -0.5}, None, "beta must be nonnegative"),
-    ("exp-neg-linear", {"alpha": 0.0}, None, "alpha must be strictly positive"),
-    ("inv-power-product", {"alpha": [1.0, -1.0, 1.0]}, None, "alpha must be strictly positive"),
-    ("logistic-pow", {"a": -1.0}, None, "a must be positive"),
-    ("logistic-pow", {"beta": -1.0}, None, "beta must be nonnegative"),
-    ("elem-sym-4", {"beta": -1.0}, None, "beta must be nonnegative"),
-    ("elem-sym-4-shifted", {"beta": -1.0}, None, "beta must be nonnegative"),
+    ("trace-pow", {"p": 3.0}, None, "p must lie in [0, 2], got 3.0"),
+    ("trace-hansen", {"p": 0.0}, None, "p must lie in (0, 1], got 0.0"),
+    ("det-recip-pow", {"beta": -0.5}, None, "beta must lie in [0, inf), got -0.5"),
+    ("det-shift-recip", {"beta": -0.5}, None, "beta must lie in [0, inf), got -0.5"),
+    ("exp-neg-linear", {"alpha": 0.0}, None, "alpha must lie in (0, inf)^n, got 0.0"),
+    ("inv-power-product", {"alpha": [1.0, -1.0, 1.0]}, None,
+     "alpha must lie in (0, inf)^n, got [1.0, -1.0, 1.0]"),
+    ("logistic-pow", {"a": -1.0}, None, "a must lie in (0, inf), got -1.0"),
+    ("logistic-pow", {"beta": -1.0}, None, "beta must lie in [0, inf), got -1.0"),
+    ("elem-sym-4", {"beta": -1.0}, None, "beta must lie in [0, inf), got -1.0"),
+    ("elem-sym-4-shifted", {"beta": -1.0}, None, "beta must lie in [0, inf), got -1.0"),
     ("log1p", {"nope": 1.0}, None, "unknown parameters"),
     ("sq-norm", None, 0, "dimension must be positive"),
     ("geomean2", None, 3, "dimension is fixed at 2"),
@@ -214,6 +216,71 @@ def test_parameter_range_errors():
         assert ("wrong type" in text) == (message == "parameter of the wrong type"), text
 
 
+# every declared parameter and its interval; a trailing ^n checks each
+# element of a vector
+DOMAINS = {
+    ("affine-power", "m"): "(-inf, inf)",
+    ("affine-power", "n"): "[0, inf)",
+    ("affine-power", "p"): "[0, inf)",
+    ("affine-power", "alpha"): "[0, 1]",
+    ("one-minus-sqrt1p", "alpha"): "(0, inf)",
+    ("neg-xlogx-shift", "alpha"): "[0, 1]",
+    ("concave-of-linear", "a"): "[0, inf)^n",
+    ("pairwise-diff-convex", "q"): "[2, inf)",
+    ("jensen-gap", "weights"): "[0, inf)^n",
+    ("lp-power-norm", "p"): "(1, inf)",
+    ("lp-power-norm", "h"): "(0, inf)",
+    ("logdet-pencil", "order"): "[1, inf)",
+    ("trace-pow", "p"): "[0, 2]",
+    ("trace-hansen", "p"): "(0, 1]",
+    ("det-recip-pow", "beta"): "[0, inf)",
+    ("det-shift-recip", "beta"): "[0, inf)",
+    ("exp-neg-linear", "alpha"): "(0, inf)^n",
+    ("inv-power-product", "alpha"): "(0, inf)^n",
+    ("logistic-pow", "a"): "(0, inf)",
+    ("logistic-pow", "beta"): "[0, inf)",
+    ("elem-sym-4", "beta"): "[0, inf)",
+    ("elem-sym-4-shifted", "beta"): "[0, inf)",
+}
+
+
+def test_every_numeric_parameter_declares_its_interval():
+    declared = {(e.id, name): dom[0] for e in builtin_entries() for name, dom in e.domains.items()}
+    assert declared == DOMAINS
+
+
+def _interval_ends(text):
+    """(value, accepted) for each finite end of an interval."""
+    core = text.removesuffix("^n")
+    lo, hi = (float(v) for v in core[1:-1].split(", "))
+    return [(v, closed) for v, closed in ((lo, core[0] == "["), (hi, core[-1] == "]"))
+            if math.isfinite(v)]
+
+
+@pytest.mark.parametrize("entry_id, name", sorted(DOMAINS), ids="-".join)
+def test_non_finite_parameters_are_refused(entry_id, name):
+    """NaN and both infinities are outside every interval, and so is a
+    vector holding one of them."""
+    text = DOMAINS[entry_id, name]
+    values = [math.nan, math.inf, -math.inf]
+    if text.endswith("^n"):
+        values += [[1.0, v, 1.0] for v in values]
+    for value in values:
+        with pytest.raises(ParameterError) as info:
+            instantiate(entry_id, params={name: value})
+        assert str(info.value) == f"{entry_id}: {name} must lie in {text}, got {value}"
+
+
+@pytest.mark.parametrize("entry_id, name", sorted(DOMAINS), ids="-".join)
+def test_closed_interval_ends_are_accepted_and_open_ones_refused(entry_id, name):
+    for value, closed in _interval_ends(DOMAINS[entry_id, name]):
+        if closed:
+            assert instantiate(entry_id, params={name: value}).domain is not None
+        else:
+            with pytest.raises(ParameterError, match=f"{name} must lie in"):
+                instantiate(entry_id, params={name: value})
+
+
 def test_pencil_rejects_non_pd_matrices():
     bad = np.stack([np.eye(2), np.diag([1.0, -1.0])])
     with pytest.raises(ParameterError, match="positive definite"):
@@ -228,21 +295,16 @@ def test_pencil_evaluates_with_custom_matrices():
 
 
 def test_default_pencil_is_pinned_without_the_sampler(monkeypatch):
-    """The pencil matrices are constants, not draws: with the PSD sampler
-    disabled the default entry still gives these bits, and any other shape
-    gives matrix k = 0.5 I + [1 / (i + j + k + 1)]_ij."""
+    """The pencil matrices are a closed form, not draws: with the PSD sampler
+    disabled, the default entry and every other shape give matrix
+    k = 0.5 I + [1 / (i + j + k + 1)]_ij."""
     def no_sampling(*args, **kwargs):
         raise AssertionError("the pencil must not be drawn")
 
     monkeypatch.setattr(cones, "sample_batch", no_sampling)
-    handle = instantiate("logdet-pencil")
-    rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.25, 1.5, 0.125]])
-    assert [float(v).hex() for v in handle.batch(rows)] == [
-        "-0x1.9a3dbc213ef76p-2", "0x1.6a612d6a4c9f3p-2", "0x1.bd67bad403c4dp-2",
-        "0x1.2942cf6baadcap+1",
-    ]
-    for params, dim, order in ((None, 4, 3), ({"order": 2}, 3, 2)):
+    for params, dim, order in ((None, None, 3), (None, 4, 3), ({"order": 2}, 3, 2)):
         handle = instantiate("logdet-pencil", params=params, dim=dim)
+        dim = dim or 3
         for k in range(dim):
             want = np.array([[1.0 / (i + j + k + 1) + 0.5 * (i == j) for j in range(order)]
                              for i in range(order)])

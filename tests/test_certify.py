@@ -20,7 +20,6 @@ from conecheck.certify import (
     certify_differential_monotone,
     certify_hessian_sign,
     certify_topkis,
-    check_det_trace_monotone,
     dual_member,
     gaussian_representation_margin,
     laplace_as_handle,
@@ -429,7 +428,7 @@ def test_import_keeps_scipy_stats_out():
 
 def test_det_trace_inverse_monotone():
     for n in (2, 3, 4):
-        rep = check_det_trace_monotone(n, _cfg(trials=500))
+        rep = check("det-trace-inverse", "nondecreasing", _cfg(trials=500), dim=n)
         assert not rep.found_violation, n
 
 

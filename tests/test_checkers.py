@@ -13,11 +13,7 @@ import pytest
 
 from conecheck import catalog, checkers, cones
 from conecheck.catalog import PropertyLabel
-from conecheck.certify import (
-    certify_hessian_sign,
-    certify_topkis,
-    check_det_trace_monotone,
-)
+from conecheck.certify import certify_hessian_sign, certify_topkis
 from conecheck.checkers import (
     CheckConfig,
     MajorizationPair,
@@ -814,7 +810,7 @@ def test_report_biconditional_invariant():
         check_chebyshev([1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [0.2, 0.3, 0.5]),
         tomic_weyl(majorized, exp_fn, "a-nonincreasing"),
         tomic_weyl(majorized, dip, "a-nonincreasing"),
-        check_det_trace_monotone(3, _cfg(trials=300)),
+        check("det-trace-inverse", "nondecreasing", _cfg(trials=300), dim=3),
         check("det-shift-recip", "gaussian-det-representation", _cfg(trials=3), dim=2),
     ]
     assert [r.found_violation for r in reports[-5:]] == [False, False, True, False, False]
@@ -912,7 +908,8 @@ def test_folding_the_same_trials_in_more_blocks_gives_the_same_report(monkeypatc
 @pytest.mark.parametrize("run", [
     pytest.param(partial(check, "log1p", "strong-subadd"), id="log1p-strong-subadd-None"),
     pytest.param(partial(check, "det", "strong-superadd", dim=2), id="det-strong-superadd-2"),
-    pytest.param(partial(check_det_trace_monotone, 3), id="det-trace-inverse-monotone-3"),
+    pytest.param(partial(check, "det-trace-inverse", "nondecreasing", dim=3),
+                 id="det-trace-inverse-monotone-3"),
 ])
 def test_check_memory_does_not_grow_with_the_trial_count(run):
     """Trials are drawn and folded one block at a time, so 8 blocks of trials

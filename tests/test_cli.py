@@ -73,6 +73,19 @@ def test_bad_param_is_usage_error(capsys):
         assert err.startswith(f"error: {entry}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry, prop, param", [
+    ("det-shift-recip", "strong-superadd", "beta=inf"),
+    ("det-recip-pow", "completely-monotone", "beta=nan"),
+])
+def test_a_non_finite_param_is_usage_error(capsys, entry, prop, param):
+    """A non-finite parameter lies outside every declared interval, so it is
+    refused before any trial, neither a verdict nor a numeric failure."""
+    code, out, err = _run(capsys, "check", entry, "--property", prop, "--param", param)
+    name, value = param.split("=")
+    assert (code, out) == (2, "")
+    assert err == f"error: {entry}: {name} must lie in [0, inf), got {value}\n"
+
+
 def test_param_and_dim_flags(capsys):
     for argv, dim in (
         (("trace-pow", "--param", "p=0.3"), 2),
