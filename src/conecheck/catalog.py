@@ -404,6 +404,8 @@ def _make_det(p: dict, n: int) -> FunctionHandle:
 
 def _make_logdet_pencil(p: dict, n: int) -> FunctionHandle:
     order = int(p["order"])
+    if order != p["order"]:
+        raise _param_error("logdet-pencil", f"order must be an integer, got {p['order']}")
     mats = p.get("matrices")
     if mats is None:
         # matrix k is 0.5 I + [1 / (i + j + k + 1)]_ij, a shifted Hilbert-type
@@ -576,8 +578,11 @@ def _make_det_shift_recip(p: dict, n: int) -> FunctionHandle:
 
 def _make_det_trace_inverse(p: dict, n: int) -> FunctionHandle:
     def batch(rows):
+        # e_{N-1} of the eigenvalues: for each, the product of the others,
+        # summed; finite on singular A, where det(A) tr(A^-1) is 0 * inf
         lam = np.linalg.eigvalsh(rows)
-        return rowwise(np.multiply, lam) * rowwise(np.add, 1.0 / lam)
+        others = [rowwise(np.multiply, np.delete(lam, i, axis=1)) for i in range(lam.shape[1])]
+        return rowwise(np.add, np.stack(others, axis=1))
 
     return FunctionHandle("det-trace-inverse", cones.psd_cone(n), batch)
 

@@ -6,10 +6,13 @@ explicit finite Laplace representation) on sampled interior points.  A
 ``CERTIFIED_NUMERIC`` verdict is sampled evidence, never a proof; the
 vocabulary deliberately has no stronger word.
 
-A sampled certificate is a check on the checks' one trial path,
-``checkers._run_trials``, and gives its :class:`.checkers.CheckReport`, whose
-``mode`` is the certificate's method: ``hessian-sign``, ``topkis`` or
-``diff-monotone``, the keys of :data:`METHODS`.  The verdict of such a report
+A sampled certificate is a claim whose mode is its method, ``hessian-sign``,
+``topkis`` or ``diff-monotone``: the keys of :data:`METHODS`, which gives
+each method's argument and, for each choice, the certified property and its
+components.  Each ``certify_*`` function is one such
+:class:`.checkers.Claim` run by :func:`.checkers.check_claims` on the
+checks' one trial path, and gives its :class:`.checkers.CheckReport`, whose
+``mode`` is the method.  The verdict of such a report
 is derived from its witness as any report's is: ``REFUSED`` exactly when
 there is one, ``CERTIFIED_NUMERIC`` otherwise.  Each pointwise test is a form
 that :func:`.checkers.evaluate_expression` resolves: a Hessian entry
@@ -38,49 +41,31 @@ tensor-product Gauss-Hermite rule is summed one slice at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import cones
-from .catalog import resolve_handle
-from .checkers import (  # CERTIFIED and REFUSED are re-exported beside the methods
-    _LABELS,
+from .catalog import resolve_handle  # perfbench's traced worker wraps it by name
+from .checkers import (  # CERTIFIED, REFUSED and METHODS are re-exported
     CERTIFIED,
+    METHODS,
     REFUSED,
     CheckConfig,
     CheckReport,
-    _run_trials,
-    _Target,
+    Claim,
+    check_claims,
 )
 from .cones import ConeSpec, Point
 from .diffops import FunctionHandle
-from .errors import CapabilityError, CertificateError, NumericFailure, ParameterError, ShapeError
+from .errors import CapabilityError, CertificateError, NumericFailure, ShapeError
 from .numkernel import linear, rowwise
 
 _DUAL_TOL = 1e-12
 
 
-def _claim(method: str, target, arg: str, params, dim) -> tuple:
-    """The handle of ``target`` and the property that ``arg`` certifies by
-    ``method``; a ``ParameterError`` unless ``arg`` is one of its choices."""
-    handle = resolve_handle(target, params, dim)
-    _, name, props = METHODS[method]
-    if arg not in props:
-        raise ParameterError(f"{name} must be {' or '.join(map(repr, props))}, got {arg!r}")
-    return handle, props[arg]
-
-
-def _certify(handle, method: str, prop: str, cfg, expressions) -> CheckReport:
-    """The report of a certificate on the checks' trial path: the origin sign
-    condition of ``prop`` when the cone holds the origin, then ``cfg.trials``
-    trials of every expression, or 200 when ``cfg`` is None, all in one
-    rung.  The witness is the fold's: the lowest violating slack,
-    re-evaluated and shrunk."""
-    cfg = cfg or CheckConfig(trials=200)
-    rep = _run_trials([_Target(handle, prop, expressions, _LABELS[prop][0])], cfg,
-                      lambda _: [(cfg, 0, cfg.trials)])[0]
-    return replace(rep, mode=method)
+# the points a certificate samples when no config is given
+_DEFAULT = CheckConfig(trials=200)
 
 
 def certify_hessian_sign(
@@ -90,10 +75,7 @@ def certify_hessian_sign(
     points of a vector cone, plus the origin sign condition; certifies the
     strong subadditivity (nonpos) or superadditivity (nonneg) sufficient
     condition.  Matrix domains use differential monotonicity instead."""
-    handle, prop = _claim("hessian-sign", target, sign, params, dim)
-    entries = zip(*np.triu_indices(handle.domain.dim))
-    return _certify(handle, "hessian-sign", prop, cfg,
-                    [f"hessian-{sign}[ij={i},{j}]" for i, j in entries])
+    return check_claims([Claim(target, sign, params, dim, "hessian-sign")], cfg or _DEFAULT)[0]
 
 
 def certify_topkis(
@@ -102,14 +84,7 @@ def certify_topkis(
     """Cross-partial-only form on a vector cone: off-diagonal second partials
     nonpositive certifies submodularity, nonnegative certifies
     supermodularity."""
-    handle, prop = _claim("topkis", target, mode, params, dim)
-    sign = "nonneg" if mode == "supermodular" else "nonpos"
-    entries = list(zip(*np.triu_indices(handle.domain.dim, 1)))
-    if not entries:
-        # with no cross partial to sample, a certificate would rest on nothing
-        raise CapabilityError("a Topkis certificate needs a domain of dimension 2 or more")
-    return _certify(handle, "topkis", prop, cfg,
-                    [f"hessian-{sign}[ij={i},{j}]" for i, j in entries])
+    return check_claims([Claim(target, mode, params, dim, "topkis")], cfg or _DEFAULT)[0]
 
 
 def certify_differential_monotone(
@@ -119,20 +94,8 @@ def certify_differential_monotone(
     positive directions w, plus the origin sign condition: nonincreasing
     differentials certify strong subadditivity, nondecreasing ones strong
     superadditivity."""
-    handle, prop = _claim("diff-monotone", target, direction, params, dim)
-    return _certify(handle, "diff-monotone", prop, cfg, [f"differential-{direction}"])
-
-
-# each method, the mode of its reports: its function, the name of that
-# function's argument, and the argument's choices with the property each certifies
-METHODS = {
-    "hessian-sign": (certify_hessian_sign, "sign",
-                     {"nonpos": "strong-subadd", "nonneg": "strong-superadd"}),
-    "topkis": (certify_topkis, "mode",
-               {"submodular": "submodular", "supermodular": "supermodular"}),
-    "diff-monotone": (certify_differential_monotone, "direction",
-                      {"nonincreasing": "strong-subadd", "nondecreasing": "strong-superadd"}),
-}
+    return check_claims([Claim(target, direction, params, dim, "diff-monotone")],
+                        cfg or _DEFAULT)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,18 @@ Slack convention: every inequality is normalized to ``slack >= 0``; a trial
 is a violation iff ``slack < -cfg.tolerance(s)`` where ``s`` is the largest
 absolute function value involved in that trial.
 
-Every sampled check, certificate and quadrature check runs on one trial
+A :class:`Claim` names its mode, ``check``, ``refute`` or a certificate
+method, which decides its sampled trials.  :func:`check_claims` runs every
+claim, and every sampled claim and the quadrature check run on one trial
 path, :func:`_run_trials`: an optional one-row origin block, then blocks of
 sampled trials, each drawing the roles its expressions read and folded into
-a :class:`_Fold`.  The same path serves several claims on one cone at once,
-as :func:`check_claims` runs them: each block of a role is drawn once, and
-every claim's components are evaluated on it and folded into that claim's
-own fold, so each claim gets the report its own check would.  Each
-inequality is one vectorized form, evaluated on every trial, on one row to
-re-evaluate a witness, and on every candidate of a shrinking sweep; stored
-witness margins come from the one-row path, so they reproduce exactly.
+a :class:`_Fold`.  The same path serves several claims on one cone with
+equal rungs at once: each block of a role is drawn once, and every claim's
+components are evaluated on it and folded into that claim's own fold, so
+each claim gets the report it would get alone.  Each inequality is one
+vectorized form, evaluated on every trial, on one row to re-evaluate a
+witness, and on every candidate of a shrinking sweep; stored witness
+margins come from the one-row path, so they reproduce exactly.
 
 Determinism: every role is drawn from its own Philox stream, keyed by
 ``(config.seed, its stream in _ROLES)``, so identical configurations produce
@@ -163,8 +165,9 @@ class CheckReport:
     ``worst_margin`` is the most negative slack seen; when a violation is
     found it equals the witness margin (after shrinking).  ``trials_run``
     counts every folded trial, the origin row included, and ``skipped`` the
-    non-finite ones among them.  ``mode`` is ``check``, ``refute`` or the
-    certificate method of :mod:`.certify` that made the report.  The verdict
+    non-finite ones among them.  ``mode`` is the mode of the claim that made
+    the report: ``check``, ``refute`` or a certificate method of
+    :data:`METHODS`.  The verdict
     is derived from the witness: ``VIOLATION_FOUND`` exactly when there is
     one, read ``REFUSED`` (and ``NO_VIOLATION_FOUND`` read
     ``CERTIFIED_NUMERIC``) when the mode is a certificate method.
@@ -382,6 +385,26 @@ _LABELS = {
     "comonotone-strong-superadd": ("origin-nonpos", "comonotone-strong-superadd"),
     "completely-monotone": (None,),
 }
+
+
+def _hessian(sign: str, offset: int):
+    """The Hessian entries on and above the diagonal (``offset`` 0) or above
+    it (1) of a cone of dimension n, as expressions."""
+    return lambda n: [f"hessian-{sign}[ij={i},{j}]" for i, j in zip(*np.triu_indices(n, offset))]
+
+
+# certificate method, the mode of its claims -> the name of its argument, and
+# for each choice the property it certifies and its components on a cone of
+# dimension n; the method's rows are claims only through its mode
+METHODS = {
+    "hessian-sign": ("sign", {"nonpos": ("strong-subadd", _hessian("nonpos", 0)),
+                              "nonneg": ("strong-superadd", _hessian("nonneg", 0))}),
+    "topkis": ("mode", {"submodular": ("submodular", _hessian("nonpos", 1)),
+                        "supermodular": ("supermodular", _hessian("nonneg", 1))}),
+    "diff-monotone": ("direction", {
+        "nonincreasing": ("strong-subadd", lambda n: ["differential-nonincreasing"]),
+        "nondecreasing": ("strong-superadd", lambda n: ["differential-nondecreasing"])}),
+}
 _EXPR_PARAM = re.compile(r"^(?P<name>[a-z0-9-]+)(\[(?P<arg>[^\]=]*=[^\]]*)\])?$")
 
 
@@ -592,7 +615,7 @@ def _scaled_psd(cone: ConeSpec, cfg: CheckConfig, rng: Rng, count: int) -> np.nd
 
 
 # role -> (its Philox stream, how it is drawn); the key ("x", "y") draws the
-# comonotone pair into both roles.  refute() offsets every stream per rung
+# comonotone pair into both roles.  A refutation offsets every stream per rung
 _ROLES = {
     "x": (1, _boundary),
     "y": (2, _boundary),
@@ -687,7 +710,7 @@ class _Fold:
                            for role, arr in c.roles.items()}
                     self.best = (float(sl[idx]), c.form.expression, pts, scale)
 
-    def finish(self, prop_name: str, cfg: CheckConfig) -> CheckReport:
+    def finish(self, prop_name: str, cfg: CheckConfig, mode: str = "check") -> CheckReport:
         """The report: the best candidate re-evaluated and shrunk into the
         witness, or the skip budget enforced.  One skip budget covers all
         trials; skips with a role point at the cone's apex, where the handle
@@ -716,33 +739,35 @@ class _Fold:
             witness=witness,
             skipped=self.skipped,
             config=cfg,
+            mode=mode,
         )
 
 
 class _Target(NamedTuple):
     """One claim on the trial path: its handle, the property its report
-    names, its components' expressions and its origin sign condition."""
+    names, its components' expressions, its origin sign condition and its
+    mode."""
 
     handle: FunctionHandle
     prop: str
     expressions: list
     origin: str | None = None
+    mode: str = "check"
 
 
 @np.errstate(all="ignore")
-def _run_trials(targets: list[_Target], cfg: CheckConfig, rungs=None) -> list[CheckReport]:
-    """The one trial path of every sampled check, certificate and quadrature
-    check: the targets' reports, in order.  The targets share a cone and a
-    sampled trial count, so either all or none of them has an origin block.
-    No floating-point warning is raised: a non-finite value skips its trial.
+def _run_trials(targets: list[_Target], cfg: CheckConfig, rungs: tuple) -> list[CheckReport]:
+    """The one trial path of every sampled check, refutation, certificate
+    and quadrature check: the targets' reports, in order.  The targets share
+    a cone and their sampled trials, the ``(config, stream base, count)``
+    rungs ``rungs``.  No floating-point warning is raised: a non-finite
+    value skips its trial.
 
     Each expression is parsed once on the cone, so one whose row needs a
     kind of cone that the domain is not raises :class:`CapabilityError`
     before anything is drawn.  When the cone holds the origin, a target's
     sign condition ``origin`` comes first as a one-row block at
-    ``cfg.scale``.  ``rungs(t)`` then splits the ``t`` trials left of
-    ``cfg.trials`` into ``(config, stream base, count)`` rungs, one rung
-    ``(cfg, 0, t)`` by default.  Each rung is cut into blocks of at most
+    ``cfg.scale``.  Each rung is cut into blocks of at most
     ``_BLOCK`` trials: block ``b`` draws each role that some target reads
     once, from ``Rng(seed, stream base + its stream, b)`` as :data:`_ROLES`
     says, at the rung's config.  A role's draw depends on nothing else, so
@@ -761,8 +786,7 @@ def _run_trials(targets: list[_Target], cfg: CheckConfig, rungs=None) -> list[Ch
         if origin:
             comps = _components(t.handle, origin, {"zero": cone.zero().data[None]})
             fold.add(comps, cfg, cfg.scale)
-    rungs = rungs or (lambda t: [(cfg, 0, t)])
-    for sub, base, count in rungs(cfg.trials - bool(origins[0])):
+    for sub, base, count in rungs:
         for b, start in enumerate(range(0, count, _BLOCK)):
             # rebinding frees the last block before this one is drawn
             n, drawn = min(_BLOCK, count - start), {}
@@ -774,7 +798,7 @@ def _run_trials(targets: list[_Target], cfg: CheckConfig, rungs=None) -> list[Ch
                 comps = _components(t.handle, fs, {name: a for k in r for name, a in drawn[k]})
                 fold.add(comps, cfg, sub.scale)
                 del comps  # free this target's arrays before the next target's
-    return [fold.finish(t.prop, cfg) for t, fold in zip(targets, folds)]
+    return [fold.finish(t.prop, cfg, t.mode) for t, fold in zip(targets, folds)]
 
 
 # ---------------------------------------------------------------------------
@@ -782,14 +806,41 @@ def _run_trials(targets: list[_Target], cfg: CheckConfig, rungs=None) -> list[Ch
 # ---------------------------------------------------------------------------
 
 
-def _claim_target(target, property, cfg: CheckConfig, params, dim) -> _Target:
-    """The claim of :func:`check`, :func:`refute` and :func:`check_claims` on
-    a resolved handle.  A property label gives its components and origin
-    sign condition; any other property is one expression of the form table,
-    parsed on the handle's cone, which is the claim's one component with no
-    origin block.  An origin condition cannot stand alone: it reads no
-    sampled role."""
-    handle = resolve_handle(target, params, dim)
+@dataclass(frozen=True)
+class Claim:
+    """One row of :func:`check_claims`: ``check``, ``refute`` or a
+    certificate ``mode`` of :data:`METHODS`, whose ``property`` is a label
+    or an expression, or else the certificate's sign, mode or direction."""
+
+    target: object
+    property: PropertyLabel | str
+    params: dict | None = None
+    dim: int | None = None
+    mode: str = "check"
+
+
+def _claim_target(claim: Claim, cfg: CheckConfig) -> _Target:
+    """A claim on its resolved handle.  A certificate's choice, or a check's
+    property label, gives the property, its origin sign condition and its
+    components; any other property is one expression of the form table,
+    parsed on the handle's cone, with no origin block.  An origin condition
+    cannot stand alone: it reads no sampled role."""
+    handle = resolve_handle(claim.target, claim.params, claim.dim)
+    mode, property = claim.mode, claim.property
+    if mode in METHODS:
+        name, choices = METHODS[mode]
+        if property not in choices:
+            raise ParameterError(
+                f"{name} must be {' or '.join(map(repr, choices))}, got {property!r}")
+        prop, components = choices[property]
+        expressions = components(handle.domain.dim)
+        if not expressions:
+            # with no cross partial to sample, a certificate would rest on nothing
+            raise CapabilityError("a Topkis certificate needs a domain of dimension 2 or more")
+        return _Target(handle, prop, expressions, _LABELS[prop][0], mode)
+    if mode not in ("check", "refute"):
+        raise ParameterError(
+            f"unknown mode {mode!r}; the modes are check, refute, {', '.join(METHODS)}")
     try:
         prop = PropertyLabel(property).value
     except ValueError:
@@ -800,92 +851,72 @@ def _claim_target(target, property, cfg: CheckConfig, params, dim) -> _Target:
                 + ", and any other property is an expression of the form table") from None
         if "zero" in _form(property, handle.domain).keys:
             raise ParameterError(f"{property!r} is an origin condition, not a claim")
-        return _Target(handle, property, [property])
+        return _Target(handle, property, [property], mode=mode)
     origin, *expressions = _LABELS[prop]
     if prop == "completely-monotone":
         expressions = [f"completely-monotone[k={j}]" for j in range(cfg.order_cap + 1)]
-    return _Target(handle, prop, expressions, origin)
+    return _Target(handle, prop, expressions, origin, mode)
 
 
-def check(
-    target,
-    property: PropertyLabel | str,
-    cfg: CheckConfig | None = None,
-    *,
-    params: dict | None = None,
-    dim: int | None = None,
-) -> CheckReport:
-    """Randomized check of a property label, or of one form-table expression
-    such as ``alpha-strong[alpha=2.0]``, against a catalog entry or handle."""
-    cfg = cfg or CheckConfig()
-    return _run_trials([_claim_target(target, property, cfg, params, dim)], cfg)[0]
-
-
-@dataclass(frozen=True)
-class Claim:
-    """One row of :func:`check_claims`: the arguments of one :func:`check`,
-    whose ``property`` is a label or an expression."""
-
-    target: object
-    property: PropertyLabel | str
-    params: dict | None = None
-    dim: int | None = None
-
-
-def check_claims(claims, cfg: CheckConfig | None = None) -> list[CheckReport]:
-    """The reports of :func:`check` on each claim at one config, in claim
-    order, each byte-identical to its own ``check``.
-
-    Claims whose handles share a cone and a sampled trial count, ``trials``
-    less the origin block when the claim has one on that cone, run on the
-    trial path together, so each block of a role is drawn once for all of
-    them.  The origin block matters: the comonotone-pair and scaled-PSD
-    roles read a second array after the first, so their draws of different
-    lengths share no prefix.  An entry, label or expression claim that
-    :func:`check` would refuse raises before any trial runs, and a label
-    whose component does not fit its cone before its cone's trials.
-    """
-    cfg = cfg or CheckConfig()
-    targets = [_claim_target(c.target, c.property, cfg, c.params, c.dim) for c in claims]
-    groups = {}
-    for i, t in enumerate(targets):
-        cone = t.handle.domain
-        groups.setdefault((cone, bool(t.origin and cone.contains_origin)), []).append(i)
-    reports = [None] * len(targets)
-    for members in groups.values():
-        for i, rep in zip(members, _run_trials([targets[i] for i in members], cfg)):
-            reports[i] = rep
-    return reports
-
-
-def refute(
-    target,
-    property: PropertyLabel | str,
-    cfg: CheckConfig | None = None,
-    *,
-    params: dict | None = None,
-    dim: int | None = None,
-) -> CheckReport:
-    """Counterexample search: the check's trials split in thirds over the
-    scale ladder {0.1, 1, 10} with boundary-biased sampling, one block per
-    rung on its own streams, and one origin evaluation, skip budget and
-    shrink for the whole search.  The bias raises ``boundary_prob`` to 0.5,
-    which only orthant draws read: on the PSD cone it does nothing.  Every
-    rung's scale must be finite and positive."""
-    cfg = cfg or CheckConfig()
+def _rungs(t: _Target, cfg: CheckConfig) -> tuple:
+    """The ``(config, stream base, count)`` rungs of a claim's sampled
+    trials, by its mode: a certificate's ``cfg.trials`` points besides its
+    origin block, or a check's ``cfg.trials`` less that block, in one rung;
+    a refutation's check trials in thirds over the scale ladder {0.1, 1,
+    10}, each rung on its own streams with ``boundary_prob`` raised to 0.5
+    (only orthant draws read it), under one origin evaluation, skip budget
+    and shrink.  Every rung's scale must be finite and positive."""
+    if t.mode in METHODS:
+        return ((cfg, 0, cfg.trials),)
+    count = cfg.trials - bool(t.origin and t.handle.domain.contains_origin)
+    if t.mode == "check":
+        return ((cfg, 0, count),)
     for mult in SCALE_LADDER:
         if not 0 < cfg.scale * mult < np.inf:
             raise ParameterError(f"scale {cfg.scale!r} leaves the float range on the "
                                  f"{mult!r}x rung of refute's ladder")
-    biased = replace(cfg, boundary_prob=max(cfg.boundary_prob, 0.5))
+    biased, third = replace(cfg, boundary_prob=max(cfg.boundary_prob, 0.5)), count // 3
+    counts = (third, third, count - 2 * third)
+    return tuple((replace(biased, scale=cfg.scale * mult), 1000 * (rung + 1), n)
+                 for rung, (mult, n) in enumerate(zip(SCALE_LADDER, counts)))
 
-    def rungs(t):
-        third = t // 3
-        for rung, (mult, count) in enumerate(zip(SCALE_LADDER, (third, third, t - 2 * third))):
-            yield replace(biased, scale=cfg.scale * mult), 1000 * (rung + 1), count
 
-    target = _claim_target(target, property, cfg, params, dim)
-    return replace(_run_trials([target], cfg, rungs)[0], mode="refute")
+def check_claims(claims, cfg: CheckConfig | None = None) -> list[CheckReport]:
+    """The one runner of checks, refutations and certificates: each claim's
+    report at one config, in claim order, with the claim's mode, and
+    byte-identical to the report of that claim alone.
+
+    Claims on one cone whose modes give equal rungs (see :func:`_rungs`) run
+    on the trial path together, so each block of a role is drawn once for
+    all of them.  A claim whose entry, mode, property, certificate choice or
+    refutation scale is refused raises before any trial runs, and a
+    component that does not fit its cone before its group's trials.
+    """
+    cfg = cfg or CheckConfig()
+    targets = [_claim_target(c, cfg) for c in claims]
+    groups = {}
+    for i, t in enumerate(targets):
+        groups.setdefault((t.handle.domain, _rungs(t, cfg)), []).append(i)
+    reports = [None] * len(targets)
+    for (_, rungs), members in groups.items():
+        for i, rep in zip(members, _run_trials([targets[i] for i in members], cfg, rungs)):
+            reports[i] = rep
+    return reports
+
+
+def check(target, property: PropertyLabel | str, cfg: CheckConfig | None = None, *,
+          params: dict | None = None, dim: int | None = None) -> CheckReport:
+    """Randomized check of a property label, or of one form-table expression
+    such as ``alpha-strong[alpha=2.0]``, against a catalog entry or handle."""
+    return check_claims([Claim(target, property, params, dim)], cfg)[0]
+
+
+def refute(target, property: PropertyLabel | str, cfg: CheckConfig | None = None, *,
+           params: dict | None = None, dim: int | None = None) -> CheckReport:
+    """Counterexample search: the check's trials split in thirds over the
+    scale ladder {0.1, 1, 10} with boundary-biased sampling (see
+    :func:`_rungs`); its report's mode is ``refute``."""
+    return check_claims([Claim(target, property, params, dim, "refute")], cfg)[0]
 
 
 def _one_trial(prop: str, vectors: dict, margin: float, s: float, cfg: CheckConfig) -> CheckReport:
@@ -1048,4 +1079,4 @@ def check_popoviciu(
     sign = "nonpos" if concave else "nonneg"
     target = _Target(compose(f, handle), f"popoviciu[{handle.label};f={f.label}]",
                      [f"{form}-{sign}" for form in ("second-diff", "symmetrized")])
-    return _run_trials([target], cfg)[0]
+    return _run_trials([target], cfg, ((cfg, 0, cfg.trials),))[0]

@@ -16,8 +16,7 @@ import time
 
 from . import __version__
 from .catalog import PropertyLabel, builtin_entries, lookup
-from .certify import METHODS
-from .checkers import CheckConfig, check, refute
+from .checkers import METHODS, CheckConfig, Claim, check_claims
 from .errors import ConeCheckError, NumericFailure, ParameterError
 from .suite import build_manifest, manifest_bytes
 
@@ -98,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cert = sub.add_parser("certify", help="sampled sufficient-condition certificate")
     cert.add_argument("entry")
     cert.add_argument("--method", required=True, choices=list(METHODS))
-    for _, flag, choices in METHODS.values():
+    for flag, choices in METHODS.values():
         cert.add_argument(f"--{flag}", choices=list(choices))
     _common(cert, with_property=False)
 
@@ -177,16 +176,15 @@ def _cmd_run(args) -> int:
     exit 1 when it holds a witness."""
     lookup(args.entry)  # surfaces unknown ids as usage errors before running
     if args.command == "certify":
-        run, flag, choices = METHODS[args.method]
+        flag, choices = METHODS[args.method]
         arg = getattr(args, flag)
         if not arg:
             raise ParameterError(f"--method {args.method} needs --{flag} {'|'.join(choices)}")
         # --trials counts the sampled points, 200 when unset
-        cfg = _config_from_args(args, trials=200)
+        mode, cfg = args.method, _config_from_args(args, trials=200)
     else:
-        run = refute if args.command == "refute" else check
-        arg, cfg = args.property, _config_from_args(args)
-    report = run(args.entry, arg, cfg, params=_collect_params(args), dim=args.dim)
+        mode, arg, cfg = args.command, args.property, _config_from_args(args)
+    report, = check_claims([Claim(args.entry, arg, _collect_params(args), args.dim, mode)], cfg)
     _output(report, args)
     return EXIT_VIOLATION if report.found_violation else EXIT_OK
 

@@ -6,16 +6,17 @@ Results are fully deterministic for a fixed seed; wall-clock measurements
 are intentionally kept out of the result structures so replayed manifests
 are byte-identical.
 
-Criteria 4 to 10 are tables of claims, one :class:`_Row` per sub-check:
-its name, the call that decides it with its target, argument, trials,
-params and dim, and the verdict it must give.  A ``check`` row's argument
-is a property label or a form-table expression.  To add a claim, add a row
-to its criterion's table.  :func:`_run` gives each row its sub-check in
-order, the row's report as detail (a certificate's too: its mode names its
-method); ``check`` rows that share a trial count run as one
-:func:`check_claims`.  Criteria 1, 2, 3 and 11 and
-the Weyl pairs of criterion 5 check printed numbers or build their own
-inputs.
+Criteria 1, 4, 5 and 7 to 10 hold tables of claims, one :class:`_Row` per
+sub-check: its name, the mode of its claim (``check``, ``refute`` or a
+certificate method) with its target, argument, trials, params and dim, and
+the verdict it must give.  A ``check`` or ``refute`` row's argument is a
+property label or a form-table expression, a certificate row's its sign,
+mode or direction.  To add a claim, add a row to its criterion's table.
+:func:`_run` gives each row its sub-check in order, the row's report as
+detail; the rows that share a trial count run as one :func:`check_claims`.
+Criterion 6 runs the three-point check, which is not a claim, and criteria
+2, 3 and 11 and the Weyl pairs of criterion 5 check printed numbers or
+build their own inputs.
 
 Criterion 5 contains one sub-check that is expected to fail: the claimed
 nonnegative second differences of ``logdet``.  The claim is refuted by
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__, cones
 from .catalog import PropertyLabel, SourceStatus, builtin_entries, instantiate
-from .certify import (
+from .certify import (  # perfbench's traced worker wraps the certify_* functions here
     CERTIFIED,
     REFUSED,
     certify_differential_monotone,
@@ -50,7 +50,6 @@ from .checkers import (
     VIOLATION,
     CheckConfig,
     Claim,
-    check,
     check_claims,
     check_popoviciu,
     refute,
@@ -94,14 +93,13 @@ class CriterionResult:
 
 
 class _Row(NamedTuple):
-    """Sub-check ``name`` passes when the report of ``fn(target, arg, cfg,
-    params=params, dim=dim)`` at ``trials`` trials reads the verdict
-    ``want``; every ``fn`` gives a :class:`.checkers.CheckReport`."""
+    """Sub-check ``name`` passes when the report of ``Claim(target, arg,
+    params, dim, mode)`` at ``trials`` trials reads the verdict ``want``."""
 
     name: str
-    fn: Callable  # check, refute, a certify_* method or check_popoviciu
+    mode: str  # check, refute or a certificate method
     target: object
-    arg: object  # a label, sign, mode, direction or ScalarFunction
+    arg: object  # a label or expression, or a certificate's sign, mode or direction
     trials: int
     params: dict | None = None
     dim: int | None = None
@@ -109,18 +107,14 @@ class _Row(NamedTuple):
 
 
 def _reports(rows, cfg: CheckConfig) -> list:
-    """Each row's report at ``cfg`` and the row's trials, in row order;
-    ``check`` rows that share a trial count run as one :func:`check_claims`,
-    so rows on one cone share their draws."""
+    """Each row's report at ``cfg`` and the row's trials, in row order; the
+    rows that share a trial count run as one :func:`check_claims`, so rows
+    on one cone with equal rungs share their draws."""
     out, shared = [None] * len(rows), {}
     for i, row in enumerate(rows):
-        if row.fn is check:
-            shared.setdefault(row.trials, []).append(i)
-        else:
-            out[i] = row.fn(row.target, row.arg, replace(cfg, trials=row.trials),
-                            params=row.params, dim=row.dim)
+        shared.setdefault(row.trials, []).append(i)
     for trials, members in shared.items():
-        claims = [Claim(rows[i].target, rows[i].arg, rows[i].params, rows[i].dim)
+        claims = [Claim(rows[i].target, rows[i].arg, rows[i].params, rows[i].dim, rows[i].mode)
                   for i in members]
         for i, rep in zip(members, check_claims(claims, replace(cfg, trials=trials))):
             out[i] = rep
@@ -142,7 +136,7 @@ def criterion_1(seed: int) -> CriterionResult:
     c1 = SubCheck("geomean2 second difference at the printed witness",
                   abs(val - GEOMEAN_SECOND_DIFF) <= 1e-9,
                   dict(value=val, expected=GEOMEAN_SECOND_DIFF, tol=1e-9))
-    c2, = _run([_Row("geomean2 strong-subadd refuted within 1000 trials", refute, "geomean2",
+    c2, = _run([_Row("geomean2 strong-subadd refuted within 1000 trials", "refute", "geomean2",
                      "strong-subadd", 1000, want=VIOLATION)], seed)
     return CriterionResult(1, "geometric-mean counterexample", (c1, c2))
 
@@ -182,7 +176,7 @@ def criterion_4(seed: int) -> CriterionResult:
     """Every asserted scalar strong entry passes 10000-trial checks on the
     scale ladder; the reciprocal control passes subadd and fails the strong
     form with a witness."""
-    ladder = [_Row(f"{e.id} {label.value} on the scale ladder", check, e.id, label.value, 10000)
+    ladder = [_Row(f"{e.id} {label.value} on the scale ladder", "check", e.id, label.value, 10000)
               for label in (PropertyLabel.STRONG_SUBADD, PropertyLabel.STRONG_SUPERADD)
               for e in builtin_entries()
               if e.default_dim == 1 and e.labels.get(label) == SourceStatus.ASSERTED]
@@ -199,8 +193,8 @@ def criterion_4(seed: int) -> CriterionResult:
                   worst_margin=low, scales=list(SCALE_LADDER), trials=row.trials))
               for row, low, rep in zip(ladder, worst, violated)]
     checks += _run([
-        _Row("reciprocal subadd holds", check, "reciprocal", "subadd", 10000),
-        _Row("reciprocal strong-subadd refuted with a witness", check, "reciprocal",
+        _Row("reciprocal subadd holds", "check", "reciprocal", "subadd", 10000),
+        _Row("reciprocal strong-subadd refuted with a witness", "check", "reciprocal",
              "strong-subadd", 10000, want=VIOLATION),
     ], seed)
     return CriterionResult(4, "scalar catalog suite", tuple(checks))
@@ -209,17 +203,17 @@ def criterion_4(seed: int) -> CriterionResult:
 def criterion_5(seed: int) -> CriterionResult:
     """Matrix suite: determinant, trace powers, entropy, logdet (as stated),
     and Weyl monotonicity on constructed ordered pairs."""
-    rows = [_Row(f"det strong-superadd, order {n}", check, "det", "strong-superadd", 1000, dim=n)
+    rows = [_Row(f"det strong-superadd, order {n}", "check", "det", "strong-superadd", 1000, dim=n)
             for n in range(1, 6)]
-    rows += [_Row(f"trace-pow {prop}, p={p}", check, "trace-pow", prop, 1000, {"p": p}, 3)
+    rows += [_Row(f"trace-pow {prop}, p={p}", "check", "trace-pow", prop, 1000, {"p": p}, 3)
              for prop, powers in (("strong-subadd", (0.3, 0.7, 1.0)),
                                   ("strong-superadd", (1.0, 1.5, 2.0)))
              for p in powers]
-    rows += [_Row(f"vn-entropy strong-subadd, order {n}", check, "vn-entropy", "strong-subadd",
+    rows += [_Row(f"vn-entropy strong-subadd, order {n}", "check", "vn-entropy", "strong-subadd",
                   1000, dim=n) for n in (1, 2, 3, 4)]
     # stated as nonnegative second differences; mathematically the sign is
     # the opposite, so this sub-check reports an honest failure
-    rows.append(_Row("logdet second-diff-nonneg (as stated)", check, "logdet",
+    rows.append(_Row("logdet second-diff-nonneg (as stated)", "check", "logdet",
                      "second-diff-nonneg", 1000, dim=3))
     checks = _run(rows, seed)
 
@@ -235,10 +229,15 @@ def criterion_5(seed: int) -> CriterionResult:
 
 
 def criterion_6(seed: int) -> CriterionResult:
-    """Both three-point forms for det composed with t^p."""
-    rows = [_Row(f"three-point forms for det^{p}, order {n}", check_popoviciu, "det",
-                 power_fn(p), 1000, dim=n) for n in (2, 3) for p in (1.0, 1.5, 2.0)]
-    return CriterionResult(6, "three-point determinant inequality", tuple(_run(rows, seed)))
+    """Both three-point forms for det composed with t^p: the one sub-check
+    that is not a claim, so it calls :func:`check_popoviciu` itself."""
+    checks = []
+    for n in (2, 3):
+        for p in (1.0, 1.5, 2.0):
+            rep = check_popoviciu("det", power_fn(p), CheckConfig(trials=1000, seed=seed), dim=n)
+            checks.append(SubCheck(f"three-point forms for det^{p}, order {n}",
+                                   rep.verdict == NO_VIOLATION, rep.to_json()))
+    return CriterionResult(6, "three-point determinant inequality", tuple(checks))
 
 
 def criterion_7(seed: int) -> CriterionResult:
@@ -246,14 +245,14 @@ def criterion_7(seed: int) -> CriterionResult:
     logistic power refuted at some order <= 5, and the shifted elementary
     symmetric rule strongly superadditive."""
     rows = [
-        _Row("exp-neg-linear completely monotone (K=5)", check, "exp-neg-linear",
+        _Row("exp-neg-linear completely monotone (K=5)", "check", "exp-neg-linear",
              "completely-monotone", 500),
-        _Row("inv-power-product completely monotone (K=5)", check, "inv-power-product",
+        _Row("inv-power-product completely monotone (K=5)", "check", "inv-power-product",
              "completely-monotone", 500),
-        _Row("logistic-pow beta=0.5 refuted at some order <= 5", refute, "logistic-pow",
+        _Row("logistic-pow beta=0.5 refuted at some order <= 5", "refute", "logistic-pow",
              "completely-monotone", 10000, {"a": 1.0, "beta": 0.5}, want=VIOLATION),
     ]
-    rows += [_Row(f"elem-sym-4-shifted strong-superadd, beta={beta}", check,
+    rows += [_Row(f"elem-sym-4-shifted strong-superadd, beta={beta}", "check",
                   "elem-sym-4-shifted", "strong-superadd", 1000, {"beta": beta})
              for beta in (1.0, 2.0)]
     checks = _run(rows, seed)
@@ -267,20 +266,20 @@ def criterion_7(seed: int) -> CriterionResult:
 def criterion_8(seed: int) -> CriterionResult:
     """Certificates plus certificate/checker coherence."""
     rows = [
-        _Row("shannon-entropy certified by Hessian sign", certify_hessian_sign,
+        _Row("shannon-entropy certified by Hessian sign", "hessian-sign",
              "shannon-entropy", "nonpos", 200, want=CERTIFIED),
-        _Row("sq-norm certified by Hessian sign", certify_hessian_sign, "sq-norm", "nonneg", 200,
+        _Row("sq-norm certified by Hessian sign", "hessian-sign", "sq-norm", "nonneg", 200,
              want=CERTIFIED),
-        _Row("lse refused for Hessian sign", certify_hessian_sign, "lse", "nonpos", 200,
+        _Row("lse refused for Hessian sign", "hessian-sign", "lse", "nonpos", 200,
              want=REFUSED),
-        _Row("lse certified Topkis-submodular", certify_topkis, "lse", "submodular", 200,
+        _Row("lse certified Topkis-submodular", "topkis", "lse", "submodular", 200,
              want=CERTIFIED),
         _Row("lp-power-norm certified by differential monotonicity",
-             certify_differential_monotone, "lp-power-norm", "nondecreasing", 200, want=CERTIFIED),
-        _Row("det certified by differential monotonicity", certify_differential_monotone, "det",
+             "diff-monotone", "lp-power-norm", "nondecreasing", 200, want=CERTIFIED),
+        _Row("det certified by differential monotonicity", "diff-monotone", "det",
              "nondecreasing", 200, dim=3, want=CERTIFIED),
     ]
-    rows += [_Row(f"coherence: {eid} {prop}", check, eid, prop, 1000, dim=dim)
+    rows += [_Row(f"coherence: {eid} {prop}", "check", eid, prop, 1000, dim=dim)
              for eid, prop, dim in (("shannon-entropy", "strong-subadd", None),
                                     ("sq-norm", "strong-superadd", None),
                                     ("lse", "submodular", None),
@@ -294,7 +293,7 @@ def criterion_9(seed: int) -> CriterionResult:
     determinant representation, 20 matrices of order at most 2: the
     ``gaussian-det-representation`` expression, which reads no value of its
     handle, on the PSD cone of ``det-shift-recip`` at its default beta 1/2."""
-    rows = [_Row(f"Gaussian determinant representation, order {n}", check, "det-shift-recip",
+    rows = [_Row(f"Gaussian determinant representation, order {n}", "check", "det-shift-recip",
                  "gaussian-det-representation", 10, dim=n) for n in (1, 2)]
     return CriterionResult(9, "Gaussian determinant representation", tuple(_run(rows, seed)))
 
@@ -303,7 +302,7 @@ def criterion_10(seed: int) -> CriterionResult:
     """The refuted-candidate claims all produce sound witnesses, whose
     re-evaluated margin equals the stored one exactly; the Jensen gap
     witness has magnitude at least 0.4."""
-    rows = [_Row(f"{eid} {prop} refuted with a sound witness", refute, eid, prop, 10000,
+    rows = [_Row(f"{eid} {prop} refuted with a sound witness", "refute", eid, prop, 10000,
                  want=VIOLATION)
             for eid, prop in (("half-sq-plus-cos", "superadd"),
                               ("pairwise-diff-convex", "strong-subadd"),

@@ -186,6 +186,7 @@ _RANGE_ERRORS = [
     ("lp-power-norm", {"h": 0.0}, None, "h must lie in (0, inf), got 0.0"),
     ("logdet-pencil", {"order": 2, "matrices": np.stack([np.eye(2)] * 2)}, 3,
      "need 3 matrices of order 2"),
+    ("logdet-pencil", {"order": 2.5}, None, "order must be an integer, got 2.5"),
     ("trace-pow", {"p": 3.0}, None, "p must lie in [0, 2], got 3.0"),
     ("trace-hansen", {"p": 0.0}, None, "p must lie in (0, 1], got 0.0"),
     ("det-recip-pow", {"beta": -0.5}, None, "beta must lie in [0, inf), got -0.5"),
@@ -214,6 +215,14 @@ def test_parameter_range_errors():
         # raised once, not re-wrapped: one entry prefix, and "wrong type" only where meant
         assert text.count(f"{entry_id}: ") == 1, text
         assert ("wrong type" in text) == (message == "parameter of the wrong type"), text
+    # a whole order given as a float builds the pencil of that order
+    rows = np.abs(np.random.default_rng(0).normal(size=(5, 3)))
+    two = instantiate("logdet-pencil", params={"order": 2}).batch(rows)
+    assert np.array_equal(instantiate("logdet-pencil", params={"order": 2.0}).batch(rows), two)
+    mats = 1.0 / (np.add.outer(np.arange(2), np.arange(2))[None] + np.arange(3)[:, None, None]
+                  + 1) + 0.5 * np.eye(2)
+    custom = instantiate("logdet-pencil", params={"order": 2, "matrices": mats}).batch(rows)
+    assert np.array_equal(custom, two)
 
 
 # every declared parameter and its interval; a trailing ^n checks each
@@ -292,6 +301,22 @@ def test_pencil_evaluates_with_custom_matrices():
     handle = instantiate("logdet-pencil", params={"order": 2, "matrices": mats}, dim=2)
     val = handle(Point.vector([1.0, 1.0]))
     assert val == pytest.approx(np.log(9.0))
+
+
+def test_det_trace_inverse_is_finite_on_singular_matrices():
+    """det(A) tr(A^-1) is the sum of the principal minors of order N - 1, so
+    it is finite where A is singular, and on positive-definite matrices it
+    agrees with the product to 1e-12 relative, the same bits alone and in a
+    block."""
+    handle = instantiate("det-trace-inverse", dim=3)
+    assert handle.batch(np.diag([0.0, 1.0, 2.0])[None]).tolist() == [2.0]
+    assert handle.batch(np.diag([0.0, 0.0, 1.0])[None]).tolist() == [0.0]
+    g = np.random.default_rng(5).normal(size=(50, 3, 3))
+    mats = g @ g.transpose(0, 2, 1) + 0.1 * np.eye(3)
+    want = np.linalg.det(mats) * np.trace(np.linalg.inv(mats), axis1=1, axis2=2)
+    got = handle.batch(mats)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert [handle.batch(m[None])[0] for m in mats] == got.tolist()
 
 
 def test_default_pencil_is_pinned_without_the_sampler(monkeypatch):

@@ -158,6 +158,89 @@ def test_claims_on_one_cone_peak_like_one_check():
 
 
 # ---------------------------------------------------------------------------
+# one runner for every mode: check, refute and the certificate methods
+# ---------------------------------------------------------------------------
+
+# every mode, with two certificates on lse at dim 3 that read the same points
+MODES = [
+    (Claim("log1p", "strong-subadd"), check),
+    (Claim("lse", "nonpos", dim=3, mode="hessian-sign"), certify_hessian_sign),  # refused
+    (Claim("geomean2", "strong-subadd", mode="refute"), refute),
+    (Claim("lse", "submodular", dim=3, mode="topkis"), certify_topkis),
+    (Claim("lse", "submodular", dim=3), check),
+    (Claim("det", "nondecreasing", dim=3, mode="diff-monotone"), certify_differential_monotone),
+    (Claim("lse", "strong-subadd", dim=3, mode="refute"), refute),
+    (Claim("sq-norm", "nonneg", mode="hessian-sign"), certify_hessian_sign),
+    (Claim("lp-power-norm", "nondecreasing", mode="diff-monotone"),
+     certify_differential_monotone),
+]
+
+
+@pytest.mark.parametrize("block", [2 ** 14, 1000])
+def test_claims_of_every_mode_get_the_bytes_of_their_own_calls(monkeypatch, block):
+    """Checks, refutations and certificates in one list: each report is the
+    one its own ``check``, ``refute`` or ``certify_*`` call writes, and has
+    the claim's mode."""
+    monkeypatch.setattr(checkers, "_BLOCK", block)
+    cfg = CheckConfig(trials=2500, seed=4)
+    reports = check_claims([c for c, _ in MODES], cfg)
+    alone = [run(c.target, c.property, cfg, params=c.params, dim=c.dim) for c, run in MODES]
+    assert [r.json_line() for r in reports] == [r.json_line() for r in alone]
+    assert [r.mode for r in reports] == [c.mode for c, _ in MODES]
+    assert [r.verdict for r in reports] == [
+        "NO_VIOLATION_FOUND", "REFUSED", "VIOLATION_FOUND", "CERTIFIED_NUMERIC",
+        "NO_VIOLATION_FOUND", "CERTIFIED_NUMERIC", "VIOLATION_FOUND", "CERTIFIED_NUMERIC",
+        "CERTIFIED_NUMERIC"]
+
+
+def test_certificates_on_one_cone_draw_their_points_once(monkeypatch):
+    """lse's Hessian-sign and Topkis certificates read the points ``p`` of
+    equal rungs, so the two draw what one of them draws: one block of 1000,
+    1000 and 500 points."""
+    calls, sample = [], cones.sample_batch
+    monkeypatch.setattr(cones, "sample_batch",
+                        lambda *a, **kw: calls.append(a[2]) or sample(*a, **kw))
+    monkeypatch.setattr(checkers, "_BLOCK", 1000)
+    cfg = CheckConfig(trials=2500, seed=3)
+    check_claims([Claim("lse", "nonpos", dim=3, mode="hessian-sign"),
+                  Claim("lse", "submodular", dim=3, mode="topkis")], cfg)
+    together = list(calls)
+    calls.clear()
+    certify_topkis("lse", "submodular", cfg, dim=3)
+    assert together == calls == [1000, 1000, 500]
+
+
+@pytest.mark.parametrize("bad, error, match", [
+    (Claim("log1p", "subadd", mode="no-such-mode"), ParameterError, "unknown mode"),
+    (Claim("lse", "bogus", mode="hessian-sign"), ParameterError, "sign must be"),
+    (Claim("lse", "bogus", mode="topkis"), ParameterError, "mode must be"),
+    (Claim("lse", "bogus", mode="diff-monotone"), ParameterError, "direction must be"),
+    (Claim("log1p", "submodular", mode="topkis"), CapabilityError, "dimension 2 or more"),
+    (Claim("log1p", "nonpos"), ParameterError, "unknown property"),
+])
+def test_a_refused_claim_of_any_mode_raises_before_any_draw(monkeypatch, bad, error, match):
+    """Behind valid claims of every mode, a claim whose mode, certificate
+    choice or dimension is refused raises before anything is drawn; a
+    certificate's choice is no property of a check."""
+    drawn = []
+    monkeypatch.setattr(cones, "sample_batch", lambda *a, **kw: drawn.append(a) or 1 / 0)
+    with pytest.raises(error, match=match):
+        check_claims([c for c, _ in MODES] + [bad], CheckConfig(trials=50))
+    assert drawn == []
+
+
+def test_a_refutation_off_the_float_range_raises_before_any_draw(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(cones, "sample_batch", lambda *a, **kw: drawn.append(a) or 1 / 0)
+    with pytest.raises(ParameterError, match="leaves the float range"):
+        check_claims([Claim("log1p", "strong-subadd"),
+                      Claim("sq-norm", "nonneg", mode="hessian-sign"),
+                      Claim("log1p", "strong-subadd", mode="refute")],
+                     CheckConfig(trials=30, scale=1e308))
+    assert drawn == []
+
+
+# ---------------------------------------------------------------------------
 # the suite's criteria against their one-check-at-a-time loops
 # ---------------------------------------------------------------------------
 
@@ -305,20 +388,22 @@ def test_criteria_on_shared_draws_equal_their_per_claim_loops(cid, seed):
 
 
 def test_check_rows_of_one_trial_count_run_as_one_call(monkeypatch):
-    """Criterion 8's five coherence rows share one ``check_claims`` call,
-    criterion 9's two quadrature rows another, and criterion 7's rows one
-    call per trial count."""
+    """Every row of a claim table runs through ``check_claims``, one call
+    per trial count, whatever its mode: criterion 8's six certificates share
+    one call and its five coherence rows another, criterion 9's two
+    quadrature rows one, criterion 7's check and refute rows one per trial
+    count, and the refutations of criteria 10 and 1 one each."""
     calls = []
     monkeypatch.setattr(suite, "check_claims", lambda claims, cfg: calls.append(
         (len(claims), cfg.trials)) or check_claims(claims, cfg))
-    suite.criterion_8(0)
-    assert calls == [(5, 1000)]
-    calls.clear()
-    suite.criterion_9(0)
-    assert calls == [(2, 10)]
-    calls.clear()
-    suite.criterion_7(0)
-    assert calls == [(2, 500), (2, 1000)]
+    for criterion, want in ((suite.criterion_8, [(6, 200), (5, 1000)]),
+                            (suite.criterion_9, [(2, 10)]),
+                            (suite.criterion_7, [(2, 500), (1, 10000), (2, 1000)]),
+                            (suite.criterion_10, [(3, 10000)]),
+                            (suite.criterion_1, [(1, 1000)])):
+        calls.clear()
+        criterion(0)
+        assert calls == want, criterion.__name__
 
 
 # every criterion's sub-checks, in order

@@ -66,6 +66,7 @@ def test_bad_param_is_usage_error(capsys):
         ("trace-pow", "strong-subadd", "zzz=1"),
         ("trace-pow", "strong-subadd", "p=abc"),
         ("concave-of-linear", "strong-subadd", "a=1,x"),
+        ("logdet-pencil", "second-diff-nonpos", "order=2.5"),
     ):
         code, out, err = _run(capsys, "check", entry, "--property", prop,
                               "--trials", "10", "--param", param)
@@ -335,6 +336,6 @@ def test_numeric_failure_exit_code(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NumericFailure("synthetic")
 
-    monkeypatch.setattr(cli, "check", boom)
+    monkeypatch.setattr(cli, "check_claims", boom)
     code = cli.main(["check", "log1p", "--property", "subadd", "--trials", "10"])
     assert code == 3
